@@ -13,21 +13,19 @@ from .catalog import (OsmosisParams, add_both, add_catalyst, add_inhibitor,
                       state_change_rule)
 from .engine import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, Pcg64,
                      Sample, Trace, TraceEvent, observe, simulate, step)
-from .errors import (ModelError, OracleSizeError, ParseError, RateEvalError,
-                     SubstitutionError, TsclsError, UnknownElementType,
-                     WellFormednessError)
+from .errors import (ModelError, ParseError, RateEvalError, SubstitutionError,
+                     TsclsError, UnknownElementType, WellFormednessError)
 from .matching import (Binding, Compartment, Instantiation, Path,
                        compartments, match_whole, path_text, splice,
                        substitute)
 from .model import (ModelFile, ObservableSpec, SimConfig, validate_model)
 from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
-                       SeqVar, Var, VarKind, evar, is_ground, lits, pat,
-                       pattern_to_term, pattern_vars, svar, term_to_pattern,
+                       SeqVar, Var, VarKind, lits, pat, pattern_vars, svar,
                        tvar)
 from .rates import BinOp, IfZero, Name, Num, RateExpr, evaluate
 from .semantics import (LITERAL, POSITIONAL, CountDecl, CountSpec,
-                        RewriteRule, Transition, apply_transition,
-                        count_types, eval_rate, rule_violations, transitions)
+                        RewriteRule, Transition, count_types, eval_rate,
+                        rule_violations, transitions)
 from .syntax import (parse_model, parse_pattern, parse_rate, parse_term,
                      print_model, print_pattern, print_rate, print_term)
 from .terms import (EMPTY, Loop, Seq, Term, TypeEnv, TypeName, canonicalize,

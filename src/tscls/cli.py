@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, TextIO
 
 from .engine import Trace, TraceEvent, simulate
 from .errors import ModelError, TsclsError
 from .matching import path_text
 from .model import ModelFile
+from .rates import format_number
 from .semantics import transitions
 from .syntax import parse_model, parse_term, print_term
 
@@ -39,11 +40,6 @@ def _error(message: str) -> None:
     if _color_enabled():
         prefix = "\x1b[31merror:\x1b[0m"
     print(f"{prefix} {message}", file=sys.stderr)
-
-
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the exact 64-bit float."""
-    return repr(float(x))
 
 
 def _load_model(path: str) -> ModelFile:
@@ -74,9 +70,9 @@ def cmd_transitions(args: argparse.Namespace) -> int:
         state = parse_term(args.state)
     trs = transitions(state, model.rules, model.type_env(),
                       model.constants, model.typing)
-    for tr in sorted(trs, key=lambda t: (t.rule_id, t.path, t.target.key)):
-        print(f"{tr.rule_id}  {path_text(tr.path)}  {_fmt(tr.rate)}  "
-              f"{print_term(tr.target)}")
+    for tr in trs:
+        print(f"{tr.rule_id}  {path_text(tr.path)}  "
+              f"{format_number(tr.rate)}  {print_term(tr.target)}")
     return 0
 
 
@@ -100,10 +96,10 @@ def _write_csv(trace: Trace, out: TextIO) -> None:
     writer.writerow(CSV_FIXED_COLUMNS + trace.observable_names)
     for rec in _records(trace):
         if isinstance(rec, TraceEvent):
-            row = [_fmt(rec.time), rec.step, rec.rule_id,
-                   path_text(rec.path), _fmt(rec.rate)]
+            row = [format_number(rec.time), rec.step, rec.rule_id,
+                   path_text(rec.path), format_number(rec.rate)]
         else:
-            row = [_fmt(rec.time), rec.step, "", "", ""]
+            row = [format_number(rec.time), rec.step, "", "", ""]
         writer.writerow(row + list(rec.observables))
 
 
@@ -120,7 +116,7 @@ def _write_json(trace: Trace, out: TextIO) -> None:
             "rate": rec.rate if isinstance(rec, TraceEvent) else None,
             "observables": dict(zip(names, rec.observables)),
         }
-        out.write(json.dumps(obj) + "\n")
+        out.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
 def _write_trace(trace: Trace, fmt: str, out: TextIO) -> None:
@@ -137,7 +133,8 @@ def _seed_path(path: str, seed: int) -> str:
 
 def _summary(trace: Trace, seed: int) -> str:
     return (f"seed={seed} steps={trace.steps} "
-            f"time={_fmt(trace.final_time)} halt={trace.halt_reason}")
+            f"time={format_number(trace.final_time)} "
+            f"halt={trace.halt_reason}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -156,15 +153,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not args.out:
             _error("--replicas needs --out (one file per seed)")
             return 2
-        seeds = list(range(cfg.seed, cfg.seed + args.replicas))
-        with ThreadPoolExecutor(max_workers=min(8, len(seeds))) as pool:
-            futures = [pool.submit(simulate, model,
-                                   model.sim_config(seed=s, tmax=cfg.tmax,
-                                                    max_steps=cfg.max_steps,
-                                                    samples=cfg.samples))
-                       for s in seeds]
-            traces = [f.result() for f in futures]
-        for seed, trace in zip(seeds, traces):
+        for seed in range(cfg.seed, cfg.seed + args.replicas):
+            trace = simulate(model, dataclasses.replace(cfg, seed=seed))
             path = _seed_path(args.out, seed)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 _write_trace(trace, args.format, fh)
@@ -211,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output file (default: stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--replicas", type=int, default=1,
-                       help="run this many consecutive seeds concurrently")
+                       help="run this many consecutive seeds, one after"
+                            " another")
     p_run.set_defaults(func=cmd_run)
     return parser
 

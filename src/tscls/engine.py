@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .matching import Path, compartments
+from .matching import Path
 from .model import ModelFile, ObservableSpec, SimConfig
 from .semantics import RewriteRule, Transition, transitions
 from .terms import Seq, Term, TypeEnv, canonicalize
@@ -87,35 +87,10 @@ def _draw(trs: tuple[Transition, ...], rng: Pcg64):
 # observation
 
 
-def observe(state: Term, spec: ObservableSpec):
-    """Count bare parallel occurrences of the element.
-
-    Global scope returns one integer summed over all compartments;
-    per-compartment scope returns {path: count} for every compartment.
-    """
-    state = canonicalize(state)
-    if spec.scope == "global":
-        return _count_bare(state, spec.element)
-    out: dict[Path, int] = {}
-    for comp in compartments(state):
-        n = 0
-        for c in comp.content.components:
-            if isinstance(c, Seq) and len(c.elems) == 1 \
-                    and c.elems[0] == spec.element:
-                n += 1
-        out[comp.path] = n
-    return out
-
-
-def _count_bare(term: Term, element: str) -> int:
-    n = 0
-    for comp in term.components:
-        if isinstance(comp, Seq):
-            if len(comp.elems) == 1 and comp.elems[0] == element:
-                n += 1
-        else:
-            n += _count_bare(comp.content, element)
-    return n
+def observe(state: Term, spec: ObservableSpec) -> int:
+    """Bare parallel occurrences of the element, summed over all
+    compartments."""
+    return _count_all(state, (spec.element,))[0]
 
 
 def _count_all(term: Term, names: Sequence[str]) -> tuple[int, ...]:

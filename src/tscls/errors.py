@@ -44,8 +44,4 @@ class SubstitutionError(TsclsError):
 
 class RateEvalError(TsclsError):
     """Rate expression evaluation failure (division by zero outside the
-    guarded idiom, or an undeclared name)."""
-
-
-class OracleSizeError(TsclsError):
-    """Brute-force oracle refused an instance above its size guard."""
+    guarded idiom, an undeclared name, or a NaN or infinite rate)."""

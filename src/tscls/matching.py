@@ -15,8 +15,8 @@ from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Union
 
 from .errors import SubstitutionError
-from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
-                       SeqVar, Var, VarKind, pattern_vars)
+from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar, Var,
+                       VarKind, pattern_vars)
 from .terms import Loop, Seq, Term, canonicalize
 
 Path = tuple[int, ...]
@@ -184,24 +184,18 @@ def _seq_names(ps: PSeq, inst: Instantiation) -> tuple[str, ...]:
 # matching
 
 
-def match_whole(lhs: Pattern, content: Term,
-                seed: Optional[Instantiation] = None) -> frozenset[Instantiation]:
+def match_whole(lhs: Pattern, content: Term) -> frozenset[Instantiation]:
     """All instantiations making the pattern congruent to the whole content.
 
-    ``seed`` pre-binds variables (used when matching proceeds under an
-    enclosing binding). The result set is deduplicated up to congruence of
-    bindings.
+    The result set is deduplicated up to congruence of bindings.
     """
-    base = dict(seed.items()) if seed is not None else {}
     content = canonicalize(content)
     return frozenset(Instantiation(sigma)
-                     for sigma in _match_pattern(lhs, content, base, {}))
+                     for sigma in _match_pattern(lhs, content, {}, {}))
 
 
 def _match_pattern(p: Pattern, content: Term, sigma: dict[Var, Binding],
-                   memo: Optional[dict] = None) -> Iterator[dict[Var, Binding]]:
-    if memo is None:
-        memo = {}
+                   memo: dict) -> Iterator[dict[Var, Binding]]:
     slots: list[Union[PSeq, PLoop]] = []
     tvar_occurrences: list[str] = []
     for item in p.items:
@@ -250,7 +244,7 @@ def _match_pattern(p: Pattern, content: Term, sigma: dict[Var, Binding],
 
 
 def _match_loop(item: PLoop, comp: Loop, sigma: dict[Var, Binding],
-                memo: Optional[dict] = None) -> Iterator[dict[Var, Binding]]:
+                memo: dict) -> Iterator[dict[Var, Binding]]:
     seen: set[tuple[str, ...]] = set()
     mem = comp.membrane
     # the content match depends only on the bindings of variables the
@@ -309,7 +303,7 @@ def _match_atoms(atoms: tuple, names: tuple[str, ...],
 
 def _assign_term_vars(occurrences: list[str], remaining: Counter,
                       sigma: dict[Var, Binding],
-                      memo: Optional[dict] = None) -> Iterator[dict[Var, Binding]]:
+                      memo: dict) -> Iterator[dict[Var, Binding]]:
     """Distribute the leftover component multiset among term variables.
 
     Pre-bound variables consume their binding times their occurrence
@@ -342,8 +336,6 @@ def _assign_term_vars(occurrences: list[str], remaining: Counter,
 
     if len(unbound) == 1 and occ[unbound[0]] == 1:
         # the whole leftover goes to the one variable, in one way
-        if memo is None:
-            memo = {}
         key = tuple((id(c), n) for c, n in leftover.items())
         t = memo.get(key)
         if t is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .patterns import pattern_elements
@@ -12,10 +13,9 @@ from .terms import Term, TypeEnv, term_elements
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """What to report: bare parallel occurrences of one element, either
-    summed over all compartments or broken down per compartment."""
+    """What to report: bare parallel occurrences of one element, summed
+    over all compartments."""
     element: str
-    scope: str = "global"  # or "per-compartment"
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class SimConfig:
 
     def violations(self) -> list[str]:
         out = []
-        if self.tmax < 0:
-            out.append("tmax must be >= 0")
+        if not math.isfinite(self.tmax) or self.tmax < 0:
+            out.append("tmax must be a finite number >= 0")
         if self.max_steps <= 0:
             out.append("max_steps must be positive")
         if self.samples <= 0:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .terms import Seq, Loop, Term
-
 
 class VarKind(enum.Enum):
     TERM = "term"
@@ -98,46 +96,8 @@ def svar(name: str) -> SeqVar:
     return SeqVar(name)
 
 
-def evar(name: str) -> ElemVar:
-    return ElemVar(name)
-
-
 def pat(*items: PatternItem) -> Pattern:
     return Pattern(tuple(items))
-
-
-def term_to_pattern(t: Term) -> Pattern:
-    items: list[PatternItem] = []
-    for comp in t.components:
-        if isinstance(comp, Seq):
-            items.append(lits(*comp.elems))
-        else:
-            items.append(PLoop(lits(*comp.membrane),
-                               term_to_pattern(comp.content)))
-    return Pattern(tuple(items))
-
-
-def pattern_to_term(p: Pattern) -> Term:
-    """Convert a ground pattern back to a term; raises on variables."""
-    comps: list[Union[Seq, Loop]] = []
-    for item in p.items:
-        if isinstance(item, PSeq):
-            comps.append(Seq(_ground_names(item)))
-        elif isinstance(item, PLoop):
-            comps.append(Loop(_ground_names(item.membrane),
-                              pattern_to_term(item.content)))
-        else:
-            raise ValueError(f"pattern is not ground: ${item.name}")
-    return Term(comps)
-
-
-def _ground_names(ps: PSeq) -> tuple[str, ...]:
-    names = []
-    for atom in ps.atoms:
-        if not isinstance(atom, ElemLit):
-            raise ValueError("pattern is not ground")
-        names.append(atom.name)
-    return tuple(names)
 
 
 # -- variable inventory -----------------------------------------------------
@@ -165,10 +125,6 @@ def pattern_vars(p: Pattern) -> tuple[Var, ...]:
 
     walk(p)
     return tuple(seen)
-
-
-def is_ground(p: Pattern) -> bool:
-    return not pattern_vars(p)
 
 
 @lru_cache(maxsize=1024)

@@ -9,13 +9,14 @@ outcomes of one rule at one site are merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import rates
 from .errors import RateEvalError
-from .matching import (Compartment, Instantiation, compartments, match_whole,
-                       path_text, splice, substitute)
+from .matching import (Instantiation, compartments, match_whole, path_text,
+                       splice, substitute)
 from .patterns import (Pattern, Var, VarKind, pattern_vars,
                        seq_positioned_elem_vars)
 from .rates import RateExpr
@@ -136,6 +137,7 @@ def count_types(inst: Instantiation, counts: CountSpec, env: TypeEnv,
     ``memo`` caches term-binding walks across calls; congruent bindings
     under the same declaration reuse the counted totals.
     """
+    memo = {} if memo is None else memo
     out: dict[str, int] = {}
     for decl in counts:
         wanted: dict[TypeName, list[str]] = {}
@@ -145,16 +147,13 @@ def count_types(inst: Instantiation, counts: CountSpec, env: TypeEnv,
         binding = inst[decl.var]
         kind = decl.var.kind
         if kind is VarKind.TERM:
-            if memo is None:
-                _count_in_term(binding, wanted, env, out)
-            else:
-                mkey = (binding, id(decl))
-                snap = memo.get(mkey)
-                if snap is None:
-                    snap = {name: 0 for _, name in decl.entries}
-                    _count_in_term(binding, wanted, env, snap)
-                    memo[mkey] = snap
-                out.update(snap)
+            mkey = (binding, id(decl))
+            snap = memo.get(mkey)
+            if snap is None:
+                snap = {name: 0 for _, name in decl.entries}
+                _count_in_term(binding, wanted, env, snap)
+                memo[mkey] = snap
+            out.update(snap)
         elif kind is VarKind.SEQ:
             if mode != POSITIONAL and len(binding) == 1:
                 _tally(env.basic(binding[0]), wanted, out)
@@ -170,11 +169,17 @@ def count_types(inst: Instantiation, counts: CountSpec, env: TypeEnv,
 
 def eval_rate(rule: RewriteRule, counts: Mapping[str, int],
               consts: Mapping[str, float]) -> float:
-    """Evaluate the rule's rate expression; errors carry the rule id."""
+    """Evaluate the rule's rate expression; errors carry the rule id.
+
+    A NaN or infinite result raises :class:`RateEvalError`: it would
+    corrupt the clock and the selection of every later step."""
     try:
-        return float(rates.evaluate(rule.rate, counts, consts))
+        rate = float(rates.evaluate(rule.rate, counts, consts))
     except RateEvalError as exc:
         raise RateEvalError(f"rule {rule.id}: {exc}") from None
+    if not math.isfinite(rate):
+        raise RateEvalError(f"rule {rule.id}: rate is not finite ({rate!r})")
+    return rate
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +188,11 @@ def eval_rate(rule: RewriteRule, counts: Mapping[str, int],
 
 @dataclass(frozen=True)
 class Transition:
-    """One enabled rewrite: rule applied at a compartment, with its rate.
-
-    ``counts`` is a diagnostic snapshot of the evaluated count variables;
-    it does not take part in equality.
-    """
+    """One enabled rewrite: rule applied at a compartment, with its rate."""
     rule_id: str
     path: tuple[int, ...]
     target: Term
     rate: float
-    counts: tuple[tuple[str, int], ...] = field(default=(), compare=False)
 
 
 def transitions(state: Term, rules: Sequence[RewriteRule],
@@ -234,13 +234,8 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
                 target = splice(state, comp.path, substitute(rule.rhs, inst))
                 key = (rule.id, comp.path, target, rate)
                 if key not in found:
-                    found[key] = Transition(rule.id, comp.path, target, rate,
-                                            tuple(sorted(counts.items())))
+                    found[key] = Transition(rule.id, comp.path, target, rate)
     return tuple(sorted(
         found.values(),
         key=lambda tr: (rule_index[tr.rule_id], tr.path, tr.target.key, tr.rate)))
 
-
-def apply_transition(state: Term, tr: Transition) -> Term:
-    """Successor state of a transition produced from ``state``."""
-    return tr.target

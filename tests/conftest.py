@@ -162,6 +162,25 @@ def random_rule(rng: random.Random, rule_id: str) -> RewriteRule:
     return RewriteRule(rule_id, lhs, rhs, expr, tuple(decls))
 
 
+# literals at the edges of the float range, so sums and products overflow
+EXTREME_NUMBERS = (0.0, 1.0, -1.0, 0.5, 1e-308, 1e308, -1e308, 5e-324)
+
+
+def random_rate(rng: random.Random, names: list[str], depth: int = 3):
+    """A random rate AST over ``names`` using every operator and the
+    zero guard; literals include extreme magnitudes."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        if names and rng.random() < 0.5:
+            return Name(rng.choice(names))
+        return Num(rng.choice(EXTREME_NUMBERS))
+    if names and roll < 0.3:
+        return IfZero(rng.choice(names), random_rate(rng, names, depth - 1),
+                      random_rate(rng, names, depth - 1))
+    return BinOp(rng.choice("+-*/"), random_rate(rng, names, depth - 1),
+                 random_rate(rng, names, depth - 1))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260816)

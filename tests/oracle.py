@@ -5,7 +5,7 @@ assignments of labeled components instead of walking distinct component
 classes, counting builds complete type multisets instead of targeted
 tallies, and substitution/splicing are re-implemented from the term
 constructors. Inputs are size-guarded; these functions are test support
-and are not part of the release API.
+and are not part of the package.
 """
 
 from __future__ import annotations
@@ -13,17 +13,22 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping, Optional
 
-from .errors import OracleSizeError
-from .matching import Binding, Instantiation
-from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
-                       SeqAtom, SeqVar, Var, VarKind)
-from .rates import evaluate
-from .semantics import (POSITIONAL, LITERAL, CountSpec, RewriteRule,
-                        Transition)
-from .terms import (Loop, Seq, Term, TypeEnv, TypeName, canonicalize,
-                    stype_of, type_of)
+from tscls.errors import TsclsError
+from tscls.matching import Binding, Instantiation
+from tscls.patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
+                            SeqAtom, SeqVar, Var, VarKind)
+from tscls.rates import evaluate
+from tscls.semantics import (POSITIONAL, LITERAL, CountSpec, RewriteRule,
+                             Transition)
+from tscls.terms import (Loop, Seq, Term, TypeEnv, canonicalize, stype_of,
+                         type_of)
 
 MAX_COMPONENTS = 8
+
+
+class OracleSizeError(TsclsError):
+    """Brute-force oracle refused an instance above its size guard."""
+
 
 BindingMap = dict[Var, Binding]
 
@@ -271,6 +276,5 @@ def brute_force_transitions(state: Term, rules: list[RewriteRule],
                                                  dict(inst.items()))))
                 key = (rule.id, path, target, rate)
                 if key not in found:
-                    found[key] = Transition(rule.id, path, target, rate,
-                                            tuple(sorted(counts.items())))
+                    found[key] = Transition(rule.id, path, target, rate)
     return frozenset(found.values())

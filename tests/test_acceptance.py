@@ -5,6 +5,7 @@ printing a single PASS line, so a verbose run doubles as a checklist.
 Statistical checks use fixed seeds and three-sigma tolerances.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -17,8 +18,8 @@ from tscls import (CountDecl, ObservableSpec, Pcg64, RewriteRule, TypeEnv,
 from tscls.catalog import (OsmosisParams, lac_operon_model, osmosis_rules,
                            state_change_rule)
 from tscls.cli import main
-from tscls.oracle import brute_force_matches, brute_force_transitions
 from conftest import abstract_pattern, random_rule, random_term, scramble
+from oracle import brute_force_matches, brute_force_transitions
 
 ENV = TypeEnv()
 
@@ -214,18 +215,32 @@ def test_08_lac_operon_conservation():
                " 10 seeds")
 
 
+# SHA-256 of the seed-42 lac traces; refactors must leave them unchanged
+LAC_SEED42_CSV_SHA256 = \
+    "2137b64c8a37ebf2a9e7e1e0cbf12fc5a908504bbc06821a19135b07df10972f"
+LAC_SEED42_JSON_SHA256 = \
+    "54d7e01e54f7500d8e0b55675767d9059d0db7d1b2ef0e4cc21e2b23cc063baf"
+
+
 def test_09_byte_identical_reruns(tmp_path):
     t0 = time.perf_counter()
     lac = os.path.join(os.path.dirname(__file__), os.pardir, "models",
                        "lac_operon.tscls")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    j = tmp_path / "a.ndjson"
     assert main(["run", lac, "--seed", "42", "--out", str(a)]) == 0
     assert main(["run", lac, "--seed", "42", "--out", str(b)]) == 0
+    assert main(["run", lac, "--seed", "42", "--format", "json",
+                 "--out", str(j)]) == 0
     data = a.read_bytes()
     assert data == b.read_bytes()
     assert data.startswith(b"time,step,rule,path,rate,")
+    assert hashlib.sha256(data).hexdigest() == LAC_SEED42_CSV_SHA256
+    assert hashlib.sha256(j.read_bytes()).hexdigest() \
+        == LAC_SEED42_JSON_SHA256
     assert time.perf_counter() - t0 < 10.0
-    _report(9, "seed-42 trace files are byte-identical across runs")
+    _report(9, "seed-42 trace files are byte-identical across runs and"
+               " match the pinned digests")
 
 
 def test_10_osmosis_antisymmetry(rng):

@@ -29,6 +29,11 @@ run { seed: 7, tmax: 1000.0, max_steps: 100, samples: 4 }
 """
 
 
+# a rate that overflows to inf - inf = NaN
+NAN_RATE = TINY.replace("const k = 1.0", "const k = 1e308") \
+    .replace("rate: (n + 1) * k", "rate: k * k - k * k")
+
+
 @pytest.fixture
 def tiny(tmp_path):
     path = tmp_path / "tiny.tscls"
@@ -93,6 +98,22 @@ class TestTransitions:
     def test_state_override(self, tiny, capsys):
         assert main(["transitions", tiny, "--state", "a | a | c"]) == 0
         assert capsys.readouterr().out == "change  /  2.0  a | b | c\n"
+
+    def test_rule_file_order(self, capsys):
+        assert main(["transitions", LAC, "--state",
+                     "<m>[ Irna | lacI.PP.RO.lacZ.lacY.lacA ]"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[0] for line in lines] == ["R2", "R10"]
+
+    def test_non_finite_rate(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        model = tmp_path / "nan.tscls"
+        model.write_text(NAN_RATE, encoding="utf-8")
+        assert main(["transitions", str(model)]) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert "rule change" in got.err and "not finite" in got.err
+        assert "compartment /" in got.err
 
     def test_no_transitions(self, tiny, capsys):
         assert main(["transitions", tiny, "--state", "eps"]) == 0
@@ -179,6 +200,25 @@ class TestRun:
         monkeypatch.setenv("TSCLS_COLOR", "0")
         assert main(["run", tiny, "--samples", "0"]) == 1
         assert "samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tmax", ["nan", "inf", "-inf"])
+    def test_non_finite_tmax(self, tiny, tmp_path, capsys, monkeypatch,
+                             tmax):
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        out = tmp_path / "trace.csv"
+        assert main(["run", tiny, f"--tmax={tmax}", "--out", str(out)]) == 1
+        assert "tmax must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_rate(self, tmp_path, capsys, monkeypatch, fmt):
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        model = tmp_path / "nan.tscls"
+        model.write_text(NAN_RATE, encoding="utf-8")
+        assert main(["run", str(model), "--format", fmt]) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert "rule change" in got.err and "not finite" in got.err
 
     def test_replicas(self, tiny, tmp_path, capsys):
         out = tmp_path / "rep.csv"

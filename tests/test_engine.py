@@ -92,10 +92,6 @@ class TestObserve:
         assert observe(T("a.a | a"), ObservableSpec("a")) == 1
         assert observe(T("<a>[a]"), ObservableSpec("a")) == 1
 
-    def test_per_compartment(self):
-        got = observe(T("a | <m>[a | a]"), ObservableSpec("a", "per-compartment"))
-        assert got == {(): 1, (0,): 2}
-
 
 class TestSampleGrid:
     def test_inclusive_endpoints(self):

@@ -2,11 +2,12 @@
 
 import pytest
 
-from tscls import (Instantiation, OracleSizeError, TypeEnv, Var, VarKind,
-                   match_whole, parse_pattern, parse_term, transitions)
+from tscls import (Instantiation, TypeEnv, Var, VarKind, match_whole,
+                   parse_pattern, parse_term, transitions)
 from tscls.catalog import state_change_rule
-from tscls.oracle import brute_force_matches, brute_force_transitions
 from conftest import abstract_pattern, random_rule, random_term
+from oracle import (OracleSizeError, brute_force_matches,
+                    brute_force_transitions)
 
 ENV = TypeEnv()
 

@@ -1,5 +1,6 @@
 """Typed counting, rate evaluation and the transition relation."""
 
+import math
 import random
 
 import pytest
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 
 from tscls import (LITERAL, POSITIONAL, CountDecl, Instantiation,
                    RateEvalError, RewriteRule, Term, Transition, TypeEnv,
-                   TypeName, Var, VarKind, apply_transition, canonicalize,
-                   congruent, count_types, eval_rate, lits, parse_pattern,
-                   parse_rate, parse_term, pat, rule_violations,
-                   transitions, tvar)
+                   TypeName, Var, VarKind, canonicalize, congruent,
+                   count_types, eval_rate, lits, parse_pattern, parse_rate,
+                   parse_term, pat, rule_violations, transitions, tvar)
 from tscls.catalog import state_change_rule
 from tscls.patterns import seq_positioned_elem_vars
 
-from conftest import random_rule, random_term, scramble
+from conftest import random_rate, random_rule, random_term, scramble
 
 
 def T(text):
@@ -111,6 +111,30 @@ class TestEvalRate:
             eval_rate(rule, {"n": 0}, {})
         assert "bad" in str(exc.value)
 
+    @pytest.mark.parametrize("text", ["k * k - k * k", "k * k", "0 - k * k"])
+    def test_non_finite_names_rule_and_compartment(self, text):
+        rule = RewriteRule("big", P("a"), P("b"), parse_rate(text))
+        with pytest.raises(RateEvalError,
+                           match="rule big: rate is not finite"):
+            eval_rate(rule, {}, {"k": 1e308})
+        with pytest.raises(RateEvalError, match=r"\(compartment /0\)$"):
+            transitions(T("<m>[ a ]"), [rule], None, {"k": 1e308})
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=300, deadline=None)
+    def test_result_is_finite_or_error(self, seed):
+        rng = random.Random(seed)
+        names = ["n0", "n1", "k"]
+        rule = RewriteRule("r", pat(lits("a")), pat(lits("b")),
+                           random_rate(rng, names))
+        counts = {"n0": rng.randint(0, 3), "n1": rng.randint(0, 3)}
+        consts = {"k": rng.choice([0.0, 2.0, 1e308])}
+        try:
+            rate = eval_rate(rule, counts, consts)
+        except RateEvalError:
+            return
+        assert math.isfinite(rate)
+
 
 class TestRuleViolations:
     def test_valid_rule(self):
@@ -160,7 +184,7 @@ class TestTransitions:
                 break
             assert len(trs) == 1
             seen.append(trs[0].rate)
-            state = apply_transition(state, trs[0])
+            state = trs[0].target
         assert seen == [3.0, 2.0, 1.0]
         assert congruent(state, T("<b.c.c>[b | b | b | c]"))
 
