@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 from .matching import Path
 from .model import ModelFile, ObservableSpec, SimConfig
 from .semantics import RewriteRule, Transition, transitions
-from .terms import Seq, Term, TypeEnv, canonicalize
+from .terms import Seq, Term, TypeEnv, canonicalize, component_counts
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -96,15 +96,17 @@ def observe(state: Term, spec: ObservableSpec) -> int:
 def _count_all(term: Term, names: Sequence[str]) -> tuple[int, ...]:
     counts = dict.fromkeys(names, 0)
 
-    def walk(t: Term) -> None:
-        for comp in t.components:
+    # one visit per distinct component; a loop's content is counted once
+    # and weighed by how many copies of the loop enclose it
+    def walk(t: Term, mult: int) -> None:
+        for comp, n in component_counts(t).items():
             if isinstance(comp, Seq):
                 if len(comp.elems) == 1 and comp.elems[0] in counts:
-                    counts[comp.elems[0]] += 1
+                    counts[comp.elems[0]] += n * mult
             else:
-                walk(comp.content)
+                walk(comp.content, n * mult)
 
-    walk(term)
+    walk(term, 1)
     return tuple(counts[n] for n in names)
 
 

@@ -17,7 +17,8 @@ from typing import Iterator, Mapping, Optional, Union
 from .errors import SubstitutionError, WellFormednessError
 from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar, Var,
                        VarKind, pattern_vars)
-from .terms import Loop, Seq, Term, canonicalize, min_rotation
+from .terms import (Loop, Seq, Term, canonicalize, component_counts,
+                    min_rotation)
 
 Path = tuple[int, ...]
 Binding = Union[Term, tuple[str, ...], str]
@@ -97,13 +98,16 @@ def compartments(state: Term) -> list[Compartment]:
     state = canonicalize(state)
     out: list[Compartment] = []
 
+    # one visit per distinct component: equal loops are adjacent in
+    # canonical order, so n copies of a loop take the next n indices
     def walk(path: Path, term: Term) -> None:
         out.append(Compartment(path, term))
         loop_index = 0
-        for comp in term.components:
+        for comp, n in component_counts(term).items():
             if isinstance(comp, Loop):
-                walk(path + (loop_index,), comp.content)
-                loop_index += 1
+                for _ in range(n):
+                    walk(path + (loop_index,), comp.content)
+                    loop_index += 1
 
     walk((), state)
     return out
@@ -243,10 +247,7 @@ def _match_pattern(p: Pattern, content: Term, sigma: dict[Var, Binding],
     # the pristine multiset is cached on the term; each match mutates a
     # private copy (copying costs one dict copy, rebuilding costs a walk
     # over every component)
-    cached = content._counter
-    if cached is None:
-        cached = content._counter = Counter(content.components)
-    remaining = cached.copy()
+    remaining = component_counts(content).copy()
 
     def go(i: int, sig: dict[Var, Binding]) -> Iterator[dict[Var, Binding]]:
         if i == len(slots):

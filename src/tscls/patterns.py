@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter
 from typing import Union
 
 
@@ -19,17 +19,33 @@ class VarKind(enum.Enum):
     SEQ = "seq"
     ELEM = "elem"
 
+    # members are singletons: hash by identity, in C, not by name in Python
+    __hash__ = object.__hash__
+
 
 _SIGIL = {VarKind.TERM: "$", VarKind.SEQ: "~", VarKind.ELEM: "?"}
 
 
-@dataclass(frozen=True)
-class Var:
-    kind: VarKind
-    name: str
+class Var(tuple):
+    """A variable: its kind and name. A ``(kind, name)`` tuple, so the
+    hashing and equality that binding lookups do all day run in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: VarKind, name: str) -> "Var":
+        return tuple.__new__(cls, (kind, name))
+
+    def __getnewargs__(self) -> tuple[VarKind, str]:
+        return tuple(self)
+
+    kind = property(itemgetter(0))
+    name = property(itemgetter(1))
 
     def __str__(self) -> str:
         return _SIGIL[self.kind] + self.name
+
+    def __repr__(self) -> str:
+        return f"Var(kind={self.kind!r}, name={self.name!r})"
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,6 @@ def pattern_vars(p: Pattern) -> tuple[Var, ...]:
     return tuple(seen)
 
 
-@lru_cache(maxsize=1024)
 def seq_positioned_elem_vars(p: Pattern) -> frozenset[str]:
     """Element variables that sit inside a longer sequence or a membrane.
 

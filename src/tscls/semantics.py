@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import rates
+from .compiled import Plan, compile_rule
 from .errors import RateEvalError
 from .matching import (Instantiation, compartments, image, match_whole,
                        path_text, splice, substitute)
@@ -47,6 +48,18 @@ class RewriteRule:
 
     def count_names(self) -> tuple[str, ...]:
         return tuple(name for decl in self.counts for _, name in decl.entries)
+
+    # derived once per rule and kept on it, so they live as long as the rule
+
+    @cached_property
+    def plan(self) -> Optional[Plan]:
+        """The compiled plan (see :mod:`tscls.compiled`), or None when the
+        rule takes the general path."""
+        return compile_rule(self)
+
+    @cached_property
+    def seq_positioned(self) -> frozenset[str]:
+        return seq_positioned_elem_vars(self.lhs)
 
 
 def rule_violations(rule: RewriteRule,
@@ -246,6 +259,14 @@ def _build_target(state: Term, path: tuple[int, ...], rhs: Pattern,
     return splice(state, path, substitute(rhs, inst))
 
 
+def _rate(rule: RewriteRule, counts: Mapping[str, int],
+          consts: Mapping[str, float], path: tuple[int, ...]) -> float:
+    try:
+        return eval_rate(rule, counts, consts)
+    except RateEvalError as exc:
+        raise RateEvalError(f"{exc} (compartment {path_text(path)})") from None
+
+
 def transitions(state: Term, rules: Sequence[RewriteRule],
                 env: Optional[TypeEnv] = None,
                 consts: Optional[Mapping[str, float]] = None,
@@ -258,9 +279,11 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     once. The result is deterministically ordered (rule order in
     ``rules``, then path, then target).
 
-    Instantiations of one (rule, path) whose rhs images (see
+    Rules with a compiled plan (:mod:`tscls.compiled`) match, count and
+    build by component multiplicity, with the same results. For the
+    others, instantiations of one (rule, path) whose rhs images (see
     :func:`~tscls.matching.image`) and rates are equal are merged before
-    any target is built. A (rule, path) left with one of them gets a
+    any target is built. A (rule, path) left with one survivor gets a
     deferred target; the others are built here and merged by target.
     Errors in building a target are raised here all the same.
     """
@@ -268,42 +291,49 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     consts = consts if consts is not None else {}
     state = canonicalize(state)
     rule_index = {rule.id: i for i, rule in enumerate(rules)}
-    # (rule id, path) -> (image, rate) -> the first (rhs, instantiation)
-    groups: dict[tuple, dict[tuple, tuple[Pattern, Instantiation]]] = {}
+    # (rule id, path) -> (image, rate) -> builds the target; a compiled
+    # rule's one survivor is keyed by its plan instead of an image
+    groups: dict[tuple, dict[tuple, Callable[[], Term]]] = {}
     cmemo: dict = {}
     for comp in compartments(state):
-        if comp.content.is_empty():
+        content, path = comp.content, comp.path
+        if content.is_empty():
             continue  # an instantiated lhs is never the empty term
         for rule in rules:
-            insts = match_whole(rule.lhs, comp.content)
+            plan = rule.plan
+            if plan is not None:
+                counts = plan.match(content, env)
+                if counts is None:
+                    continue
+                rate = _rate(rule, counts, consts, path)
+                if rate > 0:
+                    groups.setdefault((rule.id, path), {})[plan, rate] = \
+                        partial(plan.build, state, path, content)
+                continue
+            insts = match_whole(rule.lhs, content)
             if not insts:
                 continue
-            seqpos = seq_positioned_elem_vars(rule.lhs)
             for inst in sorted(insts, key=Instantiation.sort_key):
-                counts = count_types(inst, rule.counts, env, mode, seqpos,
-                                     memo=cmemo)
-                try:
-                    rate = eval_rate(rule, counts, consts)
-                except RateEvalError as exc:
-                    raise RateEvalError(
-                        f"{exc} (compartment {path_text(comp.path)})") from None
+                counts = count_types(inst, rule.counts, env, mode,
+                                     rule.seq_positioned, memo=cmemo)
+                rate = _rate(rule, counts, consts, path)
                 if rate <= 0:
                     continue
-                survivors = groups.setdefault((rule.id, comp.path), {})
-                survivors.setdefault((image(rule.rhs, inst), rate),
-                                     (rule.rhs, inst))
+                survivors = groups.setdefault((rule.id, path), {})
+                key = (image(rule.rhs, inst), rate)
+                if key not in survivors:
+                    survivors[key] = partial(_build_target, state, path,
+                                             rule.rhs, inst)
     out: list[Transition] = []
     for rule_id, path in sorted(groups, key=lambda g: (rule_index[g[0]], g[1])):
         survivors = groups[rule_id, path]
         if len(survivors) == 1:
-            [((_, rate), (rhs, inst))] = survivors.items()
-            out.append(Transition.deferred(
-                rule_id, path, partial(_build_target, state, path, rhs, inst),
-                rate))
+            [((_, rate), build)] = survivors.items()
+            out.append(Transition.deferred(rule_id, path, build, rate))
             continue
         found: dict[tuple, Transition] = {}
-        for (_, rate), (rhs, inst) in survivors.items():
-            target = _build_target(state, path, rhs, inst)
+        for (_, rate), build in survivors.items():
+            target = build()
             if (target, rate) not in found:
                 found[target, rate] = Transition(rule_id, path, target, rate)
         out.extend(sorted(found.values(),

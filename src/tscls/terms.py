@@ -9,9 +9,9 @@ their least rotation, and components are sorted by a total order (Seq
 before Loop, then shortlex on element-name lists, loops further by
 membrane then content).
 
-All values are immutable; each node caches its sort key and hash at
-construction so canonicalization and multiset operations stay cheap on
-large states.
+All values are immutable; each node caches its sort key and hash
+(a term on first use, sequences and loops at construction) so
+canonicalization and multiset operations stay cheap on large states.
 """
 
 from __future__ import annotations
@@ -100,15 +100,23 @@ class Term:
     congruent.
     """
 
-    __slots__ = ("components", "key", "_hash", "_canonical", "_counter")
+    __slots__ = ("components", "_key", "_hash", "_canonical", "_counter")
 
     def __init__(self, components: Iterable[Component] = ()):
         self.components = tuple(components)
-        self.key = (2, len(self.components),
-                    tuple([c.key for c in self.components]))
-        self._hash = hash(self.key)
+        self._key = None
+        self._hash = None
         self._canonical = False
         self._counter = None
+
+    @property
+    def key(self) -> tuple:
+        # built on first use: a successor state is often never compared
+        key = self._key
+        if key is None:
+            key = self._key = (2, len(self.components),
+                               tuple([c.key for c in self.components]))
+        return key
 
     def is_empty(self) -> bool:
         return not self.components
@@ -118,7 +126,10 @@ class Term:
                                  and self.key == other.key)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.key)
+        return h
 
     def __iter__(self) -> Iterator[Component]:
         return iter(self.components)
@@ -130,6 +141,18 @@ class Term:
 
 
 EMPTY = Term()
+
+
+def component_counts(t: Term) -> Counter:
+    """The term's components as a multiset, cached on the term.
+
+    Built in component order, so on a canonical term the distinct
+    components come out in canonical order. Callers must not mutate it.
+    """
+    counter = t._counter
+    if counter is None:
+        counter = t._counter = Counter(t.components)
+    return counter
 
 
 def par(*terms: Term) -> Term:

@@ -1,16 +1,22 @@
 """Stochastic engine: PRNG, stepping, sampling, halting, reproducibility."""
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tscls import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, ModelFile,
                    ObservableSpec, Pcg64, SimConfig, Term, observe,
-                   parse_term, simulate, step)
+                   parse_model, parse_term, simulate, step)
 from tscls.catalog import lac_operon_model, state_change_rule
-from tscls.engine import _sample_grid
-from tscls.terms import TypeEnv
+from tscls.engine import _count_all, _sample_grid
+from tscls.terms import Loop, TypeEnv
+
+from conftest import ALPHABET, random_term
 
 
 def T(text):
@@ -92,6 +98,31 @@ class TestObserve:
         assert observe(T("a.a | a"), ObservableSpec("a")) == 1
         assert observe(T("<a>[a]"), ObservableSpec("a")) == 1
 
+    def test_repeated_and_nested_loops(self):
+        assert observe(T("2 * <m>[ a | a ] | a"), ObservableSpec("a")) == 5
+        state = T("3 * <m>[ 2 * <n>[ a | b ] | a ] | <n>[ a ]")
+        assert _count_all(state, ("a", "b", "m")) == (3 * (2 + 1) + 1, 6, 0)
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_a_walk_over_every_component(self, seed):
+        rng = random.Random(seed)
+        # repeat components, loops included, so multiplicities exceed 1
+        comps = list(random_term(rng).components)
+        state = Term(comps + [rng.choice(comps) for _ in comps])
+
+        def walk(t):
+            out = dict.fromkeys(ALPHABET, 0)
+            for comp in t.components:
+                if isinstance(comp, Loop):
+                    for name, n in walk(comp.content).items():
+                        out[name] += n
+                elif len(comp.elems) == 1:
+                    out[comp.elems[0]] += 1
+            return out
+
+        assert _count_all(state, ALPHABET) == tuple(walk(state).values())
+
 
 class TestSampleGrid:
     def test_inclusive_endpoints(self):
@@ -171,6 +202,34 @@ class TestSimulate:
         assert cfg == SimConfig(seed=1, tmax=1000.0, max_steps=1_000_000,
                                 samples=100)
         assert model.sim_config(tmax=5.0).tmax == 5.0
+
+    def test_rules_are_freed_with_their_model(self):
+        # nothing derived from a rule (its compiled plan, its lhs
+        # analysis) may be cached where it outlives the model; the element
+        # names occur in no other test, so no equal pattern is cached
+        model = parse_model("""
+            model freed
+            rule enter {
+              lhs: <~x>[ $X ] | fz | $Y
+              rhs: <~x>[ fz | $X ] | $Y
+              rate: 1
+            }
+            rule flip {
+              lhs: fz | $X
+              rhs: fy | $X
+              count $X { t_fz -> n }
+              rate: (n + 1) * 1
+            }
+            init: 4 * fz | <fm>[ fy ]
+        """)
+        trace = simulate(model, SimConfig(seed=1, tmax=1e9))
+        assert {e.rule_id for e in trace.events} == {"enter", "flip"}
+        assert [r.plan is None for r in model.rules] == [True, False]
+        refs = [weakref.ref(r) for r in model.rules]
+        refs += [weakref.ref(r.lhs) for r in model.rules]
+        del model, trace
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
 
     def test_invalid_config_rejected(self):
         model = single_rule_model("a", state_change_rule("a", "b", 1.0))

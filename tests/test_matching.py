@@ -50,6 +50,12 @@ class TestCompartments:
         assert paths["/0"] == T("x")
         assert paths["/1"] == T("y")
 
+    def test_each_copy_of_a_loop_is_a_site(self):
+        comps = compartments(T("2 * <m>[ 2 * <n>[ x ] ] | <p>[ y ]"))
+        assert [c.path for c in comps] == [
+            (), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1), (2,)]
+        assert [c.content for c in comps[-2:]] == [T("x"), T("y")]
+
     @given(st.integers(0, 10 ** 9))
     @settings(max_examples=150, deadline=None)
     def test_splice_reconstructs_state(self, seed):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from tscls import (Instantiation, RewriteRule, TypeEnv, Var, VarKind,
-                   match_whole, parse_pattern, parse_rate, parse_term,
-                   transitions)
+from tscls import (CountDecl, Instantiation, RewriteRule, TypeEnv, TypeName,
+                   Var, VarKind, match_whole, parse_pattern, parse_rate,
+                   parse_term, transitions)
 from tscls.catalog import lac_operon_model, state_change_rule
 from conftest import abstract_pattern, random_rule, random_term
 from oracle import (OracleSizeError, brute_force_matches,
@@ -100,6 +100,22 @@ class TestBruteForceTransitions:
         assert [tr.rule_id for tr in fast] == ["R13", "R14"] + ["show"] * 3
         assert frozenset(fast) == brute_force_transitions(
             state, rules, env, lac.constants)
+        # compiled rules: repeated and multi-element ground items, counts
+        # that see a loop membrane, and a rule whose $X binds eps
+        x = Var(VarKind.TERM, "X")
+        grab = RewriteRule("grab", P("a | a | b.c | $X"), P("d | b.c | $X"),
+                           parse_rate("(n + 1) * 2"),
+                           (CountDecl(x, ((TypeName("t_a"), "n"),)),))
+        count = RewriteRule("count", P("a | $X"), P("$X"),
+                            parse_rate("n1 + n2 + 1"),
+                            (CountDecl(x, ((TypeName("t_m", True), "n1"),
+                                           (TypeName("t_a"), "n2"))),))
+        for state in (T("a | a | a | b.c | <m.m>[ a ]"), T("a | a | b.c")):
+            rules = [grab, count]
+            assert all(r.plan is not None for r in rules)
+            fast = transitions(state, rules, ENV, {})
+            assert fast and frozenset(fast) == brute_force_transitions(
+                state, rules)
         for _ in range(60):
             state = random_term(rng)
             rules = [random_rule(rng, f"r{i}") for i in range(rng.randrange(1, 3))]
