@@ -1,114 +1,301 @@
-"""Compiled rules of the shape ``g1 | ... | gk | $X -> h1 | ... | hm | $X``.
+"""Compiled rules: ground flat sequences around at most one loop.
 
-When both sides are ground flat sequences plus one shared top-level term
-variable, and every count block is on that variable, the variable binds
-exactly the compartment minus its ground part. Matching is then a
-multiset-containment test against the compartment's component counter,
-the counts come from typing the leftover distinct components times their
-multiplicities, and the target is the counter ``content - need + give``.
-The rule has at most one instantiation per compartment, so it yields at
-most one transition per (rule, path), as the general enumerator does.
+Two rule shapes compile, each ``g``/``h`` a ground flat sequence:
 
-The results (match, counts, errors and target) are those of the general
-path: ``match_whole``, ``count_types``, ``substitute`` and ``splice``.
+* ``g1 | ... | gk | $X -> h1 | ... | hm | $X``, every count block on
+  ``$X``. The variable binds exactly the compartment minus its ground
+  part, so matching is a multiset-containment test against the
+  compartment's component counter, the counts type the leftover distinct
+  components times their multiplicities, and the target is the counter
+  ``content - need + give``. There is at most one instantiation per
+  compartment.
+* ``<~x>[ g_in | $X ] | g_out | $Y -> <m>[ h_in | $X ] | h_out | $Y``,
+  ``m`` made of literals and ``~x``, every count block on ``$X``, ``$Y``
+  or ``~x``. The general matcher gives one instantiation per loop
+  component ``L`` and distinct rotation of its membrane; here each
+  distinct ``L`` is walked once. ``$X`` is ``L.content - g_in``, ``$Y``
+  is ``content - L - g_out`` and the counts of ``~x`` do not depend on
+  the rotation, so one rate serves every rotation, and the rotations
+  collapse to the distinct least rotations of ``m[~x := rotation]``.
+
+The results (matches, counts, errors and targets) are those of the
+general path: ``match_whole``, ``count_types``, ``substitute`` and
+``splice``. Errors are raised for the same instantiation: the general
+path counts in ``Instantiation.sort_key`` order, which for these shapes
+is the order of the loops' membranes, ties broken by the binding of the
+term variable whose name sorts first.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
+from itertools import repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Optional
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
+                    Optional)
 
+from .errors import UnknownElementType
 from .matching import Path, splice
-from .patterns import ElemLit, Pattern, PSeq, PTermVar, Var, VarKind
-from .terms import Seq, Term, TypeEnv, TypeName, component_counts
+from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
+                       VarKind)
+from .terms import (Component, Loop, Seq, Term, TypeEnv, TypeName,
+                    component_counts, min_rotation)
 
 if TYPE_CHECKING:
     from .semantics import RewriteRule
 
-# per count block: type -> the count names it feeds, and every name
-Decl = tuple[dict[TypeName, list[str]], tuple[str, ...]]
+# what a count block's variable binds: the compartment minus the lhs (the
+# frame), the matched loop's content minus its ground part, or its membrane
+FRAME, INNER, MEMBRANE = "frame", "inner", "membrane"
+
+# per count block: what it counts, type -> the count names it feeds, and
+# every name
+Decl = tuple[str, dict[TypeName, list[str]], tuple[str, ...]]
+
+Entry = tuple[object, dict[str, int], Callable[[], Term]]
 
 
 class Plan:
-    """What a compiled rule consumes, produces and counts."""
+    """What a compiled rule consumes, produces and counts.
 
-    __slots__ = ("need", "give", "decls")
+    ``need`` and ``give`` are the ground parts outside the loop. A loop
+    rule also has ``inner_need`` and ``inner_give`` inside it, and
+    ``membrane``, the rhs membrane with None for each ``~x``; without a
+    loop, ``membrane`` is None. ``frame_first`` says whether the frame
+    variable's name sorts before the inner one's.
+    """
 
-    def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...]):
+    __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
+                 "membrane", "frame_first", "_rotated")
+
+    def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
+                 inner_need: Optional[Counter] = None,
+                 inner_give: Optional[Counter] = None,
+                 membrane: Optional[tuple[Optional[str], ...]] = None,
+                 frame_first: bool = False):
         self.need = need
         self.give = give
         self.decls = decls
+        self.inner_need = inner_need
+        self.inner_give = inner_give
+        self.membrane = membrane
+        self.frame_first = frame_first
+        self._rotated: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
 
-    def match(self, content: Term, env: TypeEnv) -> Optional[dict[str, int]]:
-        """The rule's counts in ``content``, or None if it does not match."""
+    def entries(self, state: Term, path: Path, content: Term, env: TypeEnv,
+                literal: bool) -> Iterator[Entry]:
+        """One ``(key, counts, build)`` per distinct outcome of the rule in
+        ``content``: ``build()`` makes the successor of ``state``.
+        ``literal`` types a length-1 ``~x`` by its basic type. Loops come
+        in the order the general path counts its instantiations, so a
+        caller that evaluates each rate as it goes raises the same error."""
         have = component_counts(content)
-        need = self.need
-        for comp, n in need.items():
-            if have.get(comp, 0) < n:
-                return None
+        if not _contains(have, self.need):
+            return
+        if self.membrane is None:
+            counts = self._counts(env, literal, have, None, {})
+            yield self, counts, partial(self._build, state, path, content,
+                                        None, None)
+            return
+        cells = [comp for comp in have if isinstance(comp, Loop)]
+        if self.frame_first:
+            cells.reverse()
+        cells.sort(key=attrgetter("membrane"))
+        totals: dict = {}
+        for cell in cells:
+            if not _contains(component_counts(cell.content), self.inner_need):
+                continue
+            counts = self._counts(env, literal, have, cell, totals)
+            for membrane in self._membranes(cell.membrane):
+                yield (cell, membrane), counts, partial(
+                    self._build, state, path, content, cell, membrane)
+
+    def _counts(self, env: TypeEnv, literal: bool, have: Counter,
+                cell: Optional[Loop], totals: dict) -> dict[str, int]:
         out: dict[str, int] = {}
-        for wanted, names in self.decls:
-            snap = dict.fromkeys(names, 0)
-            # components in canonical order, so an unknown element is
-            # raised for the same component as the general path's walk
-            for comp, n in have.items():
-                n -= need.get(comp, 0)
-                if not n:
-                    continue
-                if isinstance(comp, Seq):
-                    if len(comp.elems) == 1:
-                        for name in wanted.get(env.basic(comp.elems[0]), ()):
-                            snap[name] += n
-                        continue
-                    elems = comp.elems
+        for i, (what, wanted, names) in enumerate(self.decls):
+            if what is INNER:
+                snap = _tally(component_counts(cell.content), wanted, env,
+                              names, self.inner_need)
+            elif what is MEMBRANE:
+                mem = cell.membrane
+                snap = dict.fromkeys(names, 0)
+                if literal and len(mem) == 1:
+                    types = [(env.basic(mem[0]), 1)]
                 else:
-                    elems = comp.membrane
-                for elem in elems:
-                    for name in wanted.get(env.seq(elem), ()):
-                        snap[name] += n
+                    types = [(env.seq(elem), k) for elem, k in _runs(mem)]
+                for tn, k in types:
+                    for name in wanted.get(tn, ()):
+                        snap[name] += k
+            elif cell is None:
+                snap = _tally(have, wanted, env, names, self.need)
+            else:
+                # the frame is the compartment's totals less the cell's
+                # membrane; when the totals meet an unknown element, walk
+                # the frame itself so only its own elements raise
+                if i not in totals:
+                    try:
+                        totals[i] = _tally(have, wanted, env, names,
+                                           self.need)
+                    except UnknownElementType:
+                        totals[i] = None
+                total = totals[i]
+                if total is None:
+                    snap = _tally(have, wanted, env, names, self.need,
+                                  cell)
+                else:
+                    share = _tally({cell: 1}, wanted, env, names, {})
+                    snap = {name: total[name] - share[name] for name in names}
             out.update(snap)
         return out
 
-    def build(self, state: Term, path: Path, content: Term) -> Term:
-        """The successor of ``state`` after firing at ``path``."""
-        counter = component_counts(content).copy()
-        counter.subtract(self.need)
-        counter.update(self.give)
-        comps = sorted((c for c, n in counter.items() if n > 0),
-                       key=attrgetter("key"))
-        parts: list = []
-        for comp in comps:
-            parts += [comp] * counter[comp]
-        new = Term(parts)
-        new._canonical = True
-        new._counter = Counter({comp: counter[comp] for comp in comps})
-        return splice(state, path, new)
+    def _membranes(self, mem: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+        """The distinct least rotations of the rhs membrane over the
+        rotations of ``mem``, cached per membrane."""
+        if self.membrane == (None,):
+            return (mem,)  # mem is a least rotation already
+        out = self._rotated.get(mem)
+        if out is None:
+            found: dict[tuple[str, ...], None] = {}
+            for shift in range(len(mem)):
+                rot = mem[shift:] + mem[:shift]
+                names: list[str] = []
+                for atom in self.membrane:
+                    if atom is None:
+                        names.extend(rot)
+                    else:
+                        names.append(atom)
+                found[min_rotation(tuple(names))] = None
+            if len(self._rotated) >= 4096:
+                self._rotated.clear()
+            out = self._rotated[mem] = tuple(found)
+        return out
+
+    def _build(self, state: Term, path: Path, content: Term,
+               cell: Optional[Loop], membrane: Optional[tuple[str, ...]]
+               ) -> Term:
+        counter = _rebuilt(component_counts(content), self.need, self.give)
+        if cell is not None:
+            inner = _term(_rebuilt(component_counts(cell.content),
+                                   self.inner_need, self.inner_give))
+            counter[cell] -= 1
+            counter[Loop(membrane, inner)] += 1
+        return splice(state, path, _term(counter))
+
+
+def _contains(have: Counter, need: Counter) -> bool:
+    for comp, n in need.items():
+        if have.get(comp, 0) < n:
+            return False
+    return True
+
+
+def _tally(have: Mapping[Component, int], wanted: dict[TypeName, list[str]],
+           env: TypeEnv, names: tuple[str, ...], need: Mapping,
+           cell: Optional[Loop] = None) -> dict[str, int]:
+    """Typed counts of ``have - need - cell``: each component in turn, in
+    canonical order, times its multiplicity, as ``count_types`` walks a
+    term binding."""
+    snap = dict.fromkeys(names, 0)
+    for comp, n in have.items():
+        n -= need.get(comp, 0)
+        if comp is cell:
+            n -= 1
+        if not n:
+            continue
+        if isinstance(comp, Seq):
+            if len(comp.elems) == 1:
+                for name in wanted.get(env.basic(comp.elems[0]), ()):
+                    snap[name] += n
+                continue
+            elems = comp.elems
+        else:
+            elems = comp.membrane
+        for elem, k in _runs(elems):
+            for name in wanted.get(env.seq(elem), ()):
+                snap[name] += n * k
+    return snap
+
+
+def _runs(elems: tuple[str, ...]) -> Iterable[tuple[str, int]]:
+    """Each element with its count, in order of first occurrence, so an
+    unknown element raises as it would in an element-by-element walk.
+    Long sequences (a membrane a cell keeps growing) are counted in C."""
+    return Counter(elems).items() if len(elems) > 8 else zip(elems, repeat(1))
+
+
+def _rebuilt(have: Counter, need: Counter, give: Counter) -> Counter:
+    counter = have.copy()
+    counter.subtract(need)
+    counter.update(give)
+    return counter
+
+
+def _term(counter: Counter) -> Term:
+    """The canonical term of a counter of canonical components."""
+    comps = sorted((c for c, n in counter.items() if n > 0),
+                   key=attrgetter("key"))
+    parts: list = []
+    for comp in comps:
+        parts += [comp] * counter[comp]
+    t = Term(parts)
+    t._canonical = True
+    t._counter = Counter({comp: counter[comp] for comp in comps})
+    return t
 
 
 def compile_rule(rule: RewriteRule) -> Optional[Plan]:
-    """The rule's plan, or None if it is not of the compiled shape."""
-    lhs_ground, lhs_var = _split(rule.lhs)
-    rhs_ground, rhs_var = _split(rule.rhs)
-    if lhs_var is None or lhs_var != rhs_var:
+    """The rule's plan, or None if it is not of a compiled shape."""
+    lhs, rhs = _split(rule.lhs), _split(rule.rhs)
+    if lhs is None or rhs is None:
         return None
-    var = Var(VarKind.TERM, lhs_var)
+    (need, frame, lhs_loop), (give, rhs_frame, rhs_loop) = lhs, rhs
+    if frame != rhs_frame or (lhs_loop is None) != (rhs_loop is None):
+        return None
+    where = {Var(VarKind.TERM, frame): FRAME}
+    loop: dict = {}
+    if lhs_loop is not None:
+        atoms = lhs_loop.membrane.atoms
+        inner = _split(lhs_loop.content, loops=False)
+        rhs_inner = _split(rhs_loop.content, loops=False)
+        if (len(atoms) != 1 or not isinstance(atoms[0], SeqVar)
+                or inner is None or rhs_inner is None
+                or inner[1] != rhs_inner[1] or inner[1] == frame
+                or not rhs_loop.membrane.atoms):
+            return None
+        seq = atoms[0].name
+        membrane: list[Optional[str]] = []
+        for atom in rhs_loop.membrane.atoms:
+            if isinstance(atom, ElemLit):
+                membrane.append(atom.name)
+            elif isinstance(atom, SeqVar) and atom.name == seq:
+                membrane.append(None)
+            else:
+                return None
+        where[Var(VarKind.TERM, inner[1])] = INNER
+        where[Var(VarKind.SEQ, seq)] = MEMBRANE
+        loop = dict(inner_need=inner[0], inner_give=rhs_inner[0],
+                    membrane=tuple(membrane), frame_first=frame < inner[1])
     decls = []
     for decl in rule.counts:
-        if decl.var != var:
+        what = where.get(decl.var)
+        if what is None:
             return None
         wanted: dict[TypeName, list[str]] = {}
         for tn, name in decl.entries:
             wanted.setdefault(tn, []).append(name)
-        decls.append((wanted, tuple(name for _, name in decl.entries)))
-    return Plan(lhs_ground, rhs_ground, tuple(decls))
+        decls.append((what, wanted, tuple(name for _, name in decl.entries)))
+    return Plan(need, give, tuple(decls), **loop)
 
 
-def _split(p: Pattern) -> tuple[Counter, Optional[str]]:
-    """Ground sequences as a component counter, and the one term variable
-    (None unless the rest of the pattern is exactly one)."""
+def _split(p: Pattern, loops: bool = True
+           ) -> Optional[tuple[Counter, str, Optional[PLoop]]]:
+    """Ground sequences as a component counter, the one term variable and
+    the loop, if any; None unless the rest of the pattern is exactly one
+    term variable and (when ``loops``) at most one loop."""
     ground: Counter = Counter()
-    tvars = []
+    tvars, found = [], []
     for item in p.items:
         if isinstance(item, PTermVar):
             tvars.append(item.name)
@@ -116,6 +303,10 @@ def _split(p: Pattern) -> tuple[Counter, Optional[str]]:
                                             for a in item.atoms):
             if item.atoms:  # an empty sequence consumes and gives nothing
                 ground[Seq(a.name for a in item.atoms)] += 1
+        elif isinstance(item, PLoop) and loops:
+            found.append(item)
         else:
-            return ground, None
-    return ground, tvars[0] if len(tvars) == 1 else None
+            return None
+    if len(tvars) != 1 or len(found) > 1:
+        return None
+    return ground, tvars[0], found[0] if found else None

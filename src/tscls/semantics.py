@@ -280,8 +280,9 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     ``rules``, then path, then target).
 
     Rules with a compiled plan (:mod:`tscls.compiled`) match, count and
-    build by component multiplicity, with the same results. For the
-    others, instantiations of one (rule, path) whose rhs images (see
+    build by component multiplicity, with one outcome per distinct loop
+    and rhs membrane, and the same results. For the others,
+    instantiations of one (rule, path) whose rhs images (see
     :func:`~tscls.matching.image`) and rates are equal are merged before
     any target is built. A (rule, path) left with one survivor gets a
     deferred target; the others are built here and merged by target.
@@ -292,7 +293,7 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     state = canonicalize(state)
     rule_index = {rule.id: i for i, rule in enumerate(rules)}
     # (rule id, path) -> (image, rate) -> builds the target; a compiled
-    # rule's one survivor is keyed by its plan instead of an image
+    # rule keys its outcomes by its plan's own keys instead of images
     groups: dict[tuple, dict[tuple, Callable[[], Term]]] = {}
     cmemo: dict = {}
     for comp in compartments(state):
@@ -302,13 +303,12 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
         for rule in rules:
             plan = rule.plan
             if plan is not None:
-                counts = plan.match(content, env)
-                if counts is None:
-                    continue
-                rate = _rate(rule, counts, consts, path)
-                if rate > 0:
-                    groups.setdefault((rule.id, path), {})[plan, rate] = \
-                        partial(plan.build, state, path, content)
+                for key, counts, build in plan.entries(
+                        state, path, content, env, mode != POSITIONAL):
+                    rate = _rate(rule, counts, consts, path)
+                    if rate > 0:
+                        groups.setdefault((rule.id, path), {})[key, rate] = \
+                            build
                 continue
             insts = match_whole(rule.lhs, content)
             if not insts:

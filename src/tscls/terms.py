@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import UnknownElementType, WellFormednessError
@@ -237,18 +236,30 @@ def congruent(t1: Term, t2: Term) -> bool:
 # typing
 
 
-@dataclass(frozen=True)
-class TypeName:
-    """A basic type `t` or the sequence-position tag `seq(t)`."""
+class TypeName(tuple):
+    """A basic type `t` or the sequence-position tag `seq(t)`. A
+    ``(base, is_seq)`` tuple, so the hashing and equality of every typed
+    lookup run in C."""
 
-    base: str
-    is_seq: bool = False
+    __slots__ = ()
+
+    def __new__(cls, base: str, is_seq: bool = False) -> "TypeName":
+        return tuple.__new__(cls, (base, is_seq))
+
+    def __getnewargs__(self) -> tuple[str, bool]:
+        return tuple(self)
+
+    base = property(itemgetter(0))
+    is_seq = property(itemgetter(1))
 
     def as_seq(self) -> "TypeName":
         return TypeName(self.base, True)
 
     def __str__(self) -> str:
         return f"seq({self.base})" if self.is_seq else self.base
+
+    def __repr__(self) -> str:
+        return f"TypeName(base={self.base!r}, is_seq={self.is_seq!r})"
 
 
 class TypeEnv:

@@ -1,4 +1,5 @@
-"""The compiled path for ``ground | $X`` rules versus the general path."""
+"""The compiled path for ``ground | $X`` and single-loop rules versus the
+general path."""
 
 import random
 from collections import Counter
@@ -7,19 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscls import (LITERAL, POSITIONAL, CountDecl, RateEvalError,
-                   RewriteRule, Seq, TypeEnv, TypeName,
-                   UnknownElementType, Var, VarKind, canonicalize,
-                   compartments, count_types, eval_rate, lits, match_whole,
-                   parse_pattern, parse_rate, parse_term, path_text, pat,
-                   splice, substitute, transitions, tvar)
+from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, Loop, PLoop,
+                   PSeq, RateEvalError, RewriteRule, Seq, SeqVar, Term,
+                   TypeEnv, TypeName, UnknownElementType, Var, VarKind,
+                   canonicalize, compartments, count_types, eval_rate, lits,
+                   match_whole, parse_pattern, parse_rate, parse_term,
+                   path_text, pat, splice, substitute, transitions, tvar)
 from tscls import semantics
-from tscls.catalog import lac_operon_model
+from tscls.catalog import OsmosisParams, lac_operon_model, osmosis_rules
 from tscls.patterns import seq_positioned_elem_vars
 
 from conftest import ALPHABET, random_rate, random_seq, random_term
 
 X = Var(VarKind.TERM, "X")
+Y = Var(VarKind.TERM, "Y")
+XS = Var(VarKind.SEQ, "x")
 
 
 def T(text):
@@ -34,6 +37,20 @@ def rule(rid, lhs, rhs, rate, *decls):
     return RewriteRule(rid, P(lhs), P(rhs), parse_rate(rate),
                        tuple(CountDecl(X, tuple(entries))
                              for entries in decls))
+
+
+def loop_rule(rid, lhs, rhs, rate, *decls):
+    """A rule whose count blocks name their variables: (var, entries)."""
+    return RewriteRule(rid, P(lhs), P(rhs), parse_rate(rate),
+                       tuple(CountDecl(var, tuple(entries))
+                             for var, entries in decls))
+
+
+def general(r):
+    """A copy of the rule that takes the general path."""
+    copy = RewriteRule(r.id, r.lhs, r.rhs, r.rate, r.counts)
+    copy.__dict__["plan"] = None
+    return copy
 
 
 def reference(state, rules, env, consts, mode):
@@ -135,7 +152,7 @@ def random_env(rng):
 class TestPlan:
     def test_lac_rules_outside_the_shape(self):
         rules = lac_operon_model().rules
-        assert [r.id for r in rules if r.plan is None] == ["R13", "R14"]
+        assert [r.id for r in rules if r.plan is None] == []
 
     @pytest.mark.parametrize("lhs, rhs, counted", [
         ("a | ~x | $X", "a | $X", X),          # sequence variable
@@ -146,6 +163,20 @@ class TestPlan:
         ("a | $X | $Y", "$X | $Y", X),         # two term variables
         ("a | $X", "$X | $X", X),              # $X twice in the rhs
         ("a | $X", "b | $X", Var(VarKind.TERM, "Y")),  # count elsewhere
+        # rules with one loop
+        ("<~x.?y>[ a | $X ] | $Y", "<~x.?y>[ $X ] | $Y", X),  # membrane
+        ("<a.~x>[ $X ] | $Y", "<a.~x>[ $X ] | $Y", X),     # literal in it
+        ("<~x>[ $X ] | $Y", "<~z>[ $X ] | $Y", X),         # other seq var
+        ("<~x>[ $X ] | $X", "<~x>[ $X ] | $X", X),         # $X is $Y
+        ("<~x>[ $X ] | $Y", "<~x>[ $Y ] | $X", X),         # swapped
+        ("<~x>[ $X ] | $Y", "$X | $Y", X),                 # loop dissolves
+        ("<~x>[ $X ] | <~z>[ $Z ] | $Y",
+         "<~x>[ $X ] | <~z>[ $Z ] | $Y", X),               # two loops
+        ("<~x>[ <~z>[ $Z ] | $X ] | $Y",
+         "<~x>[ <~z>[ $Z ] | $X ] | $Y", X),               # nested loop
+        ("<~x>[ a.?y | $X ] | $Y", "<~x>[ $X ] | $Y", X),  # element var
+        ("<~x>[ $X ] | $Y", "<~x>[ $X ] | $Y",
+         Var(VarKind.ELEM, "y")),                          # count elsewhere
     ])
     def test_general_shapes(self, lhs, rhs, counted):
         r = RewriteRule("r", P(lhs), P(rhs), parse_rate("n"),
@@ -167,6 +198,34 @@ class TestPlan:
                  [(TypeName("t_a"), "n")])
         (tr,) = transitions(T("a | a | <m>[ b ]"), [r], None, {})
         assert (tr.rate, tr.target) == (1.0, T("a | b | <m>[ b ]"))
+
+    def test_loop_rules_do_not_call_the_general_layers(self, monkeypatch):
+        lac = lac_operon_model()
+        lac_rules = [r for r in lac.rules if r.id in ("R13", "R14")]
+        lac_state = T("<m.perm.perm>[ perm | a ] | <a.b>[ perm ] | LACT")
+        cells_rules = osmosis_pair()
+        cells_state = T("<m.p>[ 3 * W | S ] | 2 * <aq.m>[ W | 2 * S ] |"
+                        " 5 * W | 3 * S")
+        cases = [(lac_state, lac_rules, lac.type_env(), lac.constants),
+                 (cells_state, cells_rules, TypeEnv(), {})]
+        want = [[(tr.rule_id, tr.path, tr.rate, tr.target)
+                 for tr in transitions(state, [general(r) for r in rules],
+                                       env, consts)]
+                for state, rules, env, consts in cases]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("general path taken")
+        for name in ("match_whole", "count_types", "substitute", "image"):
+            monkeypatch.setattr(semantics, name, fail)
+        for (state, rules, env, consts), expected in zip(cases, want):
+            assert all(r.plan is not None for r in rules)
+            got = [(tr.rule_id, tr.path, tr.rate, tr.target)
+                   for tr in transitions(state, rules, env, consts)]
+            assert got == expected
+        # R13 on m.perm.perm: one outcome; on a.b: perm.a.b and perm.b.a;
+        # R14 has no permease to use on a.b
+        assert [rid for rid, *_ in want[0]] == ["R13"] * 3 + ["R14"]
+        assert {rid for rid, *_ in want[1]} == {"W_out", "W_in"}
 
 
 class TestAgainstGeneralPath:
@@ -249,3 +308,202 @@ class TestAgainstGeneralPath:
         self.check(state, rules, random_env(rng), {},
                    rng.choice((POSITIONAL, LITERAL)))
 
+
+def osmosis_pair():
+    params = OsmosisParams(surface=1.0, volume=1.0, va=1.0, vb=2.0, k=10.0)
+    return list(osmosis_rules("W", "S", params, ids=("W_out", "W_in")))
+
+
+def random_loop_state(rng):
+    """A compartment of flat sequences and loops: repeated cells, membranes
+    of one to three elements (some rotation-symmetric) or of nine to
+    twelve, contents that hold loops of their own; sometimes wrapped in an
+    outer loop."""
+    comps = [random_seq(rng) for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 4)):
+        membrane = rng.choice((("a", "b", "b"), ("a", "c"), ("b", "b"), ("a",),
+                               ("a",) + ("b",) * rng.randint(8, 11),
+                               tuple(rng.choice(ALPHABET) for _ in range(
+                                   rng.choice((1, 2, 3, 9, 12))))))
+        cell = Loop(membrane, random_term(rng, depth=1, max_comps=3))
+        comps += [cell] * rng.choice((1, 1, 2))
+    rng.shuffle(comps)
+    state = Term(comps)
+    if rng.random() < 0.3:
+        state = Term([Loop(("d",), state), random_seq(rng)])
+    return state
+
+
+def random_loop_rule(rng, state, rid):
+    """A rule of the loop shape whose ground parts are often drawn from
+    the state, so it often matches."""
+    inner, frame = rng.choice((("X", "Y"), ("Y", "X"), ("X", "Z")))
+    sites = [s.content for s in compartments(canonicalize(state))]
+    site = rng.choice(sites)
+    cells = [c for c in site.components if isinstance(c, Loop)]
+
+    def ground(term):
+        seqs = [c for c in term.components if isinstance(c, Seq)]
+        return [lits(*(rng.choice(seqs) if seqs and rng.random() < 0.8
+                       else random_seq(rng)).elems)
+                for _ in range(rng.choice((0, 0, 1, 2)))]
+
+    g_in = ground(rng.choice(cells).content if cells else Term())
+    g_out = ground(site)
+    h_in = [lits(*random_seq(rng).elems) for _ in range(rng.randint(0, 2))]
+    h_out = [lits(*random_seq(rng).elems) for _ in range(rng.randint(0, 2))]
+    template = rng.choice((["~x"], ["b", "~x"], ["~x", "b"],
+                           ["a", "~x", "c"], ["~x", "~x"], ["d"]))
+    membrane = PSeq(tuple(SeqVar("x") if atom == "~x" else ElemLit(atom)
+                          for atom in template))
+    lhs = [PLoop(PSeq((SeqVar("x"),)), pat(*g_in, tvar(inner))), *g_out,
+           tvar(frame)]
+    rhs = [PLoop(membrane, pat(*h_in, tvar(inner))), *h_out, tvar(frame)]
+    rng.shuffle(lhs)
+    rng.shuffle(rhs)
+    # count mostly what the ground parts consume, so leaving them out of
+    # a binding changes the counts
+    consumed = [atom.name for item in g_in + g_out for atom in item.atoms]
+    decls, names = [], []
+    for var in (Var(VarKind.TERM, inner), Var(VarKind.TERM, frame), XS):
+        if rng.random() < 0.5:
+            continue
+        entries = []
+        for _ in range(rng.randint(1, 2)):
+            name = f"n{len(names)}"
+            names.append(name)
+            elem = rng.choice(consumed if consumed and rng.random() < 0.6
+                              else ALPHABET)
+            entries.append((TypeName("t_" + elem, rng.random() < 0.4),
+                            name))
+        decls.append(CountDecl(var, tuple(entries)))
+    rng.shuffle(decls)
+    if rng.random() < 0.3:
+        expr = random_rate(rng, names)  # extremes: non-finite, negative
+    else:
+        terms = " * ".join(f"({n} + 1)" for n in names) or "1"
+        expr = parse_rate(f"{terms} * {rng.choice((0.5, 2, 0, -1))}"
+                          if rng.random() < 0.3 else f"{terms} * 0.5")
+    return RewriteRule(rid, pat(*lhs), pat(*rhs), expr, tuple(decls))
+
+
+class TestLoopAgainstGeneralPath:
+    def check(self, state, rules, env=None, consts=None, mode=POSITIONAL):
+        env = env if env is not None else TypeEnv()
+        consts = consts if consts is not None else {}
+        assert all(r.plan is not None for r in rules)
+        got = compiled_outcome(state, rules, env, consts, mode)
+        want = compiled_outcome(state, [general(r) for r in rules], env,
+                                consts, mode)
+        assert got == want
+        if isinstance(got, list):
+            for _, _, _, target in got:
+                assert_counters_exact(target)
+        return got
+
+    def test_repeated_identical_cells(self):
+        out, _ = osmosis_pair()
+        got = self.check(T("2 * <a.b>[ W | W | S ] | <a.b>[ W | S ] | W"),
+                         [out])
+        # one outcome per distinct cell, the repeated one counted once
+        assert [path for _, path, _, _ in got] == [(), ()]
+        assert T("<a.b>[ W | S ] | <a.b>[ W | W | S ] | <a.b>[ W | S ]"
+                 " | W | W") in [target for *_, target in got]
+
+    @pytest.mark.parametrize("membrane, outcomes", [
+        ("m.perm.perm", 1), ("a.b", 2), ("perm", 1), ("a.a", 1)])
+    def test_rotations_of_the_rhs_membrane(self, membrane, outcomes):
+        r13 = next(r for r in lac_operon_model().rules if r.id == "R13")
+        got = self.check(T(f"<{membrane}>[ perm | perm ] | LACT"), [r13])
+        assert len(got) == outcomes
+        assert {rate for _, _, rate, _ in got} == {0.2}
+
+    def test_empty_bindings(self):
+        r = loop_rule("r", "<~x>[ b | $X ] | $Y", "<~x>[ $X ] | b | $Y",
+                      "(n1 + 1) * (n2 + 1) * (n3 + 1)",
+                      (X, [(TypeName("t_b"), "n1")]),
+                      (Y, [(TypeName("t_b"), "n2"), (TypeName("t_a", True),
+                                                     "n3")]))
+        [(_, path, rate, target)] = self.check(T("<a>[ b ]"), [r])
+        assert (path, rate, target) == ((), 1.0, T("<a> | b"))
+        got = self.check(T("<a>[ b ] | <a.a>[ b | b ]"), [r])
+        assert sorted(rate for _, _, rate, _ in got) == [3.0, 4.0]
+
+    def test_loops_nested_in_the_cell(self):
+        r = loop_rule("r", "<~x>[ b | $X ] | c | $Y",
+                      "<~x.e>[ c | $X ] | $Y", "(n1 + 1) * (n2 + 1)",
+                      (X, [(TypeName("t_a", True), "n1")]),
+                      (Y, [(TypeName("t_b"), "n2")]))
+        got = self.check(T("c | b | <d>[ b | 2 * <a.a>[ b | c | <a>[ b ] ] ]"
+                           " | <d.d>[ a ]"), [r])
+        # at the root $X holds two loops of membrane a.a; each of those
+        # holds c and a cell <a>[ b ] with an empty $X
+        assert [(path, rate) for _, path, rate, _ in got] \
+            == [((), 10.0), ((0, 0), 2.0), ((0, 1), 2.0)]
+
+    def test_literal_typing_of_short_membranes(self):
+        r = loop_rule("r", "<~x>[ $X ] | b | $Y", "<~x>[ b | $X ] | $Y",
+                      "1 + n1 + 10 * n2",
+                      (XS, [(TypeName("t_a"), "n1"),
+                            (TypeName("t_a", True), "n2")]))
+        state = T("b | <a>[ c ] | <a.a>[ c ]")
+        for mode, rates in ((POSITIONAL, [11.0, 21.0]),
+                            (LITERAL, [2.0, 21.0])):
+            got = self.check(state, [r], mode=mode)
+            assert sorted(rate for _, _, rate, _ in got) == rates
+
+    @pytest.mark.parametrize("state, counted, error", [
+        ("<c>[ b ] | a", Y, None),      # c is in the matched cell only
+        ("<a>[ b ] | <c>[ a ]", Y, "c"),  # c is in $Y
+        ("<a>[ b ] | <a>[ b | e ] | <c>[ b | f ] | a", X, "e"),
+        # cells in membrane order, not in component order: c.e before e
+        ("<e>[ b ] | <c.e>[ b ] | a", XS, "c"),
+        # a long membrane raises for its first unknown element
+        ("<a.a.a.a.a.a.a.a.f.a.e>[ b ]", XS, "f"),
+        ("<a.a.a.a.a.a.a.a.f.a.e>[ b ] | <a>[ b ]", Y, "f"),
+    ])
+    def test_unknown_element_type(self, state, counted, error):
+        env = TypeEnv({"a": "t_a", "b": "t_b"}, fill_defaults=False)
+        r = loop_rule("r", "<~x>[ b | $X ] | $Y", "<~x>[ $X ] | b | $Y",
+                      "n + 1", (counted, [(TypeName("t_a"), "n")]))
+        got = self.check(T(state), [r], env)
+        if error is None:
+            assert isinstance(got, list) and got
+        else:
+            assert got == (UnknownElementType,
+                           str(UnknownElementType(error)))
+
+    @pytest.mark.parametrize("inner, frame, rate", [
+        ("X", "Y", "division by zero"), ("Y", "X", "not finite")])
+    def test_first_error_follows_the_variable_names(self, inner, frame, rate):
+        # two cells with equal membranes raise different rate errors; the
+        # general path raises for the binding that sorts first by name
+        r = loop_rule("r", f"<~x>[ b | ${inner} ] | ${frame}",
+                      f"<~x>[ ${inner} ] | b | ${frame}",
+                      "1 / (n - 1) * 1e308 * 1e308",
+                      (Var(VarKind.TERM, inner), [(TypeName("t_b"), "n")]))
+        got = self.check(T("<a>[ b | b ] | <a>[ b | b | b ]"), [r])
+        assert got[0] is RateEvalError and rate in got[1]
+
+    @pytest.mark.parametrize("rate, rates", [
+        ("n", [1.0, 2.0]), ("n - 1", [1.0]), ("n - 2", []), ("0", []),
+        ("1e308 * 1e308", None), ("1e308 * 1e308 - 1e308 * 1e308", None)])
+    def test_non_positive_and_non_finite_rates(self, rate, rates):
+        # n is 1 for the first cell and 2 for the second
+        r = loop_rule("r", "<~x>[ $X ] | a | $Y", "<~x>[ a | $X ] | $Y",
+                      rate, (X, [(TypeName("t_a"), "n")]))
+        got = self.check(T("a | <b>[ a ] | <c>[ a | a ]"), [r])
+        if rates is None:
+            assert got[0] is RateEvalError and "(compartment /)" in got[1]
+        else:
+            assert sorted(rate for _, _, rate, _ in got) == rates
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=300, deadline=None)
+    def test_random_states_and_rules(self, seed):
+        rng = random.Random(seed)
+        state = random_loop_state(rng)
+        rules = [random_loop_rule(rng, state, f"r{i}")
+                 for i in range(rng.randint(1, 3))]
+        self.check(state, rules, random_env(rng), {},
+                   rng.choice((POSITIONAL, LITERAL)))

@@ -220,11 +220,16 @@ class TestSimulate:
               count $X { t_fz -> n }
               rate: (n + 1) * 1
             }
+            rule leave {
+              lhs: <?y.~x>[ fz | $X ] | $Y
+              rhs: <?y.~x>[ $X ] | fz | $Y
+              rate: 1
+            }
             init: 4 * fz | <fm>[ fy ]
         """)
         trace = simulate(model, SimConfig(seed=1, tmax=1e9))
-        assert {e.rule_id for e in trace.events} == {"enter", "flip"}
-        assert [r.plan is None for r in model.rules] == [True, False]
+        assert {e.rule_id for e in trace.events} == {"enter", "flip", "leave"}
+        assert [r.plan is None for r in model.rules] == [False, False, True]
         refs = [weakref.ref(r) for r in model.rules]
         refs += [weakref.ref(r.lhs) for r in model.rules]
         del model, trace

@@ -5,7 +5,8 @@ import pytest
 from tscls import (CountDecl, Instantiation, RewriteRule, TypeEnv, TypeName,
                    Var, VarKind, match_whole, parse_pattern, parse_rate,
                    parse_term, transitions)
-from tscls.catalog import lac_operon_model, state_change_rule
+from tscls.catalog import (OsmosisParams, lac_operon_model, osmosis_rules,
+                           state_change_rule)
 from conftest import abstract_pattern, random_rule, random_term
 from oracle import (OracleSizeError, brute_force_matches,
                     brute_force_transitions)
@@ -116,6 +117,17 @@ class TestBruteForceTransitions:
             fast = transitions(state, rules, ENV, {})
             assert fast and frozenset(fast) == brute_force_transitions(
                 state, rules)
+        # a cells-style osmosis pair: water leaves one kind of cell and
+        # enters the other; the repeated cell is one outcome
+        params = OsmosisParams(surface=1.0, volume=1.0, va=1.0, vb=2.0,
+                               k=10.0)
+        rules = list(osmosis_rules("W", "S", params, ids=("W_out", "W_in")))
+        assert all(r.plan is not None for r in rules)
+        state = T("<m.p>[ 2 * W | S ] | 2 * <aq.m>[ W | 2 * S ] | 2 * W"
+                  " | 2 * S")
+        fast = transitions(state, rules, ENV, {})
+        assert [tr.rule_id for tr in fast] == ["W_out", "W_in"]
+        assert frozenset(fast) == brute_force_transitions(state, rules)
         for _ in range(60):
             state = random_term(rng)
             rules = [random_rule(rng, f"r{i}") for i in range(rng.randrange(1, 3))]

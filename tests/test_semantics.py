@@ -14,7 +14,7 @@ from tscls import (LITERAL, POSITIONAL, CountDecl, Instantiation,
                    eval_rate, lits, parse_pattern, parse_rate, parse_term,
                    pat, rule_violations, transitions, tvar)
 from tscls import semantics
-from tscls.catalog import lac_operon_model, state_change_rule
+from tscls.catalog import state_change_rule
 from tscls.patterns import seq_positioned_elem_vars
 
 from conftest import random_rate, random_rule, random_term, scramble
@@ -247,15 +247,27 @@ class TestTransitions:
             transitions(T("a | b"), [free], None, {})
 
     def test_rotations_merge_and_target_is_built_on_read(self, monkeypatch):
-        # R13 and R14 match once per distinct rotation of m.perm.perm
-        model = lac_operon_model()
-        rules = [r for r in model.rules if r.id in ("R13", "R14")]
+        # R13 and R14 with a membrane ~x.?y stay on the general path and
+        # match once per distinct rotation of m.perm.perm
+        y = Var(VarKind.TERM, "Y")
+        rules = [
+            RewriteRule("R13", P("<~x.?y>[ perm | $X ] | $Y"),
+                        P("<perm.~x.?y>[ $X ] | $Y"),
+                        parse_rate("(n + 1) * 0.1"),
+                        (CountDecl(Var(VarKind.TERM, "X"),
+                                   ((TypeName("t_perm"), "n"),)),)),
+            RewriteRule("R14", P("<~x.?y>[ $X ] | LACT | $Y"),
+                        P("<~x.?y>[ LACT | $X ] | $Y"),
+                        parse_rate("(n + 1) * 0.001"),
+                        (CountDecl(y, ((TypeName("t_LACT"), "n"),)),)),
+        ]
+        assert [r.plan for r in rules] == [None, None]
         built = []
         real = semantics.substitute
         monkeypatch.setattr(semantics, "substitute",
                             lambda p, inst: built.append(p) or real(p, inst))
         trs = transitions(T("<m.perm.perm>[ perm | a ] | LACT"), rules,
-                          model.type_env(), model.constants)
+                          None, {})
         assert [tr.rule_id for tr in trs] == ["R13", "R14"]
         assert built == []
         assert trs[0].target == T("<m.perm.perm.perm>[ a ] | LACT")

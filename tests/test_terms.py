@@ -1,5 +1,6 @@
 """Term algebra: canonical forms, congruence, typing multisets."""
 
+import pickle
 import random
 from collections import Counter
 
@@ -102,6 +103,17 @@ class TestWellFormedness:
 
 
 class TestTyping:
+    def test_type_name_is_a_value(self):
+        tn = TypeName("t_a")
+        assert (tn.base, tn.is_seq) == ("t_a", False)
+        assert tn.as_seq() == TypeName("t_a", is_seq=True) != tn
+        assert hash(tn.as_seq()) == hash(TypeName(base="t_a", is_seq=True))
+        assert (str(tn), str(tn.as_seq())) == ("t_a", "seq(t_a)")
+        assert repr(tn.as_seq()) == "TypeName(base='t_a', is_seq=True)"
+        assert pickle.loads(pickle.dumps(tn.as_seq())) == tn.as_seq()
+        with pytest.raises(AttributeError):
+            tn.base = "t_b"
+
     def test_bare_elements(self):
         env = TypeEnv()
         assert type_of(T("a | a | c"), env) == Counter(
