@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import repeat
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
                     Optional)
@@ -84,7 +83,7 @@ class Plan:
         self._rotated: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
 
     def entries(self, state: Term, path: Path, content: Term, env: TypeEnv,
-                literal: bool) -> Iterator[Entry]:
+                literal: bool) -> Iterable[Entry]:
         """One ``(key, counts, build)`` per distinct outcome of the rule in
         ``content``: ``build()`` makes the successor of ``state``.
         ``literal`` types a length-1 ``~x`` by its basic type. Loops come
@@ -92,12 +91,14 @@ class Plan:
         caller that evaluates each rate as it goes raises the same error."""
         have = component_counts(content)
         if not _contains(have, self.need):
-            return
+            return ()
         if self.membrane is None:
-            counts = self._counts(env, literal, have, None, {})
-            yield self, counts, partial(self._build, state, path, content,
-                                        None, None)
-            return
+            return ((self, self._counts(env, literal, have, None, {}),
+                     partial(self._build, state, path, content, None, None)),)
+        return self._loops(state, path, content, env, literal, have)
+
+    def _loops(self, state: Term, path: Path, content: Term, env: TypeEnv,
+               literal: bool, have: Counter) -> Iterator[Entry]:
         cells = [comp for comp in have if isinstance(comp, Loop)]
         if self.frame_first:
             cells.reverse()
@@ -115,7 +116,9 @@ class Plan:
                 cell: Optional[Loop], totals: dict) -> dict[str, int]:
         out: dict[str, int] = {}
         for i, (what, wanted, names) in enumerate(self.decls):
-            if what is INNER:
+            if cell is None:
+                snap = _tally(have, wanted, env, names, self.need)
+            elif what is INNER:
                 snap = _tally(component_counts(cell.content), wanted, env,
                               names, self.inner_need)
             elif what is MEMBRANE:
@@ -124,12 +127,11 @@ class Plan:
                 if literal and len(mem) == 1:
                     types = [(env.basic(mem[0]), 1)]
                 else:
-                    types = [(env.seq(elem), k) for elem, k in _runs(mem)]
+                    types = [(env.seq(elem), k)
+                             for elem, k in Counter(mem).items()]
                 for tn, k in types:
                     for name in wanted.get(tn, ()):
                         snap[name] += k
-            elif cell is None:
-                snap = _tally(have, wanted, env, names, self.need)
             else:
                 # the frame is the compartment's totals less the cell's
                 # membrane; when the totals meet an unknown element, walk
@@ -196,7 +198,8 @@ def _tally(have: Mapping[Component, int], wanted: dict[TypeName, list[str]],
            cell: Optional[Loop] = None) -> dict[str, int]:
     """Typed counts of ``have - need - cell``: each component in turn, in
     canonical order, times its multiplicity, as ``count_types`` walks a
-    term binding."""
+    term binding. A sequence's elements are counted in order of first
+    occurrence, so an unknown element raises as it would in that walk."""
     snap = dict.fromkeys(names, 0)
     for comp, n in have.items():
         n -= need.get(comp, 0)
@@ -212,17 +215,10 @@ def _tally(have: Mapping[Component, int], wanted: dict[TypeName, list[str]],
             elems = comp.elems
         else:
             elems = comp.membrane
-        for elem, k in _runs(elems):
+        for elem, k in Counter(elems).items():
             for name in wanted.get(env.seq(elem), ()):
                 snap[name] += n * k
     return snap
-
-
-def _runs(elems: tuple[str, ...]) -> Iterable[tuple[str, int]]:
-    """Each element with its count, in order of first occurrence, so an
-    unknown element raises as it would in an element-by-element walk.
-    Long sequences (a membrane a cell keeps growing) are counted in C."""
-    return Counter(elems).items() if len(elems) > 8 else zip(elems, repeat(1))
 
 
 def _rebuilt(have: Counter, need: Counter, give: Counter) -> Counter:
