@@ -14,7 +14,7 @@ from .catalog import (OsmosisParams, add_both, add_catalyst, add_inhibitor,
 from .engine import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, Pcg64,
                      Sample, Trace, TraceEvent, observe, simulate, step)
 from .errors import (ModelError, ParseError, RateEvalError, SubstitutionError,
-                     TsclsError, UnknownElementType, WellFormednessError)
+                     TsclsError, WellFormednessError)
 from .matching import (Binding, Compartment, Instantiation, Path,
                        compartments, match_whole, path_text, splice,
                        substitute)

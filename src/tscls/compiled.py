@@ -31,15 +31,13 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
-                    Optional)
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .errors import UnknownElementType
 from .matching import Path, splice
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
                        VarKind)
-from .terms import (Component, Loop, Seq, Term, TypeEnv, TypeName,
-                    component_counts, min_rotation)
+from .terms import (Loop, Seq, Term, TypeEnv, TypeName, component_counts,
+                    min_rotation, tally_seq, tally_term)
 
 if TYPE_CHECKING:
     from .semantics import RewriteRule
@@ -117,38 +115,21 @@ class Plan:
         out: dict[str, int] = {}
         for i, (what, wanted, names) in enumerate(self.decls):
             if cell is None:
-                snap = _tally(have, wanted, env, names, self.need)
+                snap = tally_term(have, self.need, wanted, names, env)
             elif what is INNER:
-                snap = _tally(component_counts(cell.content), wanted, env,
-                              names, self.inner_need)
+                snap = tally_term(component_counts(cell.content),
+                                  self.inner_need, wanted, names, env)
             elif what is MEMBRANE:
-                mem = cell.membrane
-                snap = dict.fromkeys(names, 0)
-                if literal and len(mem) == 1:
-                    types = [(env.basic(mem[0]), 1)]
-                else:
-                    types = [(env.seq(elem), k)
-                             for elem, k in Counter(mem).items()]
-                for tn, k in types:
-                    for name in wanted.get(tn, ()):
-                        snap[name] += k
+                snap = tally_seq(cell.membrane, wanted, names, env, literal)
             else:
-                # the frame is the compartment's totals less the cell's
-                # membrane; when the totals meet an unknown element, walk
-                # the frame itself so only its own elements raise
-                if i not in totals:
-                    try:
-                        totals[i] = _tally(have, wanted, env, names,
-                                           self.need)
-                    except UnknownElementType:
-                        totals[i] = None
-                total = totals[i]
+                # the frame is the compartment's totals, counted once per
+                # compartment, less the cell's membrane
+                total = totals.get(i)
                 if total is None:
-                    snap = _tally(have, wanted, env, names, self.need,
-                                  cell)
-                else:
-                    share = _tally({cell: 1}, wanted, env, names, {})
-                    snap = {name: total[name] - share[name] for name in names}
+                    total = totals[i] = tally_term(have, self.need, wanted,
+                                                   names, env)
+                share = tally_seq(cell.membrane, wanted, names, env, False)
+                snap = {name: total[name] - share[name] for name in names}
             out.update(snap)
         return out
 
@@ -191,34 +172,6 @@ def _contains(have: Counter, need: Counter) -> bool:
         if have.get(comp, 0) < n:
             return False
     return True
-
-
-def _tally(have: Mapping[Component, int], wanted: dict[TypeName, list[str]],
-           env: TypeEnv, names: tuple[str, ...], need: Mapping,
-           cell: Optional[Loop] = None) -> dict[str, int]:
-    """Typed counts of ``have - need - cell``: each component in turn, in
-    canonical order, times its multiplicity, as ``count_types`` walks a
-    term binding. A sequence's elements are counted in order of first
-    occurrence, so an unknown element raises as it would in that walk."""
-    snap = dict.fromkeys(names, 0)
-    for comp, n in have.items():
-        n -= need.get(comp, 0)
-        if comp is cell:
-            n -= 1
-        if not n:
-            continue
-        if isinstance(comp, Seq):
-            if len(comp.elems) == 1:
-                for name in wanted.get(env.basic(comp.elems[0]), ()):
-                    snap[name] += n
-                continue
-            elems = comp.elems
-        else:
-            elems = comp.membrane
-        for elem, k in Counter(elems).items():
-            for name in wanted.get(env.seq(elem), ()):
-                snap[name] += n * k
-    return snap
 
 
 def _rebuilt(have: Counter, need: Counter, give: Counter) -> Counter:

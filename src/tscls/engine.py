@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from .errors import RateEvalError
 from .matching import Path
 from .model import ModelFile, ObservableSpec, SimConfig
 from .semantics import RewriteRule, Transition, transitions
@@ -70,6 +71,10 @@ def step(state: Term, rules: Sequence[RewriteRule], env: TypeEnv,
 
 def _draw(trs: tuple[Transition, ...], rng: Pcg64):
     total = sum(tr.rate for tr in trs)
+    if not math.isfinite(total):
+        # every rate is finite, but their sum can overflow; the clock and
+        # the selection below would be wrong
+        raise RateEvalError(f"total exit rate is not finite ({total!r})")
     u_time = rng.random()
     dt = -math.log(1.0 - u_time) / total
     u_pick = rng.random() * total

@@ -12,14 +12,6 @@ class WellFormednessError(TsclsError):
     empty membrane wrapping non-empty content)."""
 
 
-class UnknownElementType(TsclsError):
-    """The typing environment has no assignment for an element."""
-
-    def __init__(self, element: str):
-        super().__init__(f"no type assignment for element '{element}'")
-        self.element = element
-
-
 class ParseError(TsclsError):
     """Syntax error with source location."""
 

@@ -84,9 +84,13 @@ def validate_model(mf: ModelFile) -> list[str]:
         seen_ids.add(rule.id)
         out.extend(rule_violations(rule, mf.constants))
     known = mf.elements()
+    seen_obs: set[str] = set()
     for obs in mf.observables:
-        if obs.element not in known:
+        if obs.element in seen_obs:
+            out.append(f"duplicate observable '{obs.element}'")
+        elif obs.element not in known:
             out.append(f"observable '{obs.element}' is not an element of the model")
+        seen_obs.add(obs.element)
     cfg = mf.sim_config()
     out.extend(cfg.violations())
     return out

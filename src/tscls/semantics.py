@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import rates
 from .compiled import Plan, compile_rule
@@ -22,7 +22,8 @@ from .matching import (Instantiation, compartments, image, match_whole,
 from .patterns import (Pattern, Var, VarKind, pattern_vars,
                        seq_positioned_elem_vars)
 from .rates import RateExpr
-from .terms import Seq, Term, TypeEnv, TypeName, canonicalize
+from .terms import (Term, TypeEnv, TypeName, canonicalize, component_counts,
+                    tally_seq, tally_term)
 
 POSITIONAL = "positional"
 LITERAL = "literal"
@@ -95,46 +96,6 @@ def rule_violations(rule: RewriteRule,
 # typed occurrence counting
 
 
-def _tally(tn: TypeName, wanted: dict[TypeName, list[str]],
-           out: dict[str, int]) -> None:
-    for name in wanted.get(tn, ()):
-        out[name] += 1
-
-
-def _count_in_term(t: Term, wanted: dict[TypeName, list[str]], env: TypeEnv,
-                   out: dict[str, int]) -> None:
-    # same clauses as terms.type_of, but tallying only the requested types;
-    # the memos map element names straight to count-variable lists so large
-    # bindings are walked with one dict probe per occurrence
-    basic_names: dict[str, list[str]] = {}
-    seq_names: dict[str, list[str]] = {}
-    for comp in t.components:
-        if isinstance(comp, Seq):
-            if len(comp.elems) == 1:
-                elem = comp.elems[0]
-                targets = basic_names.get(elem)
-                if targets is None:
-                    targets = basic_names[elem] = wanted.get(env.basic(elem), [])
-                for name in targets:
-                    out[name] += 1
-                continue
-            elems = comp.elems
-        else:
-            elems = comp.membrane
-        for elem in elems:
-            targets = seq_names.get(elem)
-            if targets is None:
-                targets = seq_names[elem] = wanted.get(env.seq(elem), [])
-            for name in targets:
-                out[name] += 1
-
-
-def _count_in_seq(names: Iterable[str], wanted: dict[TypeName, list[str]],
-                  env: TypeEnv, out: dict[str, int]) -> None:
-    for name in names:
-        _tally(env.seq(name), wanted, out)
-
-
 def count_types(inst: Instantiation, counts: CountSpec, env: TypeEnv,
                 mode: str = POSITIONAL,
                 seq_positioned: frozenset[str] = frozenset(),
@@ -157,27 +118,22 @@ def count_types(inst: Instantiation, counts: CountSpec, env: TypeEnv,
         wanted: dict[TypeName, list[str]] = {}
         for tn, name in decl.entries:
             wanted.setdefault(tn, []).append(name)
-            out[name] = 0
+        names = [name for _, name in decl.entries]
         binding = inst[decl.var]
         kind = decl.var.kind
         if kind is VarKind.TERM:
             mkey = (binding, id(decl))
             snap = memo.get(mkey)
             if snap is None:
-                snap = {name: 0 for _, name in decl.entries}
-                _count_in_term(binding, wanted, env, snap)
-                memo[mkey] = snap
-            out.update(snap)
+                snap = memo[mkey] = tally_term(component_counts(binding), {},
+                                               wanted, names, env)
         elif kind is VarKind.SEQ:
-            if mode != POSITIONAL and len(binding) == 1:
-                _tally(env.basic(binding[0]), wanted, out)
-            else:
-                _count_in_seq(binding, wanted, env, out)
+            snap = tally_seq(binding, wanted, names, env, mode != POSITIONAL)
         else:
-            if mode == POSITIONAL and decl.var.name in seq_positioned:
-                _tally(env.seq(binding), wanted, out)
-            else:
-                _tally(env.basic(binding), wanted, out)
+            snap = tally_seq((binding,), wanted, names, env,
+                             mode != POSITIONAL
+                             or decl.var.name not in seq_positioned)
+        out.update(snap)
     return out
 
 

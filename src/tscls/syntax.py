@@ -458,6 +458,7 @@ def parse_model(text: str) -> ModelFile:
     cur = _Cursor(tokenize(text, newlines=True))
     mf = ModelFile()
     seen_init = False
+    duplicates: list[str] = []
     while True:
         while cur.peek().kind == "NEWLINE":
             cur.next()
@@ -480,17 +481,23 @@ def parse_model(text: str) -> ModelFile:
         elif tok.text == "const":
             cur.next()
             name = cur.expect_ident("constant name").text
+            if name in mf.constants:
+                duplicates.append(f"duplicate constant '{name}'")
             cur.expect_sym("=")
             mf.constants[name] = _parse_signed_number(cur)
         elif tok.text == "type":
             cur.next()
             elem = cur.expect_ident("element name").text
+            if elem in mf.type_decls:
+                duplicates.append(f"duplicate type declaration for '{elem}'")
             cur.expect_sym(":")
             mf.type_decls[elem] = cur.expect_ident("type name").text
         elif tok.text == "rule":
             mf.rules.append(_parse_rule(cur))
             continue  # closing brace consumed its newline
         elif tok.text == "init":
+            if seen_init:
+                duplicates.append("duplicate init directive")
             cur.next()
             cur.expect_sym(":")
             init = _parse_par(cur, allow_vars=False)
@@ -509,7 +516,7 @@ def parse_model(text: str) -> ModelFile:
         else:
             cur.fail(f"unknown directive '{tok.text}'")
         _expect_line_end(cur)
-    diagnostics = validate_model(mf)
+    diagnostics = duplicates + validate_model(mf)
     if not seen_init:
         diagnostics.insert(0, "model has no init directive")
     if diagnostics:

@@ -21,7 +21,7 @@ from collections import Counter
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import UnknownElementType, WellFormednessError
+from .errors import WellFormednessError
 
 ELEMENT_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -265,26 +265,18 @@ class TypeName(tuple):
 class TypeEnv:
     """Typing environment: element name -> base type identifier.
 
-    Elements without an explicit assignment default to ``t_<name>`` unless
-    ``fill_defaults`` is disabled, in which case lookups raise
-    :class:`UnknownElementType`. The assignment is treated as immutable;
-    resolved type names are cached per element.
+    Elements without an explicit assignment default to ``t_<name>``. The
+    assignment is treated as immutable; resolved type names are cached
+    per element.
     """
 
-    def __init__(self, assignment: Optional[Mapping[str, str]] = None,
-                 fill_defaults: bool = True):
+    def __init__(self, assignment: Optional[Mapping[str, str]] = None):
         self.assignment = dict(assignment or {})
-        self.fill_defaults = fill_defaults
         self._basic: dict[str, TypeName] = {}
         self._seq: dict[str, TypeName] = {}
 
     def base(self, element: str) -> str:
-        try:
-            return self.assignment[element]
-        except KeyError:
-            if self.fill_defaults:
-                return "t_" + element
-            raise UnknownElementType(element) from None
+        return self.assignment.get(element, "t_" + element)
 
     def basic(self, element: str) -> TypeName:
         tn = self._basic.get(element)
@@ -299,7 +291,7 @@ class TypeEnv:
         return tn
 
     def __repr__(self) -> str:
-        return f"TypeEnv({self.assignment!r}, fill_defaults={self.fill_defaults})"
+        return f"TypeEnv({self.assignment!r})"
 
 
 TypeMultiset = Counter  # Counter[TypeName] with positive counts
@@ -333,6 +325,51 @@ def type_of(t: Term, env: TypeEnv) -> TypeMultiset:
             for name in comp.membrane:
                 out[env.seq(name)] += 1
     return out
+
+
+# a count block's request: each type -> the count names it feeds
+Wanted = Mapping[TypeName, list[str]]
+
+
+def tally_term(have: Mapping[Component, int], less: Mapping[Component, int],
+               wanted: Wanted, names: Iterable[str],
+               env: TypeEnv) -> dict[str, int]:
+    """Typed counts of a term binding, the component multiset ``have -
+    less``, for the count ``names``: each distinct component typed as
+    :func:`type_of` types it, times its multiplicity."""
+    snap = dict.fromkeys(names, 0)
+    for comp, n in have.items():
+        n -= less.get(comp, 0)
+        if not n:
+            continue
+        if isinstance(comp, Seq):
+            if len(comp.elems) == 1:
+                for name in wanted.get(env.basic(comp.elems[0]), ()):
+                    snap[name] += n
+                continue
+            elems = comp.elems
+        else:
+            elems = comp.membrane
+        for elem, k in Counter(elems).items():
+            for name in wanted.get(env.seq(elem), ()):
+                snap[name] += n * k
+    return snap
+
+
+def tally_seq(elems: tuple[str, ...], wanted: Wanted, names: Iterable[str],
+              env: TypeEnv, literal: bool) -> dict[str, int]:
+    """Typed counts of a sequence binding for the count ``names``:
+    seq-tagged types, as :func:`stype_of` gives them, except that
+    ``literal`` typing counts a length-1 sequence by its basic type."""
+    snap = dict.fromkeys(names, 0)
+    if literal and len(elems) == 1:
+        for name in wanted.get(env.basic(elems[0]), ()):
+            snap[name] += 1
+        return snap
+    for elem, k in Counter(elems).items():
+        for name in wanted.get(env.seq(elem), ()):
+            snap[name] += k
+    return snap
 
 
 def term_elements(t: Term) -> set[str]:

@@ -166,6 +166,13 @@ def random_rule(rng: random.Random, rule_id: str) -> RewriteRule:
 EXTREME_NUMBERS = (0.0, 1.0, -1.0, 0.5, 1e-308, 1e308, -1e308, 5e-324)
 
 
+def general(r: RewriteRule) -> RewriteRule:
+    """A copy of the rule that takes the general path."""
+    copy = RewriteRule(r.id, r.lhs, r.rhs, r.rate, r.counts)
+    copy.__dict__["plan"] = None
+    return copy
+
+
 def random_rate(rng: random.Random, names: list[str], depth: int = 3):
     """A random rate AST over ``names`` using every operator and the
     zero guard; literals include extreme magnitudes."""

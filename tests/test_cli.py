@@ -33,6 +33,24 @@ run { seed: 7, tmax: 1000.0, max_steps: 100, samples: 4 }
 NAN_RATE = TINY.replace("const k = 1.0", "const k = 1e308") \
     .replace("rate: (n + 1) * k", "rate: k * k - k * k")
 
+# two finite rates whose sum, the total exit rate, overflows to inf
+INF_TOTAL = """\
+rule A {
+  lhs: a | $X
+  rhs: b | $X
+  rate: 1e308
+}
+
+rule B {
+  lhs: c | $X
+  rhs: d | $X
+  rate: 1e308
+}
+
+init: a | c
+observe a, b, c, d
+"""
+
 
 @pytest.fixture
 def tiny(tmp_path):
@@ -210,15 +228,21 @@ class TestRun:
         assert "tmax must be a finite number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_non_finite_rate(self, tmp_path, capsys, monkeypatch, fmt):
+    @pytest.mark.parametrize("fmt, source, names", [
+        pytest.param(fmt, source, names, id=fmt + suffix)
+        for source, names, suffix in ((NAN_RATE, "rule change", ""),
+                                      (INF_TOTAL, "total exit rate",
+                                       "-total"))
+        for fmt in ("csv", "json")])
+    def test_non_finite_rate(self, tmp_path, capsys, monkeypatch, fmt,
+                             source, names):
         monkeypatch.setenv("TSCLS_COLOR", "0")
         model = tmp_path / "nan.tscls"
-        model.write_text(NAN_RATE, encoding="utf-8")
+        model.write_text(source, encoding="utf-8")
         assert main(["run", str(model), "--format", fmt]) == 1
         got = capsys.readouterr()
         assert got.out == ""
-        assert "rule change" in got.err and "not finite" in got.err
+        assert names in got.err and "not finite" in got.err
 
     def test_replicas(self, tiny, tmp_path, capsys):
         out = tmp_path / "rep.csv"

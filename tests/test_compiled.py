@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, Loop, PLoop,
                    PSeq, RateEvalError, RewriteRule, Seq, SeqVar, Term,
-                   TypeEnv, TypeName, UnknownElementType, Var, VarKind,
-                   canonicalize, compartments, count_types, eval_rate, lits,
-                   match_whole, parse_pattern, parse_rate, parse_term,
-                   path_text, pat, splice, substitute, transitions, tvar)
+                   TypeEnv, TypeName, Var, VarKind, canonicalize,
+                   compartments, count_types, eval_rate, lits, match_whole,
+                   parse_pattern, parse_rate, parse_term, path_text, pat,
+                   splice, substitute, transitions, tvar)
 from tscls import semantics
 from tscls.catalog import OsmosisParams, lac_operon_model, osmosis_rules
 from tscls.patterns import seq_positioned_elem_vars
 
-from conftest import ALPHABET, random_rate, random_seq, random_term
+from conftest import ALPHABET, general, random_rate, random_seq, random_term
 
 X = Var(VarKind.TERM, "X")
 Y = Var(VarKind.TERM, "Y")
@@ -44,13 +44,6 @@ def loop_rule(rid, lhs, rhs, rate, *decls):
     return RewriteRule(rid, P(lhs), P(rhs), parse_rate(rate),
                        tuple(CountDecl(var, tuple(entries))
                              for var, entries in decls))
-
-
-def general(r):
-    """A copy of the rule that takes the general path."""
-    copy = RewriteRule(r.id, r.lhs, r.rhs, r.rate, r.counts)
-    copy.__dict__["plan"] = None
-    return copy
 
 
 def reference(state, rules, env, consts, mode):
@@ -85,7 +78,7 @@ def reference(state, rules, env, consts, mode):
 def outcome(fn):
     try:
         return fn()
-    except (RateEvalError, UnknownElementType) as exc:
+    except RateEvalError as exc:
         return type(exc), str(exc)
 
 
@@ -142,11 +135,10 @@ def random_compiled_rule(rng, state, rid):
 def random_env(rng):
     if rng.random() < 0.5:
         return TypeEnv()
-    # a partial assignment; some elements share a type, the rest are
-    # unknown when defaults are off
+    # a partial assignment; some elements share a type, the rest take
+    # their default
     known = rng.sample(ALPHABET, rng.randint(2, len(ALPHABET)))
-    return TypeEnv({e: "t_" + rng.choice(known) for e in known},
-                   fill_defaults=rng.random() < 0.5)
+    return TypeEnv({e: "t_" + rng.choice(known) for e in known})
 
 
 class TestPlan:
@@ -275,16 +267,6 @@ class TestAgainstGeneralPath:
         for mode in (POSITIONAL, LITERAL):
             [(_, _, rate, _)] = self.check(T("a | b | b.b"), [r], mode=mode)
             assert rate == 21.0
-
-    def test_unknown_element_type(self):
-        env = TypeEnv({"a": "t_a", "b": "t_b"}, fill_defaults=False)
-        counted = rule("r", "a | $X", "$X", "n + 1", [(TypeName("t_b"), "n")])
-        plain = rule("r", "a | $X", "$X", "1")
-        got = self.check(T("a | b | <c>[ a ]"), [counted], env)
-        assert got == (UnknownElementType, str(UnknownElementType("c")))
-        # nothing is typed when the rule counts nothing or does not match
-        assert len(self.check(T("a | <c>[ a ]"), [plain], env)) == 2
-        assert self.check(T("b | c"), [counted], env) == []
 
     @pytest.mark.parametrize("rate, paths", [
         ("n", [(0,)]), ("n - 1", []), ("0", []),
@@ -452,26 +434,14 @@ class TestLoopAgainstGeneralPath:
             got = self.check(state, [r], mode=mode)
             assert sorted(rate for _, _, rate, _ in got) == rates
 
-    @pytest.mark.parametrize("state, counted, error", [
-        ("<c>[ b ] | a", Y, None),      # c is in the matched cell only
-        ("<a>[ b ] | <c>[ a ]", Y, "c"),  # c is in $Y
-        ("<a>[ b ] | <a>[ b | e ] | <c>[ b | f ] | a", X, "e"),
-        # cells in membrane order, not in component order: c.e before e
-        ("<e>[ b ] | <c.e>[ b ] | a", XS, "c"),
-        # a long membrane raises for its first unknown element
-        ("<a.a.a.a.a.a.a.a.f.a.e>[ b ]", XS, "f"),
-        ("<a.a.a.a.a.a.a.a.f.a.e>[ b ] | <a>[ b ]", Y, "f"),
-    ])
-    def test_unknown_element_type(self, state, counted, error):
-        env = TypeEnv({"a": "t_a", "b": "t_b"}, fill_defaults=False)
+    def test_cells_in_membrane_order(self):
+        # c.e sorts before e by membrane but after it as a component, and
+        # its rate raises another error than e's: both paths raise for it
         r = loop_rule("r", "<~x>[ b | $X ] | $Y", "<~x>[ $X ] | b | $Y",
-                      "n + 1", (counted, [(TypeName("t_a"), "n")]))
-        got = self.check(T(state), [r], env)
-        if error is None:
-            assert isinstance(got, list) and got
-        else:
-            assert got == (UnknownElementType,
-                           str(UnknownElementType(error)))
+                      "1 / n * 1e308 * 1e308",
+                      (XS, [(TypeName("t_c", True), "n")]))
+        got = self.check(T("<e>[ b ] | <c.e>[ b ]"), [r])
+        assert got[0] is RateEvalError and "not finite" in got[1]
 
     @pytest.mark.parametrize("inner, frame, rate", [
         ("X", "Y", "division by zero"), ("Y", "X", "not finite")])

@@ -10,7 +10,7 @@ from tscls import (Loop, ModelError, ParseError, Pattern, PLoop, PSeq,
                    PTermVar, Seq, SeqVar, Term, canonicalize, congruent,
                    evaluate, lits, parse_model, parse_pattern, parse_rate,
                    parse_term, print_model, print_pattern, print_rate,
-                   print_term, pat, svar, tvar)
+                   print_term, pat, svar, tvar, validate_model)
 from tscls.rates import BinOp, IfZero, Name, Num
 
 from conftest import random_term
@@ -214,6 +214,24 @@ class TestParseModel:
         with pytest.raises(ModelError) as exc:
             parse_model(bad)
         assert any("duplicate" in d for d in exc.value.diagnostics)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("const kp = 1.0", "const kp = 1.0\nconst k = 2.0",
+         "duplicate constant 'k'"),
+        ("const kp = 1.0", "const kp = 1.0\ntype a : t_x\ntype a : t_y",
+         "duplicate type declaration for 'a'"),
+        ("observe a, b", "init: a\nobserve a, b", "duplicate init directive"),
+        ("observe a, b", "observe a, b, a", "duplicate observable 'a'"),
+    ], ids=["const", "type", "init", "observe"])
+    def test_duplicate_declarations_rejected(self, old, new, message):
+        with pytest.raises(ModelError) as exc:
+            parse_model(MINIMAL_MODEL.replace(old, new))
+        assert message in exc.value.diagnostics
+
+    def test_duplicate_observables_rejected_in_built_models(self):
+        mf = parse_model(MINIMAL_MODEL)
+        mf.observables.append(mf.observables[0])
+        assert validate_model(mf) == ["duplicate observable 'a'"]
 
     def test_count_type_seq_tag(self):
         src = MINIMAL_MODEL.replace("t_a -> n1", "seq(t_a) -> n1")

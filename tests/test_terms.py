@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscls import (EMPTY, Loop, ParseError, Seq, Term, TypeEnv, TypeName,
-                   UnknownElementType, WellFormednessError, canonicalize,
-                   congruent, par, stype_of, term_elements, type_of)
+                   WellFormednessError, canonicalize, congruent, par,
+                   stype_of, term_elements, type_of)
 from tscls.syntax import parse_term, print_term
 
 from conftest import random_term, scramble
@@ -141,11 +141,6 @@ class TestTyping:
     def test_declared_assignment_wins(self):
         env = TypeEnv({"a": "alpha"})
         assert type_of(T("a"), env) == Counter({TypeName("alpha"): 1})
-
-    def test_missing_assignment_without_defaults(self):
-        env = TypeEnv({}, fill_defaults=False)
-        with pytest.raises(UnknownElementType):
-            type_of(T("a"), env)
 
     @given(st.integers(0, 10 ** 9))
     @settings(max_examples=150, deadline=None)
