@@ -29,9 +29,10 @@ term variable whose name sorts first.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import cmp_to_key, partial
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
+                    Optional)
 
 from .matching import Path, splice
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
@@ -61,10 +62,15 @@ class Plan:
     ``membrane``, the rhs membrane with None for each ``~x``; without a
     loop, ``membrane`` is None. ``frame_first`` says whether the frame
     variable's name sorts before the inner one's.
+
+    A loop rule keeps a :class:`_Cell` per cell component of the state it
+    was last called on and of the state before, keyed by the cell's
+    value, so a cell that an event left alone costs a lookup. Both are
+    dropped when the ``(env, literal)`` pair changes.
     """
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
-                 "membrane", "frame_first", "_rotated")
+                 "membrane", "frame_first", "_rotated", "_cells")
 
     def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
                  inner_need: Optional[Counter] = None,
@@ -79,6 +85,9 @@ class Plan:
         self.membrane = membrane
         self.frame_first = frame_first
         self._rotated: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
+        # ((env, literal), state, its cells, the last state's cells),
+        # replaced as one value
+        self._cells: tuple = (None, None, {}, {})
 
     def entries(self, state: Term, path: Path, content: Term, env: TypeEnv,
                 literal: bool) -> Iterable[Entry]:
@@ -86,52 +95,78 @@ class Plan:
         ``content``: ``build()`` makes the successor of ``state``.
         ``literal`` types a length-1 ``~x`` by its basic type. Loops come
         in the order the general path counts its instantiations, so a
-        caller that evaluates each rate as it goes raises the same error."""
+        caller that evaluates each rate as it goes raises the same error.
+        A loop rule's key is ``(entry, membrane)``: the :class:`_Cell` of
+        the loop it rewrites and the membrane it gives it."""
         have = component_counts(content)
         if not _contains(have, self.need):
             return ()
         if self.membrane is None:
-            return ((self, self._counts(env, literal, have, None, {}),
+            counts: dict[str, int] = {}
+            for _, wanted, names in self.decls:
+                counts.update(tally_term(have, self.need, wanted, names, env))
+            return ((self, counts,
                      partial(self._build, state, path, content, None, None)),)
         return self._loops(state, path, content, env, literal, have)
 
     def _loops(self, state: Term, path: Path, content: Term, env: TypeEnv,
                literal: bool, have: Counter) -> Iterator[Entry]:
+        ctx, seen, memo, last = self._cells
+        if ctx != (env, literal):
+            memo, last = {}, {}
+        elif seen is not state:
+            memo, last = {}, memo
+        self._cells = ((env, literal), state, memo, last)
         cells = [comp for comp in have if isinstance(comp, Loop)]
         if self.frame_first:
             cells.reverse()
         cells.sort(key=attrgetter("membrane"))
-        totals: dict = {}
+        totals: dict[int, dict[str, int]] = {}
         for cell in cells:
-            if not _contains(component_counts(cell.content), self.inner_need):
+            entry = memo.get(cell)
+            if entry is None:
+                entry = last.get(cell)
+                if entry is None:
+                    entry = self._cell(cell, env, literal)
+                memo[cell] = entry
+            if not entry:
                 continue
-            counts = self._counts(env, literal, have, cell, totals)
-            for membrane in self._membranes(cell.membrane):
-                yield (cell, membrane), counts, partial(
-                    self._build, state, path, content, cell, membrane)
-
-    def _counts(self, env: TypeEnv, literal: bool, have: Counter,
-                cell: Optional[Loop], totals: dict) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for i, (what, wanted, names) in enumerate(self.decls):
-            if cell is None:
-                snap = tally_term(have, self.need, wanted, names, env)
-            elif what is INNER:
-                snap = tally_term(component_counts(cell.content),
-                                  self.inner_need, wanted, names, env)
-            elif what is MEMBRANE:
-                snap = tally_seq(cell.membrane, wanted, names, env, literal)
-            else:
+            counts = entry.counts
+            if entry.shares:
                 # the frame is the compartment's totals, counted once per
                 # compartment, less the cell's membrane
-                total = totals.get(i)
-                if total is None:
-                    total = totals[i] = tally_term(have, self.need, wanted,
-                                                   names, env)
-                share = tally_seq(cell.membrane, wanted, names, env, False)
-                snap = {name: total[name] - share[name] for name in names}
-            out.update(snap)
-        return out
+                counts = dict(counts)
+                for i, share in entry.shares:
+                    total = totals.get(i)
+                    if total is None:
+                        _, wanted, names = self.decls[i]
+                        total = totals[i] = tally_term(have, self.need,
+                                                       wanted, names, env)
+                    for name, n in share.items():
+                        counts[name] = total[name] - n
+            for membrane in self._membranes(cell.membrane):
+                yield (entry, membrane), counts, partial(
+                    self._build, state, path, content, entry, membrane)
+
+    def _cell(self, cell: Loop, env: TypeEnv, literal: bool):
+        """The cell's :class:`_Cell`, or False if the rule cannot rewrite
+        it."""
+        inner = component_counts(cell.content)
+        if not _contains(inner, self.inner_need):
+            return False
+        counts: dict[str, int] = {}
+        shares = []
+        for i, (what, wanted, names) in enumerate(self.decls):
+            if what is INNER:
+                counts.update(tally_term(inner, self.inner_need, wanted,
+                                         names, env))
+            elif what is MEMBRANE:
+                counts.update(tally_seq(cell.membrane, wanted, names, env,
+                                        literal))
+            else:
+                shares.append((i, tally_seq(cell.membrane, wanted, names,
+                                            env, False)))
+        return _Cell(cell, counts, tuple(shares))
 
     def _membranes(self, mem: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
         """The distinct least rotations of the rhs membrane over the
@@ -155,16 +190,81 @@ class Plan:
             out = self._rotated[mem] = tuple(found)
         return out
 
+    def _successor(self, entry: _Cell, membrane: tuple[str, ...]) -> Loop:
+        """The loop that replaces the entry's cell when it takes
+        ``membrane``, kept on the entry."""
+        out = entry.successors.get(membrane)
+        if out is None:
+            inner = _term(_rebuilt(component_counts(entry.cell.content),
+                                   self.inner_need, self.inner_give))
+            out = entry.successors[membrane] = Loop(membrane, inner)
+        return out
+
+    def ordered(self, outcomes: Mapping[tuple, Callable[[], Term]]
+                ) -> list[tuple[float, Callable[[], Term]]]:
+        """The ``(rate, build)`` of a loop rule's outcomes at one path,
+        ``((entry, membrane), rate) -> build`` as keyed by :meth:`entries`,
+        merged and ordered as their targets and rates would be (see
+        :func:`_by_target`), without building a target."""
+        found = []
+        unchanged: set[float] = set()
+        for ((entry, membrane), rate), build in outcomes.items():
+            cell, new = entry.cell, self._successor(entry, membrane)
+            if new == cell:
+                # every outcome that keeps its cell has the same target
+                if rate in unchanged:
+                    continue
+                unchanged.add(rate)
+            found.append((cell.key, new.key, rate, build))
+        found.sort(key=cmp_to_key(_by_target))
+        return [(rate, build) for _, _, rate, build in found]
+
     def _build(self, state: Term, path: Path, content: Term,
-               cell: Optional[Loop], membrane: Optional[tuple[str, ...]]
+               entry: Optional[_Cell], membrane: Optional[tuple[str, ...]]
                ) -> Term:
         counter = _rebuilt(component_counts(content), self.need, self.give)
-        if cell is not None:
-            inner = _term(_rebuilt(component_counts(cell.content),
-                                   self.inner_need, self.inner_give))
-            counter[cell] -= 1
-            counter[Loop(membrane, inner)] += 1
+        if entry is not None:
+            counter[entry.cell] -= 1
+            counter[self._successor(entry, membrane)] += 1
         return splice(state, path, _term(counter))
+
+
+class _Cell:
+    """What a loop rule derives from one cell component: the counts that
+    depend on the cell alone; per frame count block, its index and the
+    cell membrane's share of the frame; and, as they are asked for, the
+    loops the cell becomes, per rhs membrane."""
+
+    __slots__ = ("cell", "counts", "shares", "successors")
+
+    def __init__(self, cell: Loop, counts: dict[str, int],
+                 shares: tuple[tuple[int, dict[str, int]], ...]):
+        self.cell = cell
+        self.counts = counts
+        self.shares = shares
+        self.successors: dict[tuple[str, ...], Loop] = {}
+
+
+def _by_target(a: tuple, b: tuple) -> int:
+    """Compare two outcomes of one group, ``(cell key, new key, rate,
+    build)``, by their targets' keys, then by rate: -1, 0 or 1.
+
+    Both targets are the content less the cell plus the new loop, spliced
+    at one path, so a's has more of a's new loop and b's cell, and b's
+    has more of a's cell and b's new loop, less what cancels. Two
+    canonical terms with the same number of components first differ at
+    the least component they hold in different numbers, and the term with
+    more of it sorts first. At a nested path that holds for the changed
+    compartment and, in turn, for each enclosing one, whose loops compare
+    by their contents."""
+    more_a, more_b = [a[1], b[0]], [a[0], b[1]]
+    for key in (a[1], b[0]):
+        if key in more_b:
+            more_a.remove(key)
+            more_b.remove(key)
+    if not more_a:
+        return (a[2] > b[2]) - (a[2] < b[2])
+    return -1 if min(more_a) < min(more_b) else 1
 
 
 def _contains(have: Counter, need: Counter) -> bool:
@@ -226,6 +326,9 @@ def compile_rule(rule: RewriteRule) -> Optional[Plan]:
         where[Var(VarKind.SEQ, seq)] = MEMBRANE
         loop = dict(inner_need=inner[0], inner_give=rhs_inner[0],
                     membrane=tuple(membrane), frame_first=frame < inner[1])
+    names = rule.count_names()
+    if len(set(names)) != len(names):
+        return None  # a count name bound twice: the last block sets it
     decls = []
     for decl in rule.counts:
         what = where.get(decl.var)

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import RateEvalError
+from .errors import ModelError, RateEvalError
 from .matching import Path
-from .model import ModelFile, ObservableSpec, SimConfig
+from .model import ModelFile, ObservableSpec, SimConfig, name_clashes
 from .semantics import RewriteRule, Transition, transitions
 from .terms import Seq, Term, TypeEnv, canonicalize, component_counts
 
@@ -165,10 +165,15 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
     Sampling uses the inclusive grid i*tmax/samples for i = 0..samples
     (collapsed when tmax is 0), recording the state in force at each grid
     time. Identical (model, cfg, stream) inputs give identical traces.
+    A model that names a rule id or an observable twice raises
+    :class:`ModelError`: its trace could not tell them apart.
     """
     bad = cfg.violations()
     if bad:
         raise ValueError("; ".join(bad))
+    clashes = name_clashes(model)
+    if clashes:
+        raise ModelError(clashes)
     env = model.type_env()
     names = tuple(o.element for o in model.observables)
     rng = Pcg64(cfg.seed, stream)

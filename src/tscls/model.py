@@ -72,25 +72,33 @@ class ModelFile:
         return SimConfig(**merged)
 
 
+def name_clashes(mf: ModelFile) -> list[str]:
+    """A diagnostic per rule id or observable named a second time: traces
+    name rules and observables, so each must be one. Linear in the rules
+    and observables, so cheap enough to check before every run."""
+    out: list[str] = []
+    for what, names in (("rule id", [rule.id for rule in mf.rules]),
+                        ("observable", [o.element for o in mf.observables])):
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                out.append(f"duplicate {what} '{name}'")
+            seen.add(name)
+    return out
+
+
 def validate_model(mf: ModelFile) -> list[str]:
     """All diagnostics for a parsed or constructed model."""
     out: list[str] = []
     if mf.typing not in (POSITIONAL, LITERAL):
         out.append(f"unknown typing mode '{mf.typing}'")
-    seen_ids: set[str] = set()
+    out.extend(name_clashes(mf))
     for rule in mf.rules:
-        if rule.id in seen_ids:
-            out.append(f"duplicate rule id '{rule.id}'")
-        seen_ids.add(rule.id)
         out.extend(rule_violations(rule, mf.constants))
     known = mf.elements()
-    seen_obs: set[str] = set()
-    for obs in mf.observables:
-        if obs.element in seen_obs:
-            out.append(f"duplicate observable '{obs.element}'")
-        elif obs.element not in known:
-            out.append(f"observable '{obs.element}' is not an element of the model")
-        seen_obs.add(obs.element)
+    for element in dict.fromkeys(o.element for o in mf.observables):
+        if element not in known:
+            out.append(f"observable '{element}' is not an element of the model")
     cfg = mf.sim_config()
     out.extend(cfg.violations())
     return out

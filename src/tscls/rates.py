@@ -9,7 +9,7 @@ well-defined when the inhibitor count is zero).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import RateEvalError
 
@@ -63,37 +63,69 @@ def _where(pos: Pos) -> str:
     return f" at {pos[0]}:{pos[1]}" if pos else ""
 
 
+# a compiled rate expression: (counts, consts) -> value
+Evaluator = Callable[[Mapping[str, int], Mapping[str, float]], float]
+
+
+def compile_expr(expr: RateExpr) -> Evaluator:
+    """The expression as nested closures, built once: each node evaluates
+    its left operand before its right one, looks a name up in the counts
+    before the constants, and raises :class:`RateEvalError` as
+    :func:`evaluate` documents."""
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda counts, consts: value
+    where = _where(expr.pos)
+    if isinstance(expr, Name):
+        ident = expr.ident
+
+        def name(counts, consts):
+            if ident in counts:
+                return counts[ident]
+            if ident in consts:
+                return consts[ident]
+            raise RateEvalError(f"undeclared name '{ident}'{where}")
+        return name
+    if isinstance(expr, IfZero):
+        count = expr.count
+        then, orelse = compile_expr(expr.then), compile_expr(expr.orelse)
+
+        def if_zero(counts, consts):
+            if count not in counts:
+                raise RateEvalError(
+                    f"guard names unknown count '{count}'{where}")
+            if counts[count] == 0:
+                return then(counts, consts)
+            return orelse(counts, consts)
+        return if_zero
+    left, right, op = compile_expr(expr.left), compile_expr(expr.right), \
+        expr.op
+    if op == "+":
+        return lambda c, k: left(c, k) + right(c, k)
+    if op == "-":
+        return lambda c, k: left(c, k) - right(c, k)
+    if op == "*":
+        return lambda c, k: left(c, k) * right(c, k)
+    if op == "/":
+        def divide(counts, consts):
+            num, den = left(counts, consts), right(counts, consts)
+            if den == 0:
+                raise RateEvalError(f"division by zero{where}")
+            return num / den
+        return divide
+
+    def unknown(counts, consts):
+        left(counts, consts)
+        right(counts, consts)
+        raise RateEvalError(f"unknown operator {op!r}")
+    return unknown
+
+
 def evaluate(expr: RateExpr, counts: Mapping[str, int],
              consts: Mapping[str, float]) -> float:
     """Evaluate to a real. Count variables shadow constants; division by
     zero outside the guarded idiom raises :class:`RateEvalError`."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Name):
-        if expr.ident in counts:
-            return counts[expr.ident]
-        if expr.ident in consts:
-            return consts[expr.ident]
-        raise RateEvalError(f"undeclared name '{expr.ident}'{_where(expr.pos)}")
-    if isinstance(expr, IfZero):
-        if expr.count not in counts:
-            raise RateEvalError(
-                f"guard names unknown count '{expr.count}'{_where(expr.pos)}")
-        branch = expr.then if counts[expr.count] == 0 else expr.orelse
-        return evaluate(branch, counts, consts)
-    left = evaluate(expr.left, counts, consts)
-    right = evaluate(expr.right, counts, consts)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    if expr.op == "/":
-        if right == 0:
-            raise RateEvalError(f"division by zero{_where(expr.pos)}")
-        return left / right
-    raise RateEvalError(f"unknown operator {expr.op!r}")
+    return compile_expr(expr)(counts, consts)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}

@@ -59,6 +59,11 @@ class RewriteRule:
         return compile_rule(self)
 
     @cached_property
+    def evaluate(self) -> rates.Evaluator:
+        """The rate expression, compiled (see :func:`rates.compile_expr`)."""
+        return rates.compile_expr(self.rate)
+
+    @cached_property
     def seq_positioned(self) -> frozenset[str]:
         return seq_positioned_elem_vars(self.lhs)
 
@@ -144,7 +149,7 @@ def eval_rate(rule: RewriteRule, counts: Mapping[str, int],
     A NaN or infinite result raises :class:`RateEvalError`: it would
     corrupt the clock and the selection of every later step."""
     try:
-        rate = float(rates.evaluate(rule.rate, counts, consts))
+        rate = float(rule.evaluate(counts, consts))
     except RateEvalError as exc:
         raise RateEvalError(f"rule {rule.id}: {exc}") from None
     if not math.isfinite(rate):
@@ -237,18 +242,19 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
 
     Rules with a compiled plan (:mod:`tscls.compiled`) match, count and
     build by component multiplicity, with one outcome per distinct loop
-    and rhs membrane, and the same results. For the others,
-    instantiations of one (rule, path) whose rhs images (see
-    :func:`~tscls.matching.image`) and rates are equal are merged before
-    any target is built. A (rule, path) left with one survivor gets a
-    deferred target; the others are built here and merged by target.
-    Errors in building a target are raised here all the same.
+    and rhs membrane, and the same results; their outcomes at one path
+    are merged and ordered without building a target (see
+    :meth:`~tscls.compiled.Plan.ordered`), so every target is deferred.
+    For the others, instantiations of one (rule, path) whose rhs images
+    (see :func:`~tscls.matching.image`) and rates are equal are merged
+    before any target is built. A (rule, path) left with one survivor
+    gets a deferred target; the others are built here and merged by
+    target, and errors in building them are raised here.
     """
     env = env if env is not None else TypeEnv()
     consts = consts if consts is not None else {}
     state = canonicalize(state)
-    rule_index = {rule.id: i for i, rule in enumerate(rules)}
-    # (rule id, path) -> (image, rate) -> builds the target; a compiled
+    # (rule index, path) -> (image, rate) -> builds the target; a compiled
     # rule keys its outcomes by its plan's own keys instead of images
     groups: dict[tuple, dict[tuple, Callable[[], Term]]] = {}
     cmemo: dict = {}
@@ -256,14 +262,14 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
         content, path = comp.content, comp.path
         if content.is_empty():
             continue  # an instantiated lhs is never the empty term
-        for rule in rules:
+        for index, rule in enumerate(rules):
             plan = rule.plan
             if plan is not None:
                 for key, counts, build in plan.entries(
                         state, path, content, env, mode != POSITIONAL):
                     rate = _rate(rule, counts, consts, path)
                     if rate > 0:
-                        groups.setdefault((rule.id, path), {})[key, rate] = \
+                        groups.setdefault((index, path), {})[key, rate] = \
                             build
                 continue
             insts = match_whole(rule.lhs, content)
@@ -275,23 +281,27 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
                 rate = _rate(rule, counts, consts, path)
                 if rate <= 0:
                     continue
-                survivors = groups.setdefault((rule.id, path), {})
+                survivors = groups.setdefault((index, path), {})
                 key = (image(rule.rhs, inst), rate)
                 if key not in survivors:
                     survivors[key] = partial(_build_target, state, path,
                                              rule.rhs, inst)
     out: list[Transition] = []
-    for rule_id, path in sorted(groups, key=lambda g: (rule_index[g[0]], g[1])):
-        survivors = groups[rule_id, path]
+    for index, path in sorted(groups):
+        rule, survivors = rules[index], groups[index, path]
         if len(survivors) == 1:
             [((_, rate), build)] = survivors.items()
-            out.append(Transition.deferred(rule_id, path, build, rate))
-            continue
-        found: dict[tuple, Transition] = {}
-        for (_, rate), build in survivors.items():
-            target = build()
-            if (target, rate) not in found:
-                found[target, rate] = Transition(rule_id, path, target, rate)
-        out.extend(sorted(found.values(),
-                          key=lambda tr: (tr.target.key, tr.rate)))
+            out.append(Transition.deferred(rule.id, path, build, rate))
+        elif rule.plan is not None:
+            out.extend(Transition.deferred(rule.id, path, build, rate)
+                       for rate, build in rule.plan.ordered(survivors))
+        else:
+            found: dict[tuple, Transition] = {}
+            for (_, rate), build in survivors.items():
+                target = build()
+                if (target, rate) not in found:
+                    found[target, rate] = Transition(rule.id, path, target,
+                                                     rate)
+            out.extend(sorted(found.values(),
+                              key=lambda tr: (tr.target.key, tr.rate)))
     return tuple(out)

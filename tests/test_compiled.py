@@ -16,6 +16,8 @@ from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, Loop, PLoop,
                    splice, substitute, transitions, tvar)
 from tscls import semantics
 from tscls.catalog import OsmosisParams, lac_operon_model, osmosis_rules
+from tscls.compiled import Plan
+from tscls.engine import Pcg64, step
 from tscls.patterns import seq_positioned_elem_vars
 
 from conftest import ALPHABET, general, random_rate, random_seq, random_term
@@ -173,6 +175,14 @@ class TestPlan:
     def test_general_shapes(self, lhs, rhs, counted):
         r = RewriteRule("r", P(lhs), P(rhs), parse_rate("n"),
                         (CountDecl(counted, ((TypeName("t_a"), "n"),)),))
+        assert r.plan is None
+
+    def test_count_name_bound_twice(self):
+        # the general path lets the last count block set the name; the
+        # plan counts the frame after the cell
+        r = loop_rule("r", "<~x>[ $X ] | a | $Y", "<~x>[ a | $X ] | $Y",
+                      "n", (Y, [(TypeName("t_a"), "n")]),
+                      (X, [(TypeName("t_a"), "n")]))
         assert r.plan is None
 
     def test_plan_is_kept_on_the_rule(self):
@@ -434,6 +444,16 @@ class TestLoopAgainstGeneralPath:
             got = self.check(state, [r], mode=mode)
             assert sorted(rate for _, _, rate, _ in got) == rates
 
+    def test_cells_recounted_under_another_typing(self):
+        # one plan and one state under two environments: the cells counted
+        # under the first must be counted again under the second
+        r = loop_rule("r", "<~x>[ $X ] | b | $Y", "<~x>[ b | $X ] | $Y",
+                      "n + 1", (X, [(TypeName("t_a"), "n")]))
+        state = T("b | <m>[ a | c ] | <p>[ c ]")
+        rates = [sorted(rate for _, _, rate, _ in self.check(state, [r], env))
+                 for env in (TypeEnv(), TypeEnv({"c": "t_a"}))]
+        assert rates == [[1.0, 2.0], [2.0, 3.0]]
+
     def test_cells_in_membrane_order(self):
         # c.e sorts before e by membrane but after it as a component, and
         # its rate raises another error than e's: both paths raise for it
@@ -468,6 +488,76 @@ class TestLoopAgainstGeneralPath:
         else:
             assert sorted(rate for _, _, rate, _ in got) == rates
 
+    def test_outcomes_of_repeated_cells_are_ordered(self):
+        out, inn = osmosis_pair()
+        got = self.check(T("3 * <a.b>[ 4 * W | S ] | 2 * <a>[ 3 * W | S ] |"
+                           " <b>[ 2 * W | 2 * S ] | <a.b>[ W | 3 * S ] |"
+                           " 2 * W | S"), [out, inn])
+        assert [rid for rid, *_ in got].count("W_out") == 2
+        assert [rid for rid, *_ in got].count("W_in") == 2
+
+    def test_new_loop_equal_to_another_cell(self):
+        # <a>[ b | b ] loses a b and becomes a copy of <a>[ b ]
+        r = loop_rule("r", "<~x>[ b | $X ] | $Y", "<~x>[ $X ] | b | $Y",
+                      "(n + 1) * 0.5", (X, [(TypeName("t_b"), "n")]))
+        got = self.check(T("<a>[ b ] | <a>[ b | b ] | <a>[ 3 * b ] |"
+                           " 2 * <c>[ b | b ]"), [r])
+        assert sorted(rate for _, _, rate, _ in got) == [0.5, 1.0, 1.0, 1.5]
+
+    @pytest.mark.parametrize("rate, rates", [
+        ("1", [1.0]), ("n + 1", [1.0, 2.0, 3.0])])
+    def test_loops_left_unchanged(self, rate, rates):
+        # every target is the state with c turned into d: one transition
+        # per distinct rate, in the order of the rates, though the cells
+        # come in membrane order with rates 3, 2, 3, 1
+        r = loop_rule("r", "<~x>[ $X ] | c | $Y", "<~x>[ $X ] | d | $Y",
+                      rate, (X, [(TypeName("t_b"), "n")]))
+        got = self.check(T("c | <a>[ b | b ] | <b>[ b ] | <c>[ b | b ] |"
+                           " <d>"), [r])
+        assert [rate for _, _, rate, _ in got] == rates
+        assert {target for *_, target in got} \
+            == {T("d | <a>[ b | b ] | <b>[ b ] | <c>[ b | b ] | <d>")}
+
+    def test_some_loops_left_unchanged(self):
+        # the rhs membrane is a literal: cells of membrane a keep theirs
+        r = loop_rule("r", "<~x>[ $X ] | c | $Y", "<a>[ $X ] | d | $Y",
+                      "n + 1", (X, [(TypeName("t_b"), "n")]))
+        got = self.check(T("c | <a>[ b ] | <a>[ b | b ] | <b>[ b ] |"
+                           " <a.a> | <c>[ eps ]"), [r])
+        assert len(got) == 5
+
+    def test_outcomes_at_a_nested_path(self):
+        r = loop_rule("r", "<~x>[ b | $X ] | $Y", "<~x>[ $X ] | b | $Y",
+                      "(n + 1) * (m + 1)", (X, [(TypeName("t_b"), "n")]),
+                      (Y, [(TypeName("t_b"), "m")]))
+        got = self.check(T("<d>[ <a>[ b ] | <a>[ b | b ] | <c>[ 3 * b ] |"
+                           " b ] | <e>[ <a>[ b ] ] | b"), [r])
+        assert [path for _, path, _, _ in got].count((0,)) == 3
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=300, deadline=None)
+    def test_random_groups(self, seed):
+        # cells from a small pool, so that cells repeat, new loops equal
+        # other cells and rates tie; rules that may keep the loop as it is
+        rng = random.Random(seed)
+        pool = [Loop(membrane, Term([Seq(("b",))] * n))
+                for membrane in (("a",), ("a", "b"), ("c",))
+                for n in range(3)]
+        state = Term([rng.choice(pool) for _ in range(rng.randint(2, 7))]
+                     + [Seq(("b",))] * rng.randint(0, 2))
+        if rng.random() < 0.4:
+            state = Term([Loop(("d",), state), Seq(("b",))])
+        g_in, h_in, g_out, h_out = (rng.choice(("b | ", "")) for _ in "1234")
+        membrane = rng.choice(("~x", "~x", "a", "~x.a"))
+        rate = rng.choice(("1", "n + 1", "m + 1", "(n + 1) * (m + 1)",
+                           "f + 1", "n + m + f"))
+        r = loop_rule("r", f"<~x>[ {g_in}$X ] | {g_out}$Y",
+                      f"<{membrane}>[ {h_in}$X ] | {h_out}$Y", rate,
+                      (X, [(TypeName("t_b"), "n")]),
+                      (XS, [(TypeName("t_a", True), "m")]),
+                      (Y, [(TypeName("t_b"), "f")]))
+        self.check(state, [r])
+
     @given(st.integers(0, 10 ** 9))
     @settings(max_examples=300, deadline=None)
     def test_random_states_and_rules(self, seed):
@@ -477,3 +567,23 @@ class TestLoopAgainstGeneralPath:
                  for i in range(rng.randint(1, 3))]
         self.check(state, rules, random_env(rng), {},
                    rng.choice((POSITIONAL, LITERAL)))
+
+
+def test_one_target_is_built_per_step(monkeypatch):
+    # 20 cells, each with an osmosis outcome at the root; only the drawn
+    # transition's target is built
+    calls = []
+    build = Plan._build
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(Plan, "_build", counted)
+    cells = " | ".join(f"<m.p>[ {n} * W | 3 * S ]" for n in range(1, 21))
+    state = T(f"{cells} | 30 * W | 10 * S")
+    rules = osmosis_pair()
+    trs = transitions(state, rules, TypeEnv(), {})
+    assert len(trs) >= 20 and not calls
+    _, chosen = step(state, rules, TypeEnv(), {}, Pcg64(1))
+    chosen.target
+    assert len(calls) == 1

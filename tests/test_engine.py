@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscls import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, ModelFile,
-                   ObservableSpec, Pcg64, SimConfig, Term, observe,
+from tscls import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, ModelError,
+                   ModelFile, ObservableSpec, Pcg64, SimConfig, Term, observe,
                    parse_model, parse_term, simulate, step)
 from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.engine import _count_all, _sample_grid
@@ -235,6 +235,23 @@ class TestSimulate:
         del model, trace
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
+
+    @pytest.mark.parametrize("twice, message", [
+        ("rule", "duplicate rule id 'a_to_b'"),
+        ("observable", "duplicate observable 'a'")])
+    def test_names_used_twice_rejected(self, twice, message):
+        # a trace names rules and observables: two of one name would be
+        # two CSV columns but one NDJSON key
+        model = single_rule_model("a", state_change_rule("a", "b", 1.0),
+                                  observables=("a", "b"))
+        if twice == "rule":
+            model.rules.append(state_change_rule("b", "a", 1.0,
+                                                 rule_id="a_to_b"))
+        else:
+            model.observables.append(ObservableSpec("a"))
+        with pytest.raises(ModelError) as exc:
+            simulate(model, SimConfig(seed=1, tmax=1.0))
+        assert exc.value.diagnostics == [message]
 
     def test_invalid_config_rejected(self):
         model = single_rule_model("a", state_change_rule("a", "b", 1.0))

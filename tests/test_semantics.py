@@ -17,7 +17,8 @@ from tscls import semantics
 from tscls.catalog import state_change_rule
 from tscls.patterns import seq_positioned_elem_vars
 
-from conftest import random_rate, random_rule, random_term, scramble
+from conftest import (general, random_rate, random_rule, random_term,
+                      scramble)
 
 
 def T(text):
@@ -103,6 +104,11 @@ class TestEvalRate:
         rule = eq1_rule()
         assert eval_rate(rule, {"n1": 1, "n2": 1}, CONSTS) == 2.0
         assert eval_rate(rule, {"n1": 1, "n2": 0}, CONSTS) == 2.0
+
+    def test_rate_is_compiled_once_per_rule(self):
+        rule = eq1_rule()
+        assert rule.evaluate is rule.evaluate
+        assert rule.evaluate({"n1": 2, "n2": 2}, CONSTS) == 1.5
 
     def test_division_by_zero_names_rule(self):
         rule = RewriteRule("bad", P("a | $X"), P("a | $X"),
@@ -204,6 +210,18 @@ class TestTransitions:
         trs = transitions(T("a"), [r1, r2], None, {})
         assert [(t.rule_id, t.rate) for t in trs] == [("one", 1.0),
                                                       ("two", 2.0)]
+
+    @pytest.mark.parametrize("plans", [True, False])
+    def test_rules_sharing_an_id_stay_apart(self, plans):
+        # one group per rule, not per id: outcomes keep the rule order,
+        # and equal outcomes of two rules are not merged
+        rules = [state_change_rule("a", "c", 1.0, rule_id="r"),
+                 state_change_rule("a", "b", 1.0, rule_id="r"),
+                 state_change_rule("a", "b", 1.0, rule_id="r")]
+        if not plans:
+            rules = [general(r) for r in rules]
+        trs = transitions(T("a"), rules, None, {})
+        assert [t.target for t in trs] == [T("c"), T("b"), T("b")]
 
     def test_deterministic_order(self):
         rules = [state_change_rule("a", "b", 1.0),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscls import (Loop, ModelError, ParseError, Pattern, PLoop, PSeq,
-                   PTermVar, Seq, SeqVar, Term, canonicalize, congruent,
+                   PTermVar, RateEvalError, Seq, SeqVar, Term, canonicalize, congruent,
                    evaluate, lits, parse_model, parse_pattern, parse_rate,
                    parse_term, print_model, print_pattern, print_rate,
                    print_term, pat, svar, tvar, validate_model)
@@ -142,6 +142,20 @@ class TestRates:
 
     def test_counts_shadow_consts(self):
         assert evaluate(Name("n"), {"n": 3}, {"n": 99.0}) == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 * (1 / (n - 1))", "division by zero at 1:8"),
+        ("1 + (if m == 0 then 1 else 2)",
+         "guard names unknown count 'm' at 1:6"),
+        ("k + (1 + kz)", "undeclared name 'kz' at 1:10"),
+        # the left operand is evaluated first
+        ("1 / 0 + kz", "division by zero at 1:3"),
+        ("kz + 1 / 0", "undeclared name 'kz' at 1:1"),
+    ])
+    def test_errors_give_their_position(self, text, message):
+        with pytest.raises(RateEvalError) as exc:
+            evaluate(parse_rate(text), {"n": 1}, {"k": 1.0})
+        assert str(exc.value) == message
 
 
 def _strip_pos(e):
