@@ -184,6 +184,7 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
     grid = _sample_grid(cfg.tmax, cfg.samples)
     gi = 0
     reason = HALT_MAX_STEPS
+    counts = _count_all(state, names)  # observed once per state
     while True:
         if len(events) >= cfg.max_steps:
             reason = HALT_MAX_STEPS
@@ -199,16 +200,15 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
             break
         next_clock = clock + dt
         while gi < len(grid) and grid[gi] < next_clock:
-            samples.append(Sample(grid[gi], len(events),
-                                  _count_all(state, names)))
+            samples.append(Sample(grid[gi], len(events), counts))
             gi += 1
         state = chosen.target
         clock = next_clock
+        counts = _count_all(state, names)
         events.append(TraceEvent(clock, len(events) + 1, chosen.rule_id,
-                                 chosen.path, chosen.rate, total,
-                                 _count_all(state, names)))
+                                 chosen.path, chosen.rate, total, counts))
     while gi < len(grid):
-        samples.append(Sample(grid[gi], len(events), _count_all(state, names)))
+        samples.append(Sample(grid[gi], len(events), counts))
         gi += 1
     final_time = cfg.tmax if reason == HALT_TMAX else clock
     return Trace(names, events, samples, state, final_time, reason)

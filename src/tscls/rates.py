@@ -128,7 +128,8 @@ def evaluate(expr: RateExpr, counts: Mapping[str, int],
     return compile_expr(expr)(counts, consts)
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+# binary operator precedence, read by the parser and by expr_text
+PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def format_number(x: float) -> str:
@@ -148,7 +149,7 @@ def expr_text(expr: RateExpr, parent_prec: int = 0, right_side: bool = False) ->
         body = (f"if {expr.count} == 0 then {expr_text(expr.then)} "
                 f"else {expr_text(expr.orelse)}")
         return f"({body})" if parent_prec > 0 else body
-    prec = _PREC[expr.op]
+    prec = PREC[expr.op]
     text = (f"{expr_text(expr.left, prec, False)} {expr.op} "
             f"{expr_text(expr.right, prec, True)}")
     if prec < parent_prec or (prec == parent_prec and right_side):

@@ -13,27 +13,43 @@ Model files are newline-structured directives; ``#`` starts a comment.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import rates
 from .errors import ModelError, ParseError
-from .model import ModelFile, ObservableSpec
+from .model import ModelFile, ObservableSpec, validate_model
 from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
                        SeqVar, Var, VarKind)
 from .rates import BinOp, IfZero, Name, Num, RateExpr
 from .semantics import LITERAL, POSITIONAL, CountDecl, RewriteRule
-from .terms import Loop, Seq, Term, TypeName, canonicalize
-from .model import validate_model
+from .terms import (Loop, Seq, Term, TypeName, canonicalize,
+                    component_counts)
 
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TWO_CHAR = ("->", "==")
-_ONE_CHAR = set("|.*<>[]{}(),:=$~?/+-")
+# Each match is one token after any blanks, or the blanks that end the
+# text. A line end takes the comment before it, so it is placed at the '#';
+# a comment that ends the text is skipped. IDENT also matches a leading
+# non-decimal digit such as '²', which tokenize rejects with any BAD
+# character. The commonest kinds come first.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<IDENT>[^\W\d_]\w*)"
+    r"|(?P<SYM>->|==|[|.*<>\[\]{}(),:=$~?/+-])"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<NEWLINE>(?:#[^\n]*)?\n)"
+    r"|(?P<COMMENT>#[^\n]*)"
+    r"|(?P<BAD>.)|\Z)")
+
+# nested constructs (parentheses, signs, guards, loops) the parser follows
+MAX_DEPTH = 200
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # IDENT NUMBER SYM NEWLINE EOF
     text: str
@@ -43,66 +59,28 @@ class Token:
 
 def tokenize(text: str, newlines: bool = False) -> list[Token]:
     """Lex the input. With ``newlines`` set, line breaks become tokens
-    (model files are newline-structured); otherwise they are whitespace."""
+    (model files are newline-structured); otherwise they are whitespace.
+    Numbers are decimal digits; an identifier starts with a letter."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+    line, line_start, end = 1, 0, len(text)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch == "\n":
+        start = m.start(kind)
+        if kind == "NEWLINE":
             if newlines and toks and toks[-1].kind != "NEWLINE":
-                toks.append(Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            toks.append(Token("SYM", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            toks.append(Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+                toks.append(Token(kind, "\n", line, start - line_start + 1))
+            line, line_start = line + 1, m.end()
+        elif kind == "COMMENT":
+            end = start
+        elif kind == "BAD" or kind == "IDENT" and not text[start].isalpha():
+            raise ParseError(f"unexpected character {text[start]!r}",
+                             line, start - line_start + 1)
+        else:
+            toks.append(Token(kind, m.group(kind), line,
+                              start - line_start + 1))
+    col = end - line_start + 1
     if newlines and toks and toks[-1].kind != "NEWLINE":
         toks.append(Token("NEWLINE", "\n", line, col))
     toks.append(Token("EOF", "", line, col))
@@ -115,6 +93,7 @@ class _Cursor:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -142,29 +121,84 @@ class _Cursor:
         raise ParseError(f"expected {text!r}, found {tok.text!r}",
                          tok.line, tok.col)
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect_ident(self, what: str) -> Token:
         tok = self.peek()
         if tok.kind == "IDENT":
             return self.next()
         raise ParseError(f"expected {what}, found {tok.text!r}",
                          tok.line, tok.col)
 
+    def descend(self) -> Token:
+        """Take the token that opens a nested construct; the caller
+        decrements ``depth`` when the construct ends."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"nesting deeper than {MAX_DEPTH} levels")
+        return self.next()
+
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
 
+def _expect_end(cur: _Cursor) -> None:
+    """Take the line end, or check that the input ends here."""
+    tok = cur.next()
+    if tok.kind not in ("NEWLINE", "EOF"):
+        raise ParseError(f"unexpected trailing input {tok.text!r}",
+                         tok.line, tok.col)
+
+
+def _expect_keyword(cur: _Cursor, word: str) -> None:
+    tok = cur.expect_ident(f"'{word}'")
+    if tok.text != word:
+        raise ParseError(f"expected '{word}'", tok.line, tok.col)
+
+
+def _number(cur: _Cursor, signed: bool = False) -> Union[int, float]:
+    """Read a number literal. A signed one, after an optional '-', is a
+    float. An unsigned one is an int when written as digits alone, which
+    must then be finite as a float, and a float otherwise."""
+    negative = signed and cur.take_sym("-")
+    tok = cur.next()
+    if tok.kind != "NUMBER":
+        raise ParseError("expected a number", tok.line, tok.col)
+    value = float(tok.text)
+    if signed:
+        return -value if negative else value
+    if not tok.text.isdecimal():
+        return value
+    if math.isinf(value):
+        raise ParseError("number out of range", tok.line, tok.col)
+    return int(tok.text)
+
+
+def _separated(cur: _Cursor, sep: str, parse, *args) -> list:
+    """One or more ``parse(cur, *args)``, separated by the symbol ``sep``."""
+    items = [parse(cur, *args)]
+    while cur.take_sym(sep):
+        items.append(parse(cur, *args))
+    return items
+
+
+def _parse_whole(text: str, parse, *args):
+    cur = _Cursor(tokenize(text))
+    result = parse(cur, *args)
+    _expect_end(cur)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # terms and patterns
 
-_TERM_STOP = {"NEWLINE", "EOF"}
+_ATOM_SIGILS = {ElemLit: "", ElemVar: "?", SeqVar: "~"}
+_ATOM_VARS = {sigil: cls for cls, sigil in _ATOM_SIGILS.items() if sigil}
 
 
 def _parse_par(cur: _Cursor, allow_vars: bool) -> Pattern:
-    items: list = []
-    items.extend(_parse_item(cur, allow_vars))
+    items = _parse_item(cur, allow_vars)
     while cur.take_sym("|"):
-        items.extend(_parse_item(cur, allow_vars))
+        items += _parse_item(cur, allow_vars)
     return Pattern(tuple(items))
 
 
@@ -172,11 +206,10 @@ def _parse_item(cur: _Cursor, allow_vars: bool) -> list:
     mult = 1
     tok = cur.peek()
     if tok.kind == "NUMBER":
-        cur.next()
-        if "." in tok.text or "e" in tok.text or "E" in tok.text:
+        mult = _number(cur)
+        if isinstance(mult, float):
             raise ParseError("multiplicity must be an integer",
                              tok.line, tok.col)
-        mult = int(tok.text)
         if mult < 1:
             raise ParseError("multiplicity must be positive",
                              tok.line, tok.col)
@@ -185,13 +218,12 @@ def _parse_item(cur: _Cursor, allow_vars: bool) -> list:
     if tok.kind == "IDENT" and tok.text == "eps":
         cur.next()  # the empty term contributes no components
         return []
-    if cur.at_sym("$"):
+    if tok.text == "$":
         if not allow_vars:
             cur.fail("variables are not allowed in a ground term")
         cur.next()
-        name = cur.expect_ident("variable name").text
-        return [PTermVar(name)] * mult
-    if cur.at_sym("<"):
+        item = PTermVar(cur.expect_ident("variable name").text)
+    elif tok.text == "<":
         item = _parse_loop(cur, allow_vars)
     else:
         item = _parse_seq(cur, allow_vars, membrane=False)
@@ -199,83 +231,72 @@ def _parse_item(cur: _Cursor, allow_vars: bool) -> list:
 
 
 def _parse_loop(cur: _Cursor, allow_vars: bool) -> PLoop:
-    open_tok = cur.expect_sym("<")
+    open_tok = cur.descend()
     if cur.at_sym(">"):
         raise ParseError("loop membrane must be a non-empty sequence",
                          open_tok.line, open_tok.col)
     membrane = _parse_seq(cur, allow_vars, membrane=True)
     cur.expect_sym(">")
+    content = Pattern(())  # <S> abbreviates <S>[eps]
     if cur.take_sym("["):
         content = _parse_par(cur, allow_vars)
         cur.expect_sym("]")
-    else:
-        content = Pattern(())  # <S> abbreviates <S>[eps]
+    cur.depth -= 1
     return PLoop(membrane, content)
 
 
 def _parse_seq(cur: _Cursor, allow_vars: bool, membrane: bool) -> PSeq:
-    atoms = [_parse_atom(cur, allow_vars, membrane)]
-    while cur.take_sym("."):
-        atoms.append(_parse_atom(cur, allow_vars, membrane))
-    return PSeq(tuple(atoms))
+    return PSeq(tuple(_separated(cur, ".", _parse_atom, allow_vars,
+                                 membrane)))
 
 
 def _parse_atom(cur: _Cursor, allow_vars: bool, membrane: bool):
-    tok = cur.peek()
-    if cur.take_sym("~"):
+    tok = cur.next()
+    var = _ATOM_VARS.get(tok.text)
+    if var is not None:
         if not allow_vars:
             raise ParseError("variables are not allowed in a ground term",
                              tok.line, tok.col)
-        return SeqVar(cur.expect_ident("variable name").text)
-    if cur.take_sym("?"):
-        if not allow_vars:
-            raise ParseError("variables are not allowed in a ground term",
-                             tok.line, tok.col)
-        return ElemVar(cur.expect_ident("variable name").text)
+        return var(cur.expect_ident("variable name").text)
     if tok.kind == "IDENT":
         if tok.text == "eps":
             where = "a membrane" if membrane else "a sequence"
             raise ParseError(f"'eps' cannot occur inside {where}",
                              tok.line, tok.col)
-        cur.next()
         return ElemLit(tok.text)
-    if cur.at_sym("$"):
+    if tok.text == "$":
         raise ParseError("term variable '$' cannot occur inside a sequence",
                          tok.line, tok.col)
     raise ParseError(f"expected an element, found {tok.text!r}",
                      tok.line, tok.col)
 
 
-def _parse_whole(text: str, allow_vars: bool) -> Pattern:
-    cur = _Cursor(tokenize(text))
-    p = _parse_par(cur, allow_vars)
-    tok = cur.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}",
-                         tok.line, tok.col)
-    return p
-
-
 def parse_pattern(text: str) -> Pattern:
     """Parse a rewrite-rule pattern."""
-    return _parse_whole(text, allow_vars=True)
+    return _parse_whole(text, _parse_par, True)
 
 
 def parse_term(text: str) -> Term:
     """Parse a ground term; the result is canonical."""
-    p = _parse_whole(text, allow_vars=False)
-    return canonicalize(_pattern_term(p))
+    return _parse_whole(text, _parse_ground)
+
+
+def _parse_ground(cur: _Cursor) -> Term:
+    return canonicalize(_pattern_term(_parse_par(cur, allow_vars=False)))
 
 
 def _pattern_term(p: Pattern) -> Term:
     comps: list[Union[Seq, Loop]] = []
+    prev = comp = None
     for item in p.items:
-        if isinstance(item, PSeq):
-            comps.append(Seq(tuple(a.name for a in item.atoms)))
-        else:
-            content = _pattern_term(item.content)
-            comps.append(Loop(tuple(a.name for a in item.membrane.atoms),
-                              content))
+        if item is not prev:  # ``N * ITEM`` repeats one item object
+            prev = item
+            if isinstance(item, PSeq):
+                comp = Seq(tuple(a.name for a in item.atoms))
+            else:
+                comp = Loop(tuple(a.name for a in item.membrane.atoms),
+                            _pattern_term(item.content))
+        comps.append(comp)
     return Term(comps)
 
 
@@ -285,91 +306,60 @@ def _pattern_term(p: Pattern) -> Term:
 _RATE_KEYWORDS = {"if", "then", "else"}
 
 
-def _parse_rate_expr(cur: _Cursor) -> RateExpr:
-    left = _parse_rate_product(cur)
-    while True:
-        tok = cur.peek()
-        if tok.kind == "SYM" and tok.text in "+-":
-            cur.next()
-            right = _parse_rate_product(cur)
-            left = BinOp(tok.text, left, right, (tok.line, tok.col))
-        else:
-            return left
-
-
-def _parse_rate_product(cur: _Cursor) -> RateExpr:
-    left = _parse_rate_factor(cur)
-    while True:
-        tok = cur.peek()
-        if tok.kind == "SYM" and tok.text in "*/":
-            cur.next()
-            right = _parse_rate_factor(cur)
-            left = BinOp(tok.text, left, right, (tok.line, tok.col))
-        else:
-            return left
-
-
-def _parse_rate_factor(cur: _Cursor) -> RateExpr:
-    tok = cur.peek()
-    if tok.kind == "SYM" and tok.text == "-":
-        cur.next()
-        inner = _parse_rate_factor(cur)
-        return BinOp("-", Num(0, (tok.line, tok.col)), inner,
+def _parse_expr(cur: _Cursor, min_prec: int = 1) -> RateExpr:
+    """Precedence climbing over ``rates.PREC``; operators associate to the
+    left."""
+    left = _parse_factor(cur)
+    while (prec := rates.PREC.get(cur.peek().text, 0)) >= min_prec:
+        tok = cur.next()
+        left = BinOp(tok.text, left, _parse_expr(cur, prec + 1),
                      (tok.line, tok.col))
-    if tok.kind == "SYM" and tok.text == "(":
-        cur.next()
-        expr = _parse_rate_expr(cur)
-        cur.expect_sym(")")
+    return left
+
+
+def _parse_factor(cur: _Cursor) -> RateExpr:
+    tok = cur.peek()
+    pos = (tok.line, tok.col)
+    if tok.text in ("-", "("):
+        cur.descend()
+        if tok.text == "-":
+            expr = BinOp("-", Num(0, pos), _parse_factor(cur), pos)
+        else:
+            expr = _parse_expr(cur)
+            cur.expect_sym(")")
+        cur.depth -= 1
         return expr
     if tok.kind == "NUMBER":
-        cur.next()
-        return Num(_number_value(tok), (tok.line, tok.col))
-    if tok.kind == "IDENT":
-        if tok.text == "if":
-            return _parse_rate_guard(cur)
-        if tok.text in _RATE_KEYWORDS:
-            raise ParseError(f"misplaced keyword '{tok.text}'",
-                             tok.line, tok.col)
-        cur.next()
-        return Name(tok.text, (tok.line, tok.col))
-    raise ParseError(f"expected a rate expression, found {tok.text!r}",
-                     tok.line, tok.col)
+        return Num(_number(cur), pos)
+    if tok.kind != "IDENT":
+        raise ParseError(f"expected a rate expression, found {tok.text!r}",
+                         *pos)
+    if tok.text == "if":
+        return _parse_guard(cur)
+    if tok.text in _RATE_KEYWORDS:
+        raise ParseError(f"misplaced keyword '{tok.text}'", *pos)
+    cur.next()
+    return Name(tok.text, pos)
 
 
-def _parse_rate_guard(cur: _Cursor) -> RateExpr:
-    tok = cur.next()  # 'if'
+def _parse_guard(cur: _Cursor) -> RateExpr:
+    tok = cur.descend()  # 'if'
     count = cur.expect_ident("count variable").text
     cur.expect_sym("==")
     zero = cur.peek()
-    if zero.kind != "NUMBER" or _number_value(zero) != 0:
+    if zero.kind != "NUMBER" or _number(cur) != 0:
         raise ParseError("guard must compare against 0", zero.line, zero.col)
-    cur.next()
-    kw = cur.expect_ident("'then'")
-    if kw.text != "then":
-        raise ParseError("expected 'then'", kw.line, kw.col)
-    then = _parse_rate_expr(cur)
-    kw = cur.expect_ident("'else'")
-    if kw.text != "else":
-        raise ParseError("expected 'else'", kw.line, kw.col)
-    orelse = _parse_rate_expr(cur)
+    _expect_keyword(cur, "then")
+    then = _parse_expr(cur)
+    _expect_keyword(cur, "else")
+    orelse = _parse_expr(cur)
+    cur.depth -= 1
     return IfZero(count, then, orelse, (tok.line, tok.col))
-
-
-def _number_value(tok: Token) -> float:
-    if "." in tok.text or "e" in tok.text or "E" in tok.text:
-        return float(tok.text)
-    return int(tok.text)
 
 
 def parse_rate(text: str) -> RateExpr:
     """Parse a standalone rate expression."""
-    cur = _Cursor(tokenize(text))
-    expr = _parse_rate_expr(cur)
-    tok = cur.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}",
-                         tok.line, tok.col)
-    return expr
+    return _parse_whole(text, _parse_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -380,28 +370,21 @@ def print_term(t: Term) -> str:
     t = canonicalize(t)
     if not t.components:
         return "eps"
-    parts: list[str] = []
-    run: Optional[object] = None
-    count = 0
-    for comp in list(t.components) + [None]:
-        if comp == run:
-            count += 1
-            continue
-        if run is not None:
-            text = _component_text(run)
-            parts.append(f"{count} * {text}" if count > 1 else text)
-        run, count = comp, 1
-    return " | ".join(parts)
+    return " | ".join(f"{n} * {_component_text(comp)}" if n > 1
+                      else _component_text(comp)
+                      for comp, n in component_counts(t).items())
 
 
 def _component_text(comp: Union[Seq, Loop]) -> str:
     if isinstance(comp, Seq):
         return ".".join(comp.elems)
-    inner = print_term(comp.content)
-    membrane = ".".join(comp.membrane)
-    if comp.content.is_empty():
-        return f"<{membrane}>[eps]"
-    return f"<{membrane}>[ {inner} ]"
+    return _loop_text(".".join(comp.membrane),
+                      comp.content.components and print_term(comp.content))
+
+
+def _loop_text(membrane: str, inner) -> str:
+    """``inner`` is the printed content, or falsy when it is empty."""
+    return f"<{membrane}>[ {inner} ]" if inner else f"<{membrane}>[eps]"
 
 
 def print_pattern(p: Pattern) -> str:
@@ -416,31 +399,16 @@ def _item_text(item) -> str:
         return f"${item.name}"
     if isinstance(item, PSeq):
         return _pseq_text(item)
-    inner = print_pattern(item.content)
-    membrane = _pseq_text(item.membrane)
-    if not item.content.items:
-        return f"<{membrane}>[eps]"
-    return f"<{membrane}>[ {inner} ]"
+    return _loop_text(_pseq_text(item.membrane),
+                      item.content.items and print_pattern(item.content))
 
 
 def _pseq_text(ps: PSeq) -> str:
-    out = []
-    for atom in ps.atoms:
-        if isinstance(atom, ElemLit):
-            out.append(atom.name)
-        elif isinstance(atom, ElemVar):
-            out.append(f"?{atom.name}")
-        else:
-            out.append(f"~{atom.name}")
-    return ".".join(out)
+    return ".".join(_ATOM_SIGILS[type(atom)] + atom.name for atom in ps.atoms)
 
 
 def print_rate(expr: RateExpr) -> str:
     return rates.expr_text(expr)
-
-
-def print_type(tn: TypeName) -> str:
-    return str(tn)
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +428,16 @@ def parse_model(text: str) -> ModelFile:
     seen_init = False
     duplicates: list[str] = []
     while True:
-        while cur.peek().kind == "NEWLINE":
-            cur.next()
-        tok = cur.peek()
+        _skip_newlines(cur)
+        tok = cur.next()
         if tok.kind == "EOF":
             break
         if tok.kind != "IDENT":
-            cur.fail(f"expected a directive, found {tok.text!r}")
+            raise ParseError(f"expected a directive, found {tok.text!r}",
+                             tok.line, tok.col)
         if tok.text == "model":
-            cur.next()
             mf.name = cur.expect_ident("model name").text
         elif tok.text == "typing":
-            cur.next()
             cur.expect_sym(":")
             mode = cur.expect_ident("typing mode").text
             if mode not in (POSITIONAL, LITERAL):
@@ -479,43 +445,35 @@ def parse_model(text: str) -> ModelFile:
                                  tok.line, tok.col)
             mf.typing = mode
         elif tok.text == "const":
-            cur.next()
             name = cur.expect_ident("constant name").text
             if name in mf.constants:
                 duplicates.append(f"duplicate constant '{name}'")
             cur.expect_sym("=")
-            mf.constants[name] = _parse_signed_number(cur)
+            mf.constants[name] = _number(cur, signed=True)
         elif tok.text == "type":
-            cur.next()
             elem = cur.expect_ident("element name").text
             if elem in mf.type_decls:
                 duplicates.append(f"duplicate type declaration for '{elem}'")
             cur.expect_sym(":")
             mf.type_decls[elem] = cur.expect_ident("type name").text
         elif tok.text == "rule":
-            mf.rules.append(_parse_rule(cur))
-            continue  # closing brace consumed its newline
+            mf.rules.append(_parse_rule(cur, tok))
         elif tok.text == "init":
             if seen_init:
                 duplicates.append("duplicate init directive")
-            cur.next()
             cur.expect_sym(":")
-            init = _parse_par(cur, allow_vars=False)
-            mf.init = canonicalize(_pattern_term(init))
+            mf.init = _parse_ground(cur)
             seen_init = True
         elif tok.text == "observe":
-            cur.next()
-            mf.observables.append(
-                ObservableSpec(cur.expect_ident("element name").text))
-            while cur.take_sym(","):
-                mf.observables.append(
-                    ObservableSpec(cur.expect_ident("element name").text))
+            mf.observables += [
+                ObservableSpec(name.text) for name in
+                _separated(cur, ",", _Cursor.expect_ident, "element name")]
         elif tok.text == "run":
-            cur.next()
             _parse_run_block(cur, mf)
         else:
-            cur.fail(f"unknown directive '{tok.text}'")
-        _expect_line_end(cur)
+            raise ParseError(f"unknown directive '{tok.text}'",
+                             tok.line, tok.col)
+        _expect_end(cur)
     diagnostics = duplicates + validate_model(mf)
     if not seen_init:
         diagnostics.insert(0, "model has no init directive")
@@ -524,97 +482,65 @@ def parse_model(text: str) -> ModelFile:
     return mf
 
 
-def _expect_line_end(cur: _Cursor) -> None:
-    tok = cur.peek()
-    if tok.kind in ("NEWLINE", "EOF"):
-        if tok.kind == "NEWLINE":
-            cur.next()
-        return
-    raise ParseError(f"unexpected trailing input {tok.text!r}",
-                     tok.line, tok.col)
-
-
-def _parse_signed_number(cur: _Cursor) -> float:
-    sign = -1.0 if cur.take_sym("-") else 1.0
-    tok = cur.peek()
-    if tok.kind != "NUMBER":
-        cur.fail("expected a number")
-    cur.next()
-    return sign * float(tok.text)
-
-
 def _skip_newlines(cur: _Cursor) -> None:
     while cur.peek().kind == "NEWLINE":
         cur.next()
 
 
-def _parse_rule(cur: _Cursor) -> RewriteRule:
-    rule_tok = cur.next()  # 'rule'
+# the fields a rule must have, in the order a missing one is reported
+_RULE_FIELDS = {"lhs": lambda cur: _parse_par(cur, True),
+                "rhs": lambda cur: _parse_par(cur, True),
+                "rate": _parse_expr}
+
+
+def _parse_rule(cur: _Cursor, rule_tok: Token) -> RewriteRule:
     rid = cur.expect_ident("rule id").text
     cur.expect_sym("{")
-    lhs = rhs = None
-    rate: Optional[RateExpr] = None
+    fields = {}
     counts: list[CountDecl] = []
     while True:
         _skip_newlines(cur)
         if cur.take_sym("}"):
             break
         field_tok = cur.expect_ident("rule field (lhs, rhs, count, rate)")
-        if field_tok.text == "lhs":
-            cur.expect_sym(":")
-            lhs = _parse_par(cur, allow_vars=True)
-        elif field_tok.text == "rhs":
-            cur.expect_sym(":")
-            rhs = _parse_par(cur, allow_vars=True)
-        elif field_tok.text == "count":
+        if field_tok.text == "count":
             counts.append(_parse_count_block(cur))
-        elif field_tok.text == "rate":
+        elif field_tok.text in _RULE_FIELDS:
             cur.expect_sym(":")
-            rate = _parse_rate_expr(cur)
+            fields[field_tok.text] = _RULE_FIELDS[field_tok.text](cur)
         else:
             raise ParseError(f"unknown rule field '{field_tok.text}'",
                              field_tok.line, field_tok.col)
-        _expect_line_end(cur)
-    missing = [name for name, value in
-               (("lhs", lhs), ("rhs", rhs), ("rate", rate)) if value is None]
+        _expect_end(cur)
+    missing = [name for name in _RULE_FIELDS if name not in fields]
     if missing:
         raise ParseError(f"rule {rid} is missing {', '.join(missing)}",
                          rule_tok.line, rule_tok.col)
-    _expect_line_end(cur)
-    return RewriteRule(rid, lhs, rhs, rate, tuple(counts))
+    return RewriteRule(rid, fields["lhs"], fields["rhs"], fields["rate"],
+                       tuple(counts))
 
 
 def _parse_count_block(cur: _Cursor) -> CountDecl:
-    tok = cur.peek()
-    if tok.kind != "SYM" or tok.text not in _VAR_SIGILS:
-        cur.fail("expected a variable after 'count'")
-    cur.next()
-    kind = _VAR_SIGILS[tok.text]
-    var = Var(kind, cur.expect_ident("variable name").text)
+    tok = cur.next()
+    if tok.text not in _VAR_SIGILS:
+        raise ParseError("expected a variable after 'count'",
+                         tok.line, tok.col)
+    var = Var(_VAR_SIGILS[tok.text], cur.expect_ident("variable name").text)
     cur.expect_sym("{")
-    entries: list[tuple[TypeName, str]] = []
-    if not cur.at_sym("}"):
-        entries.append(_parse_count_entry(cur))
-        while cur.take_sym(","):
-            entries.append(_parse_count_entry(cur))
+    entries = ([] if cur.at_sym("}")
+               else _separated(cur, ",", _parse_count_entry))
     cur.expect_sym("}")
     return CountDecl(var, tuple(entries))
 
 
 def _parse_count_entry(cur: _Cursor) -> tuple[TypeName, str]:
-    tname = _parse_type_name(cur)
-    cur.expect_sym("->")
-    count_name = cur.expect_ident("count variable name").text
-    return tname, count_name
-
-
-def _parse_type_name(cur: _Cursor) -> TypeName:
     tok = cur.expect_ident("type name")
+    tname = TypeName(tok.text)
     if tok.text == "seq" and cur.take_sym("("):
-        base = cur.expect_ident("type name").text
+        tname = TypeName(cur.expect_ident("type name").text, True)
         cur.expect_sym(")")
-        return TypeName(base, True)
-    return TypeName(tok.text)
+    cur.expect_sym("->")
+    return tname, cur.expect_ident("count variable name").text
 
 
 _RUN_FIELDS = {"seed": int, "tmax": float, "max_steps": int, "samples": int}
@@ -624,30 +550,25 @@ def _parse_run_block(cur: _Cursor, mf: ModelFile) -> None:
     cur.expect_sym("{")
     _skip_newlines(cur)
     if not cur.at_sym("}"):
-        _parse_run_field(cur, mf)
-        while True:
-            _skip_newlines(cur)
-            if not cur.take_sym(","):
-                break
-            _skip_newlines(cur)
-            _parse_run_field(cur, mf)
-        _skip_newlines(cur)
+        _separated(cur, ",", _parse_run_field, mf)
     cur.expect_sym("}")
 
 
 def _parse_run_field(cur: _Cursor, mf: ModelFile) -> None:
+    """One ``name: value`` field; line breaks may surround it."""
+    _skip_newlines(cur)
     tok = cur.expect_ident("run field")
     if tok.text not in _RUN_FIELDS:
         raise ParseError(f"unknown run field '{tok.text}'", tok.line, tok.col)
     cur.expect_sym(":")
-    value = _parse_signed_number(cur)
-    caster = _RUN_FIELDS[tok.text]
-    if caster is int:
-        if value != int(value):
+    value = _number(cur, signed=True)
+    if _RUN_FIELDS[tok.text] is int:
+        if not value.is_integer():
             raise ParseError(f"run field '{tok.text}' must be an integer",
                              tok.line, tok.col)
         value = int(value)
     mf.run_defaults[tok.text] = value
+    _skip_newlines(cur)
 
 
 def print_model(mf: ModelFile) -> str:

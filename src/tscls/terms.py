@@ -16,20 +16,11 @@ canonicalization and multiset operations stay cheap on large states.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import WellFormednessError
-
-ELEMENT_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
-def check_element_name(name: str) -> str:
-    if name == "eps" or not ELEMENT_NAME.match(name):
-        raise WellFormednessError(f"invalid element name {name!r}")
-    return name
 
 
 class Seq:
@@ -378,7 +369,7 @@ def term_elements(t: Term) -> set[str]:
     stack = [t]
     while stack:
         cur = stack.pop()
-        for comp in cur.components:
+        for comp in component_counts(cur):
             if isinstance(comp, Seq):
                 out.update(comp.elems)
             else:

@@ -81,6 +81,20 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("const k = \u00b2\n", "1:11: unexpected character '\u00b2'"),
+        ("run { seed: 1e400 }\n", "1:7: run field 'seed' must be an integer"),
+        ("init: " + "<m>[ " * 400 + "a" + " ]" * 400 + "\n",
+         "1:1007: nesting deeper than 200 levels"),
+    ], ids=["digit", "overflow", "nesting"])
+    def test_bad_text_is_a_parse_error(self, text, message, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        bad = tmp_path / "bad.tscls"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_file(self, capsys, monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")
         assert main(["check", "/nonexistent/model.tscls"]) == 2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tscls import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, ModelError,
                    ModelFile, ObservableSpec, Pcg64, SimConfig, Term, observe,
                    parse_model, parse_term, simulate, step)
+from tscls import engine
 from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.engine import _count_all, _sample_grid
 from tscls.terms import Loop, TypeEnv
@@ -188,6 +189,20 @@ class TestSimulate:
         for sample in trace.samples:
             want = (1, 0) if sample.time < event.time else (0, 1)
             assert sample.observables == want
+
+    def test_each_state_is_observed_once(self, monkeypatch):
+        calls = []
+
+        def counting(term, names):
+            calls.append(term)
+            return _count_all(term, names)
+
+        monkeypatch.setattr(engine, "_count_all", counting)
+        model = single_rule_model("5 * a", state_change_rule("a", "b", 1.0),
+                                  observables=("a", "b"))
+        trace = simulate(model, SimConfig(seed=2, tmax=10.0, samples=100))
+        assert trace.steps == 5 and len(trace.samples) == 101
+        assert len(calls) == trace.steps + 1
 
     def test_first_lac_event_is_enabled_rule(self):
         model = lac_operon_model()

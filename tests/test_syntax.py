@@ -264,3 +264,124 @@ class TestParseModel:
         assert print_model(mf2) == print_model(mf)
         assert mf2.init == mf.init
         assert mf2.rules == mf.rules
+
+
+RATE_RULE = "rule r {\n  lhs: a | $X\n  rhs: b | $X\n  rate: %s\n}\ninit: a\n"
+
+PARSERS = {"model": parse_model, "rate": parse_rate, "term": parse_term,
+           "pattern": parse_pattern}
+
+# one row per ParseError message: (parser, input, str(exc))
+DIAGNOSTICS = [
+    ("model", "init: a & b", "1:9: unexpected character '&'"),
+    # a line end after a comment is placed at the '#'
+    ("model", "init # comment", "1:6: expected ':', found '\\n'"),
+    ("term", "a | # c", "1:5: expected an element, found ''"),
+    ("model", "model 5", "1:7: expected model name, found '5'"),
+    ("model", ": a", "1:1: expected a directive, found ':'"),
+    ("model", "frob x", "1:1: unknown directive 'frob'"),
+    ("model", "typing: sideways", "1:1: unknown typing mode 'sideways'"),
+    ("model", "const k = x", "1:11: expected a number"),
+    ("model", "init: $X", "1:7: variables are not allowed in a ground term"),
+    ("model", "init: a.~x",
+     "1:9: variables are not allowed in a ground term"),
+    ("model", "init: <m.?y>",
+     "1:10: variables are not allowed in a ground term"),
+    ("model", "init: 1.5 * a", "1:7: multiplicity must be an integer"),
+    ("model", "init: 0 * a", "1:7: multiplicity must be positive"),
+    ("model", "init: <>[a]",
+     "1:7: loop membrane must be a non-empty sequence"),
+    ("model", "init: a.eps", "1:9: 'eps' cannot occur inside a sequence"),
+    ("model", "init: <m.eps>", "1:10: 'eps' cannot occur inside a membrane"),
+    ("model", "init: a | | b", "1:11: expected an element, found '|'"),
+    ("model", "init: a b", "1:9: unexpected trailing input 'b'"),
+    ("model", "init: <m>[ a", "1:13: expected ']', found '\\n'"),
+    ("model", "rule r {\n  lhs: a.$X\n}\n",
+     "2:10: term variable '$' cannot occur inside a sequence"),
+    ("model", "rule r {\n  lhs: a b\n}\n",
+     "2:10: unexpected trailing input 'b'"),
+    ("model", "rule r {\n  lhs: a\n  rhs: b\n}\ninit: a\n",
+     "1:1: rule r is missing rate"),
+    ("model", (RATE_RULE % "1").replace("}", "} x"),
+     "5:3: unexpected trailing input 'x'"),
+    ("model", "rule r {\n  size: 1\n}\n", "2:3: unknown rule field 'size'"),
+    ("model", "rule r {\n  count X { t -> n }\n}\n",
+     "2:9: expected a variable after 'count'"),
+    ("model", "rule r {\n  count $X { t n }\n}\n",
+     "2:16: expected '->', found 'n'"),
+    ("model", RATE_RULE % "then", "4:9: misplaced keyword 'then'"),
+    ("model", RATE_RULE % ")", "4:9: expected a rate expression, found ')'"),
+    ("model", RATE_RULE % "(1 + 2", "4:15: expected ')', found '\\n'"),
+    ("model", RATE_RULE % "if n == 1 then 1 else 2",
+     "4:17: guard must compare against 0"),
+    ("model", RATE_RULE % "if 0 == n then 1 else 2",
+     "4:12: expected count variable, found '0'"),
+    ("model", RATE_RULE % "if n == 0 1 else 2",
+     "4:19: expected 'then', found '1'"),
+    ("model", RATE_RULE % "if n == 0 than 1 else 2",
+     "4:19: expected 'then'"),
+    ("model", RATE_RULE % "if n == 0 then 1 elsa 2",
+     "4:26: expected 'else'"),
+    ("model", "run { speed: 1 }", "1:7: unknown run field 'speed'"),
+    ("model", "run { seed: 1.5 }", "1:7: run field 'seed' must be an integer"),
+    ("model", "run { seed: x }", "1:13: expected a number"),
+    ("model", "run { seed: 1 seed: 2 }", "1:15: expected '}', found 'seed'"),
+    ("model", "observe a,", "1:11: expected element name, found '\\n'"),
+    ("rate", "1 2", "1:3: unexpected trailing input '2'"),
+    ("term", "a b", "1:3: unexpected trailing input 'b'"),
+    ("pattern", "a | $", "1:6: expected variable name, found ''"),
+    # bad numbers and deep nesting
+    ("model", "const k = \u00b2", "1:11: unexpected character '\u00b2'"),
+    ("model", "init: \u00b2 * a", "1:7: unexpected character '\u00b2'"),
+    ("model", RATE_RULE % "\u00b2", "4:9: unexpected character '\u00b2'"),
+    ("model", "run { seed: 1e400 }", "1:7: run field 'seed' must be an integer"),
+    ("model", "run { samples: 1e400 }",
+     "1:7: run field 'samples' must be an integer"),
+    ("model", "run { max_steps: -1e400 }",
+     "1:7: run field 'max_steps' must be an integer"),
+    ("model", "init: " + "1" * 400 + " * a", "1:7: number out of range"),
+    ("model", RATE_RULE % ("1" * 5000), "4:9: number out of range"),
+    ("model", RATE_RULE % ("(" * 400 + "1" + ")" * 400),
+     "4:209: nesting deeper than 200 levels"),
+    ("model", RATE_RULE % ("-" * 1000 + "1"),
+     "4:209: nesting deeper than 200 levels"),
+    ("model", "init: " + "<m>[ " * 400 + "a" + " ]" * 400,
+     "1:1007: nesting deeper than 200 levels"),
+]
+
+
+@pytest.mark.parametrize("parser, text, message", DIAGNOSTICS,
+                         ids=[row[2] for row in DIAGNOSTICS])
+def test_parse_error_messages(parser, text, message):
+    with pytest.raises(ParseError) as exc:
+        PARSERS[parser](text)
+    assert str(exc.value) == message
+
+
+# whole numbers carry a trailing blank, so that a run of digits cannot
+# spell a multiplicity in the millions: legal, but slow to expand
+FUZZ_PIECES = [
+    "model", "typing", "positional", "literal", "const", "type", "rule",
+    "lhs", "rhs", "count", "rate", "init", "observe", "run", "seed",
+    "tmax", "samples", "if", "then", "else", "seq", "eps", "a", "b", "m",
+    "n", "k", "t_a", "X", "e", "_", "0 ", "1 ", "2 ", "1.5", "2e3",
+    "1e400", "->", "==", *"|.*<>[]{}(),:=$~?/+-#",
+    " ", "\t", "\r", "\n", "\u00b2", "\u2460", "\u00e9", "\f", "\xa0",
+]
+
+# directive heads, so that pieces land where values are read
+FUZZ_HEADS = ["", "model ", "const k = ", "type a : ", "init: ", "observe ",
+              "run { seed: ", RATE_RULE.split("rate: ")[0] + "rate: "]
+
+fuzz_lines = st.builds(
+    str.__add__, st.sampled_from(FUZZ_HEADS),
+    st.lists(st.sampled_from(FUZZ_PIECES), max_size=12).map("".join))
+
+
+@given(st.lists(fuzz_lines, max_size=4).map("\n".join))
+@settings(max_examples=500, deadline=None)
+def test_bad_text_gives_a_diagnostic(text):
+    try:
+        parse_model(text)
+    except (ParseError, ModelError):
+        pass
