@@ -37,8 +37,9 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
 from .matching import Path, splice
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
                        VarKind)
-from .terms import (Loop, Seq, Term, TypeEnv, TypeName, component_counts,
-                    min_rotation, tally_seq, tally_term)
+from .terms import (Loop, Seq, Term, TypeEnv, TypeName, Types,
+                    component_counts, counter_types, min_rotation,
+                    read_counts, seq_types, type_counts)
 
 if TYPE_CHECKING:
     from .semantics import RewriteRule
@@ -47,9 +48,8 @@ if TYPE_CHECKING:
 # frame), the matched loop's content minus its ground part, or its membrane
 FRAME, INNER, MEMBRANE = "frame", "inner", "membrane"
 
-# per count block: what it counts, type -> the count names it feeds, and
-# every name
-Decl = tuple[str, dict[TypeName, list[str]], tuple[str, ...]]
+# per count block: what it counts and its (type, count name) entries
+Decl = tuple[str, tuple[tuple[TypeName, str], ...]]
 
 Entry = tuple[object, dict[str, int], Callable[[], Term]]
 
@@ -63,6 +63,11 @@ class Plan:
     loop, ``membrane`` is None. ``frame_first`` says whether the frame
     variable's name sorts before the inner one's.
 
+    Every term binding's counts are read from its compartment's type
+    histogram (:func:`~tscls.terms.type_counts`, cached on the term) less
+    the type histogram of ``need`` or ``inner_need``, which the plan
+    keeps for the last environment.
+
     A loop rule keeps a :class:`_Cell` per cell component of the state it
     was last called on and of the state before, keyed by the cell's
     value, so a cell that an event left alone costs a lookup. Both are
@@ -70,7 +75,8 @@ class Plan:
     """
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
-                 "membrane", "frame_first", "_rotated", "_cells")
+                 "membrane", "frame_first", "_rotated", "_cells",
+                 "_less")
 
     def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
                  inner_need: Optional[Counter] = None,
@@ -88,6 +94,8 @@ class Plan:
         # ((env, literal), state, its cells, the last state's cells),
         # replaced as one value
         self._cells: tuple = (None, None, {}, {})
+        # (env, types of need, types of inner_need)
+        self._less: tuple = (None, None, None)
 
     def entries(self, state: Term, path: Path, content: Term, env: TypeEnv,
                 literal: bool) -> Iterable[Entry]:
@@ -102,12 +110,21 @@ class Plan:
         if not _contains(have, self.need):
             return ()
         if self.membrane is None:
+            types, less = type_counts(content, env), self._types_less(env)[0]
             counts: dict[str, int] = {}
-            for _, wanted, names in self.decls:
-                counts.update(tally_term(have, self.need, wanted, names, env))
+            for _, entries in self.decls:
+                counts.update(read_counts(entries, types, less))
             return ((self, counts,
                      partial(self._build, state, path, content, None, None)),)
         return self._loops(state, path, content, env, literal, have)
+
+    def _types_less(self, env: TypeEnv) -> tuple[Types, Types]:
+        """The type histograms of ``need`` and ``inner_need``."""
+        less = self._less
+        if less[0] is not env:
+            less = self._less = (env, counter_types(self.need, env),
+                                 counter_types(self.inner_need or {}, env))
+        return less[1:]
 
     def _loops(self, state: Term, path: Path, content: Term, env: TypeEnv,
                literal: bool, have: Counter) -> Iterator[Entry]:
@@ -139,9 +156,9 @@ class Plan:
                 for i, share in entry.shares:
                     total = totals.get(i)
                     if total is None:
-                        _, wanted, names = self.decls[i]
-                        total = totals[i] = tally_term(have, self.need,
-                                                       wanted, names, env)
+                        total = totals[i] = read_counts(
+                            self.decls[i][1], type_counts(content, env),
+                            self._types_less(env)[0])
                     for name, n in share.items():
                         counts[name] = total[name] - n
             for membrane in self._membranes(cell.membrane):
@@ -156,16 +173,17 @@ class Plan:
             return False
         counts: dict[str, int] = {}
         shares = []
-        for i, (what, wanted, names) in enumerate(self.decls):
+        for i, (what, entries) in enumerate(self.decls):
             if what is INNER:
-                counts.update(tally_term(inner, self.inner_need, wanted,
-                                         names, env))
+                counts.update(read_counts(entries,
+                                          type_counts(cell.content, env),
+                                          self._types_less(env)[1]))
             elif what is MEMBRANE:
-                counts.update(tally_seq(cell.membrane, wanted, names, env,
-                                        literal))
+                counts.update(read_counts(entries, seq_types(
+                    cell.membrane, env, literal)))
             else:
-                shares.append((i, tally_seq(cell.membrane, wanted, names,
-                                            env, False)))
+                shares.append((i, read_counts(entries, seq_types(
+                    cell.membrane, env, False))))
         return _Cell(cell, counts, tuple(shares))
 
     def _membranes(self, mem: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
@@ -334,10 +352,7 @@ def compile_rule(rule: RewriteRule) -> Optional[Plan]:
         what = where.get(decl.var)
         if what is None:
             return None
-        wanted: dict[TypeName, list[str]] = {}
-        for tn, name in decl.entries:
-            wanted.setdefault(tn, []).append(name)
-        decls.append((what, wanted, tuple(name for _, name in decl.entries)))
+        decls.append((what, decl.entries))
     return Plan(need, give, tuple(decls), **loop)
 
 

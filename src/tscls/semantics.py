@@ -22,8 +22,8 @@ from .matching import (Instantiation, compartments, image, match_whole,
 from .patterns import (Pattern, Var, VarKind, pattern_vars,
                        seq_positioned_elem_vars)
 from .rates import RateExpr
-from .terms import (Term, TypeEnv, TypeName, canonicalize, component_counts,
-                    tally_seq, tally_term)
+from .terms import (Term, TypeEnv, TypeName, canonicalize, read_counts,
+                    seq_types, type_counts)
 
 POSITIONAL = "positional"
 LITERAL = "literal"
@@ -67,6 +67,12 @@ class RewriteRule:
     def seq_positioned(self) -> frozenset[str]:
         return seq_positioned_elem_vars(self.lhs)
 
+    @cached_property
+    def rate_memo(self) -> list:
+        """``[consts, table]``: the rates :func:`eval_rate` computed under
+        a copy ``consts`` of the constants, keyed by their counts."""
+        return [None, {}]
+
 
 def rule_violations(rule: RewriteRule,
                     consts: Mapping[str, float] = ()) -> list[str]:
@@ -103,8 +109,8 @@ def rule_violations(rule: RewriteRule,
 
 def count_types(inst: Instantiation, counts: CountSpec, env: TypeEnv,
                 mode: str = POSITIONAL,
-                seq_positioned: frozenset[str] = frozenset(),
-                memo: Optional[dict] = None) -> dict[str, int]:
+                seq_positioned: frozenset[str] = frozenset()
+                ) -> dict[str, int]:
     """Evaluate every count declaration against the instantiation.
 
     Positional mode types a binding by the position its variable occupies:
@@ -113,32 +119,21 @@ def count_types(inst: Instantiation, counts: CountSpec, env: TypeEnv,
     sits inside a longer sequence or a membrane (``seq_positioned``).
     Literal mode types the bound value itself, so a length-1 sequence
     binding counts as a basic type and an element binding always does.
-
-    ``memo`` caches term-binding walks across calls; congruent bindings
-    under the same declaration reuse the counted totals.
+    A term binding's type histogram is cached on the term.
     """
-    memo = {} if memo is None else memo
+    literal = mode != POSITIONAL
     out: dict[str, int] = {}
     for decl in counts:
-        wanted: dict[TypeName, list[str]] = {}
-        for tn, name in decl.entries:
-            wanted.setdefault(tn, []).append(name)
-        names = [name for _, name in decl.entries]
         binding = inst[decl.var]
         kind = decl.var.kind
         if kind is VarKind.TERM:
-            mkey = (binding, id(decl))
-            snap = memo.get(mkey)
-            if snap is None:
-                snap = memo[mkey] = tally_term(component_counts(binding), {},
-                                               wanted, names, env)
+            types = type_counts(binding, env)
         elif kind is VarKind.SEQ:
-            snap = tally_seq(binding, wanted, names, env, mode != POSITIONAL)
+            types = seq_types(binding, env, literal)
         else:
-            snap = tally_seq((binding,), wanted, names, env,
-                             mode != POSITIONAL
-                             or decl.var.name not in seq_positioned)
-        out.update(snap)
+            types = seq_types((binding,), env, literal
+                              or decl.var.name not in seq_positioned)
+        out.update(read_counts(decl.entries, types))
     return out
 
 
@@ -147,13 +142,29 @@ def eval_rate(rule: RewriteRule, counts: Mapping[str, int],
     """Evaluate the rule's rate expression; errors carry the rule id.
 
     A NaN or infinite result raises :class:`RateEvalError`: it would
-    corrupt the clock and the selection of every later step."""
+    corrupt the clock and the selection of every later step.
+
+    The rule keeps each rate it computed, keyed by the counts' names and
+    values in their order (the :meth:`RewriteRule.count_names` order when
+    counting made them), until the constants' values change or the table
+    reaches 4096 entries. Errors are not kept: every call raises again."""
+    memo = rule.rate_memo
+    if memo[0] != consts:
+        memo[:] = dict(consts), {}
+    table = memo[1]
+    key = tuple(counts.items())
+    rate = table.get(key)
+    if rate is not None:
+        return rate
     try:
         rate = float(rule.evaluate(counts, consts))
     except RateEvalError as exc:
         raise RateEvalError(f"rule {rule.id}: {exc}") from None
     if not math.isfinite(rate):
         raise RateEvalError(f"rule {rule.id}: rate is not finite ({rate!r})")
+    if len(table) >= 4096:
+        table.clear()
+    table[key] = rate
     return rate
 
 
@@ -257,7 +268,6 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     # (rule index, path) -> (image, rate) -> builds the target; a compiled
     # rule keys its outcomes by its plan's own keys instead of images
     groups: dict[tuple, dict[tuple, Callable[[], Term]]] = {}
-    cmemo: dict = {}
     for comp in compartments(state):
         content, path = comp.content, comp.path
         if content.is_empty():
@@ -277,7 +287,7 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
                 continue
             for inst in sorted(insts, key=Instantiation.sort_key):
                 counts = count_types(inst, rule.counts, env, mode,
-                                     rule.seq_positioned, memo=cmemo)
+                                     rule.seq_positioned)
                 rate = _rate(rule, counts, consts, path)
                 if rate <= 0:
                     continue

@@ -45,7 +45,8 @@ _TOKEN = re.compile(
     r"|(?P<COMMENT>#[^\n]*)"
     r"|(?P<BAD>.)|\Z)")
 
-# nested constructs (parentheses, signs, guards, loops) the parser follows
+# nested constructs (parentheses, signs, guards, loops) the parser
+# follows, and the height of a rate expression's tree
 MAX_DEPTH = 200
 
 
@@ -306,31 +307,51 @@ def _pattern_term(p: Pattern) -> Term:
 _RATE_KEYWORDS = {"if", "then", "else"}
 
 
-def _parse_expr(cur: _Cursor, min_prec: int = 1) -> RateExpr:
+def _parse_expr(cur: _Cursor) -> RateExpr:
+    return _parse_chain(cur, 1)[0]
+
+
+def _parse_chain(cur: _Cursor, min_prec: int) -> tuple[RateExpr, int]:
     """Precedence climbing over ``rates.PREC``; operators associate to the
-    left."""
-    left = _parse_factor(cur)
+    left. Returns the expression and its height (see :func:`_node`)."""
+    left, height = _parse_factor(cur)
     while (prec := rates.PREC.get(cur.peek().text, 0)) >= min_prec:
         tok = cur.next()
-        left = BinOp(tok.text, left, _parse_expr(cur, prec + 1),
-                     (tok.line, tok.col))
-    return left
+        right, right_height = _parse_chain(cur, prec + 1)
+        height = _node(tok, height, right_height)
+        left = BinOp(tok.text, left, right, (tok.line, tok.col))
+    return left, height
 
 
-def _parse_factor(cur: _Cursor) -> RateExpr:
+def _node(tok: Token, *heights: int) -> int:
+    """The height of an operator or guard node over subtrees of the given
+    heights, a leaf's being 0. The tree is walked recursively (names,
+    compilation, printing, evaluation), so its height is held to
+    ``MAX_DEPTH`` even where the parser reads it in a loop, as in a chain
+    ``1 + 1 + 1`` that reads as ``(1 + 1) + 1``."""
+    height = 1 + max(heights)
+    if height > MAX_DEPTH:
+        raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                         tok.line, tok.col)
+    return height
+
+
+def _parse_factor(cur: _Cursor) -> tuple[RateExpr, int]:
     tok = cur.peek()
     pos = (tok.line, tok.col)
     if tok.text in ("-", "("):
         cur.descend()
         if tok.text == "-":
-            expr = BinOp("-", Num(0, pos), _parse_factor(cur), pos)
+            operand, height = _parse_factor(cur)
+            expr = BinOp("-", Num(0, pos), operand, pos)
+            height = _node(tok, height)
         else:
-            expr = _parse_expr(cur)
+            expr, height = _parse_chain(cur, 1)
             cur.expect_sym(")")
         cur.depth -= 1
-        return expr
+        return expr, height
     if tok.kind == "NUMBER":
-        return Num(_number(cur), pos)
+        return Num(_number(cur), pos), 0
     if tok.kind != "IDENT":
         raise ParseError(f"expected a rate expression, found {tok.text!r}",
                          *pos)
@@ -339,10 +360,10 @@ def _parse_factor(cur: _Cursor) -> RateExpr:
     if tok.text in _RATE_KEYWORDS:
         raise ParseError(f"misplaced keyword '{tok.text}'", *pos)
     cur.next()
-    return Name(tok.text, pos)
+    return Name(tok.text, pos), 0
 
 
-def _parse_guard(cur: _Cursor) -> RateExpr:
+def _parse_guard(cur: _Cursor) -> tuple[RateExpr, int]:
     tok = cur.descend()  # 'if'
     count = cur.expect_ident("count variable").text
     cur.expect_sym("==")
@@ -350,11 +371,12 @@ def _parse_guard(cur: _Cursor) -> RateExpr:
     if zero.kind != "NUMBER" or _number(cur) != 0:
         raise ParseError("guard must compare against 0", zero.line, zero.col)
     _expect_keyword(cur, "then")
-    then = _parse_expr(cur)
+    then, then_height = _parse_chain(cur, 1)
     _expect_keyword(cur, "else")
-    orelse = _parse_expr(cur)
+    orelse, else_height = _parse_chain(cur, 1)
     cur.depth -= 1
-    return IfZero(count, then, orelse, (tok.line, tok.col))
+    return (IfZero(count, then, orelse, (tok.line, tok.col)),
+            _node(tok, then_height, else_height))
 
 
 def parse_rate(text: str) -> RateExpr:

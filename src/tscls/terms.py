@@ -11,13 +11,17 @@ membrane then content).
 
 All values are immutable; each node caches its sort key and hash
 (a term on first use, sequences and loops at construction) so
-canonicalization and multiset operations stay cheap on large states.
+canonicalization and multiset operations stay cheap on large states. A
+term also caches its component multiset and its type histogram; a
+successor shares every compartment an event left alone, and with it
+both caches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import WellFormednessError
@@ -90,7 +94,8 @@ class Term:
     congruent.
     """
 
-    __slots__ = ("components", "_key", "_hash", "_canonical", "_counter")
+    __slots__ = ("components", "_key", "_hash", "_canonical", "_counter",
+                 "_types")
 
     def __init__(self, components: Iterable[Component] = ()):
         self.components = tuple(components)
@@ -98,6 +103,7 @@ class Term:
         self._hash = None
         self._canonical = False
         self._counter = None
+        self._types = None  # (env, type histogram), see type_counts
 
     @property
     def key(self) -> tuple:
@@ -318,48 +324,62 @@ def type_of(t: Term, env: TypeEnv) -> TypeMultiset:
     return out
 
 
-# a count block's request: each type -> the count names it feeds
-Wanted = Mapping[TypeName, list[str]]
+# a type histogram: type -> positive count
+Types = Mapping[TypeName, int]
+
+_NO_TYPES: Types = MappingProxyType({})
 
 
-def tally_term(have: Mapping[Component, int], less: Mapping[Component, int],
-               wanted: Wanted, names: Iterable[str],
-               env: TypeEnv) -> dict[str, int]:
-    """Typed counts of a term binding, the component multiset ``have -
-    less``, for the count ``names``: each distinct component typed as
-    :func:`type_of` types it, times its multiplicity."""
-    snap = dict.fromkeys(names, 0)
-    for comp, n in have.items():
-        n -= less.get(comp, 0)
-        if not n:
-            continue
+def type_counts(t: Term, env: TypeEnv) -> Types:
+    """:func:`type_of` of the term, cached on it for the last environment
+    asked. Callers must not mutate it."""
+    cached = t._types
+    if cached is not None and cached[0] is env:
+        return cached[1]
+    types = counter_types(component_counts(t), env)
+    t._types = (env, types)
+    return types
+
+
+def counter_types(counter: Mapping[Component, int], env: TypeEnv) -> Types:
+    """The type histogram of a component multiset: each distinct component
+    typed once, as :func:`type_of` types it, times its multiplicity."""
+    out: dict[TypeName, int] = {}
+    for comp, n in counter.items():
         if isinstance(comp, Seq):
-            if len(comp.elems) == 1:
-                for name in wanted.get(env.basic(comp.elems[0]), ()):
-                    snap[name] += n
-                continue
             elems = comp.elems
+            if len(elems) == 1:
+                tn = env.basic(elems[0])
+                out[tn] = out.get(tn, 0) + n
+                continue
         else:
             elems = comp.membrane
-        for elem, k in Counter(elems).items():
-            for name in wanted.get(env.seq(elem), ()):
-                snap[name] += n * k
-    return snap
+        for name in elems:
+            tn = env.seq(name)
+            out[tn] = out.get(tn, 0) + n
+    return out
 
 
-def tally_seq(elems: tuple[str, ...], wanted: Wanted, names: Iterable[str],
-              env: TypeEnv, literal: bool) -> dict[str, int]:
-    """Typed counts of a sequence binding for the count ``names``:
-    seq-tagged types, as :func:`stype_of` gives them, except that
-    ``literal`` typing counts a length-1 sequence by its basic type."""
-    snap = dict.fromkeys(names, 0)
+def seq_types(elems: tuple[str, ...], env: TypeEnv, literal: bool) -> Types:
+    """The type histogram of a sequence binding: seq-tagged types, as
+    :func:`stype_of` gives them, except that ``literal`` typing counts a
+    length-1 sequence by its basic type."""
     if literal and len(elems) == 1:
-        for name in wanted.get(env.basic(elems[0]), ()):
-            snap[name] += 1
-        return snap
-    for elem, k in Counter(elems).items():
-        for name in wanted.get(env.seq(elem), ()):
-            snap[name] += k
+        return {env.basic(elems[0]): 1}
+    out: dict[TypeName, int] = {}
+    for name in elems:
+        tn = env.seq(name)
+        out[tn] = out.get(tn, 0) + 1
+    return out
+
+
+def read_counts(entries: Iterable[tuple[TypeName, str]], have: Types,
+                less: Types = _NO_TYPES) -> dict[str, int]:
+    """A count block's counts, one per ``(type, name)`` entry, read from
+    the histogram ``have - less``; a name given twice gets the sum."""
+    snap: dict[str, int] = {}
+    for tn, name in entries:
+        snap[name] = snap.get(name, 0) + have.get(tn, 0) - less.get(tn, 0)
     return snap
 
 

@@ -12,8 +12,8 @@ import random
 import pytest
 
 from tscls import (CountDecl, ElemLit, ElemVar, Loop, Pattern, PLoop, PSeq,
-                   PTermVar, RewriteRule, Seq, SeqVar, Term, TypeName, Var,
-                   VarKind, pattern_vars)
+                   PTermVar, RewriteRule, Seq, SeqVar, Term, TypeEnv,
+                   TypeName, Var, VarKind, pattern_vars)
 from tscls.rates import BinOp, IfZero, Name, Num
 
 ALPHABET = ("a", "b", "c", "d", "e", "f")
@@ -160,6 +160,61 @@ def random_rule(rng: random.Random, rule_id: str) -> RewriteRule:
     else:
         expr = Num(rng.choice([0.5, 1.0, 2.0, -1.0]))
     return RewriteRule(rule_id, lhs, rhs, expr, tuple(decls))
+
+
+def random_env(rng: random.Random) -> TypeEnv:
+    if rng.random() < 0.5:
+        return TypeEnv()
+    # a partial assignment; some elements share a type, the rest take
+    # their default
+    known = rng.sample(ALPHABET, rng.randint(2, len(ALPHABET)))
+    return TypeEnv({e: "t_" + rng.choice(known) for e in known})
+
+
+# water crosses membranes by the osmosis pair, faster with more p on the
+# other cells' membranes; A and B interconvert in every compartment;
+# repeated cells and rotation-symmetric membranes
+CELLS = """\
+const va = 1.0
+const vb = 2.0
+const k = 10.0
+const ka = 1.0
+const kb = 0.8
+
+rule W_out {
+  lhs: <~x>[ W | $X ] | $Y
+  rhs: <~x>[ $X ] | W | $Y
+  count $X { t_W -> n1, t_S -> n2 }
+  count $Y { t_W -> n3, t_S -> n4, seq(t_p) -> n5 }
+  rate: (n2 / ((n1 + 1) * va + n2 * vb) - n4 / ((n3 + 1) * va + n4 * vb)) * k * (n5 + 1)
+}
+
+rule W_in {
+  lhs: <~x>[ $X ] | W | $Y
+  rhs: <~x>[ W | $X ] | $Y
+  count $X { t_W -> n1, t_S -> n2 }
+  count $Y { t_W -> n3, t_S -> n4, seq(t_p) -> n5 }
+  rate: (n4 / ((n3 + 1) * va + n4 * vb) - n2 / ((n1 + 1) * va + n2 * vb)) * k * (n5 + 1)
+}
+
+rule A_to_B {
+  lhs: A | $X
+  rhs: B | $X
+  count $X { t_A -> n }
+  rate: (n + 1) * ka
+}
+
+rule B_to_A {
+  lhs: B | $X
+  rhs: A | $X
+  count $X { t_B -> n }
+  rate: (n + 1) * kb
+}
+
+init: 12 * W | 6 * S | 2 * A | 2 * <m.p>[ 3 * W | 2 * S | A ] \
+| <p.m>[ 2 * W | 4 * S ] | <m.m>[ 5 * W | S | 2 * A ] | <aq.m.p>[ 4 * W | 3 * S ]
+observe W, S, A, B
+"""
 
 
 # literals at the edges of the float range, so sums and products overflow

@@ -7,7 +7,10 @@ import os
 
 import pytest
 
+from tscls import parse_model, parse_rate, print_model, print_rate
 from tscls.cli import main
+
+from conftest import CELLS
 
 LAC = os.path.join(os.path.dirname(__file__), os.pardir, "models",
                    "lac_operon.tscls")
@@ -52,6 +55,18 @@ observe a, b, c, d
 """
 
 
+# one rule whose rate is placeholder; its count is n
+RATE_MODEL = """\
+rule r {
+  lhs: a | $X
+  rhs: b | $X
+  count $X { t_a -> n }
+  rate: %s
+}
+init: 3 * a
+"""
+
+
 @pytest.fixture
 def tiny(tmp_path):
     path = tmp_path / "tiny.tscls"
@@ -86,7 +101,9 @@ class TestCheck:
         ("run { seed: 1e400 }\n", "1:7: run field 'seed' must be an integer"),
         ("init: " + "<m>[ " * 400 + "a" + " ]" * 400 + "\n",
          "1:1007: nesting deeper than 200 levels"),
-    ], ids=["digit", "overflow", "nesting"])
+        (RATE_MODEL % " + ".join(["1"] * 1000),
+         "5:811: nesting deeper than 200 levels"),
+    ], ids=["digit", "overflow", "nesting", "chain"])
     def test_bad_text_is_a_parse_error(self, text, message, tmp_path, capsys,
                                        monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")
@@ -94,6 +111,20 @@ class TestCheck:
         bad.write_text(text, encoding="utf-8")
         assert main(["check", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rate", [
+        " + ".join(["1"] * 200), " - ".join(["n"] * 100 + ["1"] * 100),
+        " * ".join(["(n + 1)"] * 100), "(" * 199 + "n" + ")" * 199,
+        "(" * 150 + " + ".join(["1"] * 200) + ")" * 150,
+        "((n" + " + 1" * 99 + ")" + " + 1" * 100 + ")"])
+    def test_long_rates_run(self, rate, tmp_path, capsys):
+        path = tmp_path / "long.tscls"
+        path.write_text(RATE_MODEL % rate, encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert main(["run", str(path), "--max-steps", "2"]) == 0
+        model = parse_model(print_model(parse_model(RATE_MODEL % rate)))
+        assert print_rate(model.rules[0].rate) \
+            == print_rate(parse_rate(rate))
 
     def test_missing_file(self, capsys, monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")
@@ -272,6 +303,27 @@ class TestRun:
         single = tmp_path / "single.csv"
         main(["run", tiny, "--seed", "6", "--out", str(single)])
         assert single.read_bytes() == (tmp_path / "rep.seed6.csv").read_bytes()
+
+    @pytest.mark.parametrize("model", ["lac", "cells"])
+    def test_replicas_are_single_runs(self, model, tmp_path, capsys):
+        # replicas share the parsed rules and what they keep across runs
+        if model == "cells":
+            path = tmp_path / "cells.tscls"
+            path.write_text(CELLS, encoding="utf-8")
+            model = str(path)
+        else:
+            model = LAC
+        out = tmp_path / "rep.csv"
+        cap = ["--max-steps", "200"]
+        assert main(["run", model, "--seed", "5", "--replicas", "3",
+                     "--out", str(out), *cap]) == 0
+        for seed in (5, 6, 7):
+            single = tmp_path / f"single{seed}.csv"
+            assert main(["run", model, "--seed", str(seed),
+                         "--out", str(single), *cap]) == 0
+            assert single.read_bytes() \
+                == (tmp_path / f"rep.seed{seed}.csv").read_bytes()
+        assert "steps=200" in capsys.readouterr().out
 
     def test_replicas_need_out(self, tiny, capsys, monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")

@@ -12,15 +12,18 @@ from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, Loop, PLoop,
                    PSeq, RateEvalError, RewriteRule, Seq, SeqVar, Term,
                    TypeEnv, TypeName, Var, VarKind, canonicalize,
                    compartments, count_types, eval_rate, lits, match_whole,
-                   parse_pattern, parse_rate, parse_term, path_text, pat,
-                   splice, substitute, transitions, tvar)
-from tscls import semantics
+                   parse_model, parse_pattern, parse_rate, parse_term,
+                   path_text, pat, splice, substitute, transitions, tvar,
+                   type_of)
+from tscls import semantics, terms
 from tscls.catalog import OsmosisParams, lac_operon_model, osmosis_rules
 from tscls.compiled import Plan
 from tscls.engine import Pcg64, step
 from tscls.patterns import seq_positioned_elem_vars
+from tscls.terms import type_counts
 
-from conftest import ALPHABET, general, random_rate, random_seq, random_term
+from conftest import (ALPHABET, CELLS, general, random_env, random_rate,
+                      random_seq, random_term)
 
 X = Var(VarKind.TERM, "X")
 Y = Var(VarKind.TERM, "Y")
@@ -132,15 +135,6 @@ def random_compiled_rule(rng, state, rid):
         expr = parse_rate(f"{terms} * {rng.choice((0.5, 2, 0, -1))}"
                           if rng.random() < 0.3 else f"{terms} * 0.5")
     return RewriteRule(rid, pat(*lhs), pat(*rhs), expr, tuple(decls))
-
-
-def random_env(rng):
-    if rng.random() < 0.5:
-        return TypeEnv()
-    # a partial assignment; some elements share a type, the rest take
-    # their default
-    known = rng.sample(ALPHABET, rng.randint(2, len(ALPHABET)))
-    return TypeEnv({e: "t_" + rng.choice(known) for e in known})
 
 
 class TestPlan:
@@ -587,3 +581,113 @@ def test_one_target_is_built_per_step(monkeypatch):
     _, chosen = step(state, rules, TypeEnv(), {}, Pcg64(1))
     chosen.target
     assert len(calls) == 1
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=200, deadline=None)
+def test_successors_type_as_type_of(seed):
+    # a target built by Plan._build shares every compartment the rule left
+    # alone, with the type histogram cached on it while counting its
+    # parent; each of its compartments must still type as type_of does
+    rng = random.Random(seed)
+    state = canonicalize(random_loop_state(rng))
+    rules = [random_loop_rule(rng, state, "r0"),
+             random_compiled_rule(rng, state, "r1")]
+    env, mode = random_env(rng), rng.choice((POSITIONAL, LITERAL))
+    for r in rules:
+        r.__dict__["evaluate"] = lambda counts, consts: 1.0
+    for tr in transitions(state, rules, env, {}, mode):
+        for site in compartments(tr.target):
+            assert type_counts(site.content, env) \
+                == type_of(site.content, env)
+
+
+class TestRateMemo:
+    def test_two_constants_mappings(self):
+        r = rule("r", "a | $X", "b | $X", "(n + 1) * k",
+                 [(TypeName("t_a"), "n")])
+        slow, fast = {"k": 1.0}, {"k": 3.0}
+        for _ in range(2):
+            assert eval_rate(r, {"n": 1}, slow) == 2.0
+            assert eval_rate(r, {"n": 1}, fast) == 6.0
+            for consts, rate in ((slow, 2.0), (fast, 6.0)):
+                (tr,) = transitions(T("a | a"), [r], TypeEnv(), consts)
+                assert tr.rate == rate
+
+    def test_constants_changed_in_place(self):
+        # the memo compares the constants' values, not the mapping object:
+        # a caller that changes its dict between calls gets the new rates
+        model = parse_model(CELLS)
+        env, consts = model.type_env(), model.constants
+        for k in (10.0, 3.0, 3.0, 10.0):
+            consts["k"] = k
+            fresh = parse_model(CELLS.replace("const k = 10.0",
+                                              f"const k = {k}"))
+            got = transitions(model.init, model.rules, env, consts)
+            assert got == transitions(fresh.init, fresh.rules,
+                                      fresh.type_env(), fresh.constants)
+        r = rule("r", "a | $X", "b | $X", "(n + 1) * k",
+                 [(TypeName("t_a"), "n")])
+        consts = {"k": 1.0}
+        assert eval_rate(r, {"n": 1}, consts) == 2.0
+        consts["k"] = 3.0
+        assert eval_rate(r, {"n": 1}, consts) == 6.0
+
+    def test_counts_are_the_key(self):
+        # a count shadows a constant of the same name
+        r = rule("r", "a | $X", "b | $X", "(n + 1) * k",
+                 [(TypeName("t_a"), "n")])
+        consts = {"k": 3.0}
+        assert eval_rate(r, {"n": 1}, consts) == 6.0
+        assert eval_rate(r, {"n": 1, "k": 10.0}, consts) == 20.0
+        assert eval_rate(r, {"k": 1, "n": 10.0}, consts) == 11.0
+        assert eval_rate(r, {"n": 2}, consts) == 9.0
+        assert eval_rate(r, {"n": 1}, consts) == 6.0
+
+    @pytest.mark.parametrize("rate, message", [
+        ("1 / n", "division by zero at 1:3"),
+        ("if n == 0 then 1e308 * 1e308 else n", "rate is not finite (inf)")])
+    def test_errors_are_raised_on_every_call(self, rate, message):
+        # no error is kept: a call with the counts that raised raises again,
+        # before and after a call that succeeded
+        r = rule("r", "a | $X", "b | $X", rate, [(TypeName("t_a"), "n")])
+        consts = {}
+        for n in (0, 0, 1, 0, 0):
+            if n:
+                assert eval_rate(r, {"n": n}, consts) == 1.0
+                continue
+            with pytest.raises(RateEvalError) as exc:
+                eval_rate(r, {"n": n}, consts)
+            assert str(exc.value) == f"rule r: {message}"
+
+    def test_table_is_bounded(self):
+        r = rule("r", "a | $X", "b | $X", "(n + 1) * 0.5",
+                 [(TypeName("t_a"), "n")])
+        consts = {}
+        for n in list(range(5000)) + list(range(100)):
+            assert eval_rate(r, {"n": n}, consts) == (n + 1) * 0.5
+        assert len(r.rate_memo[1]) <= 4096
+
+
+def test_a_warm_step_reuses_histograms_and_rates(monkeypatch):
+    # 20 cells with distinct membranes and two kinds of content at the
+    # root: after an event, a step types the compartments the event
+    # changed and evaluates the rates of count tuples it has not seen
+    cells = " | ".join(f"<{'m.' * i}p>[ {(2, 4)[i % 2]} * W |"
+                       f" {(3, 1)[i % 2]} * S ]" for i in range(1, 21))
+    state = T(f"{cells} | 30 * W | 10 * S")
+    rules = osmosis_pair()
+    env, consts = TypeEnv(), {}
+    histograms, rates = [], []
+    build = terms.counter_types
+    monkeypatch.setattr(terms, "counter_types",
+                        lambda *args: histograms.append(args) or build(*args))
+    for r in rules:
+        monkeypatch.setitem(r.__dict__, "evaluate",
+                            lambda c, k, f=r.evaluate: rates.append(c)
+                            or f(c, k))
+    _, chosen = step(state, rules, env, consts, Pcg64(1))
+    assert len(histograms) == 21  # cold: the root and every cell
+    del histograms[:], rates[:]
+    step(chosen.target, rules, env, consts, Pcg64(2))
+    assert len(histograms) <= 3 and len(rates) <= 10

@@ -347,6 +347,18 @@ DIAGNOSTICS = [
      "4:209: nesting deeper than 200 levels"),
     ("model", "init: " + "<m>[ " * 400 + "a" + " ]" * 400,
      "1:1007: nesting deeper than 200 levels"),
+    # a rate's tree is at most 200 operators high: in a chain, which reads
+    # as ((1 + 1) + 1) + ..., the 201st operator is one too many, also
+    # where parentheses end runs of the chain
+    ("model", RATE_RULE % " + ".join(["1"] * 1000),
+     "4:811: nesting deeper than 200 levels"),
+    ("model", RATE_RULE % " * ".join(["1"] * 10000),
+     "4:811: nesting deeper than 200 levels"),
+    ("rate", " - ".join(["1"] * 202), "1:803: nesting deeper than 200 levels"),
+    ("rate", "(" * 100 + "1" + " + 1" * 201 + ")" * 100,
+     "1:903: nesting deeper than 200 levels"),
+    ("rate", "(" * 6 + "1" + "".join(" + 1" * k + ")" for k in range(194, 200))
+     + " + 1" * 200, "1:810: nesting deeper than 200 levels"),
 ]
 
 

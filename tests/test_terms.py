@@ -12,8 +12,9 @@ from tscls import (EMPTY, Loop, ParseError, Seq, Term, TypeEnv, TypeName,
                    WellFormednessError, canonicalize, congruent, par,
                    stype_of, term_elements, type_of)
 from tscls.syntax import parse_term, print_term
+from tscls.terms import seq_types, type_counts
 
-from conftest import random_term, scramble
+from conftest import random_env, random_term, scramble
 
 
 def T(text: str) -> Term:
@@ -167,6 +168,68 @@ class TestTyping:
         t2 = random_term(random.Random(s2))
         env = TypeEnv()
         assert type_of(par(t1, t2), env) == type_of(t1, env) + type_of(t2, env)
+
+
+def terms_below(t: Term) -> list[Term]:
+    """The term and every loop content inside it, at any depth."""
+    out, stack = [], [t]
+    while stack:
+        cur = stack.pop()
+        out.append(cur)
+        stack.extend(c.content for c in cur.components if isinstance(c, Loop))
+    return out
+
+
+class TestTypeHistogram:
+    """``type_counts`` (cached on the term) against ``type_of``."""
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=200, deadline=None)
+    def test_is_type_of(self, seed):
+        rng = random.Random(seed)
+        t = random_term(rng, depth=2, max_comps=5)
+        if rng.random() < 0.5:
+            t = canonicalize(t)
+        env = random_env(rng)
+        for sub in terms_below(t):
+            for _ in range(2):  # built, then read from the cache
+                assert type_counts(sub, env) == type_of(sub, env)
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=200, deadline=None)
+    def test_one_term_under_two_environments(self, seed):
+        # the cache holds one environment's histogram; asking under the
+        # other must not return it
+        rng = random.Random(seed)
+        t = canonicalize(random_term(rng, depth=2, max_comps=5))
+        first = TypeEnv({e: "t_a" for e in "bcdef"})
+        second = random_env(rng)
+        for env in (first, second, first, TypeEnv(), second):
+            for sub in terms_below(t):
+                assert type_counts(sub, env) == type_of(sub, env)
+
+    def test_environments_that_disagree(self):
+        t = T("a | a.b | <b.c>[ a ]")
+        merged = TypeEnv({"a": "t_b", "c": "t_b"})
+        assert type_counts(t, TypeEnv()) == {
+            TypeName("t_a"): 1, TypeName("t_a", True): 1,
+            TypeName("t_b", True): 2, TypeName("t_c", True): 1}
+        assert type_counts(t, merged) == {
+            TypeName("t_b"): 1, TypeName("t_b", True): 4}
+        assert type_counts(t, TypeEnv()) == type_of(t, TypeEnv())
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=100, deadline=None)
+    def test_sequence_histogram_is_stype_of(self, seed):
+        rng = random.Random(seed)
+        elems = tuple(rng.choice("abc") for _ in range(rng.randint(0, 4)))
+        env = random_env(rng)
+        assert seq_types(elems, env, False) == stype_of(elems, env)
+        literal = seq_types(elems, env, True)
+        if len(elems) == 1:
+            assert literal == {env.basic(elems[0]): 1}
+        else:
+            assert literal == stype_of(elems, env)
 
 
 def test_term_elements():

@@ -15,7 +15,7 @@ import pytest
 from tscls import lac_operon_model, parse_model, simulate
 from tscls.cli import _write_trace
 
-from conftest import general
+from conftest import CELLS, general
 
 MAX_STEPS = 100
 
@@ -58,52 +58,6 @@ init: 20 * A | 15 * B | 10 * C | 8 * D
 observe A, B, C, D
 """
 
-# water crosses membranes by the osmosis pair, faster with more p on the
-# other cells' membranes; A and B interconvert in every compartment;
-# repeated cells and rotation-symmetric membranes
-CELLS = """\
-const va = 1.0
-const vb = 2.0
-const k = 10.0
-const ka = 1.0
-const kb = 0.8
-
-rule W_out {
-  lhs: <~x>[ W | $X ] | $Y
-  rhs: <~x>[ $X ] | W | $Y
-  count $X { t_W -> n1, t_S -> n2 }
-  count $Y { t_W -> n3, t_S -> n4, seq(t_p) -> n5 }
-  rate: (n2 / ((n1 + 1) * va + n2 * vb) - n4 / ((n3 + 1) * va + n4 * vb)) * k * (n5 + 1)
-}
-
-rule W_in {
-  lhs: <~x>[ $X ] | W | $Y
-  rhs: <~x>[ W | $X ] | $Y
-  count $X { t_W -> n1, t_S -> n2 }
-  count $Y { t_W -> n3, t_S -> n4, seq(t_p) -> n5 }
-  rate: (n4 / ((n3 + 1) * va + n4 * vb) - n2 / ((n1 + 1) * va + n2 * vb)) * k * (n5 + 1)
-}
-
-rule A_to_B {
-  lhs: A | $X
-  rhs: B | $X
-  count $X { t_A -> n }
-  rate: (n + 1) * ka
-}
-
-rule B_to_A {
-  lhs: B | $X
-  rhs: A | $X
-  count $X { t_B -> n }
-  rate: (n + 1) * kb
-}
-
-init: 12 * W | 6 * S | 2 * A | 2 * <m.p>[ 3 * W | 2 * S | A ] \
-| <p.m>[ 2 * W | 4 * S ] | <m.m>[ 5 * W | S | 2 * A ] | <aq.m.p>[ 4 * W | 3 * S ]
-observe W, S, A, B
-"""
-
-
 def traces(model, seed):
     """The run's CSV and NDJSON text."""
     trace = simulate(model, model.sim_config(seed=seed, max_steps=MAX_STEPS,
@@ -129,3 +83,20 @@ def test_plans_give_the_general_path_traces(model, seeds):
         got = traces(model, seed)
         assert got == traces(reference, seed)
         assert got[0].count("\n") > 10  # the run did something
+
+
+def test_rules_shared_by_runs_under_other_inputs():
+    # a rule keeps what it derives from a run's typing and constants (its
+    # plan's cell entries and histograms, its rates); runs of one set of
+    # rules under models that differ in both, and after the constants are
+    # changed in place, must each give the traces of freshly parsed rules
+    other = CELLS.replace("const k = 10.0", "const k = 3.0") \
+        + "type A : t_B\ntype S : t_W\n"
+    shared = parse_model(CELLS)
+    second = dataclasses.replace(parse_model(other), rules=shared.rules)
+    for model, text in ((shared, CELLS), (second, other), (shared, CELLS)):
+        assert traces(model, 1) == traces(parse_model(text), 1)
+    shared.constants["k"] = 3.0
+    changed = CELLS.replace("const k = 10.0", "const k = 3.0")
+    assert traces(shared, 1) == traces(parse_model(changed), 1)
+    assert traces(shared, 1) != traces(parse_model(CELLS), 1)
