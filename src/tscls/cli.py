@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -149,6 +150,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.replicas < 1:
         _error("--replicas must be at least 1")
         return 2
+    last = dataclasses.replace(cfg, seed=cfg.seed + args.replicas - 1)
+    if last.violations():
+        _error(f"--replicas {args.replicas} runs seeds past 2^64 - 1")
+        return 1
     if args.replicas > 1:
         if not args.out:
             _error("--replicas needs --out (one file per seed)")
@@ -176,7 +181,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="tscls",
         description="Typed stochastic calculus of looping sequences.")
@@ -208,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ModelError as exc:

@@ -29,10 +29,9 @@ term variable whose name sorts first.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cmp_to_key, partial
+from functools import cmp_to_key
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
-                    Optional)
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .matching import Path, splice
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
@@ -51,7 +50,9 @@ FRAME, INNER, MEMBRANE = "frame", "inner", "membrane"
 # per count block: what it counts and its (type, count name) entries
 Decl = tuple[str, tuple[tuple[TypeName, str], ...]]
 
-Entry = tuple[object, dict[str, int], Callable[[], Term]]
+# an outcome's key and its counts; the key is what :meth:`Plan.build`
+# needs beside the state, the path and the content
+Entry = tuple[object, dict[str, int]]
 
 
 class Plan:
@@ -97,15 +98,16 @@ class Plan:
         # (env, types of need, types of inner_need)
         self._less: tuple = (None, None, None)
 
-    def entries(self, state: Term, path: Path, content: Term, env: TypeEnv,
+    def entries(self, state: Term, content: Term, env: TypeEnv,
                 literal: bool) -> Iterable[Entry]:
-        """One ``(key, counts, build)`` per distinct outcome of the rule in
-        ``content``: ``build()`` makes the successor of ``state``.
-        ``literal`` types a length-1 ``~x`` by its basic type. Loops come
-        in the order the general path counts its instantiations, so a
-        caller that evaluates each rate as it goes raises the same error.
-        A loop rule's key is ``(entry, membrane)``: the :class:`_Cell` of
-        the loop it rewrites and the membrane it gives it."""
+        """One ``(key, counts)`` per distinct outcome of the rule in
+        ``content``, a compartment of ``state``; ``build(state, path,
+        content, key)`` makes the outcome's successor. ``literal`` types a
+        length-1 ``~x`` by its basic type. Loops come in the order the
+        general path counts its instantiations, so a caller that evaluates
+        each rate as it goes raises the same error. A loop rule's key is
+        ``(entry, membrane)``: the :class:`_Cell` of the loop it rewrites
+        and the membrane it gives it; the other rule's key is None."""
         have = component_counts(content)
         if not _contains(have, self.need):
             return ()
@@ -114,9 +116,8 @@ class Plan:
             counts: dict[str, int] = {}
             for _, entries in self.decls:
                 counts.update(read_counts(entries, types, less))
-            return ((self, counts,
-                     partial(self._build, state, path, content, None, None)),)
-        return self._loops(state, path, content, env, literal, have)
+            return ((None, counts),)
+        return self._loops(state, content, env, literal, have)
 
     def _types_less(self, env: TypeEnv) -> tuple[Types, Types]:
         """The type histograms of ``need`` and ``inner_need``."""
@@ -126,7 +127,7 @@ class Plan:
                                  counter_types(self.inner_need or {}, env))
         return less[1:]
 
-    def _loops(self, state: Term, path: Path, content: Term, env: TypeEnv,
+    def _loops(self, state: Term, content: Term, env: TypeEnv,
                literal: bool, have: Counter) -> Iterator[Entry]:
         ctx, seen, memo, last = self._cells
         if ctx != (env, literal):
@@ -162,8 +163,7 @@ class Plan:
                     for name, n in share.items():
                         counts[name] = total[name] - n
             for membrane in self._membranes(cell.membrane):
-                yield (entry, membrane), counts, partial(
-                    self._build, state, path, content, entry, membrane)
+                yield (entry, membrane), counts
 
     def _cell(self, cell: Loop, env: TypeEnv, literal: bool):
         """The cell's :class:`_Cell`, or False if the rule cannot rewrite
@@ -218,30 +218,32 @@ class Plan:
             out = entry.successors[membrane] = Loop(membrane, inner)
         return out
 
-    def ordered(self, outcomes: Mapping[tuple, Callable[[], Term]]
-                ) -> list[tuple[float, Callable[[], Term]]]:
-        """The ``(rate, build)`` of a loop rule's outcomes at one path,
-        ``((entry, membrane), rate) -> build`` as keyed by :meth:`entries`,
-        merged and ordered as their targets and rates would be (see
-        :func:`_by_target`), without building a target."""
+    def ordered(self, outcomes: Iterable[tuple[tuple, float]]
+                ) -> list[tuple[tuple, float]]:
+        """A loop rule's ``(key, rate)`` outcomes in one compartment, keyed
+        by :meth:`entries`, merged and ordered as their targets and rates
+        would be (see :func:`_by_target`), without building a target."""
         found = []
         unchanged: set[float] = set()
-        for ((entry, membrane), rate), build in outcomes.items():
+        for key, rate in outcomes:
+            entry, membrane = key
             cell, new = entry.cell, self._successor(entry, membrane)
             if new == cell:
                 # every outcome that keeps its cell has the same target
                 if rate in unchanged:
                     continue
                 unchanged.add(rate)
-            found.append((cell.key, new.key, rate, build))
+            found.append((cell.key, new.key, rate, key))
         found.sort(key=cmp_to_key(_by_target))
-        return [(rate, build) for _, _, rate, build in found]
+        return [(key, rate) for _, _, rate, key in found]
 
-    def _build(self, state: Term, path: Path, content: Term,
-               entry: Optional[_Cell], membrane: Optional[tuple[str, ...]]
-               ) -> Term:
+    def build(self, state: Term, path: Path, content: Term,
+              key: Optional[tuple]) -> Term:
+        """The successor of ``state`` for the outcome ``key`` of
+        :meth:`entries` in ``content``, the compartment at ``path``."""
         counter = _rebuilt(component_counts(content), self.need, self.give)
-        if entry is not None:
+        if key is not None:
+            entry, membrane = key
             counter[entry.cell] -= 1
             counter[self._successor(entry, membrane)] += 1
         return splice(state, path, _term(counter))
@@ -265,7 +267,7 @@ class _Cell:
 
 def _by_target(a: tuple, b: tuple) -> int:
     """Compare two outcomes of one group, ``(cell key, new key, rate,
-    build)``, by their targets' keys, then by rate: -1, 0 or 1.
+    key)``, by their targets' keys, then by rate: -1, 0 or 1.
 
     Both targets are the content less the cell plus the new loop, spliced
     at one path, so a's has more of a's new loop and b's cell, and b's

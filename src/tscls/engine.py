@@ -1,11 +1,13 @@
 """Stochastic simulation: exact SSA over the transition relation.
 
-Each step recomputes the enabled transitions of the current state, draws
-the waiting time by inverse CDF (dt = -ln(1-u)/R with R the total exit
-rate), then selects a transition by cumulative-rate inversion with a
-second uniform draw. The draw order (time first, selection second) and
-the generator below are fixed, so a (model, seed) pair yields a
-bit-identical trace everywhere.
+Each step lists the rates of the current state's enabled transitions,
+draws the waiting time by inverse CDF (dt = -ln(1-u)/R with R the total
+exit rate), then selects a transition by cumulative-rate inversion with a
+second uniform draw, and builds only that transition. A run keeps one
+:class:`~tscls.semantics.Enumerator`, so a compartment that an event left
+alone keeps its compiled outcomes from the step before. The draw order
+(time first, selection second) and the generator below are fixed, so a
+(model, seed) pair yields a bit-identical trace everywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import ModelError, RateEvalError
 from .matching import Path
 from .model import ModelFile, ObservableSpec, SimConfig, name_clashes
-from .semantics import RewriteRule, Transition, transitions
+from .semantics import Enumerator, RewriteRule, Transition
 from .terms import Seq, Term, TypeEnv, canonicalize, component_counts
 
 _MASK64 = (1 << 64) - 1
@@ -63,14 +65,16 @@ def step(state: Term, rules: Sequence[RewriteRule], env: TypeEnv,
          consts: Mapping[str, float], rng: Pcg64,
          mode: str = "positional") -> Optional[tuple[float, Transition]]:
     """One SSA step; None when no transition is enabled."""
-    trs = transitions(state, rules, env, consts, mode)
-    if not trs:
+    outcomes = Enumerator(rules, env, consts, mode).outcomes(state)
+    if not outcomes.rates:
         return None
-    return _draw(trs, rng)[:2]
+    dt, i, _ = _draw(outcomes.rates, rng)
+    return dt, outcomes.transition(i)
 
 
-def _draw(trs: tuple[Transition, ...], rng: Pcg64):
-    total = sum(tr.rate for tr in trs)
+def _draw(rates: list[float], rng: Pcg64) -> tuple[float, int, float]:
+    """The waiting time, the index of the chosen rate and the total."""
+    total = sum(rates)
     if not math.isfinite(total):
         # every rate is finite, but their sum can overflow; the clock and
         # the selection below would be wrong
@@ -79,13 +83,11 @@ def _draw(trs: tuple[Transition, ...], rng: Pcg64):
     dt = -math.log(1.0 - u_time) / total
     u_pick = rng.random() * total
     acc = 0.0
-    chosen = trs[-1]
-    for tr in trs:
-        acc += tr.rate
+    for i, rate in enumerate(rates):
+        acc += rate
         if u_pick < acc:
-            chosen = tr
-            break
-    return dt, chosen, total
+            return dt, i, total
+    return dt, len(rates) - 1, total
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,8 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
     clashes = name_clashes(model)
     if clashes:
         raise ModelError(clashes)
-    env = model.type_env()
+    enumerator = Enumerator(model.rules, model.type_env(), model.constants,
+                            model.typing)
     names = tuple(o.element for o in model.observables)
     rng = Pcg64(cfg.seed, stream)
     state = canonicalize(model.init)
@@ -189,12 +192,11 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
         if len(events) >= cfg.max_steps:
             reason = HALT_MAX_STEPS
             break
-        trs = transitions(state, model.rules, env, model.constants,
-                          model.typing)
-        if not trs:
+        outcomes = enumerator.outcomes(state)
+        if not outcomes.rates:
             reason = HALT_EXHAUSTED
             break
-        dt, chosen, total = _draw(trs, rng)
+        dt, i, total = _draw(outcomes.rates, rng)
         if clock + dt > cfg.tmax:
             reason = HALT_TMAX
             break
@@ -202,6 +204,7 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
         while gi < len(grid) and grid[gi] < next_clock:
             samples.append(Sample(grid[gi], len(events), counts))
             gi += 1
+        chosen = outcomes.transition(i)
         state = chosen.target
         clock = next_clock
         counts = _count_all(state, names)

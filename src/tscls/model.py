@@ -18,6 +18,9 @@ class ObservableSpec:
     element: str
 
 
+SEED_LIMIT = 1 << 64
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation settings. ``tmax`` may be 0 to record the initial state
@@ -29,6 +32,10 @@ class SimConfig:
 
     def violations(self) -> list[str]:
         out = []
+        if not 0 <= self.seed < SEED_LIMIT:
+            # the generator reads 64 bits of the seed; a seed outside
+            # them would run as another seed's trajectory
+            out.append("seed must be an integer in [0, 2^64)")
         if not math.isfinite(self.tmax) or self.tmax < 0:
             out.append("tmax must be a finite number >= 0")
         if self.max_steps <= 0:

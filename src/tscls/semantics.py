@@ -10,8 +10,10 @@ outcomes of one rule at one site are merged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import rates
@@ -261,57 +263,164 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     before any target is built. A (rule, path) left with one survivor
     gets a deferred target; the others are built here and merged by
     target, and errors in building them are raised here.
+
+    Each call enumerates afresh: it makes its own :class:`Enumerator`.
     """
-    env = env if env is not None else TypeEnv()
-    consts = consts if consts is not None else {}
-    state = canonicalize(state)
-    # (rule index, path) -> (image, rate) -> builds the target; a compiled
-    # rule keys its outcomes by its plan's own keys instead of images
-    groups: dict[tuple, dict[tuple, Callable[[], Term]]] = {}
-    for comp in compartments(state):
-        content, path = comp.content, comp.path
-        if content.is_empty():
-            continue  # an instantiated lhs is never the empty term
-        for index, rule in enumerate(rules):
-            plan = rule.plan
-            if plan is not None:
-                for key, counts, build in plan.entries(
-                        state, path, content, env, mode != POSITIONAL):
-                    rate = _rate(rule, counts, consts, path)
-                    if rate > 0:
-                        groups.setdefault((index, path), {})[key, rate] = \
-                            build
+    return Enumerator(rules, env, consts, mode).outcomes(state).all()
+
+
+class Enumerator:
+    """The enabled transitions of states under one set of rules, typing,
+    constants and typing mode, such as the states of one run.
+
+    A rule rewrites one whole compartment and counts inside it, so a
+    compartment's compiled outcomes (each compiled rule's ordered
+    ``(key, rate)`` list, see :meth:`~tscls.compiled.Plan.entries`)
+    depend on its content alone. They are kept on the content's
+    :class:`~tscls.terms.Term`, tied to this enumerator: a compartment
+    that a successor shares with its parent costs one identity check, and
+    only the changed compartment and the ones enclosing it are enumerated
+    again. The constants must not change while the enumerator is in use.
+    Rules without a plan are matched afresh in every state: that path is
+    the reference.
+    """
+
+    def __init__(self, rules: Sequence[RewriteRule],
+                 env: Optional[TypeEnv] = None,
+                 consts: Optional[Mapping[str, float]] = None,
+                 mode: str = POSITIONAL):
+        self.rules = tuple(rules)
+        self.env = env if env is not None else TypeEnv()
+        self.consts = consts if consts is not None else {}
+        self.mode = mode
+        self._general = tuple((index, rule) for index, rule
+                              in enumerate(self.rules) if rule.plan is None)
+        # what a term's outcomes are tied to; not the enumerator itself,
+        # which would keep its rules alive as long as any term it visited
+        self._token = object()
+
+    def outcomes(self, state: Term) -> "Outcomes":
+        """The state's enabled transitions, in :func:`transitions` order.
+
+        Compartments are visited in pre-order and, in each one not kept,
+        rules in order, so the first rate error is the one the general
+        path raises; multi-outcome groups of rules without a plan build
+        their targets afterwards, in the order of the result."""
+        state = canonicalize(state)
+        rules, env, consts = self.rules, self.env, self.consts
+        literal = self.mode != POSITIONAL
+        # (rule index, path, content, rates, keys); for a rule without a
+        # plan, (rule index, path, None, None, survivors)
+        groups: list[tuple] = []
+        for comp in compartments(state):
+            content, path = comp.content, comp.path
+            if content.is_empty():
+                continue  # an instantiated lhs is never the empty term
+            kept = content._outcomes
+            if kept is not None and kept[0] is self._token:
+                for index, rule in self._general:
+                    self._match(state, path, content, index, rule, groups)
+                kept = kept[1]
+            else:
+                kept = []
+                for index, rule in enumerate(rules):
+                    plan = rule.plan
+                    if plan is None:
+                        self._match(state, path, content, index, rule,
+                                    groups)
+                        continue
+                    # the rule's (key, rate) outcomes, merged and ordered
+                    outs = []
+                    for key, counts in plan.entries(state, content, env,
+                                                    literal):
+                        rate = _rate(rule, counts, consts, path)
+                        if rate > 0:
+                            outs.append((key, rate))
+                    if outs:
+                        if len(outs) > 1:
+                            outs = plan.ordered(outs)
+                        keys, rates = zip(*outs)
+                        kept.append((index, rates, keys))
+                content._outcomes = (self._token, kept)
+            for index, rates, keys in kept:
+                groups.append((index, path, content, rates, keys))
+        # stable: by rule, then in pre-order, which is path order
+        groups.sort(key=itemgetter(0))
+        return Outcomes(state, rules, groups)
+
+    def _match(self, state: Term, path: tuple[int, ...], content: Term,
+               index: int, rule: RewriteRule, groups: list[tuple]) -> None:
+        """The general path: a rule's instantiations in the compartment,
+        merged by rhs image and rate, each with its deferred target."""
+        insts = match_whole(rule.lhs, content)
+        if not insts:
+            return
+        survivors: dict[tuple, Callable[[], Term]] = {}
+        for inst in sorted(insts, key=Instantiation.sort_key):
+            counts = count_types(inst, rule.counts, self.env, self.mode,
+                                 rule.seq_positioned)
+            rate = _rate(rule, counts, self.consts, path)
+            if rate <= 0:
                 continue
-            insts = match_whole(rule.lhs, content)
-            if not insts:
-                continue
-            for inst in sorted(insts, key=Instantiation.sort_key):
-                counts = count_types(inst, rule.counts, env, mode,
-                                     rule.seq_positioned)
-                rate = _rate(rule, counts, consts, path)
-                if rate <= 0:
-                    continue
-                survivors = groups.setdefault((index, path), {})
-                key = (image(rule.rhs, inst), rate)
-                if key not in survivors:
-                    survivors[key] = partial(_build_target, state, path,
-                                             rule.rhs, inst)
-    out: list[Transition] = []
-    for index, path in sorted(groups):
-        rule, survivors = rules[index], groups[index, path]
-        if len(survivors) == 1:
-            [((_, rate), build)] = survivors.items()
-            out.append(Transition.deferred(rule.id, path, build, rate))
-        elif rule.plan is not None:
-            out.extend(Transition.deferred(rule.id, path, build, rate)
-                       for rate, build in rule.plan.ordered(survivors))
-        else:
-            found: dict[tuple, Transition] = {}
-            for (_, rate), build in survivors.items():
-                target = build()
-                if (target, rate) not in found:
-                    found[target, rate] = Transition(rule.id, path, target,
-                                                     rate)
-            out.extend(sorted(found.values(),
-                              key=lambda tr: (tr.target.key, tr.rate)))
-    return tuple(out)
+            key = (image(rule.rhs, inst), rate)
+            if key not in survivors:
+                survivors[key] = partial(_build_target, state, path,
+                                         rule.rhs, inst)
+        if survivors:
+            groups.append((index, path, None, None, survivors))
+
+
+def _resolved(rule: RewriteRule, path: tuple[int, ...],
+              survivors: Mapping[tuple, Callable[[], Term]]
+              ) -> tuple[tuple, tuple]:
+    """A general group's ``(rates, transitions)``: one survivor keeps its
+    target deferred; more are built, merged by target and sorted."""
+    if len(survivors) == 1:
+        [((_, rate), build)] = survivors.items()
+        return (rate,), (Transition.deferred(rule.id, path, build, rate),)
+    found: dict[tuple, Transition] = {}
+    for (_, rate), build in survivors.items():
+        target = build()
+        if (target, rate) not in found:
+            found[target, rate] = Transition(rule.id, path, target, rate)
+    trs = sorted(found.values(), key=lambda tr: (tr.target.key, tr.rate))
+    return tuple(tr.rate for tr in trs), tuple(trs)
+
+
+class Outcomes:
+    """A state's enabled transitions, in :func:`transitions` order:
+    ``rates`` lists their rates, and :meth:`transition` makes the one
+    drawn, with a deferred target."""
+
+    __slots__ = ("rates", "_state", "_rules", "_groups", "_starts")
+
+    def __init__(self, state: Term, rules: Sequence[RewriteRule],
+                 groups: list[tuple]):
+        """``groups`` as :meth:`Enumerator.outcomes` orders them; the
+        survivors of a rule without a plan become its transitions here."""
+        self._state = state
+        self._rules = rules
+        self._groups = groups
+        self._starts: list[int] = []
+        self.rates: list[float] = []
+        for g, (index, path, content, rates, keys) in enumerate(groups):
+            if rates is None:
+                rates, keys = _resolved(rules[index], path, keys)
+                groups[g] = (index, path, content, rates, keys)
+            self._starts.append(len(self.rates))
+            self.rates.extend(rates)
+
+    def transition(self, i: int) -> Transition:
+        g = bisect_right(self._starts, i) - 1
+        index, path, content, rates, keys = self._groups[g]
+        j = i - self._starts[g]
+        if content is None:
+            return keys[j]  # a rule without a plan: its transitions
+        rule = self._rules[index]
+        return Transition.deferred(
+            rule.id, path,
+            partial(rule.plan.build, self._state, path, content, keys[j]),
+            rates[j])
+
+    def all(self) -> tuple[Transition, ...]:
+        return tuple(self.transition(i) for i in range(len(self.rates)))

@@ -12,9 +12,9 @@ membrane then content).
 All values are immutable; each node caches its sort key and hash
 (a term on first use, sequences and loops at construction) so
 canonicalization and multiset operations stay cheap on large states. A
-term also caches its component multiset and its type histogram; a
-successor shares every compartment an event left alone, and with it
-both caches.
+term also caches its component multiset, its type histogram and, as a
+compartment, the compiled outcomes of a run's rules in it; a successor
+shares every compartment an event left alone, and with it these caches.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class Term:
     """
 
     __slots__ = ("components", "_key", "_hash", "_canonical", "_counter",
-                 "_types")
+                 "_types", "_outcomes")
 
     def __init__(self, components: Iterable[Component] = ()):
         self.components = tuple(components)
@@ -104,6 +104,8 @@ class Term:
         self._canonical = False
         self._counter = None
         self._types = None  # (env, type histogram), see type_counts
+        # (run token, compiled outcomes), see semantics.Enumerator
+        self._outcomes = None
 
     @property
     def key(self) -> tuple:

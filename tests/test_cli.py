@@ -99,11 +99,13 @@ class TestCheck:
     @pytest.mark.parametrize("text, message", [
         ("const k = \u00b2\n", "1:11: unexpected character '\u00b2'"),
         ("run { seed: 1e400 }\n", "1:7: run field 'seed' must be an integer"),
+        (TINY.replace("seed: 7", "seed: 18446744073709551616"),
+         "seed must be an integer in [0, 2^64)"),
         ("init: " + "<m>[ " * 400 + "a" + " ]" * 400 + "\n",
          "1:1007: nesting deeper than 200 levels"),
         (RATE_MODEL % " + ".join(["1"] * 1000),
          "5:811: nesting deeper than 200 levels"),
-    ], ids=["digit", "overflow", "nesting", "chain"])
+    ], ids=["digit", "overflow", "seed", "nesting", "chain"])
     def test_bad_text_is_a_parse_error(self, text, message, tmp_path, capsys,
                                        monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")
@@ -324,6 +326,23 @@ class TestRun:
             assert single.read_bytes() \
                 == (tmp_path / f"rep.seed{seed}.csv").read_bytes()
         assert "steps=200" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed, replicas, message", [
+        (2 ** 64, 1, "seed must be an integer in [0, 2^64)"),
+        (-1, 1, "seed must be an integer in [0, 2^64)"),
+        (2 ** 64 - 2, 3, "--replicas 3 runs seeds past 2^64 - 1")])
+    def test_seeds_outside_64_bits(self, seed, replicas, message, tiny,
+                                   tmp_path, capsys, monkeypatch):
+        # the generator reads 64 bits of the seed: 2^64 would run seed 0's
+        # trajectory and -1 that of 2^64 - 1
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        out = tmp_path / "trace.csv"
+        assert main(["run", tiny, "--seed", str(seed), "--replicas",
+                     str(replicas), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p for p in tmp_path.iterdir() if p.suffix == ".csv"] == []
+        assert main(["run", tiny, "--seed", str(2 ** 64 - 1),
+                     "--out", str(out)]) == 0
 
     def test_replicas_need_out(self, tiny, capsys, monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")

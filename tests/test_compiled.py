@@ -20,6 +20,7 @@ from tscls.catalog import OsmosisParams, lac_operon_model, osmosis_rules
 from tscls.compiled import Plan
 from tscls.engine import Pcg64, step
 from tscls.patterns import seq_positioned_elem_vars
+from tscls.semantics import Enumerator
 from tscls.terms import type_counts
 
 from conftest import (ALPHABET, CELLS, general, random_env, random_rate,
@@ -567,12 +568,12 @@ def test_one_target_is_built_per_step(monkeypatch):
     # 20 cells, each with an osmosis outcome at the root; only the drawn
     # transition's target is built
     calls = []
-    build = Plan._build
+    build = Plan.build
 
     def counted(*args):
         calls.append(args)
         return build(*args)
-    monkeypatch.setattr(Plan, "_build", counted)
+    monkeypatch.setattr(Plan, "build", counted)
     cells = " | ".join(f"<m.p>[ {n} * W | 3 * S ]" for n in range(1, 21))
     state = T(f"{cells} | 30 * W | 10 * S")
     rules = osmosis_pair()
@@ -586,7 +587,7 @@ def test_one_target_is_built_per_step(monkeypatch):
 @given(st.integers(0, 10 ** 9))
 @settings(max_examples=200, deadline=None)
 def test_successors_type_as_type_of(seed):
-    # a target built by Plan._build shares every compartment the rule left
+    # a target built by Plan.build shares every compartment the rule left
     # alone, with the type histogram cached on it while counting its
     # parent; each of its compartments must still type as type_of does
     rng = random.Random(seed)
@@ -691,3 +692,33 @@ def test_a_warm_step_reuses_histograms_and_rates(monkeypatch):
     del histograms[:], rates[:]
     step(chosen.target, rules, env, consts, Pcg64(2))
     assert len(histograms) <= 3 and len(rates) <= 10
+
+
+def test_a_step_enumerates_only_what_an_event_changed(monkeypatch):
+    # 20 cells; an event inside one cell changes that cell's content and
+    # the root, and the next step of the same enumerator calls
+    # Plan.entries for those two compartments only
+    cells = " | ".join(f"<m.p>[ {n} * W | 3 * S | A ]" for n in range(1, 21))
+    state = canonicalize(T(f"{cells} | 30 * W | 10 * S"))
+    rules = osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
+                                   [(TypeName("t_A"), "n")])]
+    enumerator = Enumerator(rules, TypeEnv(), {})
+    outcomes = enumerator.outcomes(state)
+    inside = [tr for tr in outcomes.all() if tr.path]
+    assert len(inside) == 20
+    target = inside[7].target
+    before = {id(site.content) for site in compartments(state)}
+    changed = [site.content for site in compartments(target)
+               if id(site.content) not in before]
+    [cell] = set(target.components) - set(state.components)
+    assert changed == [target, cell.content]
+    seen = []
+    entries = Plan.entries
+    monkeypatch.setattr(Plan, "entries", lambda self, state, content, *rest:
+                        seen.append(content) or entries(self, state, content,
+                                                        *rest))
+    got = enumerator.outcomes(target).all()
+    assert sorted(map(id, seen)) == sorted(map(id, changed * len(rules)))
+    del seen[:]
+    assert got == transitions(target, rules, TypeEnv(), {})
+    assert len(seen) == 21 * len(rules)  # a fresh enumerator keeps nothing

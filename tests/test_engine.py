@@ -17,7 +17,7 @@ from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.engine import _count_all, _sample_grid
 from tscls.terms import Loop, TypeEnv
 
-from conftest import ALPHABET, random_term
+from conftest import ALPHABET, CELLS, random_term
 
 
 def T(text):
@@ -251,6 +251,24 @@ class TestSimulate:
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
 
+    def test_runs_hold_no_cycle_through_their_rules(self):
+        # what a run keeps on the terms it visited must not refer back to
+        # its rules, or every rule, plan and rate table of a finished run
+        # would stay in memory until the cycle collector ran
+        gc.collect()
+        gc.disable()
+        try:
+            for make in (lambda: parse_model(CELLS), lac_operon_model):
+                model = make()
+                trace = simulate(model, model.sim_config(seed=3,
+                                                         max_steps=150))
+                assert trace.steps > 10
+                refs = [weakref.ref(r) for r in model.rules]
+                del model, trace
+                assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("twice, message", [
         ("rule", "duplicate rule id 'a_to_b'"),
         ("observable", "duplicate observable 'a'")])
@@ -272,3 +290,16 @@ class TestSimulate:
         model = single_rule_model("a", state_change_rule("a", "b", 1.0))
         with pytest.raises(ValueError):
             simulate(model, SimConfig(seed=1, tmax=-1.0))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1, -2 ** 64])
+    def test_seeds_outside_64_bits_rejected(self, seed):
+        # the generator reads 64 bits of the seed, so these would alias
+        # the seeds 2^64 - 1, 0, 1 and 0
+        model = single_rule_model("a", state_change_rule("a", "b", 1.0))
+        assert SimConfig(seed=seed).violations() \
+            == ["seed must be an integer in [0, 2^64)"]
+        with pytest.raises(ValueError, match="seed must be"):
+            simulate(model, SimConfig(seed=seed, tmax=1.0))
+        for valid in (0, 2 ** 64 - 1):
+            assert SimConfig(seed=valid).violations() == []
+            simulate(model, SimConfig(seed=valid, tmax=1.0))

@@ -12,8 +12,9 @@ import io
 
 import pytest
 
-from tscls import lac_operon_model, parse_model, simulate
+from tscls import LITERAL, lac_operon_model, parse_model, simulate
 from tscls.cli import _write_trace
+from tscls.compiled import Plan
 
 from conftest import CELLS, general
 
@@ -100,3 +101,55 @@ def test_rules_shared_by_runs_under_other_inputs():
     changed = CELLS.replace("const k = 10.0", "const k = 3.0")
     assert traces(shared, 1) == traces(parse_model(changed), 1)
     assert traces(shared, 1) != traces(parse_model(CELLS), 1)
+
+
+# CELLS with a cell of one-element membrane and a count on ~x, which
+# typing: literal counts as t_p and typing: positional as seq(t_p)
+MODED = CELLS.replace(
+    "count $Y { t_W -> n3, t_S -> n4, seq(t_p) -> n5 }",
+    "count $Y { t_W -> n3, t_S -> n4, seq(t_p) -> n5 }\n"
+    "  count ~x { t_p -> n6 }", 1).replace(
+    "k * (n5 + 1)\n}\n\nrule W_in",
+    "k * (n5 + n6 + 1)\n}\n\nrule W_in").replace(
+    "<aq.m.p>[ 4 * W | 3 * S ]",
+    "<aq.m.p>[ 4 * W | 3 * S ] | <p>[ W | 6 * S ]")
+
+
+def test_one_model_run_under_other_inputs():
+    # the compartments of a model's initial state keep the outcomes that
+    # the last run enumerated in them; runs of the same parsed model after
+    # its constants, type assignments and typing mode are changed in place
+    # must each give the traces of a fresh parse
+    model = parse_model(MODED)
+    assert all(rule.plan is not None for rule in model.rules)
+    text = MODED
+    changes = [
+        (lambda: setattr(model, "typing", LITERAL),
+         lambda t: t + "typing: literal\n"),
+        (lambda: model.constants.update(k=3.0),
+         lambda t: t.replace("const k = 10.0", "const k = 3.0")),
+        (lambda: model.type_decls.update(A="t_B", S="t_W"),
+         lambda t: t + "type A : t_B\ntype S : t_W\n"),
+        (model.type_decls.clear,
+         lambda t: t.replace("type A : t_B\ntype S : t_W\n", "")),
+    ]
+    last = traces(model, 1)
+    assert last == traces(parse_model(text), 1)
+    for change, edit in changes:
+        change()
+        text = edit(text)
+        got = traces(model, 1)
+        assert got == traces(parse_model(text), 1)
+        assert got != last  # the change mattered
+        last = got
+
+
+def test_simulate_builds_one_target_per_event(monkeypatch):
+    built = []
+    build = Plan.build
+    monkeypatch.setattr(Plan, "build",
+                        lambda *args: built.append(args) or build(*args))
+    model = parse_model(CELLS)
+    trace = simulate(model, model.sim_config(seed=1, max_steps=MAX_STEPS,
+                                             tmax=1e9))
+    assert len(built) == trace.steps == MAX_STEPS
