@@ -24,15 +24,24 @@ general path: ``match_whole``, ``count_types``, ``substitute`` and
 path counts in ``Instantiation.sort_key`` order, which for these shapes
 is the order of the loops' membranes, ties broken by the binding of the
 term variable whose name sorts first.
+
+A loop rule's outcomes in a compartment are ordered by their targets
+without building one (see :func:`_by_target`). Two outcomes compare by
+the cell each rewrites and the loop it becomes alone, so that order is
+kept from one compartment to the compartment that replaces it: the
+outcomes of cells that left are dropped and those of cells that came
+are placed by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from functools import cmp_to_key
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from .errors import RateEvalError
 from .matching import Path, splice
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
                        VarKind)
@@ -50,9 +59,13 @@ FRAME, INNER, MEMBRANE = "frame", "inner", "membrane"
 # per count block: what it counts and its (type, count name) entries
 Decl = tuple[str, tuple[tuple[TypeName, str], ...]]
 
-# an outcome's key and its counts; the key is what :meth:`Plan.build`
-# needs beside the state, the path and the content
-Entry = tuple[object, dict[str, int]]
+# an outcome's key and its rate; the key is what :meth:`Plan.build` needs
+# beside the state, the path and the content
+Entry = tuple[object, float]
+
+# a loop rule's outcome before it is rated, and its key: the _Cell of the
+# loop it rewrites and the rhs membrane it gives it
+Candidate = tuple["_Cell", tuple[str, ...]]
 
 
 class Plan:
@@ -68,15 +81,10 @@ class Plan:
     histogram (:func:`~tscls.terms.type_counts`, cached on the term) less
     the type histogram of ``need`` or ``inner_need``, which the plan
     keeps for the last environment.
-
-    A loop rule keeps a :class:`_Cell` per cell component of the state it
-    was last called on and of the state before, keyed by the cell's
-    value, so a cell that an event left alone costs a lookup. Both are
-    dropped when the ``(env, literal)`` pair changes.
     """
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
-                 "membrane", "frame_first", "_rotated", "_cells",
+                 "membrane", "frame_first", "_same_inner", "_rotated",
                  "_less")
 
     def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
@@ -91,33 +99,64 @@ class Plan:
         self.inner_give = inner_give
         self.membrane = membrane
         self.frame_first = frame_first
+        # whether the rule leaves a loop's content as it is
+        self._same_inner = inner_need == inner_give
         self._rotated: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
-        # ((env, literal), state, its cells, the last state's cells),
-        # replaced as one value
-        self._cells: tuple = (None, None, {}, {})
         # (env, types of need, types of inner_need)
         self._less: tuple = (None, None, None)
 
-    def entries(self, state: Term, content: Term, env: TypeEnv,
-                literal: bool) -> Iterable[Entry]:
-        """One ``(key, counts)`` per distinct outcome of the rule in
-        ``content``, a compartment of ``state``; ``build(state, path,
-        content, key)`` makes the outcome's successor. ``literal`` types a
-        length-1 ``~x`` by its basic type. Loops come in the order the
-        general path counts its instantiations, so a caller that evaluates
-        each rate as it goes raises the same error. A loop rule's key is
-        ``(entry, membrane)``: the :class:`_Cell` of the loop it rewrites
-        and the membrane it gives it; the other rule's key is None."""
+    def entries(self, kept: dict, content: Term, env: TypeEnv,
+                literal: bool, rate: Callable[[dict[str, int]], float]
+                ) -> list[Entry]:
+        """The rule's enabled outcomes in ``content``, a compartment: one
+        ``(key, rate)`` per distinct outcome of positive rate, merged and
+        ordered as their targets and rates would be, so ``build(state,
+        path, content, key)`` makes the outcome's successor. ``rate``
+        rates an outcome's counts; ``literal`` types a length-1 ``~x`` by
+        its basic type. The key of a loop rule's outcome is ``(entry,
+        membrane)``: the :class:`_Cell` of the loop it rewrites and the
+        membrane it gives it; the other rule's key is None.
+
+        A loop rule keeps its :class:`Order` for ``content`` in
+        ``kept[self]``. On entry that may hold the order of another
+        compartment, such as the one ``content`` replaced, made under the
+        same ``env``, ``literal`` and ``rate``; it is brought up to date
+        by the cells the two differ in, and its rates are kept if the
+        frame totals are the same. If a rate raises, the rates are
+        evaluated again in the order of the general path, which raises
+        its first error."""
         have = component_counts(content)
         if not _contains(have, self.need):
-            return ()
+            return []
         if self.membrane is None:
             types, less = type_counts(content, env), self._types_less(env)[0]
             counts: dict[str, int] = {}
             for _, entries in self.decls:
                 counts.update(read_counts(entries, types, less))
-            return ((None, counts),)
-        return self._loops(state, content, env, literal, have)
+            found = rate(counts)
+            return [(None, found)] if found > 0 else []
+        try:
+            order = self._order(kept.get(self), content, have, env, literal,
+                                rate)
+        except RateEvalError:
+            totals = self._totals(content, env)
+            for cell in self._in_general_order(have):
+                entry = self._cell(cell, env, literal)
+                if entry:
+                    rate(_counts(entry, totals))
+            raise
+        if order is None:
+            kept.pop(self, None)
+            return []
+        kept[self] = order
+        return order.entries
+
+    def _totals(self, content: Term, env: TypeEnv) -> tuple:
+        """Per count block, the counts of the frame, the compartment less
+        ``need``, if the block counts the frame, else None."""
+        types, less = type_counts(content, env), self._types_less(env)[0]
+        return tuple([read_counts(entries, types, less) if what is FRAME
+                      else None for what, entries in self.decls])
 
     def _types_less(self, env: TypeEnv) -> tuple[Types, Types]:
         """The type histograms of ``need`` and ``inner_need``."""
@@ -127,43 +166,65 @@ class Plan:
                                  counter_types(self.inner_need or {}, env))
         return less[1:]
 
-    def _loops(self, state: Term, content: Term, env: TypeEnv,
-               literal: bool, have: Counter) -> Iterator[Entry]:
-        ctx, seen, memo, last = self._cells
-        if ctx != (env, literal):
-            memo, last = {}, {}
-        elif seen is not state:
-            memo, last = {}, memo
-        self._cells = ((env, literal), state, memo, last)
+    def _order(self, base: Optional[Order], content: Term, have: Counter,
+               env: TypeEnv, literal: bool,
+               rate: Callable[[dict[str, int]], float]) -> Optional[Order]:
+        """The order of ``content``, of component counter ``have``, made
+        from ``base``, the order of another compartment: the candidates of
+        the cells it lacks are dropped, and those of the cells it adds are
+        placed by bisection, or sorted if there is no other. Only the
+        added candidates are rated if the frame totals are the same. None
+        if ``content`` holds no cell."""
+        if base is None:
+            base = _NO_ORDER
+        cells, cands, rates = base.cells, base.cands, base.rates
+        gone = cells.keys() - have.keys()
+        came = [comp for comp in have.keys() - cells.keys()
+                if isinstance(comp, Loop)]
+        if not came and len(gone) == len(cells):
+            return None
+        totals = self._totals(content, env)
+        if base.totals != totals:
+            rates = None
+        elif not gone and not came:
+            return base
+        cells, cands = dict(cells), cands.copy()
+        if rates is not None:
+            rates = rates.copy()
+        if gone:
+            dead = [cells.pop(cell) for cell in gone]
+            for j in reversed([j for j, cand in enumerate(cands)
+                               if cand[0] in dead]):
+                del cands[j]
+                if rates is not None:
+                    del rates[j]
+        new = []
+        for cell in came:
+            entry = cells[cell] = self._cell(cell, env, literal)
+            if entry:
+                new += [(entry, membrane) for membrane in entry.membranes]
+        if cands:
+            for cand in new:
+                j = bisect_right(cands, _TARGET_ORDER(cand),
+                                 key=_TARGET_ORDER)
+                cands.insert(j, cand)
+                if rates is not None:
+                    rates.insert(j, rate(_counts(cand[0], totals)))
+        else:
+            cands = sorted(new, key=_TARGET_ORDER)
+            rates = None
+        if rates is None:
+            rates = [rate(_counts(cand[0], totals)) for cand in cands]
+        return Order(cells, cands, rates, totals)
+
+    def _in_general_order(self, have: Counter) -> list[Loop]:
+        """The cells of a compartment in the order the general path counts
+        them."""
         cells = [comp for comp in have if isinstance(comp, Loop)]
         if self.frame_first:
             cells.reverse()
         cells.sort(key=attrgetter("membrane"))
-        totals: dict[int, dict[str, int]] = {}
-        for cell in cells:
-            entry = memo.get(cell)
-            if entry is None:
-                entry = last.get(cell)
-                if entry is None:
-                    entry = self._cell(cell, env, literal)
-                memo[cell] = entry
-            if not entry:
-                continue
-            counts = entry.counts
-            if entry.shares:
-                # the frame is the compartment's totals, counted once per
-                # compartment, less the cell's membrane
-                counts = dict(counts)
-                for i, share in entry.shares:
-                    total = totals.get(i)
-                    if total is None:
-                        total = totals[i] = read_counts(
-                            self.decls[i][1], type_counts(content, env),
-                            self._types_less(env)[0])
-                    for name, n in share.items():
-                        counts[name] = total[name] - n
-            for membrane in self._membranes(cell.membrane):
-                yield (entry, membrane), counts
+        return cells
 
     def _cell(self, cell: Loop, env: TypeEnv, literal: bool):
         """The cell's :class:`_Cell`, or False if the rule cannot rewrite
@@ -184,7 +245,11 @@ class Plan:
             else:
                 shares.append((i, read_counts(entries, seq_types(
                     cell.membrane, env, False))))
-        return _Cell(cell, counts, tuple(shares))
+        membranes = self._membranes(cell.membrane)
+        same = None
+        if self._same_inner and cell.membrane in membranes:
+            same = membranes[membranes.index(cell.membrane)]
+        return _Cell(self, cell, counts, tuple(shares), membranes, same)
 
     def _membranes(self, mem: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
         """The distinct least rotations of the rhs membrane over the
@@ -208,35 +273,6 @@ class Plan:
             out = self._rotated[mem] = tuple(found)
         return out
 
-    def _successor(self, entry: _Cell, membrane: tuple[str, ...]) -> Loop:
-        """The loop that replaces the entry's cell when it takes
-        ``membrane``, kept on the entry."""
-        out = entry.successors.get(membrane)
-        if out is None:
-            inner = _term(_rebuilt(component_counts(entry.cell.content),
-                                   self.inner_need, self.inner_give))
-            out = entry.successors[membrane] = Loop(membrane, inner)
-        return out
-
-    def ordered(self, outcomes: Iterable[tuple[tuple, float]]
-                ) -> list[tuple[tuple, float]]:
-        """A loop rule's ``(key, rate)`` outcomes in one compartment, keyed
-        by :meth:`entries`, merged and ordered as their targets and rates
-        would be (see :func:`_by_target`), without building a target."""
-        found = []
-        unchanged: set[float] = set()
-        for key, rate in outcomes:
-            entry, membrane = key
-            cell, new = entry.cell, self._successor(entry, membrane)
-            if new == cell:
-                # every outcome that keeps its cell has the same target
-                if rate in unchanged:
-                    continue
-                unchanged.add(rate)
-            found.append((cell.key, new.key, rate, key))
-        found.sort(key=cmp_to_key(_by_target))
-        return [(key, rate) for _, _, rate, key in found]
-
     def build(self, state: Term, path: Path, content: Term,
               key: Optional[tuple]) -> Term:
         """The successor of ``state`` for the outcome ``key`` of
@@ -244,30 +280,103 @@ class Plan:
         counter = _rebuilt(component_counts(content), self.need, self.give)
         if key is not None:
             entry, membrane = key
+            new = entry.successor(membrane)
             counter[entry.cell] -= 1
-            counter[self._successor(entry, membrane)] += 1
+            counter[new] = counter.get(new, 0) + 1
         return splice(state, path, _term(counter))
 
 
 class _Cell:
     """What a loop rule derives from one cell component: the counts that
     depend on the cell alone; per frame count block, its index and the
-    cell membrane's share of the frame; and, as they are asked for, the
-    loops the cell becomes, per rhs membrane."""
+    cell membrane's share of the frame; the rhs membranes it can take,
+    and the one that leaves it as it is, if any; and, as they are asked
+    for, the loops it becomes."""
 
-    __slots__ = ("cell", "counts", "shares", "successors")
+    __slots__ = ("plan", "cell", "counts", "shares", "membranes", "same",
+                 "_inner", "_successors")
 
-    def __init__(self, cell: Loop, counts: dict[str, int],
-                 shares: tuple[tuple[int, dict[str, int]], ...]):
+    def __init__(self, plan: Plan, cell: Loop, counts: dict[str, int],
+                 shares: tuple[tuple[int, dict[str, int]], ...],
+                 membranes: tuple[tuple[str, ...], ...],
+                 same: Optional[tuple[str, ...]]):
+        self.plan = plan
         self.cell = cell
         self.counts = counts
         self.shares = shares
-        self.successors: dict[tuple[str, ...], Loop] = {}
+        self.membranes = membranes
+        self.same = same
+        self._inner: Optional[Term] = None
+        self._successors: dict[tuple[str, ...], Loop] = {}
+
+    def successor(self, membrane: tuple[str, ...]) -> Loop:
+        """The loop that replaces the cell when it takes ``membrane``."""
+        out = self._successors.get(membrane)
+        if out is None:
+            if self._inner is None:
+                plan = self.plan
+                self._inner = _term(_rebuilt(
+                    component_counts(self.cell.content), plan.inner_need,
+                    plan.inner_give))
+            out = self._successors[membrane] = Loop(membrane, self._inner)
+        return out
 
 
-def _by_target(a: tuple, b: tuple) -> int:
-    """Compare two outcomes of one group, ``(cell key, new key, rate,
-    key)``, by their targets' keys, then by rate: -1, 0 or 1.
+class Order:
+    """A loop rule's outcomes in one compartment: ``cells`` maps each
+    distinct cell to its :class:`_Cell`, or False if the rule cannot
+    rewrite it; ``cands`` holds the candidates in target order, and
+    ``rates`` their rates under the frame totals ``totals``; ``entries``
+    are the outcomes :meth:`Plan.entries` gives. Never changed once made.
+    """
+
+    __slots__ = ("cells", "cands", "rates", "totals", "entries")
+
+    def __init__(self, cells: dict, cands: list[Candidate],
+                 rates: list[float], totals: Optional[tuple]):
+        self.cells = cells
+        self.cands = cands
+        self.rates = rates
+        self.totals = totals
+        # the candidates of positive rate; those that keep their loop
+        # form one block of equal targets, which gives one outcome per
+        # distinct rate, in rate order
+        out: list[Entry] = []
+        same: dict[float, tuple] = {}
+        at = 0
+        for cand, rate in zip(cands, rates):
+            if rate <= 0:
+                continue
+            if cand[1] is cand[0].same:
+                at = len(out)
+                same.setdefault(rate, cand)
+            else:
+                out.append((cand, rate))
+        if same:
+            out[at:at] = [(key, rate) for rate, key in sorted(same.items())]
+        self.entries = out
+
+
+_NO_ORDER = Order({}, [], [], None)
+
+
+def _counts(entry: _Cell, totals: tuple) -> dict[str, int]:
+    """The counts of the entry's cell in a compartment of frame totals
+    ``totals``: the frame is the totals less the cell membrane's share."""
+    counts = entry.counts
+    if entry.shares:
+        counts = dict(counts)
+        for i, share in entry.shares:
+            total = totals[i]
+            for name, n in share.items():
+                counts[name] = total[name] - n
+    return counts
+
+
+def _by_target(a: Candidate, b: Candidate) -> int:
+    """Compare two candidates of one loop rule in one compartment by
+    their targets' keys: -1, 0 or 1. Only candidates that keep their loop
+    have equal targets.
 
     Both targets are the content less the cell plus the new loop, spliced
     at one path, so a's has more of a's new loop and b's cell, and b's
@@ -277,14 +386,19 @@ def _by_target(a: tuple, b: tuple) -> int:
     more of it sorts first. At a nested path that holds for the changed
     compartment and, in turn, for each enclosing one, whose loops compare
     by their contents."""
-    more_a, more_b = [a[1], b[0]], [a[0], b[1]]
-    for key in (a[1], b[0]):
+    a_cell, a_new = a[0].cell.key, a[0].successor(a[1]).key
+    b_cell, b_new = b[0].cell.key, b[0].successor(b[1]).key
+    more_a, more_b = [a_new, b_cell], [a_cell, b_new]
+    for key in (a_new, b_cell):
         if key in more_b:
             more_a.remove(key)
             more_b.remove(key)
     if not more_a:
-        return (a[2] > b[2]) - (a[2] < b[2])
+        return 0
     return -1 if min(more_a) < min(more_b) else 1
+
+
+_TARGET_ORDER = cmp_to_key(_by_target)
 
 
 def _contains(have: Counter, need: Counter) -> bool:
@@ -294,23 +408,28 @@ def _contains(have: Counter, need: Counter) -> bool:
     return True
 
 
-def _rebuilt(have: Counter, need: Counter, give: Counter) -> Counter:
-    counter = have.copy()
-    counter.subtract(need)
-    counter.update(give)
+def _rebuilt(have: Counter, need: Counter, give: Counter) -> dict:
+    """``have - need + give``, for ``need`` contained in ``have``."""
+    counter = dict(have)
+    for comp, n in need.items():
+        counter[comp] -= n
+    for comp, n in give.items():
+        counter[comp] = counter.get(comp, 0) + n
     return counter
 
 
-def _term(counter: Counter) -> Term:
+def _term(counter: dict) -> Term:
     """The canonical term of a counter of canonical components."""
-    comps = sorted((c for c, n in counter.items() if n > 0),
+    comps = sorted([c for c, n in counter.items() if n > 0],
                    key=attrgetter("key"))
     parts: list = []
+    counts: Counter = Counter()
     for comp in comps:
-        parts += [comp] * counter[comp]
+        n = counts[comp] = counter[comp]
+        parts += [comp] * n
     t = Term(parts)
     t._canonical = True
-    t._counter = Counter({comp: counter[comp] for comp in comps})
+    t._counter = counts
     return t
 
 

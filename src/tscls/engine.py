@@ -13,7 +13,9 @@ alone keeps its compiled outcomes from the step before. The draw order
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 from .errors import ModelError, RateEvalError
@@ -73,8 +75,14 @@ def step(state: Term, rules: Sequence[RewriteRule], env: TypeEnv,
 
 
 def _draw(rates: list[float], rng: Pcg64) -> tuple[float, int, float]:
-    """The waiting time, the index of the chosen rate and the total."""
-    total = sum(rates)
+    """The waiting time, the index of the chosen rate and the total.
+
+    The total and the selection use one left-to-right running sum: the
+    first rate whose running sum exceeds the pick is chosen. ``sum()``
+    would not do for the total, since from Python 3.12 on it adds floats
+    with compensation and gives another total than that running sum."""
+    running = list(accumulate(rates))
+    total = running[-1]
     if not math.isfinite(total):
         # every rate is finite, but their sum can overflow; the clock and
         # the selection below would be wrong
@@ -82,12 +90,7 @@ def _draw(rates: list[float], rng: Pcg64) -> tuple[float, int, float]:
     u_time = rng.random()
     dt = -math.log(1.0 - u_time) / total
     u_pick = rng.random() * total
-    acc = 0.0
-    for i, rate in enumerate(rates):
-        acc += rate
-        if u_pick < acc:
-            return dt, i, total
-    return dt, len(rates) - 1, total
+    return dt, min(bisect_right(running, u_pick), len(rates) - 1), total
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ canonical form and symmetric choices among identical components collapse.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from collections import Counter
 from operator import attrgetter
@@ -21,6 +22,8 @@ from .terms import (Loop, Seq, Term, canonicalize, component_counts,
                     min_rotation)
 
 Path = tuple[int, ...]
+
+_KEY = attrgetter("key")
 Binding = Union[Term, tuple[str, ...], str]
 
 
@@ -114,7 +117,11 @@ def compartments(state: Term) -> list[Compartment]:
 
 
 def splice(state: Term, path: Path, new_content: Term) -> Term:
-    """Replace the compartment at ``path`` and re-canonicalize."""
+    """Replace the compartment at ``path`` and re-canonicalize.
+
+    In a canonical state only the loops on the path change, each keeping
+    its membrane, so each is moved to its place among the components
+    around it, which stay as they are."""
     if not path:
         return canonicalize(new_content)
     target, rest = path[0], path[1:]
@@ -123,9 +130,16 @@ def splice(state: Term, path: Path, new_content: Term) -> Term:
     for i, comp in enumerate(comps):
         if isinstance(comp, Loop):
             if loop_index == target:
-                comps[i] = Loop(comp.membrane,
-                                splice(comp.content, rest, new_content))
-                return canonicalize(Term(comps))
+                new = Loop(comp.membrane,
+                           splice(comp.content, rest, new_content))
+                if not state._canonical:
+                    comps[i] = new
+                    return canonicalize(Term(comps))
+                del comps[i]
+                insort(comps, new, key=_KEY)
+                out = Term(comps)
+                out._canonical = True
+                return out
             loop_index += 1
     raise ValueError(f"no loop at path step {target}")
 

@@ -19,13 +19,13 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import rates
 from .compiled import Plan, compile_rule
 from .errors import RateEvalError
-from .matching import (Instantiation, compartments, image, match_whole,
-                       path_text, splice, substitute)
+from .matching import (Instantiation, Path, image, match_whole, path_text,
+                       splice, substitute)
 from .patterns import (Pattern, Var, VarKind, pattern_vars,
                        seq_positioned_elem_vars)
 from .rates import RateExpr
-from .terms import (Term, TypeEnv, TypeName, canonicalize, read_counts,
-                    seq_types, type_counts)
+from .terms import (Loop, Term, TypeEnv, TypeName, canonicalize,
+                    component_counts, read_counts, seq_types, type_counts)
 
 POSITIONAL = "positional"
 LITERAL = "literal"
@@ -233,12 +233,9 @@ def _build_target(state: Term, path: tuple[int, ...], rhs: Pattern,
     return splice(state, path, substitute(rhs, inst))
 
 
-def _rate(rule: RewriteRule, counts: Mapping[str, int],
-          consts: Mapping[str, float], path: tuple[int, ...]) -> float:
-    try:
-        return eval_rate(rule, counts, consts)
-    except RateEvalError as exc:
-        raise RateEvalError(f"{exc} (compartment {path_text(path)})") from None
+def _located(exc: RateEvalError, path: tuple[int, ...]) -> RateEvalError:
+    """The rate error, naming the compartment it was raised in."""
+    return RateEvalError(f"{exc} (compartment {path_text(path)})")
 
 
 def transitions(state: Term, rules: Sequence[RewriteRule],
@@ -257,7 +254,7 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     build by component multiplicity, with one outcome per distinct loop
     and rhs membrane, and the same results; their outcomes at one path
     are merged and ordered without building a target (see
-    :meth:`~tscls.compiled.Plan.ordered`), so every target is deferred.
+    :meth:`~tscls.compiled.Plan.entries`), so every target is deferred.
     For the others, instantiations of one (rule, path) whose rhs images
     (see :func:`~tscls.matching.image`) and rates are equal are merged
     before any target is built. A (rule, path) left with one survivor
@@ -274,15 +271,18 @@ class Enumerator:
     constants and typing mode, such as the states of one run.
 
     A rule rewrites one whole compartment and counts inside it, so a
-    compartment's compiled outcomes (each compiled rule's ordered
-    ``(key, rate)`` list, see :meth:`~tscls.compiled.Plan.entries`)
-    depend on its content alone. They are kept on the content's
-    :class:`~tscls.terms.Term`, tied to this enumerator: a compartment
-    that a successor shares with its parent costs one identity check, and
-    only the changed compartment and the ones enclosing it are enumerated
-    again. The constants must not change while the enumerator is in use.
-    Rules without a plan are matched afresh in every state: that path is
-    the reference.
+    compartment's compiled outcomes (each compiled rule's ``(key, rate)``
+    list, see :meth:`~tscls.compiled.Plan.entries`) depend on its content
+    alone. They are kept on the content's :class:`~tscls.terms.Term`,
+    tied to this enumerator: a compartment that a successor shares with
+    its parent costs one identity check, and only the changed compartment
+    and the ones enclosing it are enumerated again. With them a
+    compartment keeps each loop rule's order of outcomes, and a
+    compartment enumerated again starts from the order kept at its path
+    in the last state, so an event that replaced one cell places that
+    cell's outcomes alone. The constants must not change while the
+    enumerator is in use. Rules without a plan are matched afresh in
+    every state: that path is the reference.
     """
 
     def __init__(self, rules: Sequence[RewriteRule],
@@ -293,11 +293,17 @@ class Enumerator:
         self.env = env if env is not None else TypeEnv()
         self.consts = consts if consts is not None else {}
         self.mode = mode
+        self._literal = mode != POSITIONAL
         self._general = tuple((index, rule) for index, rule
                               in enumerate(self.rules) if rule.plan is None)
+        # per rule, its rate as a function of its counts
+        self._rates = [partial(eval_rate, rule, consts=self.consts)
+                       for rule in self.rules]
         # what a term's outcomes are tied to; not the enumerator itself,
         # which would keep its rules alive as long as any term it visited
         self._token = object()
+        # path -> the loop rules' orders kept at it in the last state
+        self._orders: dict[Path, dict] = {}
 
     def outcomes(self, state: Term) -> "Outcomes":
         """The state's enabled transitions, in :func:`transitions` order.
@@ -307,46 +313,57 @@ class Enumerator:
         path raises; multi-outcome groups of rules without a plan build
         their targets afterwards, in the order of the result."""
         state = canonicalize(state)
-        rules, env, consts = self.rules, self.env, self.consts
-        literal = self.mode != POSITIONAL
         # (rule index, path, content, rates, keys); for a rule without a
         # plan, (rule index, path, None, None, survivors)
         groups: list[tuple] = []
-        for comp in compartments(state):
-            content, path = comp.content, comp.path
-            if content.is_empty():
-                continue  # an instantiated lhs is never the empty term
-            kept = content._outcomes
-            if kept is not None and kept[0] is self._token:
-                for index, rule in self._general:
-                    self._match(state, path, content, index, rule, groups)
-                kept = kept[1]
-            else:
-                kept = []
-                for index, rule in enumerate(rules):
-                    plan = rule.plan
-                    if plan is None:
-                        self._match(state, path, content, index, rule,
-                                    groups)
-                        continue
-                    # the rule's (key, rate) outcomes, merged and ordered
-                    outs = []
-                    for key, counts in plan.entries(state, content, env,
-                                                    literal):
-                        rate = _rate(rule, counts, consts, path)
-                        if rate > 0:
-                            outs.append((key, rate))
-                    if outs:
-                        if len(outs) > 1:
-                            outs = plan.ordered(outs)
-                        keys, rates = zip(*outs)
-                        kept.append((index, rates, keys))
-                content._outcomes = (self._token, kept)
-            for index, rates, keys in kept:
-                groups.append((index, path, content, rates, keys))
+        last, self._orders = self._orders, {}
+        self._visit(state, (), state, last, groups)
         # stable: by rule, then in pre-order, which is path order
         groups.sort(key=itemgetter(0))
-        return Outcomes(state, rules, groups)
+        return Outcomes(state, self.rules, groups)
+
+    def _visit(self, state: Term, path: Path, content: Term,
+               last: dict[Path, dict], groups: list[tuple]) -> None:
+        """Enumerate the compartment at ``path`` and, in pre-order, the
+        ones inside it, numbered as :func:`~tscls.matching.compartments`
+        numbers them."""
+        if content.is_empty():
+            return  # an instantiated lhs is never the empty term
+        kept = content._outcomes
+        if kept is not None and kept[0] is self._token:
+            for index, rule in self._general:
+                self._match(state, path, content, index, rule, groups)
+            _, outs, orders = kept
+        else:
+            outs = []
+            orders = dict(last.get(path, ()))
+            for index, rule in enumerate(self.rules):
+                plan = rule.plan
+                if plan is None:
+                    self._match(state, path, content, index, rule, groups)
+                    continue
+                try:
+                    found = plan.entries(orders, content, self.env,
+                                         self._literal, self._rates[index])
+                except RateEvalError as exc:
+                    raise _located(exc, path) from None
+                if found:
+                    keys, rates = zip(*found)
+                    outs.append((index, rates, keys))
+            content._outcomes = (self._token, outs, orders)
+        if orders:
+            self._orders[path] = orders
+        for index, rates, keys in outs:
+            groups.append((index, path, content, rates, keys))
+        # equal loops are adjacent in canonical order, so n copies of a
+        # loop take the next n indices
+        i = 0
+        for comp, n in component_counts(content).items():
+            if isinstance(comp, Loop):
+                for _ in range(n):
+                    self._visit(state, path + (i,), comp.content, last,
+                                groups)
+                    i += 1
 
     def _match(self, state: Term, path: tuple[int, ...], content: Term,
                index: int, rule: RewriteRule, groups: list[tuple]) -> None:
@@ -359,7 +376,10 @@ class Enumerator:
         for inst in sorted(insts, key=Instantiation.sort_key):
             counts = count_types(inst, rule.counts, self.env, self.mode,
                                  rule.seq_positioned)
-            rate = _rate(rule, counts, self.consts, path)
+            try:
+                rate = self._rates[index](counts)
+            except RateEvalError as exc:
+                raise _located(exc, path) from None
             if rate <= 0:
                 continue
             key = (image(rule.rhs, inst), rate)

@@ -104,7 +104,8 @@ class Term:
         self._canonical = False
         self._counter = None
         self._types = None  # (env, type histogram), see type_counts
-        # (run token, compiled outcomes), see semantics.Enumerator
+        # (run token, compiled outcomes, loop rule orders), see
+        # semantics.Enumerator
         self._outcomes = None
 
     @property

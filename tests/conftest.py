@@ -13,7 +13,9 @@ import pytest
 
 from tscls import (CountDecl, ElemLit, ElemVar, Loop, Pattern, PLoop, PSeq,
                    PTermVar, RewriteRule, Seq, SeqVar, Term, TypeEnv,
-                   TypeName, Var, VarKind, pattern_vars)
+                   TypeName, Var, VarKind, canonicalize, compartments, lits,
+                   parse_rate, pat, pattern_vars, tvar)
+from tscls.catalog import OsmosisParams, osmosis_rules
 from tscls.rates import BinOp, IfZero, Name, Num
 
 ALPHABET = ("a", "b", "c", "d", "e", "f")
@@ -169,6 +171,123 @@ def random_env(rng: random.Random) -> TypeEnv:
     # their default
     known = rng.sample(ALPHABET, rng.randint(2, len(ALPHABET)))
     return TypeEnv({e: "t_" + rng.choice(known) for e in known})
+
+
+def random_compiled_rule(rng, state, rid):
+    """A rule of the compiled shape whose ground lhs is often drawn from
+    one of the state's compartments, so it often matches."""
+    sites = [s.content for s in compartments(canonicalize(state))]
+    seqs = [c for c in rng.choice(sites).components if isinstance(c, Seq)]
+    if seqs and rng.random() < 0.15:
+        ground = list(seqs)  # the whole flat part: $X may bind eps
+    else:
+        ground = [rng.choice(seqs) if seqs and rng.random() < 0.8
+                  else random_seq(rng) for _ in range(rng.randint(0, 3))]
+    lhs = [lits(*c.elems) for c in ground] + [tvar("X")]
+    rhs = [lits(*random_seq(rng).elems)
+           for _ in range(rng.randint(0, 3))] + [tvar("X")]
+    rng.shuffle(lhs)
+    rng.shuffle(rhs)
+    decls, names = [], []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        entries = []
+        for _ in range(rng.randint(1, 3)):
+            name = f"n{len(names)}"
+            names.append(name)
+            entries.append((TypeName("t_" + rng.choice(ALPHABET),
+                                     rng.random() < 0.4), name))
+        decls.append(CountDecl(Var(VarKind.TERM, "X"), tuple(entries)))
+    if rng.random() < 0.3:
+        expr = random_rate(rng, names)  # extremes: non-finite, negative
+    else:
+        terms = " * ".join(f"({n} + 1)" for n in names) or "1"
+        expr = parse_rate(f"{terms} * {rng.choice((0.5, 2, 0, -1))}"
+                          if rng.random() < 0.3 else f"{terms} * 0.5")
+    return RewriteRule(rid, pat(*lhs), pat(*rhs), expr, tuple(decls))
+
+
+def osmosis_pair():
+    params = OsmosisParams(surface=1.0, volume=1.0, va=1.0, vb=2.0, k=10.0)
+    return list(osmosis_rules("W", "S", params, ids=("W_out", "W_in")))
+
+
+def random_loop_state(rng):
+    """A compartment of flat sequences and loops: repeated cells, membranes
+    of one to three elements (some rotation-symmetric) or of nine to
+    twelve, contents that hold loops of their own; sometimes wrapped in an
+    outer loop."""
+    comps = [random_seq(rng) for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 4)):
+        membrane = rng.choice((("a", "b", "b"), ("a", "c"), ("b", "b"), ("a",),
+                               ("a",) + ("b",) * rng.randint(8, 11),
+                               tuple(rng.choice(ALPHABET) for _ in range(
+                                   rng.choice((1, 2, 3, 9, 12))))))
+        cell = Loop(membrane, random_term(rng, depth=1, max_comps=3))
+        comps += [cell] * rng.choice((1, 1, 2))
+    rng.shuffle(comps)
+    state = Term(comps)
+    if rng.random() < 0.3:
+        state = Term([Loop(("d",), state), random_seq(rng)])
+    return state
+
+
+def random_loop_rule(rng, state, rid, doubling=True):
+    """A rule of the loop shape whose ground parts are often drawn from
+    the state, so it often matches. Unless ``doubling``, the rhs membrane
+    holds ``~x`` at most once, so a run of the rule cannot double a
+    membrane's length at every step."""
+    inner, frame = rng.choice((("X", "Y"), ("Y", "X"), ("X", "Z")))
+    sites = [s.content for s in compartments(canonicalize(state))]
+    site = rng.choice(sites)
+    cells = [c for c in site.components if isinstance(c, Loop)]
+
+    def ground(term):
+        seqs = [c for c in term.components if isinstance(c, Seq)]
+        return [lits(*(rng.choice(seqs) if seqs and rng.random() < 0.8
+                       else random_seq(rng)).elems)
+                for _ in range(rng.choice((0, 0, 1, 2)))]
+
+    g_in = ground(rng.choice(cells).content if cells else Term())
+    g_out = ground(site)
+    h_in = [lits(*random_seq(rng).elems) for _ in range(rng.randint(0, 2))]
+    h_out = [lits(*random_seq(rng).elems) for _ in range(rng.randint(0, 2))]
+    templates = [["~x"], ["b", "~x"], ["~x", "b"], ["a", "~x", "c"],
+                 ["~x", "~x"], ["d"]]
+    if not doubling:
+        templates.remove(["~x", "~x"])
+    template = rng.choice(templates)
+    membrane = PSeq(tuple(SeqVar("x") if atom == "~x" else ElemLit(atom)
+                          for atom in template))
+    lhs = [PLoop(PSeq((SeqVar("x"),)), pat(*g_in, tvar(inner))), *g_out,
+           tvar(frame)]
+    rhs = [PLoop(membrane, pat(*h_in, tvar(inner))), *h_out, tvar(frame)]
+    rng.shuffle(lhs)
+    rng.shuffle(rhs)
+    # count mostly what the ground parts consume, so leaving them out of
+    # a binding changes the counts
+    consumed = [atom.name for item in g_in + g_out for atom in item.atoms]
+    decls, names = [], []
+    for var in (Var(VarKind.TERM, inner), Var(VarKind.TERM, frame),
+                Var(VarKind.SEQ, "x")):
+        if rng.random() < 0.5:
+            continue
+        entries = []
+        for _ in range(rng.randint(1, 2)):
+            name = f"n{len(names)}"
+            names.append(name)
+            elem = rng.choice(consumed if consumed and rng.random() < 0.6
+                              else ALPHABET)
+            entries.append((TypeName("t_" + elem, rng.random() < 0.4),
+                            name))
+        decls.append(CountDecl(var, tuple(entries)))
+    rng.shuffle(decls)
+    if rng.random() < 0.3:
+        expr = random_rate(rng, names)  # extremes: non-finite, negative
+    else:
+        terms = " * ".join(f"({n} + 1)" for n in names) or "1"
+        expr = parse_rate(f"{terms} * {rng.choice((0.5, 2, 0, -1))}"
+                          if rng.random() < 0.3 else f"{terms} * 0.5")
+    return RewriteRule(rid, pat(*lhs), pat(*rhs), expr, tuple(decls))
 
 
 # water crosses membranes by the osmosis pair, faster with more p on the

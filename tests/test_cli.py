@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, output formats, replicas."""
 
 import csv
+import hashlib
 import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import tscls
 from tscls import parse_model, parse_rate, print_model, print_rate
 from tscls.cli import main
 
@@ -353,3 +358,53 @@ class TestRun:
         monkeypatch.setenv("TSCLS_COLOR", "0")
         assert main(["run", tiny, "--replicas", "0",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def other_interpreters():
+    """The Python 3.10+ interpreters on PATH other than this one, one per
+    executable, as (version, command). A command that does not start, such
+    as a version manager's shim for a version it has not selected, is left
+    out."""
+    found = {}
+    here = os.path.realpath(sys.executable)
+    for minor in range(10, 30):
+        command = shutil.which(f"python3.{minor}")
+        if command is None:
+            continue
+        try:
+            probe = subprocess.run(
+                [command, "-c", "import sys, platform; print(sys.executable);"
+                 " print(platform.python_version())"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        lines = probe.stdout.split()
+        if probe.returncode != 0 or len(lines) != 2:
+            continue
+        executable = os.path.realpath(lines[0])
+        if executable != here:
+            found.setdefault(executable, (lines[1], command))
+    return sorted(found.values())
+
+
+def test_traces_are_the_same_on_other_interpreters(tmp_path):
+    # lac seed 3 is a trace that the float sum of the total exit rate once
+    # made differ between Python 3.11 and 3.12; the package needs nothing
+    # but the standard library, so it runs from its source on any of them
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other Python 3.10+ interpreter found on PATH")
+    run = ["run", LAC, "--seed", "3"]
+    here = tmp_path / "here.csv"
+    assert main(run + ["--out", str(here)]) == 0
+    want = hashlib.sha256(here.read_bytes()).hexdigest()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tscls.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for version, command in interpreters:
+        out = tmp_path / f"{version}.csv"
+        done = subprocess.run(
+            [command, "-c", "import sys; from tscls.cli import main;"
+             " sys.exit(main(sys.argv[1:]))", *run, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert done.returncode == 0, (version, done.stderr)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, version

@@ -1,30 +1,32 @@
 """The compiled path for ``ground | $X`` and single-loop rules versus the
 general path."""
 
+import math
 import random
 from collections import Counter
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, Loop, PLoop,
-                   PSeq, RateEvalError, RewriteRule, Seq, SeqVar, Term,
-                   TypeEnv, TypeName, Var, VarKind, canonicalize,
-                   compartments, count_types, eval_rate, lits, match_whole,
-                   parse_model, parse_pattern, parse_rate, parse_term,
-                   path_text, pat, splice, substitute, transitions, tvar,
+from tscls import (LITERAL, POSITIONAL, CountDecl, Loop, RateEvalError,
+                   RewriteRule, Seq, Term, TypeEnv, TypeName, Var, VarKind,
+                   canonicalize, compartments, count_types, eval_rate,
+                   match_whole, parse_model, parse_pattern, parse_rate,
+                   parse_term, path_text, splice, substitute, transitions,
                    type_of)
-from tscls import semantics, terms
-from tscls.catalog import OsmosisParams, lac_operon_model, osmosis_rules
+from tscls import compiled, semantics, terms
+from tscls.catalog import lac_operon_model
 from tscls.compiled import Plan
 from tscls.engine import Pcg64, step
 from tscls.patterns import seq_positioned_elem_vars
 from tscls.semantics import Enumerator
 from tscls.terms import type_counts
 
-from conftest import (ALPHABET, CELLS, general, random_env, random_rate,
-                      random_seq, random_term)
+from conftest import (CELLS, general, osmosis_pair, random_compiled_rule,
+                      random_env, random_loop_rule, random_loop_state,
+                      random_term)
 
 X = Var(VarKind.TERM, "X")
 Y = Var(VarKind.TERM, "Y")
@@ -103,39 +105,6 @@ def assert_counters_exact(t):
         if cached is not None:
             assert list(cached.items()) \
                 == list(Counter(site.content.components).items())
-
-
-def random_compiled_rule(rng, state, rid):
-    """A rule of the compiled shape whose ground lhs is often drawn from
-    one of the state's compartments, so it often matches."""
-    sites = [s.content for s in compartments(canonicalize(state))]
-    seqs = [c for c in rng.choice(sites).components if isinstance(c, Seq)]
-    if seqs and rng.random() < 0.15:
-        ground = list(seqs)  # the whole flat part: $X may bind eps
-    else:
-        ground = [rng.choice(seqs) if seqs and rng.random() < 0.8
-                  else random_seq(rng) for _ in range(rng.randint(0, 3))]
-    lhs = [lits(*c.elems) for c in ground] + [tvar("X")]
-    rhs = [lits(*random_seq(rng).elems)
-           for _ in range(rng.randint(0, 3))] + [tvar("X")]
-    rng.shuffle(lhs)
-    rng.shuffle(rhs)
-    decls, names = [], []
-    for _ in range(rng.choice((0, 1, 1, 2))):
-        entries = []
-        for _ in range(rng.randint(1, 3)):
-            name = f"n{len(names)}"
-            names.append(name)
-            entries.append((TypeName("t_" + rng.choice(ALPHABET),
-                                     rng.random() < 0.4), name))
-        decls.append(CountDecl(X, tuple(entries)))
-    if rng.random() < 0.3:
-        expr = random_rate(rng, names)  # extremes: non-finite, negative
-    else:
-        terms = " * ".join(f"({n} + 1)" for n in names) or "1"
-        expr = parse_rate(f"{terms} * {rng.choice((0.5, 2, 0, -1))}"
-                          if rng.random() < 0.3 else f"{terms} * 0.5")
-    return RewriteRule(rid, pat(*lhs), pat(*rhs), expr, tuple(decls))
 
 
 class TestPlan:
@@ -294,84 +263,6 @@ class TestAgainstGeneralPath:
                  for i in range(rng.randint(1, 3))]
         self.check(state, rules, random_env(rng), {},
                    rng.choice((POSITIONAL, LITERAL)))
-
-
-def osmosis_pair():
-    params = OsmosisParams(surface=1.0, volume=1.0, va=1.0, vb=2.0, k=10.0)
-    return list(osmosis_rules("W", "S", params, ids=("W_out", "W_in")))
-
-
-def random_loop_state(rng):
-    """A compartment of flat sequences and loops: repeated cells, membranes
-    of one to three elements (some rotation-symmetric) or of nine to
-    twelve, contents that hold loops of their own; sometimes wrapped in an
-    outer loop."""
-    comps = [random_seq(rng) for _ in range(rng.randint(0, 3))]
-    for _ in range(rng.randint(0, 4)):
-        membrane = rng.choice((("a", "b", "b"), ("a", "c"), ("b", "b"), ("a",),
-                               ("a",) + ("b",) * rng.randint(8, 11),
-                               tuple(rng.choice(ALPHABET) for _ in range(
-                                   rng.choice((1, 2, 3, 9, 12))))))
-        cell = Loop(membrane, random_term(rng, depth=1, max_comps=3))
-        comps += [cell] * rng.choice((1, 1, 2))
-    rng.shuffle(comps)
-    state = Term(comps)
-    if rng.random() < 0.3:
-        state = Term([Loop(("d",), state), random_seq(rng)])
-    return state
-
-
-def random_loop_rule(rng, state, rid):
-    """A rule of the loop shape whose ground parts are often drawn from
-    the state, so it often matches."""
-    inner, frame = rng.choice((("X", "Y"), ("Y", "X"), ("X", "Z")))
-    sites = [s.content for s in compartments(canonicalize(state))]
-    site = rng.choice(sites)
-    cells = [c for c in site.components if isinstance(c, Loop)]
-
-    def ground(term):
-        seqs = [c for c in term.components if isinstance(c, Seq)]
-        return [lits(*(rng.choice(seqs) if seqs and rng.random() < 0.8
-                       else random_seq(rng)).elems)
-                for _ in range(rng.choice((0, 0, 1, 2)))]
-
-    g_in = ground(rng.choice(cells).content if cells else Term())
-    g_out = ground(site)
-    h_in = [lits(*random_seq(rng).elems) for _ in range(rng.randint(0, 2))]
-    h_out = [lits(*random_seq(rng).elems) for _ in range(rng.randint(0, 2))]
-    template = rng.choice((["~x"], ["b", "~x"], ["~x", "b"],
-                           ["a", "~x", "c"], ["~x", "~x"], ["d"]))
-    membrane = PSeq(tuple(SeqVar("x") if atom == "~x" else ElemLit(atom)
-                          for atom in template))
-    lhs = [PLoop(PSeq((SeqVar("x"),)), pat(*g_in, tvar(inner))), *g_out,
-           tvar(frame)]
-    rhs = [PLoop(membrane, pat(*h_in, tvar(inner))), *h_out, tvar(frame)]
-    rng.shuffle(lhs)
-    rng.shuffle(rhs)
-    # count mostly what the ground parts consume, so leaving them out of
-    # a binding changes the counts
-    consumed = [atom.name for item in g_in + g_out for atom in item.atoms]
-    decls, names = [], []
-    for var in (Var(VarKind.TERM, inner), Var(VarKind.TERM, frame), XS):
-        if rng.random() < 0.5:
-            continue
-        entries = []
-        for _ in range(rng.randint(1, 2)):
-            name = f"n{len(names)}"
-            names.append(name)
-            elem = rng.choice(consumed if consumed and rng.random() < 0.6
-                              else ALPHABET)
-            entries.append((TypeName("t_" + elem, rng.random() < 0.4),
-                            name))
-        decls.append(CountDecl(var, tuple(entries)))
-    rng.shuffle(decls)
-    if rng.random() < 0.3:
-        expr = random_rate(rng, names)  # extremes: non-finite, negative
-    else:
-        terms = " * ".join(f"({n} + 1)" for n in names) or "1"
-        expr = parse_rate(f"{terms} * {rng.choice((0.5, 2, 0, -1))}"
-                          if rng.random() < 0.3 else f"{terms} * 0.5")
-    return RewriteRule(rid, pat(*lhs), pat(*rhs), expr, tuple(decls))
 
 
 class TestLoopAgainstGeneralPath:
@@ -722,3 +613,26 @@ def test_a_step_enumerates_only_what_an_event_changed(monkeypatch):
     del seen[:]
     assert got == transitions(target, rules, TypeEnv(), {})
     assert len(seen) == 21 * len(rules)  # a fresh enumerator keeps nothing
+
+
+def test_a_step_after_an_osmosis_event_places_one_cell(monkeypatch):
+    # 20 cells at the root: a W_out event replaces one cell by a cell
+    # unlike the others and changes the root. The next step of the same
+    # enumerator keeps each loop rule's order of outcomes from the step
+    # before and places the new cell's outcome in it by bisection, where
+    # a fresh enumerator sorts all of them
+    cells = " | ".join(f"<m.p>[ {2 * n} * W | 3 * S ]" for n in range(1, 21))
+    state = canonicalize(T(f"{cells} | 30 * W | 10 * S"))
+    rules = osmosis_pair()
+    enumerator = Enumerator(rules, TypeEnv(), {})
+    outcomes = enumerator.outcomes(state)
+    target = next(tr for tr in outcomes.all() if tr.rule_id == "W_out").target
+    compared = []
+    by_target = compiled._by_target
+    monkeypatch.setattr(compiled, "_TARGET_ORDER", cmp_to_key(
+        lambda a, b: compared.append(a) or by_target(a, b)))
+    got = enumerator.outcomes(target).all()
+    assert 0 < len(compared) <= 2 * math.ceil(math.log2(40))
+    del compared[:]
+    assert got == transitions(target, rules, TypeEnv(), {})
+    assert len(compared) >= 2 * 19

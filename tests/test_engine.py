@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscls import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, ModelError,
-                   ModelFile, ObservableSpec, Pcg64, SimConfig, Term, observe,
-                   parse_model, parse_term, simulate, step)
+                   ModelFile, ObservableSpec, Pcg64, RateEvalError, SimConfig,
+                   Term, observe, parse_model, parse_term, simulate, step)
 from tscls import engine
 from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.engine import _count_all, _sample_grid
@@ -84,6 +84,48 @@ class TestStep:
             total += dt
         sigma = 0.5 / math.sqrt(n)
         assert abs(total / n - 0.5) < 3 * sigma
+
+
+class Uniforms:
+    """Stands in for the generator: the given uniforms, in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+class TestDraw:
+    def test_total_is_the_left_to_right_sum(self):
+        # added left to right, 1.0 + 1e16 + 1.0 is 1e16; compensated
+        # summation (sum() of floats from Python 3.12 on, math.fsum) gives
+        # 1.0000000000000002e16, another clock and another pick
+        dt, i, total = engine._draw([1.0, 1e16, 1.0], Uniforms(0.5, 0.75))
+        assert total == 1e16
+        assert dt == -math.log(0.5) / 1e16
+        assert i == 1
+
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                    min_size=1, max_size=8), st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_pick_is_the_first_running_sum_above_it(self, rates, seed):
+        total = 0.0
+        for rate in rates:
+            total += rate
+        if not math.isfinite(total):
+            with pytest.raises(RateEvalError):
+                engine._draw(rates, Pcg64(seed))
+            return
+        rng = Pcg64(seed)
+        dt = -math.log(1.0 - rng.random()) / total
+        pick, acc, want = rng.random() * total, 0.0, len(rates) - 1
+        for i, rate in enumerate(rates):
+            acc += rate
+            if pick < acc:
+                want = i
+                break
+        assert engine._draw(rates, Pcg64(seed)) == (dt, want, total)
 
 
 class TestObserve:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscls import (Instantiation, SubstitutionError, Term, Var, VarKind,
-                   WellFormednessError, canonicalize, compartments, congruent,
-                   match_whole, parse_pattern, parse_term, path_text, splice,
-                   substitute)
+from tscls import (Instantiation, Loop, SubstitutionError, Term, Var,
+                   VarKind, WellFormednessError, canonicalize, compartments,
+                   congruent, match_whole, parse_pattern, parse_term,
+                   path_text, splice, substitute)
 from tscls.matching import image
 
-from conftest import abstract_pattern, random_rule, random_term
+from conftest import abstract_pattern, random_rule, random_seq, random_term
 
 
 def T(text):
@@ -62,6 +62,31 @@ class TestCompartments:
         state = canonicalize(random_term(random.Random(seed), depth=3))
         for comp in compartments(state):
             assert splice(state, comp.path, comp.content) == state
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=150, deadline=None)
+    def test_splice_of_a_canonical_state(self, seed):
+        # a canonical state keeps its other components in place and moves
+        # the changed loops; the result must be the canonical form that
+        # splicing a copy not known to be canonical gives. Loops of one
+        # membrane are ordered by their contents, so a splice reorders them
+        def raw(t):
+            return Term([Loop(c.membrane, raw(c.content))
+                         if isinstance(c, Loop) else c
+                         for c in t.components])
+
+        def cells(depth):
+            return Term([Loop(("m",), cells(depth - 1))
+                         if depth and rng.random() < 0.6 else random_seq(rng)
+                         for _ in range(rng.randint(0, 4))])
+
+        rng = random.Random(seed)
+        state = canonicalize(cells(3))
+        for comp in compartments(state):
+            new = random_term(rng, depth=1)
+            got = splice(state, comp.path, new)
+            assert got.key == splice(raw(state), comp.path, new).key
+            assert got.key == canonicalize(raw(got)).key
 
     def test_splice_bad_path(self):
         with pytest.raises(ValueError):

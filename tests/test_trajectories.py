@@ -9,14 +9,21 @@ the bytes must be identical with and without the rules' plans.
 
 import dataclasses
 import io
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tscls import LITERAL, lac_operon_model, parse_model, simulate
+from tscls import (LITERAL, POSITIONAL, ModelFile, RateEvalError, SimConfig,
+                   VarKind, canonicalize, lac_operon_model, parse_model,
+                   pattern_vars, simulate)
 from tscls.cli import _write_trace
 from tscls.compiled import Plan
+from tscls.engine import Pcg64, step
 
-from conftest import CELLS, general
+from conftest import (CELLS, general, random_compiled_rule, random_env,
+                      random_loop_rule, random_loop_state, random_rule)
 
 MAX_STEPS = 100
 
@@ -153,3 +160,81 @@ def test_simulate_builds_one_target_per_event(monkeypatch):
     trace = simulate(model, model.sim_config(seed=1, max_steps=MAX_STEPS,
                                              tmax=1e9))
     assert len(built) == trace.steps == MAX_STEPS
+
+
+# a drawn run's steps, and the clock it stops at
+DRAWN_STEPS = 30
+DRAWN_TMAX = 1e6
+
+
+def random_model(rng):
+    """A model drawn from the conftest builders: a state of flat sequences
+    and cells, repeated and nested; one to three rules, of the compiled
+    loop and ground shapes and of general shapes, counting on the frame,
+    on a cell's content and on its membrane; a typing and a typing mode."""
+    init = canonicalize(random_loop_state(rng))
+
+    def general_rule(i):
+        # two term variables split a compartment in exponentially many
+        # ways, and the runs grow their compartments
+        while True:
+            rule = random_rule(rng, f"r{i}")
+            if sum(var.kind is VarKind.TERM
+                   for var in pattern_vars(rule.lhs)) <= 1:
+                return rule
+
+    makers = [lambda i: random_loop_rule(rng, init, f"r{i}", doubling=False),
+              lambda i: random_compiled_rule(rng, init, f"r{i}"),
+              general_rule]
+    rules = [rng.choice(makers)(i) for i in range(rng.randint(1, 3))]
+    env = random_env(rng)
+    return ModelFile(rules=rules, init=init, type_decls=env.assignment,
+                     typing=rng.choice((POSITIONAL, LITERAL)))
+
+
+def run_outcome(run):
+    """The run's events and final state, or its rate error."""
+    try:
+        return run()
+    except RateEvalError as exc:
+        return str(exc)
+
+
+def simulated(model, seed):
+    cfg = SimConfig(seed=seed, tmax=DRAWN_TMAX, max_steps=DRAWN_STEPS)
+    trace = simulate(model, cfg)
+    return ([(e.time, e.rule_id, e.path, e.rate) for e in trace.events],
+            trace.final_state)
+
+
+def stepped(model, seed):
+    """The run as a loop of :func:`step`, which enumerates every state
+    with a fresh enumerator."""
+    rng, state, clock, events = Pcg64(seed), model.init, 0.0, []
+    while len(events) < DRAWN_STEPS:
+        got = step(state, model.rules, model.type_env(), model.constants,
+                   rng, model.typing)
+        if got is None or clock + got[0] > DRAWN_TMAX:
+            break
+        clock += got[0]
+        state = got[1].target
+        events.append((clock, got[1].rule_id, got[1].path, got[1].rate))
+    return events, state
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=100, deadline=None)
+def test_drawn_runs_keep_nothing_stale(seed):
+    # one enumerator per run carries each compartment's outcomes and each
+    # loop rule's order of outcomes from one step to the next; a fresh
+    # enumerator per step and the general path carry nothing. The three
+    # share the model's initial terms, so outcomes kept on them by one
+    # run must not be taken for another's
+    rng = random.Random(seed)
+    model = random_model(rng)
+    reference = dataclasses.replace(
+        model, rules=[general(rule) for rule in model.rules])
+    got = run_outcome(lambda: simulated(model, seed))
+    assert got == run_outcome(lambda: stepped(model, seed))
+    assert got == run_outcome(lambda: simulated(reference, seed))
+    assert got == run_outcome(lambda: simulated(model, seed))
