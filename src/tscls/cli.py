@@ -8,13 +8,14 @@ coloring off or on (default: on when stderr is a terminal).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import json
 import os
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .engine import Trace, TraceEvent, simulate
 from .errors import ModelError, TsclsError
@@ -138,6 +139,19 @@ def _summary(trace: Trace, seed: int) -> str:
             f"halt={trace.halt_reason}")
 
 
+@contextlib.contextmanager
+def _out_file(path: str) -> Iterator[TextIO]:
+    """The trace file ``path``, opened for writing before the run, so an
+    unwritable path fails before any work; removed if the run fails."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     cfg = model.sim_config(seed=args.seed, tmax=args.tmax,
@@ -159,19 +173,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             _error("--replicas needs --out (one file per seed)")
             return 2
         for seed in range(cfg.seed, cfg.seed + args.replicas):
-            trace = simulate(model, dataclasses.replace(cfg, seed=seed))
             path = _seed_path(args.out, seed)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with _out_file(path) as fh:
+                trace = simulate(model, dataclasses.replace(cfg, seed=seed))
                 _write_trace(trace, args.format, fh)
             print(f"{_summary(trace, seed)} out={path}")
         return 0
 
-    trace = simulate(model, cfg)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _out_file(args.out) as fh:
+            trace = simulate(model, cfg)
             _write_trace(trace, args.format, fh)
         print(f"{_summary(trace, cfg.seed)} out={args.out}")
     else:
+        trace = simulate(model, cfg)
         _write_trace(trace, args.format, sys.stdout)
         print(_summary(trace, cfg.seed), file=sys.stderr)
     return 0

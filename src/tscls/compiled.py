@@ -39,15 +39,16 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cmp_to_key
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from .errors import RateEvalError
 from .matching import Path, splice
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
                        VarKind)
 from .terms import (Loop, Seq, Term, TypeEnv, TypeName, Types,
-                    component_counts, counter_types, min_rotation,
-                    read_counts, seq_types, type_counts)
+                    _NO_TYPES, component_counts, counter_types,
+                    min_rotation, read_counts, seq_types, type_counts)
 
 if TYPE_CHECKING:
     from .semantics import RewriteRule
@@ -67,6 +68,20 @@ Entry = tuple[object, float]
 # loop it rewrites and the rhs membrane it gives it
 Candidate = tuple["_Cell", tuple[str, ...]]
 
+# the distinct cells a compartment lost and gained against the one it
+# replaced
+Change = tuple[tuple[Loop, ...], tuple[Loop, ...]]
+
+
+class Typed(NamedTuple):
+    """A plan's type histograms under one environment: those of ``need``
+    and ``inner_need``, and the change an outcome makes to the histogram
+    of its compartment, outside the cell, and of the cell's content."""
+    need: Types
+    inner_need: Types
+    change: Types
+    inner_change: Types
+
 
 class Plan:
     """What a compiled rule consumes, produces and counts.
@@ -80,12 +95,14 @@ class Plan:
     Every term binding's counts are read from its compartment's type
     histogram (:func:`~tscls.terms.type_counts`, cached on the term) less
     the type histogram of ``need`` or ``inner_need``, which the plan
-    keeps for the last environment.
+    keeps for the last environment. ``net`` maps each element to the
+    change an outcome makes in its bare occurrences, over the compartment
+    and the cell it rewrites.
     """
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
-                 "membrane", "frame_first", "_same_inner", "_rotated",
-                 "_less")
+                 "membrane", "frame_first", "net", "_same_inner",
+                 "_rotated", "_typed")
 
     def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
                  inner_need: Optional[Counter] = None,
@@ -99,15 +116,23 @@ class Plan:
         self.inner_give = inner_give
         self.membrane = membrane
         self.frame_first = frame_first
+        net: dict[str, int] = {}
+        for part, sign in ((need, -1), (give, 1), (inner_need, -1),
+                           (inner_give, 1)):
+            for comp, n in (part or {}).items():
+                if len(comp.elems) == 1:
+                    name = comp.elems[0]
+                    net[name] = net.get(name, 0) + sign * n
+        self.net = {name: n for name, n in net.items() if n}
         # whether the rule leaves a loop's content as it is
         self._same_inner = inner_need == inner_give
         self._rotated: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
-        # (env, types of need, types of inner_need)
-        self._less: tuple = (None, None, None)
+        # (env, Typed under it)
+        self._typed: tuple = (None, None)
 
     def entries(self, kept: dict, content: Term, env: TypeEnv,
-                literal: bool, rate: Callable[[dict[str, int]], float]
-                ) -> list[Entry]:
+                literal: bool, rate: Callable[[dict[str, int]], float],
+                change: Optional[Change] = None) -> list[Entry]:
         """The rule's enabled outcomes in ``content``, a compartment: one
         ``(key, rate)`` per distinct outcome of positive rate, merged and
         ordered as their targets and rates would be, so ``build(state,
@@ -118,26 +143,29 @@ class Plan:
         membrane it gives it; the other rule's key is None.
 
         A loop rule keeps its :class:`Order` for ``content`` in
-        ``kept[self]``. On entry that may hold the order of another
-        compartment, such as the one ``content`` replaced, made under the
-        same ``env``, ``literal`` and ``rate``; it is brought up to date
-        by the cells the two differ in, and its rates are kept if the
-        frame totals are the same. If a rate raises, the rates are
-        evaluated again in the order of the general path, which raises
-        its first error."""
+        ``kept[self]``, or removes it if it has none. If ``change`` gives
+        the cells ``content`` lost and gained against the compartment it
+        replaced, ``kept[self]`` holds on entry that compartment's order,
+        if any, made under the same ``env``, ``literal`` and ``rate``: it
+        is brought up to date by those cells, and its rates are kept if
+        the frame totals are the same. Otherwise the order is made
+        afresh. If a rate raises, the rates are evaluated again in the
+        order of the general path, which raises its first error."""
         have = component_counts(content)
         if not _contains(have, self.need):
+            kept.pop(self, None)
             return []
         if self.membrane is None:
-            types, less = type_counts(content, env), self._types_less(env)[0]
+            types, less = type_counts(content, env), self.typed(env).need
             counts: dict[str, int] = {}
             for _, entries in self.decls:
                 counts.update(read_counts(entries, types, less))
             found = rate(counts)
             return [(None, found)] if found > 0 else []
+        base = kept.get(self) if change is not None else None
         try:
-            order = self._order(kept.get(self), content, have, env, literal,
-                                rate)
+            order = self._order(base, content, have, env, literal, rate,
+                                change)
         except RateEvalError:
             totals = self._totals(content, env)
             for cell in self._in_general_order(have):
@@ -154,33 +182,47 @@ class Plan:
     def _totals(self, content: Term, env: TypeEnv) -> tuple:
         """Per count block, the counts of the frame, the compartment less
         ``need``, if the block counts the frame, else None."""
-        types, less = type_counts(content, env), self._types_less(env)[0]
+        types, less = type_counts(content, env), self.typed(env).need
         return tuple([read_counts(entries, types, less) if what is FRAME
                       else None for what, entries in self.decls])
 
-    def _types_less(self, env: TypeEnv) -> tuple[Types, Types]:
-        """The type histograms of ``need`` and ``inner_need``."""
-        less = self._less
-        if less[0] is not env:
-            less = self._less = (env, counter_types(self.need, env),
-                                 counter_types(self.inner_need or {}, env))
-        return less[1:]
+    def typed(self, env: TypeEnv) -> Typed:
+        """The plan's type histograms under ``env``, kept for the last
+        environment asked."""
+        typed = self._typed
+        if typed[0] is not env:
+            need = counter_types(self.need, env)
+            inner_need, inner_change = _NO_TYPES, _NO_TYPES
+            if self.inner_need is not None:
+                inner_need = counter_types(self.inner_need, env)
+                inner_change = _shifted(counter_types(self.inner_give, env),
+                                        less=inner_need)
+            typed = self._typed = (env, Typed(
+                need, inner_need,
+                _shifted(counter_types(self.give, env), less=need),
+                inner_change))
+        return typed[1]
 
-    def _order(self, base: Optional[Order], content: Term, have: Counter,
+    def _order(self, base: Optional[Order], content: Term, have: Mapping,
                env: TypeEnv, literal: bool,
-               rate: Callable[[dict[str, int]], float]) -> Optional[Order]:
-        """The order of ``content``, of component counter ``have``, made
-        from ``base``, the order of another compartment: the candidates of
-        the cells it lacks are dropped, and those of the cells it adds are
-        placed by bisection, or sorted if there is no other. Only the
-        added candidates are rated if the frame totals are the same. None
-        if ``content`` holds no cell."""
+               rate: Callable[[dict[str, int]], float],
+               change: Optional[Change]) -> Optional[Order]:
+        """The order of ``content``, a canonical compartment of component
+        counter ``have``, made from ``base``, the order of the compartment
+        it replaced, and ``change``, the cells it lost and gained against
+        that one: the candidates of the cells lost are dropped, and those
+        of the cells gained are placed by bisection. Only the added
+        candidates are rated if the frame totals are the same. Without a
+        base, every cell's candidates are sorted. None if ``content``
+        holds no cell."""
         if base is None:
+            comps = content.components
+            if not comps or not isinstance(comps[-1], Loop):
+                return None  # loops sort last
             base = _NO_ORDER
+            change = ((), [comp for comp in have if isinstance(comp, Loop)])
         cells, cands, rates = base.cells, base.cands, base.rates
-        gone = cells.keys() - have.keys()
-        came = [comp for comp in have.keys() - cells.keys()
-                if isinstance(comp, Loop)]
+        gone, came = change
         if not came and len(gone) == len(cells):
             return None
         totals = self._totals(content, env)
@@ -217,7 +259,7 @@ class Plan:
             rates = [rate(_counts(cand[0], totals)) for cand in cands]
         return Order(cells, cands, rates, totals)
 
-    def _in_general_order(self, have: Counter) -> list[Loop]:
+    def _in_general_order(self, have: Mapping) -> list[Loop]:
         """The cells of a compartment in the order the general path counts
         them."""
         cells = [comp for comp in have if isinstance(comp, Loop)]
@@ -238,7 +280,7 @@ class Plan:
             if what is INNER:
                 counts.update(read_counts(entries,
                                           type_counts(cell.content, env),
-                                          self._types_less(env)[1]))
+                                          self.typed(env).inner_need))
             elif what is MEMBRANE:
                 counts.update(read_counts(entries, seq_types(
                     cell.membrane, env, literal)))
@@ -274,16 +316,51 @@ class Plan:
         return out
 
     def build(self, state: Term, path: Path, content: Term,
-              key: Optional[tuple]) -> Term:
+              key: Optional[tuple], trail: Optional[list] = None) -> Term:
         """The successor of ``state`` for the outcome ``key`` of
-        :meth:`entries` in ``content``, the compartment at ``path``."""
-        counter = _rebuilt(component_counts(content), self.need, self.give)
+        :meth:`entries` in ``content``, the compartment at ``path``.
+
+        Each compartment the build makes gets its component multiset and
+        type histogram from the one it replaces, changed by the outcome.
+        If ``trail`` is a list, ``(new, old, change)`` is appended to it
+        for each: first for ``content``, where ``change`` is the
+        ``(gone, came)`` cells as :func:`~tscls.matching.splice` gives
+        them; then, for a loop rule that changed the cell's content, for
+        that content, with no cell changed; then, by ``splice``, for each
+        enclosing compartment."""
+        have = component_counts(content)
+        counter = _rebuilt(have, self.need, self.give)
+        typed = content._types
+        if typed is not None:
+            typed = (typed[0], _shifted(typed[1],
+                                        self.typed(typed[0]).change))
+        change: Change = ((), ())
+        inner = None
         if key is not None:
             entry, membrane = key
-            new = entry.successor(membrane)
-            counter[entry.cell] -= 1
+            cell, new = entry.cell, entry.successor(membrane)
+            counter[cell] -= 1
             counter[new] = counter.get(new, 0) + 1
-        return splice(state, path, _term(counter))
+            if typed is not None and membrane != cell.membrane:
+                env = typed[0]
+                typed = (env, _shifted(
+                    typed[1], seq_types(membrane, env, False),
+                    seq_types(cell.membrane, env, False)))
+            change = (() if counter[cell] else (cell,),
+                      () if new in have else (new,))
+            if new.content is not cell.content:
+                inner = (new.content, cell.content, ((), ()))
+                was = cell.content._types
+                if new.content._types is None and was is not None:
+                    new.content._types = (was[0], _shifted(
+                        was[1], self.typed(was[0]).inner_change))
+        out = _term(counter)
+        out._types = typed
+        if trail is not None:
+            trail.append((out, content, change))
+            if inner is not None:
+                trail.append(inner)
+        return splice(state, path, out, trail)
 
 
 class _Cell:
@@ -310,14 +387,15 @@ class _Cell:
         self._successors: dict[tuple[str, ...], Loop] = {}
 
     def successor(self, membrane: tuple[str, ...]) -> Loop:
-        """The loop that replaces the cell when it takes ``membrane``."""
+        """The loop that replaces the cell when it takes ``membrane``. Its
+        content is the cell's if the rule leaves that as it is."""
         out = self._successors.get(membrane)
         if out is None:
             if self._inner is None:
-                plan = self.plan
-                self._inner = _term(_rebuilt(
-                    component_counts(self.cell.content), plan.inner_need,
-                    plan.inner_give))
+                plan, content = self.plan, self.cell.content
+                self._inner = content if plan._same_inner else _term(
+                    _rebuilt(component_counts(content), plan.inner_need,
+                             plan.inner_give))
             out = self._successors[membrane] = Loop(membrane, self._inner)
         return out
 
@@ -401,14 +479,29 @@ def _by_target(a: Candidate, b: Candidate) -> int:
 _TARGET_ORDER = cmp_to_key(_by_target)
 
 
-def _contains(have: Counter, need: Counter) -> bool:
+def _shifted(types: Types, more: Types = _NO_TYPES,
+             less: Types = _NO_TYPES) -> dict:
+    """``types + more - less``, type histograms whose counts may be
+    negative, without zero counts."""
+    out = dict(types)
+    for sign, part in ((1, more), (-1, less)):
+        for tn, n in part.items():
+            n = out.get(tn, 0) + sign * n
+            if n:
+                out[tn] = n
+            else:
+                del out[tn]
+    return out
+
+
+def _contains(have: Mapping, need: Counter) -> bool:
     for comp, n in need.items():
         if have.get(comp, 0) < n:
             return False
     return True
 
 
-def _rebuilt(have: Counter, need: Counter, give: Counter) -> dict:
+def _rebuilt(have: Mapping, need: Counter, give: Counter) -> dict:
     """``have - need + give``, for ``need`` contained in ``have``."""
     counter = dict(have)
     for comp, n in need.items():
@@ -431,6 +524,41 @@ def _term(counter: dict) -> Term:
     t._canonical = True
     t._counter = counts
     return t
+
+
+def dependents(plans: Sequence[Optional[Plan]], r: int, env: TypeEnv
+               ) -> tuple[frozenset[int], frozenset[int]]:
+    """The indexes of the plans without a loop whose outcomes an outcome
+    of ``plans[r]`` can change, in the compartment it rewrites and in the
+    content of the cell it rewrites. None in ``plans`` stands for a rule
+    without a plan.
+
+    Such a plan's outcomes in a compartment depend on whether it holds
+    ``need`` and on the counts of the types it counts. An outcome changes
+    the number of the components whose count ``give`` and ``need``
+    differ in, and of the types of its histogram change. A loop rule
+    whose rhs membrane is more than its ``~x`` changes the types of the
+    cell's membrane as well, so it can change every plan's outcomes."""
+    plan, typed = plans[r], plans[r].typed(env)
+
+    def hit(need: Counter, give: Counter, change: Types) -> frozenset[int]:
+        moved = {comp for comp in need.keys() | give.keys()
+                 if need.get(comp, 0) != give.get(comp, 0)}
+        return frozenset(
+            q for q, other in enumerate(plans)
+            if other is not None and other.membrane is None
+            and (not moved.isdisjoint(other.need) or any(
+                tn in change for _, entries in other.decls
+                for tn, _ in entries)))
+
+    if plan.membrane is None:
+        return hit(plan.need, plan.give, typed.change), frozenset()
+    if plan.membrane == (None,):
+        outer = hit(plan.need, plan.give, typed.change)
+    else:
+        outer = frozenset(q for q, other in enumerate(plans)
+                          if other is not None and other.membrane is None)
+    return outer, hit(plan.inner_need, plan.inner_give, typed.inner_change)
 
 
 def compile_rule(rule: RewriteRule) -> Optional[Plan]:

@@ -16,6 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .errors import ModelError, RateEvalError
@@ -190,7 +191,16 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
     grid = _sample_grid(cfg.tmax, cfg.samples)
     gi = 0
     reason = HALT_MAX_STEPS
-    counts = _count_all(state, names)  # observed once per state
+    # per rule with a plan, what its outcomes add to the observables;
+    # () if nothing. Other rules' events are observed by a walk
+    nets = []
+    for rule in model.rules:
+        net = None
+        if rule.plan is not None:
+            net = tuple(rule.plan.net.get(name, 0) for name in names)
+            net = net if any(net) else ()
+        nets.append(net)
+    counts = _count_all(state, names)
     while True:
         if len(events) >= cfg.max_steps:
             reason = HALT_MAX_STEPS
@@ -210,7 +220,11 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
         chosen = outcomes.transition(i)
         state = chosen.target
         clock = next_clock
-        counts = _count_all(state, names)
+        net = nets[outcomes.rule_index(i)]
+        if net is None:
+            counts = _count_all(state, names)
+        elif net:
+            counts = tuple(map(add, counts, net))
         events.append(TraceEvent(clock, len(events) + 1, chosen.rule_id,
                                  chosen.path, chosen.rate, total, counts))
     while gi < len(grid):

@@ -9,7 +9,7 @@ canonical form and symmetric choices among identical components collapse.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from collections import Counter
 from operator import attrgetter
@@ -116,32 +116,71 @@ def compartments(state: Term) -> list[Compartment]:
     return out
 
 
-def splice(state: Term, path: Path, new_content: Term) -> Term:
+def splice(state: Term, path: Path, new_content: Term,
+           trail: Optional[list] = None) -> Term:
     """Replace the compartment at ``path`` and re-canonicalize.
 
     In a canonical state only the loops on the path change, each keeping
     its membrane, so each is moved to its place among the components
-    around it, which stay as they are."""
+    around it, which stay as they are; each enclosing compartment's
+    component multiset is its predecessor's with one copy of the loop
+    moved, and its type histogram is its predecessor's. If ``trail`` is
+    a list, ``(new, old, (gone, came))`` is appended to it for each
+    enclosing compartment rebuilt, innermost first: ``gone`` holds the
+    old loop if no copy of it is left, ``came`` the new loop if no copy
+    of it was there."""
     if not path:
         return canonicalize(new_content)
     target, rest = path[0], path[1:]
-    comps = list(state.components)
-    loop_index = 0
-    for i, comp in enumerate(comps):
-        if isinstance(comp, Loop):
-            if loop_index == target:
-                new = Loop(comp.membrane,
-                           splice(comp.content, rest, new_content))
-                if not state._canonical:
-                    comps[i] = new
+    if not state._canonical:
+        comps = list(state.components)
+        loop_index = 0
+        for i, comp in enumerate(comps):
+            if isinstance(comp, Loop):
+                if loop_index == target:
+                    comps[i] = Loop(comp.membrane,
+                                    splice(comp.content, rest, new_content))
                     return canonicalize(Term(comps))
-                del comps[i]
-                insort(comps, new, key=_KEY)
-                out = Term(comps)
-                out._canonical = True
-                return out
-            loop_index += 1
-    raise ValueError(f"no loop at path step {target}")
+                loop_index += 1
+        raise ValueError(f"no loop at path step {target}")
+    # equal loops are adjacent, so the multiset finds the loop and the
+    # place of its first copy without a walk over every copy
+    counts = component_counts(state)
+    at = 0
+    for comp, n in counts.items():
+        if isinstance(comp, Loop):
+            if target < n:
+                break
+            target -= n
+        at += n
+    else:
+        raise ValueError(f"no loop at path step {path[0]}")
+    new = Loop(comp.membrane, splice(comp.content, rest, new_content, trail))
+    comps = list(state.components)
+    del comps[at]
+    insort(comps, new, key=_KEY)
+    out = Term(comps)
+    out._canonical = True
+    out._types = state._types  # the loop keeps its membrane
+    counts = dict(counts)
+    gone = ()
+    if n == 1:
+        del counts[comp]
+        gone = (comp,)
+    else:
+        counts[comp] = n - 1
+    came = ()
+    if new in counts:
+        counts[new] += 1
+    else:
+        came = (new,)
+        items = list(counts.items())
+        items.insert(bisect_left(list(counts), new.key, key=_KEY), (new, 1))
+        counts = dict(items)
+    out._counter = counts
+    if trail is not None:
+        trail.append((out, state, (gone, came)))
+    return out
 
 
 def path_text(path: Path) -> str:

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import rates
-from .compiled import Plan, compile_rule
+from .compiled import Plan, compile_rule, dependents
 from .errors import RateEvalError
 from .matching import (Instantiation, Path, image, match_whole, path_text,
                        splice, substitute)
@@ -277,12 +277,19 @@ class Enumerator:
     tied to this enumerator: a compartment that a successor shares with
     its parent costs one identity check, and only the changed compartment
     and the ones enclosing it are enumerated again. With them a
-    compartment keeps each loop rule's order of outcomes, and a
-    compartment enumerated again starts from the order kept at its path
-    in the last state, so an event that replaced one cell places that
-    cell's outcomes alone. The constants must not change while the
-    enumerator is in use. Rules without a plan are matched afresh in
-    every state: that path is the reference.
+    compartment keeps each loop rule's order of outcomes.
+
+    A target built from a compiled outcome leaves the enumerator what it
+    changed: each compartment it made, the one that compartment replaced,
+    and the cells that left and came. A compartment so made is
+    enumerated from its predecessor's outcomes: a rule without a loop
+    keeps them unless the drawn rule can change them (see
+    :func:`~tscls.compiled.dependents`), which it never can in an
+    enclosing compartment, and each loop rule updates its order by the
+    cells that changed. Any other compartment not kept is enumerated
+    afresh. The constants must not change while the enumerator is in
+    use. Rules without a plan are matched afresh in every state: that
+    path is the reference.
     """
 
     def __init__(self, rules: Sequence[RewriteRule],
@@ -299,11 +306,22 @@ class Enumerator:
         # per rule, its rate as a function of its counts
         self._rates = [partial(eval_rate, rule, consts=self.consts)
                        for rule in self.rules]
+        self._every = tuple(range(len(self.rules)))
+        # the rules enumerated again in every compartment an event made:
+        # those with a loop or without a plan
+        self._always = {index for index, rule in enumerate(self.rules)
+                        if rule.plan is None or rule.plan.membrane is not None}
+        # per compiled rule, once one of its outcomes is built: the rules
+        # to enumerate again in the compartment it rewrote, in the content
+        # of the cell it rewrote and in an enclosing compartment
+        self._redo: list[Optional[tuple]] = [None] * len(self.rules)
         # what a term's outcomes are tied to; not the enumerator itself,
         # which would keep its rules alive as long as any term it visited
         self._token = object()
-        # path -> the loop rules' orders kept at it in the last state
-        self._orders: dict[Path, dict] = {}
+        # id of each compartment the last target built made -> (it, held
+        # so that no other object takes its id; the compartment it
+        # replaced; the rules to enumerate again; the cells that changed)
+        self._made: dict[int, tuple] = {}
 
     def outcomes(self, state: Term) -> "Outcomes":
         """The state's enabled transitions, in :func:`transitions` order.
@@ -316,14 +334,14 @@ class Enumerator:
         # (rule index, path, content, rates, keys); for a rule without a
         # plan, (rule index, path, None, None, survivors)
         groups: list[tuple] = []
-        last, self._orders = self._orders, {}
-        self._visit(state, (), state, last, groups)
+        made, self._made = self._made, {}
+        self._visit(state, (), state, made, groups)
         # stable: by rule, then in pre-order, which is path order
         groups.sort(key=itemgetter(0))
-        return Outcomes(state, self.rules, groups)
+        return Outcomes(self, state, groups)
 
     def _visit(self, state: Term, path: Path, content: Term,
-               last: dict[Path, dict], groups: list[tuple]) -> None:
+               made: dict[int, tuple], groups: list[tuple]) -> None:
         """Enumerate the compartment at ``path`` and, in pre-order, the
         ones inside it, numbered as :func:`~tscls.matching.compartments`
         numbers them."""
@@ -335,24 +353,31 @@ class Enumerator:
                 self._match(state, path, content, index, rule, groups)
             _, outs, orders = kept
         else:
-            outs = []
-            orders = dict(last.get(path, ()))
-            for index, rule in enumerate(self.rules):
+            hint = made.get(id(content))
+            base = hint[1]._outcomes if hint is not None else None
+            if base is not None and base[0] is self._token:
+                _, _, (redo, again), change = hint
+                outs = [out for out in base[1] if out[0] not in again]
+                orders = dict(base[2])
+            else:
+                redo, change, outs, orders = self._every, None, [], {}
+            for index in redo:
+                rule = self.rules[index]
                 plan = rule.plan
                 if plan is None:
                     self._match(state, path, content, index, rule, groups)
                     continue
                 try:
                     found = plan.entries(orders, content, self.env,
-                                         self._literal, self._rates[index])
+                                         self._literal, self._rates[index],
+                                         change)
                 except RateEvalError as exc:
                     raise _located(exc, path) from None
                 if found:
                     keys, rates = zip(*found)
                     outs.append((index, rates, keys))
+            outs.sort(key=itemgetter(0))
             content._outcomes = (self._token, outs, orders)
-        if orders:
-            self._orders[path] = orders
         for index, rates, keys in outs:
             groups.append((index, path, content, rates, keys))
         # equal loops are adjacent in canonical order, so n copies of a
@@ -361,9 +386,33 @@ class Enumerator:
         for comp, n in component_counts(content).items():
             if isinstance(comp, Loop):
                 for _ in range(n):
-                    self._visit(state, path + (i,), comp.content, last,
+                    self._visit(state, path + (i,), comp.content, made,
                                 groups)
                     i += 1
+
+    def _build(self, state: Term, index: int, path: Path, content: Term,
+               key: object) -> Term:
+        """The target of rule ``index``'s outcome ``key`` in ``content``,
+        the compartment at ``path`` of ``state``; what it made is kept for
+        the next :meth:`outcomes`."""
+        trail: list[tuple] = []
+        target = self.rules[index].plan.build(state, path, content, key,
+                                              trail)
+        redo = self._redo[index]
+        if redo is None:
+            outer, inside = dependents([rule.plan for rule in self.rules],
+                                       index, self.env)
+            always = self._always
+            redo = self._redo[index] = (_indexes(always | outer),
+                                        _indexes(always | inside),
+                                        _indexes(always))
+        drawn, inner, around = redo
+        cell = key[0].cell.content if key is not None else None
+        self._made = {
+            id(new): (new, old, drawn if old is content
+                      else inner if old is cell else around, change)
+            for new, old, change in trail}
+        return target
 
     def _match(self, state: Term, path: tuple[int, ...], content: Term,
                index: int, rule: RewriteRule, groups: list[tuple]) -> None:
@@ -390,6 +439,11 @@ class Enumerator:
             groups.append((index, path, None, None, survivors))
 
 
+def _indexes(indexes: set[int]) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Rule indexes in order, and as a set."""
+    return tuple(sorted(indexes)), frozenset(indexes)
+
+
 def _resolved(rule: RewriteRule, path: tuple[int, ...],
               survivors: Mapping[tuple, Callable[[], Term]]
               ) -> tuple[tuple, tuple]:
@@ -409,20 +463,21 @@ def _resolved(rule: RewriteRule, path: tuple[int, ...],
 
 class Outcomes:
     """A state's enabled transitions, in :func:`transitions` order:
-    ``rates`` lists their rates, and :meth:`transition` makes the one
-    drawn, with a deferred target."""
+    ``rates`` lists their rates, :meth:`transition` makes the one drawn,
+    with a deferred target, and :meth:`rule_index` gives its rule."""
 
-    __slots__ = ("rates", "_state", "_rules", "_groups", "_starts")
+    __slots__ = ("rates", "_enumerator", "_state", "_groups", "_starts")
 
-    def __init__(self, state: Term, rules: Sequence[RewriteRule],
+    def __init__(self, enumerator: Enumerator, state: Term,
                  groups: list[tuple]):
         """``groups`` as :meth:`Enumerator.outcomes` orders them; the
         survivors of a rule without a plan become its transitions here."""
+        self._enumerator = enumerator
         self._state = state
-        self._rules = rules
         self._groups = groups
         self._starts: list[int] = []
         self.rates: list[float] = []
+        rules = enumerator.rules
         for g, (index, path, content, rates, keys) in enumerate(groups):
             if rates is None:
                 rates, keys = _resolved(rules[index], path, keys)
@@ -430,16 +485,23 @@ class Outcomes:
             self._starts.append(len(self.rates))
             self.rates.extend(rates)
 
+    def rule_index(self, i: int) -> int:
+        """The index of the rule of the ``i``-th transition."""
+        return self._groups[bisect_right(self._starts, i) - 1][0]
+
     def transition(self, i: int) -> Transition:
+        """The ``i``-th transition. Building the target of a compiled
+        rule's outcome leaves the enumerator what it changed."""
         g = bisect_right(self._starts, i) - 1
         index, path, content, rates, keys = self._groups[g]
         j = i - self._starts[g]
         if content is None:
             return keys[j]  # a rule without a plan: its transitions
-        rule = self._rules[index]
+        enumerator = self._enumerator
         return Transition.deferred(
-            rule.id, path,
-            partial(rule.plan.build, self._state, path, content, keys[j]),
+            enumerator.rules[index].id, path,
+            partial(enumerator._build, self._state, index, path, content,
+                    keys[j]),
             rates[j])
 
     def all(self) -> tuple[Transition, ...]:

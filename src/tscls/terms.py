@@ -15,6 +15,10 @@ canonicalization and multiset operations stay cheap on large states. A
 term also caches its component multiset, its type histogram and, as a
 compartment, the compiled outcomes of a run's rules in it; a successor
 shares every compartment an event left alone, and with it these caches.
+The compartments an event rebuilds get their multiset and histogram from
+their predecessors' (see ``compiled.Plan.build`` and
+``matching.splice``), so they are counted afresh only when no
+predecessor had them.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import WellFormednessError
+
+_KEY = attrgetter("key")
 
 
 class Seq:
@@ -114,7 +120,7 @@ class Term:
         key = self._key
         if key is None:
             key = self._key = (2, len(self.components),
-                               tuple([c.key for c in self.components]))
+                               tuple(map(_KEY, self.components)))
         return key
 
     def is_empty(self) -> bool:
@@ -142,11 +148,13 @@ class Term:
 EMPTY = Term()
 
 
-def component_counts(t: Term) -> Counter:
+def component_counts(t: Term) -> Mapping[Component, int]:
     """The term's components as a multiset, cached on the term.
 
-    Built in component order, so on a canonical term the distinct
-    components come out in canonical order. Callers must not mutate it.
+    Keyed in component order, so on a canonical term the distinct
+    components come out in canonical order: counted here on first use,
+    or carried from a predecessor by whatever built the term. Callers
+    must not mutate it.
     """
     counter = t._counter
     if counter is None:
@@ -218,7 +226,7 @@ def canonicalize(t: Term) -> Term:
                 cached = _loop_cache[ck] = Loop(mem, content)
             out.append(cached)
             changed = True
-    ordered = sorted(out, key=attrgetter("key"))
+    ordered = sorted(out, key=_KEY)
     if not changed and ordered == list(t.components):
         t._canonical = True
         return t

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import tscls
-from tscls import parse_model, parse_rate, print_model, print_rate
+from tscls import cli, parse_model, parse_rate, print_model, print_rate
 from tscls.cli import main
 
 from conftest import CELLS
@@ -295,6 +295,33 @@ class TestRun:
         got = capsys.readouterr()
         assert got.out == ""
         assert names in got.err and "not finite" in got.err
+
+    @pytest.mark.parametrize("replicas", ["1", "2"])
+    def test_unwritable_out_fails_before_the_run(self, replicas, tiny,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        # the trace file is opened before the run, so a path that cannot
+        # be written fails at once instead of after a long run
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+
+        def no_run(*args):
+            raise AssertionError("simulate was called")
+        monkeypatch.setattr(cli, "simulate", no_run)
+        out = tmp_path / "missing" / "trace.csv"
+        assert main(["run", tiny, "--replicas", replicas,
+                     "--out", str(out)]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replicas", ["1", "2"])
+    def test_failed_run_leaves_no_file(self, replicas, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        model = tmp_path / "nan.tscls"
+        model.write_text(NAN_RATE, encoding="utf-8")
+        assert main(["run", str(model), "--replicas", replicas,
+                     "--out", str(tmp_path / "trace.csv")]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [model]
 
     def test_replicas(self, tiny, tmp_path, capsys):
         out = tmp_path / "rep.csv"

@@ -14,9 +14,9 @@ from tscls import (LITERAL, POSITIONAL, CountDecl, Loop, RateEvalError,
                    RewriteRule, Seq, Term, TypeEnv, TypeName, Var, VarKind,
                    canonicalize, compartments, count_types, eval_rate,
                    match_whole, parse_model, parse_pattern, parse_rate,
-                   parse_term, path_text, splice, substitute, transitions,
-                   type_of)
-from tscls import compiled, semantics, terms
+                   parse_term, path_text, simulate, splice, substitute,
+                   transitions, type_of)
+from tscls import compiled, engine, semantics, terms
 from tscls.catalog import lac_operon_model
 from tscls.compiled import Plan
 from tscls.engine import Pcg64, step
@@ -586,33 +586,67 @@ def test_a_warm_step_reuses_histograms_and_rates(monkeypatch):
 
 
 def test_a_step_enumerates_only_what_an_event_changed(monkeypatch):
-    # 20 cells; an event inside one cell changes that cell's content and
-    # the root, and the next step of the same enumerator calls
-    # Plan.entries for those two compartments only
+    # 20 cells; an event changes one compartment and those enclosing it,
+    # and the next step of the same enumerator calls Plan.entries there
+    # only: for the loop rules, and for the rule without a loop where the
+    # event can change its outcomes. AB counts t_A, so an A -> B event in
+    # a cell changes its outcomes in that cell only, and an osmosis event
+    # none of them
     cells = " | ".join(f"<m.p>[ {n} * W | 3 * S | A ]" for n in range(1, 21))
-    state = canonicalize(T(f"{cells} | 30 * W | 10 * S"))
+    state = canonicalize(T(f"{cells} | 30 * W | 10 * S | A"))
     rules = osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
                                    [(TypeName("t_A"), "n")])]
+    w_out, w_in, ab = (r.plan for r in rules)
     enumerator = Enumerator(rules, TypeEnv(), {})
     outcomes = enumerator.outcomes(state)
-    inside = [tr for tr in outcomes.all() if tr.path]
-    assert len(inside) == 20
-    target = inside[7].target
-    before = {id(site.content) for site in compartments(state)}
-    changed = [site.content for site in compartments(target)
-               if id(site.content) not in before]
-    [cell] = set(target.components) - set(state.components)
-    assert changed == [target, cell.content]
     seen = []
     entries = Plan.entries
-    monkeypatch.setattr(Plan, "entries", lambda self, state, content, *rest:
-                        seen.append(content) or entries(self, state, content,
-                                                        *rest))
-    got = enumerator.outcomes(target).all()
-    assert sorted(map(id, seen)) == sorted(map(id, changed * len(rules)))
-    del seen[:]
-    assert got == transitions(target, rules, TypeEnv(), {})
-    assert len(seen) == 21 * len(rules)  # a fresh enumerator keeps nothing
+    monkeypatch.setattr(Plan, "entries", lambda self, kept, content, *rest:
+                        seen.append((self, id(content)))
+                        or entries(self, kept, content, *rest))
+    for drawn, at_root, redo in (("AB", False, (ab,)), ("W_out", True, ())):
+        target = next(tr for tr in outcomes.all() if tr.rule_id == drawn
+                      and (tr.path == ()) == at_root).target
+        before = {id(site.content) for site in compartments(state)}
+        changed = [site.content for site in compartments(target)
+                   if id(site.content) not in before]
+        [cell] = set(target.components) - set(state.components)
+        assert changed == [target, cell.content]
+        del seen[:]
+        got = enumerator.outcomes(target).all()
+        # the root, then the content of the cell the event changed
+        assert seen == [(w_out, id(target)), (w_in, id(target))] + [
+            (plan, id(cell.content)) for plan in (w_out, w_in) + redo]
+        del seen[:]
+        assert got == transitions(target, rules, TypeEnv(), {})
+        assert len(seen) == 21 * len(rules)  # a fresh enumerator keeps nothing
+        state, outcomes = target, enumerator.outcomes(target)
+
+
+def test_lac_steps_cost_what_their_events_changed(monkeypatch):
+    # an event on lac changes a few components of one compartment: the
+    # next step re-rates the loop rules and the rules the event can
+    # affect (15 rules in two compartments if it re-rated all), types no
+    # compartment afresh, and the observables follow from the drawn rule
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+    monkeypatch.setattr(Plan, "entries", counted("entries", Plan.entries))
+    for module in (terms, compiled):
+        monkeypatch.setattr(module, "counter_types",
+                            counted("types", terms.counter_types))
+    monkeypatch.setattr(engine, "_count_all",
+                        counted("walks", engine._count_all))
+    events = 0
+    for seed in (3, 6, 9):
+        model = lac_operon_model()
+        events += simulate(model, model.sim_config(seed=seed,
+                                                   max_steps=150)).steps
+    assert events == 450
+    assert calls["entries"] <= 12 * events
+    assert calls["types"] <= 0.5 * events
+    assert calls["walks"] == 3
 
 
 def test_a_step_after_an_osmosis_event_places_one_cell(monkeypatch):

@@ -17,7 +17,7 @@ from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.engine import _count_all, _sample_grid
 from tscls.terms import Loop, TypeEnv
 
-from conftest import ALPHABET, CELLS, random_term
+from conftest import ALPHABET, CELLS, general, random_term
 
 
 def T(text):
@@ -239,12 +239,20 @@ class TestSimulate:
             calls.append(term)
             return _count_all(term, names)
 
+        # a compiled rule's event adds its change to the counts, so only
+        # the initial state is walked; an event of a rule on the general
+        # path is observed by a walk of the state it made
         monkeypatch.setattr(engine, "_count_all", counting)
-        model = single_rule_model("5 * a", state_change_rule("a", "b", 1.0),
-                                  observables=("a", "b"))
-        trace = simulate(model, SimConfig(seed=2, tmax=10.0, samples=100))
-        assert trace.steps == 5 and len(trace.samples) == 101
-        assert len(calls) == trace.steps + 1
+        rule = state_change_rule("a", "b", 1.0)
+        for r, walks in ((rule, 1), (general(rule), 6)):
+            model = single_rule_model("5 * a", r, observables=("a", "b"))
+            trace = simulate(model, SimConfig(seed=2, tmax=10.0,
+                                              samples=100))
+            assert trace.steps == 5 and len(trace.samples) == 101
+            assert len(calls) == walks
+            assert [e.observables for e in trace.events] \
+                == [(4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
+            del calls[:]
 
     def test_first_lac_event_is_enabled_rule(self):
         model = lac_operon_model()

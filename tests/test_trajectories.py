@@ -10,20 +10,26 @@ the bytes must be identical with and without the rules' plans.
 import dataclasses
 import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscls import (LITERAL, POSITIONAL, ModelFile, RateEvalError, SimConfig,
-                   VarKind, canonicalize, lac_operon_model, parse_model,
-                   pattern_vars, simulate)
+from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, ModelFile,
+                   ObservableSpec, PLoop, PSeq, RateEvalError, RewriteRule,
+                   SeqVar, SimConfig, TypeName, Var, VarKind, canonicalize,
+                   compartments, lac_operon_model, lits, parse_model,
+                   parse_rate, pat, pattern_vars, simulate, tvar)
 from tscls.cli import _write_trace
 from tscls.compiled import Plan
-from tscls.engine import Pcg64, step
+from tscls.engine import Pcg64, _count_all, step
+from tscls.semantics import Enumerator
+from tscls.terms import Seq, counter_types
 
-from conftest import (CELLS, general, random_compiled_rule, random_env,
-                      random_loop_rule, random_loop_state, random_rule)
+from conftest import (ALPHABET, CELLS, general, random_compiled_rule,
+                      random_env, random_loop_rule, random_loop_state,
+                      random_rule)
 
 MAX_STEPS = 100
 
@@ -66,6 +72,35 @@ init: 20 * A | 15 * B | 10 * C | 8 * D
 observe A, B, C, D
 """
 
+# a loop rule that moves L into a cell and adds p to its membrane, beside
+# a rule whose rate counts the p of the membranes around it
+MEMBRANES = """\
+rule enter {
+  lhs: <~x>[ $X ] | L | $Y
+  rhs: <p.~x>[ L | $X ] | $Y
+  count $Y { t_L -> n }
+  rate: (n + 1) * 0.1
+}
+
+rule make {
+  lhs: L | $X
+  rhs: L | L | $X
+  count $X { seq(t_p) -> m }
+  rate: (m + 1) * 0.05
+}
+
+rule decay {
+  lhs: L | $X
+  rhs: $X
+  count $X { t_L -> n }
+  rate: (n + 1) * 0.05
+}
+
+init: 20 * L | <m>[ L ] | <q.m>[ 2 * L ] | <m>[ L ]
+observe L
+"""
+
+
 def traces(model, seed):
     """The run's CSV and NDJSON text."""
     trace = simulate(model, model.sim_config(seed=seed, max_steps=MAX_STEPS,
@@ -82,7 +117,8 @@ def traces(model, seed):
     (lac_operon_model(), range(10)),
     (parse_model(MASS), range(2)),
     (parse_model(CELLS), range(2)),
-], ids=["lac", "mass", "cells"])
+    (parse_model(MEMBRANES), range(2)),
+], ids=["lac", "mass", "cells", "membranes"])
 def test_plans_give_the_general_path_traces(model, seeds):
     assert all(rule.plan is not None for rule in model.rules)
     reference = dataclasses.replace(
@@ -167,11 +203,37 @@ DRAWN_STEPS = 30
 DRAWN_TMAX = 1e6
 
 
+def membrane_counter(rule_id):
+    """A rule that rewrites nothing, at a rate that counts the elements of
+    every seq-tagged type in its compartment, such as those of the
+    membranes there: a loop rule's event that adds to a cell's membrane
+    changes its rate beside the cell."""
+    names = [f"n{i}" for i in range(len(ALPHABET))]
+    count = CountDecl(Var(VarKind.TERM, "X"), tuple(
+        (TypeName("t_" + e, True), name) for e, name in zip(ALPHABET, names)))
+    return RewriteRule(rule_id, pat(tvar("X")), pat(tvar("X")),
+                       parse_rate(" + ".join(names) + " + 1"), (count,))
+
+
+def uptake(rule_id, element):
+    """A loop rule that moves ``element`` into a cell and adds ``b`` to
+    the cell's membrane: its events change the observables inside and
+    outside the cell, and the types of the membranes beside it."""
+    def cell(membrane, *content):
+        return PLoop(PSeq(membrane), pat(*content, tvar("X")))
+    x = SeqVar("x")
+    return RewriteRule(rule_id, pat(cell((x,)), lits(element), tvar("Y")),
+                       pat(cell((ElemLit("b"), x), lits(element)), tvar("Y")),
+                       parse_rate("1"))
+
+
 def random_model(rng):
     """A model drawn from the conftest builders: a state of flat sequences
     and cells, repeated and nested; one to three rules, of the compiled
     loop and ground shapes and of general shapes, counting on the frame,
-    on a cell's content and on its membrane; a typing and a typing mode."""
+    on a cell's content and on its membrane, and sometimes a
+    :func:`membrane_counter` or an :func:`uptake`; a typing and a typing
+    mode; every element of the model observed, in a drawn order."""
     init = canonicalize(random_loop_state(rng))
 
     def general_rule(i):
@@ -187,9 +249,19 @@ def random_model(rng):
               lambda i: random_compiled_rule(rng, init, f"r{i}"),
               general_rule]
     rules = [rng.choice(makers)(i) for i in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        rules.append(membrane_counter(f"r{len(rules)}"))
+    if rng.random() < 0.5:
+        bare = sorted({c.elems[0] for c in init.components
+                       if isinstance(c, Seq) and len(c.elems) == 1})
+        rules.append(uptake(f"r{len(rules)}", rng.choice(bare or ALPHABET)))
     env = random_env(rng)
-    return ModelFile(rules=rules, init=init, type_decls=env.assignment,
-                     typing=rng.choice((POSITIONAL, LITERAL)))
+    model = ModelFile(rules=rules, init=init, type_decls=env.assignment,
+                      typing=rng.choice((POSITIONAL, LITERAL)))
+    elements = sorted(model.elements())
+    model.observables = [ObservableSpec(e) for e in rng.sample(
+        elements, len(elements))]
+    return model
 
 
 def run_outcome(run):
@@ -201,8 +273,30 @@ def run_outcome(run):
 
 
 def simulated(model, seed):
+    """The run's events and final state. At every event, what the run
+    carried from the drawn outcome must be what a walk of the state it
+    made finds: the observables, and each compartment's cached type
+    histogram and component counter, in component order."""
     cfg = SimConfig(seed=seed, tmax=DRAWN_TMAX, max_steps=DRAWN_STEPS)
-    trace = simulate(model, cfg)
+    states = []
+    outcomes = Enumerator.outcomes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Enumerator, "outcomes", lambda self, state:
+                      states.append(state) or outcomes(self, state))
+        trace = simulate(model, cfg)
+    states = (states + [trace.final_state])[:trace.steps + 1]
+    names = trace.observable_names
+    assert [e.observables for e in trace.events] \
+        == [_count_all(state, names) for state in states[1:]]
+    for state in states:
+        for site in compartments(state):
+            c = site.content
+            if c._types is not None:
+                env, types = c._types
+                assert types == counter_types(Counter(c.components), env)
+            if c._counter is not None:
+                assert list(c._counter.items()) \
+                    == list(Counter(c.components).items())
     return ([(e.time, e.rule_id, e.path, e.rate) for e in trace.events],
             trace.final_state)
 
@@ -226,10 +320,12 @@ def stepped(model, seed):
 @settings(max_examples=100, deadline=None)
 def test_drawn_runs_keep_nothing_stale(seed):
     # one enumerator per run carries each compartment's outcomes and each
-    # loop rule's order of outcomes from one step to the next; a fresh
-    # enumerator per step and the general path carry nothing. The three
-    # share the model's initial terms, so outcomes kept on them by one
-    # run must not be taken for another's
+    # loop rule's order of outcomes from one step to the next, and a
+    # compiled rule's event carries the observables, component counters
+    # and type histograms from the state before it; a fresh enumerator
+    # per step and the general path carry no outcomes. The three share
+    # the model's initial terms, so outcomes kept on them by one run must
+    # not be taken for another's
     rng = random.Random(seed)
     model = random_model(rng)
     reference = dataclasses.replace(
