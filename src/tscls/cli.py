@@ -14,13 +14,14 @@ import dataclasses
 import functools
 import json
 import os
+import stat
 import sys
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .engine import Trace, TraceEvent, simulate
 from .errors import ModelError, TsclsError
 from .matching import path_text
-from .model import ModelFile
+from .model import ModelFile, SimConfig
 from .rates import format_number
 from .semantics import transitions
 from .syntax import parse_model, parse_term, print_term
@@ -139,17 +140,32 @@ def _summary(trace: Trace, seed: int) -> str:
             f"halt={trace.halt_reason}")
 
 
-@contextlib.contextmanager
-def _out_file(path: str) -> Iterator[TextIO]:
-    """The trace file ``path``, opened for writing before the run, so an
-    unwritable path fails before any work; removed if the run fails."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        try:
-            yield fh
-        except BaseException:
-            fh.close()
-            os.remove(path)
-            raise
+def _run_to(path: str, model: ModelFile, cfg: SimConfig,
+            fmt: str) -> Trace:
+    """Simulate and write the trace to the file ``path``.
+
+    The file is opened before the run, so an unwritable path fails
+    before any work, but emptied and written only after it, so a failed
+    run leaves a file that was there as it was. A file this run created
+    is removed if the run or the writing fails."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+    except FileExistsError:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        created = False
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            trace = simulate(model, cfg)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, 0)
+            _write_trace(trace, fmt, fh)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return trace
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -174,16 +190,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         for seed in range(cfg.seed, cfg.seed + args.replicas):
             path = _seed_path(args.out, seed)
-            with _out_file(path) as fh:
-                trace = simulate(model, dataclasses.replace(cfg, seed=seed))
-                _write_trace(trace, args.format, fh)
+            trace = _run_to(path, model, dataclasses.replace(cfg, seed=seed),
+                            args.format)
             print(f"{_summary(trace, seed)} out={path}")
         return 0
 
     if args.out:
-        with _out_file(args.out) as fh:
-            trace = simulate(model, cfg)
-            _write_trace(trace, args.format, fh)
+        trace = _run_to(args.out, model, cfg, args.format)
         print(f"{_summary(trace, cfg.seed)} out={args.out}")
     else:
         trace = simulate(model, cfg)

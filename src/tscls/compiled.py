@@ -43,7 +43,7 @@ from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional,
                     Sequence)
 
 from .errors import RateEvalError
-from .matching import Path, splice
+from .matching import DRAWN, INSIDE, Change, Path, replace_copy, splice
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
                        VarKind)
 from .terms import (Loop, Seq, Term, TypeEnv, TypeName, Types,
@@ -67,10 +67,6 @@ Entry = tuple[object, float]
 # a loop rule's outcome before it is rated, and its key: the _Cell of the
 # loop it rewrites and the rhs membrane it gives it
 Candidate = tuple["_Cell", tuple[str, ...]]
-
-# the distinct cells a compartment lost and gained against the one it
-# replaced
-Change = tuple[tuple[Loop, ...], tuple[Loop, ...]]
 
 
 class Typed(NamedTuple):
@@ -322,14 +318,13 @@ class Plan:
 
         Each compartment the build makes gets its component multiset and
         type histogram from the one it replaces, changed by the outcome.
-        If ``trail`` is a list, ``(new, old, change)`` is appended to it
-        for each: first for ``content``, where ``change`` is the
-        ``(gone, came)`` cells as :func:`~tscls.matching.splice` gives
-        them; then, for a loop rule that changed the cell's content, for
-        that content, with no cell changed; then, by ``splice``, for each
-        enclosing compartment."""
-        have = component_counts(content)
-        counter = _rebuilt(have, self.need, self.give)
+        If ``trail`` is a list, ``(role, new, old, change)`` is appended
+        to it for each, as :func:`~tscls.matching.splice` does for the
+        enclosing ones: the ``DRAWN`` one for ``content``, with the cells
+        it lost and gained, and, for a loop rule that changed the cell's
+        content, the ``INSIDE`` one for that content, with no cell
+        changed."""
+        counter = _rebuilt(component_counts(content), self.need, self.give)
         typed = content._types
         if typed is not None:
             typed = (typed[0], _shifted(typed[1],
@@ -339,17 +334,14 @@ class Plan:
         if key is not None:
             entry, membrane = key
             cell, new = entry.cell, entry.successor(membrane)
-            counter[cell] -= 1
-            counter[new] = counter.get(new, 0) + 1
+            change = replace_copy(counter, cell, new)
             if typed is not None and membrane != cell.membrane:
                 env = typed[0]
                 typed = (env, _shifted(
                     typed[1], seq_types(membrane, env, False),
                     seq_types(cell.membrane, env, False)))
-            change = (() if counter[cell] else (cell,),
-                      () if new in have else (new,))
             if new.content is not cell.content:
-                inner = (new.content, cell.content, ((), ()))
+                inner = (INSIDE, new.content, cell.content, ((), ()))
                 was = cell.content._types
                 if new.content._types is None and was is not None:
                     new.content._types = (was[0], _shifted(
@@ -357,7 +349,7 @@ class Plan:
         out = _term(counter)
         out._types = typed
         if trail is not None:
-            trail.append((out, content, change))
+            trail.append((DRAWN, out, content, change))
             if inner is not None:
                 trail.append(inner)
         return splice(state, path, out, trail)

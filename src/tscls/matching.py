@@ -23,6 +23,15 @@ from .terms import (Loop, Seq, Term, canonicalize, component_counts,
 
 Path = tuple[int, ...]
 
+# the distinct cells a compartment lost and gained against the one it
+# replaced: (gone, came)
+Change = tuple[tuple[Loop, ...], tuple[Loop, ...]]
+
+# what a compartment that building a target made is, in an entry
+# (role, new, old, change) of the build's trail: the compartment a rule
+# rewrote, the content of the cell it rewrote, or one enclosing them
+DRAWN, INSIDE, AROUND = range(3)
+
 _KEY = attrgetter("key")
 Binding = Union[Term, tuple[str, ...], str]
 
@@ -124,11 +133,10 @@ def splice(state: Term, path: Path, new_content: Term,
     its membrane, so each is moved to its place among the components
     around it, which stay as they are; each enclosing compartment's
     component multiset is its predecessor's with one copy of the loop
-    moved, and its type histogram is its predecessor's. If ``trail`` is
-    a list, ``(new, old, (gone, came))`` is appended to it for each
-    enclosing compartment rebuilt, innermost first: ``gone`` holds the
-    old loop if no copy of it is left, ``came`` the new loop if no copy
-    of it was there."""
+    moved (by :func:`replace_copy`), and its type histogram is its
+    predecessor's. If ``trail`` is a list, ``(AROUND, new, old,
+    change)`` is appended to it for each enclosing compartment rebuilt,
+    innermost first, with the ``change`` that ``replace_copy`` gives."""
     if not path:
         return canonicalize(new_content)
     target, rest = path[0], path[1:]
@@ -163,24 +171,36 @@ def splice(state: Term, path: Path, new_content: Term,
     out._canonical = True
     out._types = state._types  # the loop keeps its membrane
     counts = dict(counts)
-    gone = ()
-    if n == 1:
-        del counts[comp]
-        gone = (comp,)
-    else:
-        counts[comp] = n - 1
-    came = ()
-    if new in counts:
-        counts[new] += 1
-    else:
-        came = (new,)
+    change = replace_copy(counts, comp, new)
+    if change[1]:  # the new loop went last: move it to its place
+        keys = list(counts)
         items = list(counts.items())
-        items.insert(bisect_left(list(counts), new.key, key=_KEY), (new, 1))
+        items.insert(bisect_left(keys, new.key, hi=len(keys) - 1, key=_KEY),
+                     items.pop())
         counts = dict(items)
     out._counter = counts
     if trail is not None:
-        trail.append((out, state, (gone, came)))
+        trail.append((AROUND, out, state, change))
     return out
+
+
+def replace_copy(counts: dict, old: Loop, new: Loop) -> Change:
+    """Replace one copy of ``old`` by ``new`` in the component multiset
+    ``counts``, in place, a new key going last, and give the cells that
+    changed: ``gone`` holds ``old`` if no copy of it is left, ``came``
+    holds ``new`` if no copy of it was there."""
+    counts[old] -= 1
+    came: tuple[Loop, ...] = ()
+    if new in counts:
+        counts[new] += 1
+    else:
+        counts[new] = 1
+        came = (new,)
+    gone: tuple[Loop, ...] = ()
+    if not counts[old]:
+        del counts[old]
+        gone = (old,)
+    return gone, came
 
 
 def path_text(path: Path) -> str:

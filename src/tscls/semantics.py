@@ -312,8 +312,10 @@ class Enumerator:
         self._always = {index for index, rule in enumerate(self.rules)
                         if rule.plan is None or rule.plan.membrane is not None}
         # per compiled rule, once one of its outcomes is built: the rules
-        # to enumerate again in the compartment it rewrote, in the content
-        # of the cell it rewrote and in an enclosing compartment
+        # to enumerate again in a compartment the build made, indexed by
+        # its role in the build's trail (DRAWN, INSIDE, AROUND in
+        # matching); the last is the same for every rule
+        self._around = _indexes(self._always)
         self._redo: list[Optional[tuple]] = [None] * len(self.rules)
         # what a term's outcomes are tied to; not the enumerator itself,
         # which would keep its rules alive as long as any term it visited
@@ -405,13 +407,9 @@ class Enumerator:
             always = self._always
             redo = self._redo[index] = (_indexes(always | outer),
                                         _indexes(always | inside),
-                                        _indexes(always))
-        drawn, inner, around = redo
-        cell = key[0].cell.content if key is not None else None
-        self._made = {
-            id(new): (new, old, drawn if old is content
-                      else inner if old is cell else around, change)
-            for new, old, change in trail}
+                                        self._around)
+        self._made = {id(new): (new, old, redo[role], change)
+                      for role, new, old, change in trail}
         return target
 
     def _match(self, state: Term, path: tuple[int, ...], content: Term,

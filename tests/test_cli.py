@@ -323,6 +323,30 @@ class TestRun:
         assert "not finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [model]
 
+    @pytest.mark.parametrize("replicas", ["1", "2"])
+    def test_failed_run_keeps_an_existing_file(self, replicas, tmp_path,
+                                               capsys, monkeypatch):
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        model = tmp_path / "nan.tscls"
+        model.write_text(NAN_RATE, encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        # the file the first seed's run would write
+        kept = out if replicas == "1" else tmp_path / "trace.seed0.csv"
+        kept.write_text("an earlier trace\n", encoding="utf-8")
+        assert main(["run", str(model), "--seed", "0", "--replicas",
+                     replicas, "--out", str(out)]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert kept.read_text(encoding="utf-8") == "an earlier trace\n"
+        assert sorted(tmp_path.iterdir()) == sorted([model, kept])
+
+    def test_run_replaces_an_existing_file(self, tiny, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        out.write_text("x" * 100_000, encoding="utf-8")
+        assert main(["run", tiny, "--seed", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", tiny, "--seed", "1"]) == 0
+        assert out.read_bytes().decode() == capsys.readouterr().out
+
     def test_replicas(self, tiny, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         assert main(["run", tiny, "--seed", "5", "--replicas", "3",
