@@ -43,11 +43,12 @@ from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional,
                     Sequence)
 
 from .errors import RateEvalError
-from .matching import DRAWN, INSIDE, Change, Path, replace_copy, splice
+from .matching import (DRAWN, INSIDE, Change, Path, placed, replace_copy,
+                       splice)
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
                        VarKind)
 from .terms import (Loop, Seq, Term, TypeEnv, TypeName, Types,
-                    _NO_TYPES, component_counts, counter_types,
+                    _NO_TYPES, component_counts, counted, counter_types,
                     min_rotation, read_counts, seq_types, type_counts)
 
 if TYPE_CHECKING:
@@ -212,8 +213,7 @@ class Plan:
         base, every cell's candidates are sorted. None if ``content``
         holds no cell."""
         if base is None:
-            comps = content.components
-            if not comps or not isinstance(comps[-1], Loop):
+            if not isinstance(next(reversed(have), None), Loop):
                 return None  # loops sort last
             base = _NO_ORDER
             change = ((), [comp for comp in have if isinstance(comp, Loop)])
@@ -324,7 +324,8 @@ class Plan:
         it lost and gained, and, for a loop rule that changed the cell's
         content, the ``INSIDE`` one for that content, with no cell
         changed."""
-        counter = _rebuilt(component_counts(content), self.need, self.give)
+        counter, came = _rebuilt(component_counts(content), self.need,
+                                 self.give)
         typed = content._types
         if typed is not None:
             typed = (typed[0], _shifted(typed[1],
@@ -335,6 +336,7 @@ class Plan:
             entry, membrane = key
             cell, new = entry.cell, entry.successor(membrane)
             change = replace_copy(counter, cell, new)
+            came += change[1]
             if typed is not None and membrane != cell.membrane:
                 env = typed[0]
                 typed = (env, _shifted(
@@ -346,7 +348,7 @@ class Plan:
                 if new.content._types is None and was is not None:
                     new.content._types = (was[0], _shifted(
                         was[1], self.typed(was[0]).inner_change))
-        out = _term(counter)
+        out = counted(placed(counter, came))
         out._types = typed
         if trail is not None:
             trail.append((DRAWN, out, content, change))
@@ -385,9 +387,9 @@ class _Cell:
         if out is None:
             if self._inner is None:
                 plan, content = self.plan, self.cell.content
-                self._inner = content if plan._same_inner else _term(
-                    _rebuilt(component_counts(content), plan.inner_need,
-                             plan.inner_give))
+                self._inner = content if plan._same_inner else counted(
+                    placed(*_rebuilt(component_counts(content),
+                                     plan.inner_need, plan.inner_give)))
             out = self._successors[membrane] = Loop(membrane, self._inner)
         return out
 
@@ -493,29 +495,26 @@ def _contains(have: Mapping, need: Counter) -> bool:
     return True
 
 
-def _rebuilt(have: Mapping, need: Counter, give: Counter) -> dict:
-    """``have - need + give``, for ``need`` contained in ``have``."""
+def _rebuilt(have: Mapping, need: Counter, give: Counter
+             ) -> tuple[dict, tuple[Seq, ...]]:
+    """``have - need + give``, for ``need`` contained in ``have``, without
+    zero counts, and the components it holds that ``have`` did not. Those
+    go last; the others keep their order."""
     counter = dict(have)
-    for comp, n in need.items():
-        counter[comp] -= n
+    came = []
     for comp, n in give.items():
-        counter[comp] = counter.get(comp, 0) + n
-    return counter
-
-
-def _term(counter: dict) -> Term:
-    """The canonical term of a counter of canonical components."""
-    comps = sorted([c for c, n in counter.items() if n > 0],
-                   key=attrgetter("key"))
-    parts: list = []
-    counts: Counter = Counter()
-    for comp in comps:
-        n = counts[comp] = counter[comp]
-        parts += [comp] * n
-    t = Term(parts)
-    t._canonical = True
-    t._counter = counts
-    return t
+        if comp in counter:
+            counter[comp] += n
+        else:
+            counter[comp] = n
+            came.append(comp)
+    for comp, n in need.items():
+        n = counter[comp] - n
+        if n:
+            counter[comp] = n
+        else:
+            del counter[comp]
+    return counter, tuple(came)
 
 
 def dependents(plans: Sequence[Optional[Plan]], r: int, env: TypeEnv

@@ -106,18 +106,17 @@ def observe(state: Term, spec: ObservableSpec) -> int:
 
 def _count_all(term: Term, names: Sequence[str]) -> tuple[int, ...]:
     counts = dict.fromkeys(names, 0)
-
     # one visit per distinct component; a loop's content is counted once
     # and weighed by how many copies of the loop enclose it
-    def walk(t: Term, mult: int) -> None:
+    stack = [(term, 1)]
+    while stack:
+        t, mult = stack.pop()
         for comp, n in component_counts(t).items():
             if isinstance(comp, Seq):
                 if len(comp.elems) == 1 and comp.elems[0] in counts:
                     counts[comp.elems[0]] += n * mult
             else:
-                walk(comp.content, n * mult)
-
-    walk(term, 1)
+                stack.append((comp.content, n * mult))
     return tuple(counts[n] for n in names)
 
 

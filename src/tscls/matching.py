@@ -9,17 +9,17 @@ canonical form and symmetric choices among identical components collapse.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections import Counter
 from operator import attrgetter
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import SubstitutionError, WellFormednessError
 from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar, Var,
                        VarKind, pattern_vars)
-from .terms import (Loop, Seq, Term, canonicalize, component_counts,
-                    min_rotation)
+from .terms import (Component, Loop, Seq, Term, canonicalize,
+                    component_counts, counted, min_rotation)
 
 Path = tuple[int, ...]
 
@@ -109,19 +109,18 @@ def compartments(state: Term) -> list[Compartment]:
     """All rewriting sites of a canonical state, in pre-order."""
     state = canonicalize(state)
     out: list[Compartment] = []
-
-    # one visit per distinct component: equal loops are adjacent in
-    # canonical order, so n copies of a loop take the next n indices
-    def walk(path: Path, term: Term) -> None:
+    stack: list[tuple[Path, Term]] = [((), state)]
+    while stack:
+        path, term = stack.pop()
         out.append(Compartment(path, term))
-        loop_index = 0
+        # one visit per distinct component: equal loops are adjacent in
+        # canonical order, so n copies of a loop take the next n indices
+        inner = []
         for comp, n in component_counts(term).items():
             if isinstance(comp, Loop):
                 for _ in range(n):
-                    walk(path + (loop_index,), comp.content)
-                    loop_index += 1
-
-    walk((), state)
+                    inner.append((path + (len(inner),), comp.content))
+        stack.extend(reversed(inner))
     return out
 
 
@@ -130,13 +129,14 @@ def splice(state: Term, path: Path, new_content: Term,
     """Replace the compartment at ``path`` and re-canonicalize.
 
     In a canonical state only the loops on the path change, each keeping
-    its membrane, so each is moved to its place among the components
-    around it, which stay as they are; each enclosing compartment's
-    component multiset is its predecessor's with one copy of the loop
-    moved (by :func:`replace_copy`), and its type histogram is its
-    predecessor's. If ``trail`` is a list, ``(AROUND, new, old,
-    change)`` is appended to it for each enclosing compartment rebuilt,
-    innermost first, with the ``change`` that ``replace_copy`` gives."""
+    its membrane, so each enclosing compartment is built from its
+    predecessor's component multiset with one copy of the loop replaced
+    (by :func:`replace_copy`), the new loop placed among the components
+    around it (by :func:`placed`), and its predecessor's type histogram;
+    its copies are never listed. If ``trail`` is a list, ``(AROUND, new,
+    old, change)`` is appended to it for each enclosing compartment
+    rebuilt, innermost first, with the ``change`` that ``replace_copy``
+    gives."""
     if not path:
         return canonicalize(new_content)
     target, rest = path[0], path[1:]
@@ -151,34 +151,19 @@ def splice(state: Term, path: Path, new_content: Term,
                     return canonicalize(Term(comps))
                 loop_index += 1
         raise ValueError(f"no loop at path step {target}")
-    # equal loops are adjacent, so the multiset finds the loop and the
-    # place of its first copy without a walk over every copy
-    counts = component_counts(state)
-    at = 0
+    # the multiset finds the loop without a walk over every copy
+    counts = dict(component_counts(state))
     for comp, n in counts.items():
         if isinstance(comp, Loop):
             if target < n:
                 break
             target -= n
-        at += n
     else:
         raise ValueError(f"no loop at path step {path[0]}")
     new = Loop(comp.membrane, splice(comp.content, rest, new_content, trail))
-    comps = list(state.components)
-    del comps[at]
-    insort(comps, new, key=_KEY)
-    out = Term(comps)
-    out._canonical = True
-    out._types = state._types  # the loop keeps its membrane
-    counts = dict(counts)
     change = replace_copy(counts, comp, new)
-    if change[1]:  # the new loop went last: move it to its place
-        keys = list(counts)
-        items = list(counts.items())
-        items.insert(bisect_left(keys, new.key, hi=len(keys) - 1, key=_KEY),
-                     items.pop())
-        counts = dict(items)
-    out._counter = counts
+    out = counted(placed(counts, change[1]))
+    out._types = state._types  # the loop keeps its membrane
     if trail is not None:
         trail.append((AROUND, out, state, change))
     return out
@@ -201,6 +186,27 @@ def replace_copy(counts: dict, old: Loop, new: Loop) -> Change:
         del counts[old]
         gone = (old,)
     return gone, came
+
+
+def placed(counts: dict, came: Sequence[Component]) -> dict:
+    """``counts``, a component multiset keyed in canonical order but for
+    ``came``, components it did not hold before, which went last, with
+    each of those moved to its place by bisection: ``counts`` itself if
+    they are in place, else a new dict."""
+    if not came:
+        return counts
+    items = list(counts.items())
+    del items[-len(came):]
+    if len(came) == 1 and (not items or items[-1][0].key < came[0].key):
+        return counts
+    for comp in came:
+        items.insert(bisect_left(items, comp.key, key=_item_key),
+                     (comp, counts[comp]))
+    return dict(items)
+
+
+def _item_key(item: tuple[Component, int]) -> tuple:
+    return item[0].key
 
 
 def path_text(path: Path) -> str:
@@ -253,7 +259,7 @@ def image(p: Pattern, inst: Instantiation) -> frozenset:
         if isinstance(item, PTermVar):
             t = _lookup(inst, Var(VarKind.TERM, item.name))
             key = t if t._canonical else canonicalize(t)
-            if not key.components:
+            if key.is_empty():
                 continue
         elif isinstance(item, PSeq):
             key = _seq_names(item, inst)
@@ -321,34 +327,41 @@ def _match_pattern(p: Pattern, content: Term, sigma: dict[Var, Binding],
     # private copy (copying costs one dict copy, rebuilding costs a walk
     # over every component)
     remaining = component_counts(content).copy()
+    yield from _match_slots(slots, 0, remaining, tvar_occurrences, sigma,
+                            memo)
 
-    def go(i: int, sig: dict[Var, Binding]) -> Iterator[dict[Var, Binding]]:
-        if i == len(slots):
-            yield from _assign_term_vars(tvar_occurrences, remaining, sig,
-                                         memo)
-            return
-        item = slots[i]
-        if isinstance(item, PLoop):
-            for comp in [c for c in remaining if isinstance(c, Loop)]:
-                if remaining[comp] <= 0:
-                    continue
-                remaining[comp] -= 1
-                for s2 in _match_loop(item, comp, sig, memo):
-                    yield from go(i + 1, s2)
-                remaining[comp] += 1
-        else:
-            # a sequence pattern may vanish entirely (every atom binds eps)
-            for s2 in _match_atoms(item.atoms, (), sig):
-                yield from go(i + 1, s2)
-            for comp in [c for c in remaining if isinstance(c, Seq)]:
-                if remaining[comp] <= 0:
-                    continue
-                remaining[comp] -= 1
-                for s2 in _match_atoms(item.atoms, comp.elems, sig):
-                    yield from go(i + 1, s2)
-                remaining[comp] += 1
 
-    yield from go(0, sigma)
+def _match_slots(slots: list[Union[PSeq, PLoop]], i: int, remaining: dict,
+                 tvar_occurrences: list[str], sig: dict[Var, Binding],
+                 memo: dict) -> Iterator[dict[Var, Binding]]:
+    """Match ``slots[i:]`` against components of ``remaining``, then give
+    the leftover to the term variables."""
+    if i == len(slots):
+        yield from _assign_term_vars(tvar_occurrences, remaining, sig, memo)
+        return
+    item = slots[i]
+    if isinstance(item, PLoop):
+        for comp in [c for c in remaining if isinstance(c, Loop)]:
+            if remaining[comp] <= 0:
+                continue
+            remaining[comp] -= 1
+            for s2 in _match_loop(item, comp, sig, memo):
+                yield from _match_slots(slots, i + 1, remaining,
+                                        tvar_occurrences, s2, memo)
+            remaining[comp] += 1
+    else:
+        # a sequence pattern may vanish entirely (every atom binds eps)
+        for s2 in _match_atoms(item.atoms, (), sig):
+            yield from _match_slots(slots, i + 1, remaining,
+                                    tvar_occurrences, s2, memo)
+        for comp in [c for c in remaining if isinstance(c, Seq)]:
+            if remaining[comp] <= 0:
+                continue
+            remaining[comp] -= 1
+            for s2 in _match_atoms(item.atoms, comp.elems, sig):
+                yield from _match_slots(slots, i + 1, remaining,
+                                        tvar_occurrences, s2, memo)
+            remaining[comp] += 1
 
 
 def _match_loop(item: PLoop, comp: Loop, sigma: dict[Var, Binding],
@@ -448,7 +461,7 @@ def _assign_term_vars(occurrences: list[str], remaining: Counter,
         t = memo.get(key)
         if t is None:
             parts: list = []
-            for c in sorted(leftover, key=attrgetter("key")):
+            for c in sorted(leftover, key=_KEY):
                 parts.extend([c] * leftover[c])
             t = Term(parts)
             t._canonical = True
@@ -459,35 +472,41 @@ def _assign_term_vars(occurrences: list[str], remaining: Counter,
         return
 
     mults = [occ[name] for name in unbound]
-    comps = sorted(leftover, key=attrgetter("key"))
+    comps = sorted(leftover, key=_KEY)
     # chosen[j] accumulates the components assigned to unbound[j]
     chosen: list[list] = [[] for _ in unbound]
-
-    def per_component(ci: int) -> Iterator[None]:
-        if ci == len(comps):
-            yield None
-            return
-        comp, total = comps[ci], leftover[comps[ci]]
-
-        def split(j: int, left: int) -> Iterator[None]:
-            if j == len(unbound) - 1:
-                if left % mults[j] == 0:
-                    take = left // mults[j]
-                    chosen[j].extend([comp] * take)
-                    yield from per_component(ci + 1)
-                    del chosen[j][len(chosen[j]) - take:]
-                return
-            for take in range(left // mults[j] + 1):
-                chosen[j].extend([comp] * take)
-                yield from split(j + 1, left - take * mults[j])
-                del chosen[j][len(chosen[j]) - take:]
-
-        yield from split(0, total)
-
-    for _ in per_component(0):
+    for _ in _splits(comps, leftover, mults, chosen, 0, 0, 0):
         sig2 = dict(sigma)
         for j, name in enumerate(unbound):
             t = Term(chosen[j])
             t._canonical = True
             sig2[Var(VarKind.TERM, name)] = t
         yield sig2
+
+
+def _splits(comps: list, leftover: Counter, mults: list[int],
+            chosen: list[list], ci: int, j: int,
+            left: int) -> Iterator[None]:
+    """Yield once per way of splitting the ``leftover`` copies of each of
+    ``comps[ci:]`` among the ``chosen`` lists, appending to them: list
+    ``j`` given ``take`` copies uses ``take * mults[j]`` of them, and
+    every copy is used. Within ``comps[ci]`` the lists before ``j`` have
+    taken theirs and ``left`` copies remain; at ``j == 0`` all remain."""
+    if ci == len(comps):
+        yield None
+        return
+    comp = comps[ci]
+    if j == 0:
+        left = leftover[comp]
+    if j == len(mults) - 1:
+        if left % mults[j] == 0:
+            take = left // mults[j]
+            chosen[j].extend([comp] * take)
+            yield from _splits(comps, leftover, mults, chosen, ci + 1, 0, 0)
+            del chosen[j][len(chosen[j]) - take:]
+        return
+    for take in range(left // mults[j] + 1):
+        chosen[j].extend([comp] * take)
+        yield from _splits(comps, leftover, mults, chosen, ci, j + 1,
+                           left - take * mults[j])
+        del chosen[j][len(chosen[j]) - take:]

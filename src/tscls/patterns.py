@@ -121,26 +121,22 @@ def pat(*items: PatternItem) -> Pattern:
 def pattern_vars(p: Pattern) -> tuple[Var, ...]:
     """Variables of the pattern in first-occurrence order."""
     seen: dict[Var, None] = {}
+    _add_vars(p, seen)
+    return tuple(seen)
 
-    def seq_vars(ps: PSeq) -> None:
-        for atom in ps.atoms:
+
+def _add_vars(p: Pattern, seen: dict[Var, None]) -> None:
+    for item in p.items:
+        if isinstance(item, PTermVar):
+            seen.setdefault(Var(VarKind.TERM, item.name))
+            continue
+        for atom in (item if isinstance(item, PSeq) else item.membrane).atoms:
             if isinstance(atom, ElemVar):
                 seen.setdefault(Var(VarKind.ELEM, atom.name))
             elif isinstance(atom, SeqVar):
                 seen.setdefault(Var(VarKind.SEQ, atom.name))
-
-    def walk(pp: Pattern) -> None:
-        for item in pp.items:
-            if isinstance(item, PTermVar):
-                seen.setdefault(Var(VarKind.TERM, item.name))
-            elif isinstance(item, PSeq):
-                seq_vars(item)
-            else:
-                seq_vars(item.membrane)
-                walk(item.content)
-
-    walk(p)
-    return tuple(seen)
+        if isinstance(item, PLoop):
+            _add_vars(item.content, seen)
 
 
 def seq_positioned_elem_vars(p: Pattern) -> frozenset[str]:
@@ -150,41 +146,32 @@ def seq_positioned_elem_vars(p: Pattern) -> frozenset[str]:
     variable standing alone as a parallel item counts as a basic type.
     """
     out: set[str] = set()
-
-    def scan(ps: PSeq, in_membrane: bool) -> None:
-        longer = in_membrane or len(ps.atoms) > 1
-        for atom in ps.atoms:
-            if isinstance(atom, ElemVar) and longer:
-                out.add(atom.name)
-
-    def walk(pp: Pattern) -> None:
-        for item in pp.items:
-            if isinstance(item, PSeq):
-                scan(item, False)
-            elif isinstance(item, PLoop):
-                scan(item.membrane, True)
-                walk(item.content)
-
-    walk(p)
+    stack = [p]
+    while stack:
+        for item in stack.pop().items:
+            if isinstance(item, PLoop):
+                atoms = item.membrane.atoms
+                stack.append(item.content)
+            elif isinstance(item, PSeq) and len(item.atoms) > 1:
+                atoms = item.atoms
+            else:
+                continue
+            out.update(a.name for a in atoms if isinstance(a, ElemVar))
     return frozenset(out)
 
 
 def pattern_elements(p: Pattern) -> set[str]:
     """Concrete element names occurring anywhere in the pattern."""
     out: set[str] = set()
-
-    def scan(ps: PSeq) -> None:
-        for atom in ps.atoms:
-            if isinstance(atom, ElemLit):
-                out.add(atom.name)
-
-    def walk(pp: Pattern) -> None:
-        for item in pp.items:
-            if isinstance(item, PSeq):
-                scan(item)
-            elif isinstance(item, PLoop):
-                scan(item.membrane)
-                walk(item.content)
-
-    walk(p)
+    stack = [p]
+    while stack:
+        for item in stack.pop().items:
+            if isinstance(item, PLoop):
+                atoms = item.membrane.atoms
+                stack.append(item.content)
+            elif isinstance(item, PSeq):
+                atoms = item.atoms
+            else:
+                continue
+            out.update(a.name for a in atoms if isinstance(a, ElemLit))
     return out

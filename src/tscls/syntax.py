@@ -390,7 +390,7 @@ def parse_rate(text: str) -> RateExpr:
 def print_term(t: Term) -> str:
     """Canonical printed form; parses back to ``canonicalize(t)``."""
     t = canonicalize(t)
-    if not t.components:
+    if t.is_empty():
         return "eps"
     return " | ".join(f"{n} * {_component_text(comp)}" if n > 1
                       else _component_text(comp)
@@ -401,7 +401,8 @@ def _component_text(comp: Union[Seq, Loop]) -> str:
     if isinstance(comp, Seq):
         return ".".join(comp.elems)
     return _loop_text(".".join(comp.membrane),
-                      comp.content.components and print_term(comp.content))
+                      not comp.content.is_empty()
+                      and print_term(comp.content))
 
 
 def _loop_text(membrane: str, inner) -> str:

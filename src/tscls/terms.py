@@ -9,22 +9,30 @@ their least rotation, and components are sorted by a total order (Seq
 before Loop, then shortlex on element-name lists, loops further by
 membrane then content).
 
+A term holds either its components, one entry per copy, or its component
+multiset, one count per distinct component, and derives the other on
+first read. A term built by parsing, matching or canonicalizing holds its
+components; a compartment that an event rebuilds (``compiled.Plan.build``,
+``matching.splice``) holds only its multiset, in canonical order, so an
+event costs the distinct components it touches, not the copies of a
+well-mixed compartment. A term's key is run-length: one ``(component key,
+-count)`` pair per run of equal components (see :attr:`Term.key`).
+
 All values are immutable; each node caches its sort key and hash
 (a term on first use, sequences and loops at construction) so
 canonicalization and multiset operations stay cheap on large states. A
-term also caches its component multiset, its type histogram and, as a
-compartment, the compiled outcomes of a run's rules in it; a successor
-shares every compartment an event left alone, and with it these caches.
-The compartments an event rebuilds get their multiset and histogram from
-their predecessors' (see ``compiled.Plan.build`` and
-``matching.splice``), so they are counted afresh only when no
-predecessor had them.
+term also caches its type histogram and, as a compartment, the compiled
+outcomes of a run's rules in it; a successor shares every compartment an
+event left alone, and with it these caches. The compartments an event
+rebuilds get their multiset and histogram from their predecessors', so
+they are counted afresh only when no predecessor had them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, neg
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -66,7 +74,7 @@ class Loop:
 
     def __init__(self, membrane: Iterable[str], content: "Term"):
         membrane = tuple(membrane)
-        if not membrane and content.components:
+        if not membrane and not content.is_empty():
             raise WellFormednessError(
                 "loop with empty membrane and non-empty content")
         self.membrane = membrane
@@ -92,19 +100,32 @@ Component = Union[Seq, Loop]
 
 
 class Term:
-    """A parallel multiset of components, kept as a tuple.
+    """A parallel multiset of components: a tuple of them, or their counts.
 
-    The constructor does not normalize; use :func:`canonicalize` to obtain
-    the congruence-class representative. Equality and hashing are raw
-    structural, so two canonical terms compare equal exactly when they are
-    congruent.
+    The constructor takes the components and does not normalize; use
+    :func:`canonicalize` to obtain the congruence-class representative,
+    or :func:`counted` to make a canonical term from its component
+    multiset. ``components`` lists a counted term's copies on first read;
+    :func:`component_counts` counts a listed term's on first read.
+
+    The key is ``(2, n, runs)``: the number of components and, per run of
+    equal adjacent components, ``(component key, -run length)``. A
+    sequence has one run-length encoding, so equality and hashing, which
+    compare keys, are raw structural: two canonical terms compare equal
+    exactly when they are congruent. On canonical terms, whose components
+    are sorted, keys order as the tuples of every copy's key would: at
+    the first run two keys differ in, either the component keys differ,
+    or the longer run sorts first, since its next copy is less than the
+    next run's component in the other term. Raw terms order differently,
+    but nothing orders raw terms: what is sorted is components, or
+    canonical terms.
     """
 
-    __slots__ = ("components", "_key", "_hash", "_canonical", "_counter",
+    __slots__ = ("_components", "_key", "_hash", "_canonical", "_counter",
                  "_types", "_outcomes")
 
     def __init__(self, components: Iterable[Component] = ()):
-        self.components = tuple(components)
+        self._components = tuple(components)
         self._key = None
         self._hash = None
         self._canonical = False
@@ -115,16 +136,32 @@ class Term:
         self._outcomes = None
 
     @property
+    def components(self) -> tuple[Component, ...]:
+        comps = self._components
+        if comps is None:
+            counter = self._counter
+            comps = self._components = tuple(chain.from_iterable(
+                map(repeat, counter, counter.values())))
+        return comps
+
+    @property
     def key(self) -> tuple:
         # built on first use: a successor state is often never compared
         key = self._key
         if key is None:
-            key = self._key = (2, len(self.components),
-                               tuple(map(_KEY, self.components)))
+            counter = self._counter
+            if self._canonical and counter is not None:
+                # a canonical term's multiset is in component order
+                key = (2, sum(counter.values()), tuple(zip(
+                    map(_KEY, counter), map(neg, counter.values()))))
+            else:
+                key = _runs(self._components)
+            self._key = key
         return key
 
     def is_empty(self) -> bool:
-        return not self.components
+        comps = self._components
+        return not (self._counter if comps is None else comps)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Term)
@@ -140,9 +177,36 @@ class Term:
         return iter(self.components)
 
     def __repr__(self) -> str:
-        if not self.components:
+        if self.is_empty():
             return "Term(eps)"
         return "Term(%s)" % " | ".join(repr(c) for c in self.components)
+
+
+def _runs(components: tuple[Component, ...]) -> tuple:
+    """The run-length key of a component tuple (see :class:`Term`)."""
+    runs = []
+    last = None
+    for key in map(_KEY, components):
+        if key is last or key == last:
+            n -= 1
+        else:
+            if last is not None:
+                runs.append((last, n))
+            last, n = key, -1
+    if last is not None:
+        runs.append((last, n))
+    return (2, len(components), tuple(runs))
+
+
+def counted(counter: dict) -> Term:
+    """The canonical term of a component multiset: canonical components,
+    keyed in canonical order, each with a positive count. The term keeps
+    the dict as its multiset; callers must not mutate it afterwards."""
+    t = Term()
+    t._components = None
+    t._counter = counter
+    t._canonical = True
+    return t
 
 
 EMPTY = Term()
@@ -153,8 +217,8 @@ def component_counts(t: Term) -> Mapping[Component, int]:
 
     Keyed in component order, so on a canonical term the distinct
     components come out in canonical order: counted here on first use,
-    or carried from a predecessor by whatever built the term. Callers
-    must not mutate it.
+    or the multiset a counted term was built from. Callers must not
+    mutate it.
     """
     counter = t._counter
     if counter is None:

@@ -336,6 +336,60 @@ observe W, S, A, B
 """
 
 
+# ground | $X rules on one well-mixed compartment
+MASS = """\
+const kb = 0.01
+const ku = 0.2
+const kf = 0.1
+const kr = 0.15
+
+rule bind {
+  lhs: A | B | $X
+  rhs: C | $X
+  count $X { t_A -> n1, t_B -> n2 }
+  rate: (n1 + 1) * (n2 + 1) * kb
+}
+
+rule unbind {
+  lhs: C | $X
+  rhs: A | B | $X
+  count $X { t_C -> n }
+  rate: (n + 1) * ku
+}
+
+rule convert {
+  lhs: A | $X
+  rhs: D | $X
+  count $X { t_A -> n }
+  rate: (n + 1) * kf
+}
+
+rule revert {
+  lhs: D | $X
+  rhs: A | $X
+  count $X { t_D -> n }
+  rate: (n + 1) * kr
+}
+
+init: 20 * A | 15 * B | 10 * C | 8 * D
+observe A, B, C, D
+"""
+
+
+def assert_multisets_canonical(state):
+    """Every compartment of ``state`` that keeps its component multiset
+    keeps it canonical: positive counts, keys in increasing order. Every
+    compartment's key, which a counted term builds from its multiset, is
+    the key of its components listed and canonicalized afresh."""
+    for site in compartments(state):
+        c = site.content
+        if c._counter is not None:
+            assert all(n > 0 for n in c._counter.values())
+            keys = [comp.key for comp in c._counter]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert c.key == canonicalize(Term(list(c.components))).key
+
+
 # literals at the edges of the float range, so sums and products overflow
 EXTREME_NUMBERS = (0.0, 1.0, -1.0, 0.5, 1e-308, 1e308, -1e308, 5e-324)
 

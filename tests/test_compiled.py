@@ -24,9 +24,9 @@ from tscls.patterns import seq_positioned_elem_vars
 from tscls.semantics import Enumerator
 from tscls.terms import type_counts
 
-from conftest import (CELLS, general, osmosis_pair, random_compiled_rule,
-                      random_env, random_loop_rule, random_loop_state,
-                      random_term)
+from conftest import (CELLS, MASS, assert_multisets_canonical, general,
+                      osmosis_pair, random_compiled_rule, random_env,
+                      random_loop_rule, random_loop_state, random_term)
 
 X = Var(VarKind.TERM, "X")
 Y = Var(VarKind.TERM, "Y")
@@ -99,12 +99,13 @@ def compiled_outcome(state, rules, env, consts, mode):
 
 def assert_counters_exact(t):
     """Every cached component counter below ``t`` lists the components,
-    in order, with their multiplicities."""
+    in order, with their multiplicities, and is canonical."""
     for site in compartments(t):
         cached = site.content._counter
         if cached is not None:
             assert list(cached.items()) \
                 == list(Counter(site.content.components).items())
+    assert_multisets_canonical(t)
 
 
 class TestPlan:
@@ -647,6 +648,32 @@ def test_lac_steps_cost_what_their_events_changed(monkeypatch):
     assert calls["entries"] <= 12 * events
     assert calls["types"] <= 0.5 * events
     assert calls["walks"] == 3
+
+
+def test_steps_never_list_a_compartment(monkeypatch):
+    # a compiled event builds each compartment it changes from its
+    # predecessor's component multiset, so the copies of a compartment
+    # (1,000 in the mass run, 131 in lac's cell) are never listed
+    listed = []
+    components = Term.components
+
+    def read(t):
+        if t._components is None:
+            listed.append(t)
+        return components.fget(t)
+    monkeypatch.setattr(Term, "components", property(read))
+    mass = parse_model(MASS.replace("init: 20 * A | 15 * B | 10 * C | 8 * D",
+                                    "init: 300 * A | 300 * B | 250 * C"
+                                    " | 150 * D"))
+    assert len(mass.init.components) == 1000
+    runs = [(lac_operon_model(), seed) for seed in (3, 6, 9)]
+    runs += [(mass, seed) for seed in (0, 1)]
+    events = 0
+    for model, seed in runs:
+        events += simulate(model, model.sim_config(seed=seed,
+                                                   max_steps=150)).steps
+    assert events == 750
+    assert listed == []
 
 
 def test_a_step_after_an_osmosis_event_places_one_cell(monkeypatch):

@@ -1,7 +1,9 @@
 """Stochastic engine: PRNG, stepping, sampling, halting, reproducibility."""
 
+import dataclasses
 import gc
 import math
+import os
 import random
 import weakref
 
@@ -316,6 +318,30 @@ class TestSimulate:
                 refs = [weakref.ref(r) for r in model.rules]
                 del model, trace
                 assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()
+
+    def test_runs_leave_no_reference_cycles(self):
+        # parsing, matching and observing free what they make by reference
+        # counting alone: a cycle, such as a self-recursive nested
+        # function, would wait for the cycle collector
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "models", "lac_operon.tscls"),
+                  encoding="utf-8") as fh:
+            lac = fh.read()
+        gc.collect()
+        gc.disable()
+        try:
+            for text in (lac, CELLS):
+                model = parse_model(text)
+                for rules in (model.rules,
+                              [general(r) for r in model.rules]):
+                    run = dataclasses.replace(model, rules=rules)
+                    trace = simulate(run, run.sim_config(seed=3,
+                                                         max_steps=40))
+                    assert trace.steps > 10
+            del model, run, trace
+            assert gc.collect() == 0
         finally:
             gc.enable()
 

@@ -12,9 +12,10 @@ from tscls import (EMPTY, Loop, ParseError, Seq, Term, TypeEnv, TypeName,
                    WellFormednessError, canonicalize, congruent, par,
                    stype_of, term_elements, type_of)
 from tscls.syntax import parse_term, print_term
-from tscls.terms import seq_types, type_counts
+from tscls.terms import counted, seq_types, type_counts
 
-from conftest import random_env, random_term, scramble
+from conftest import (random_env, random_loop_state, random_seq, random_term,
+                      scramble)
 
 
 def T(text: str) -> Term:
@@ -168,6 +169,81 @@ class TestTyping:
         t2 = random_term(random.Random(s2))
         env = TypeEnv()
         assert type_of(par(t1, t2), env) == type_of(t1, env) + type_of(t2, env)
+
+
+def expanded_key(t: Term) -> tuple:
+    """The key that lists one entry per copy: the number of components
+    and every component's key, loops keyed by their contents' expanded
+    keys."""
+    return (2, len(t.components), tuple(
+        c.key if isinstance(c, Seq)
+        else (1, (len(c.membrane), c.membrane), expanded_key(c.content))
+        for c in t.components))
+
+
+def drawn_pair(rng: random.Random) -> tuple[Term, Term]:
+    """Two canonical terms drawn from one small pool of components: flat
+    sequences, and cells whose contents are drawn the same way, so the
+    terms often have equal lengths, equal components and runs of
+    different lengths, at the top and inside cells."""
+    def draw(pool, size):
+        return canonicalize(Term([rng.choice(pool) for _ in range(size)]))
+
+    seqs = [random_seq(rng, 2) for _ in range(3)]
+    inner = [draw(seqs, rng.randint(0, 4)) for _ in range(2)]
+    inner.append(canonicalize(random_loop_state(rng)))
+    cells = [Loop(rng.choice((("m",), ("m", "p"))), rng.choice(inner))
+             for _ in range(3)]
+    pool = seqs + cells
+    size = rng.randint(0, 6)
+    return draw(pool, size), draw(pool, size + rng.choice((0, 0, 1)))
+
+
+def recounted(t: Term) -> Term:
+    """The canonical term ``t`` built again from its component multiset,
+    cells included, as an event builds the compartments it changes."""
+    counts: dict = {}
+    for c in t.components:
+        if isinstance(c, Loop):
+            c = Loop(c.membrane, recounted(c.content))
+        counts[c] = counts.get(c, 0) + 1
+    return counted(counts)
+
+
+class TestRunLengthKey:
+    """A term's key has one entry per run of equal components."""
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=300, deadline=None)
+    def test_orders_canonical_terms_as_their_copies(self, seed):
+        a, b = drawn_pair(random.Random(seed))
+        assert (a.key < b.key) == (expanded_key(a) < expanded_key(b))
+        assert (b.key < a.key) == (expanded_key(b) < expanded_key(a))
+        assert (a == b) == (expanded_key(a) == expanded_key(b))
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=200, deadline=None)
+    def test_counted_and_listed_terms_agree(self, seed):
+        rng = random.Random(seed)
+        for t in drawn_pair(rng) + (canonicalize(random_loop_state(rng)),):
+            again = recounted(t)
+            assert again._components is None  # not listed until read
+            assert again.key == t.key
+            assert again == t and t == again
+            assert hash(again) == hash(t)
+            assert again.is_empty() == t.is_empty()
+            assert again.components == t.components
+            assert canonicalize(again) is again
+
+    def test_runs(self):
+        a, b = Seq(("a",)), Seq(("b",))
+        assert Term([a, a, b]).key == (2, 3, ((a.key, -2), (b.key, -1)))
+        assert Term([a, b, a]).key \
+            == (2, 3, ((a.key, -1), (b.key, -1), (a.key, -1)))
+        assert counted({a: 2, b: 1}).key == Term([a, a, b]).key
+        assert Term().key == counted({}).key == (2, 0, ())
+        # the longer run of the lesser component sorts first
+        assert T("3 * a | b").key < T("2 * a | 2 * b").key
 
 
 def terms_below(t: Term) -> list[Term]:

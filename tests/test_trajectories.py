@@ -27,50 +27,11 @@ from tscls.engine import Pcg64, _count_all, step
 from tscls.semantics import Enumerator
 from tscls.terms import Seq, counter_types
 
-from conftest import (ALPHABET, CELLS, general, random_compiled_rule,
-                      random_env, random_loop_rule, random_loop_state,
-                      random_rule)
+from conftest import (ALPHABET, CELLS, MASS, assert_multisets_canonical,
+                      general, random_compiled_rule, random_env,
+                      random_loop_rule, random_loop_state, random_rule)
 
 MAX_STEPS = 100
-
-# ground | $X rules on one well-mixed compartment
-MASS = """\
-const kb = 0.01
-const ku = 0.2
-const kf = 0.1
-const kr = 0.15
-
-rule bind {
-  lhs: A | B | $X
-  rhs: C | $X
-  count $X { t_A -> n1, t_B -> n2 }
-  rate: (n1 + 1) * (n2 + 1) * kb
-}
-
-rule unbind {
-  lhs: C | $X
-  rhs: A | B | $X
-  count $X { t_C -> n }
-  rate: (n + 1) * ku
-}
-
-rule convert {
-  lhs: A | $X
-  rhs: D | $X
-  count $X { t_A -> n }
-  rate: (n + 1) * kf
-}
-
-rule revert {
-  lhs: D | $X
-  rhs: A | $X
-  count $X { t_D -> n }
-  rate: (n + 1) * kr
-}
-
-init: 20 * A | 15 * B | 10 * C | 8 * D
-observe A, B, C, D
-"""
 
 # a loop rule that moves L into a cell and adds p to its membrane, beside
 # a rule whose rate counts the p of the membranes around it
@@ -276,7 +237,8 @@ def simulated(model, seed):
     """The run's events and final state. At every event, what the run
     carried from the drawn outcome must be what a walk of the state it
     made finds: the observables, and each compartment's cached type
-    histogram and component counter, in component order."""
+    histogram and component counter, in component order; and each
+    counter must be canonical (see :func:`assert_multisets_canonical`)."""
     cfg = SimConfig(seed=seed, tmax=DRAWN_TMAX, max_steps=DRAWN_STEPS)
     states = []
     outcomes = Enumerator.outcomes
@@ -297,6 +259,7 @@ def simulated(model, seed):
             if c._counter is not None:
                 assert list(c._counter.items()) \
                     == list(Counter(c.components).items())
+        assert_multisets_canonical(state)
     return ([(e.time, e.rule_id, e.path, e.rate) for e in trace.events],
             trace.final_state)
 
