@@ -43,6 +43,9 @@ CountSpec = tuple[CountDecl, ...]
 
 @dataclass(frozen=True)
 class RewriteRule:
+    """A rewrite rule. It keeps only what its own fields determine (its
+    plan, compiled rate and seq-positioned variables), never anything of
+    a run: an :class:`Enumerator` keeps the rates it computes."""
     id: str
     lhs: Pattern
     rhs: Pattern
@@ -68,12 +71,6 @@ class RewriteRule:
     @cached_property
     def seq_positioned(self) -> frozenset[str]:
         return seq_positioned_elem_vars(self.lhs)
-
-    @cached_property
-    def rate_memo(self) -> list:
-        """``[consts, table]``: the rates :func:`eval_rate` computed under
-        a copy ``consts`` of the constants, keyed by their counts."""
-        return [None, {}]
 
 
 def rule_violations(rule: RewriteRule,
@@ -144,29 +141,32 @@ def eval_rate(rule: RewriteRule, counts: Mapping[str, int],
     """Evaluate the rule's rate expression; errors carry the rule id.
 
     A NaN or infinite result raises :class:`RateEvalError`: it would
-    corrupt the clock and the selection of every later step.
-
-    The rule keeps each rate it computed, keyed by the counts' names and
-    values in their order (the :meth:`RewriteRule.count_names` order when
-    counting made them), until the constants' values change or the table
-    reaches 4096 entries. Errors are not kept: every call raises again."""
-    memo = rule.rate_memo
-    if memo[0] != consts:
-        memo[:] = dict(consts), {}
-    table = memo[1]
-    key = tuple(counts.items())
-    rate = table.get(key)
-    if rate is not None:
-        return rate
+    corrupt the clock and the selection of every later step. Nothing is
+    kept: each :class:`Enumerator` keeps the rates of its run."""
     try:
         rate = float(rule.evaluate(counts, consts))
     except RateEvalError as exc:
         raise RateEvalError(f"rule {rule.id}: {exc}") from None
     if not math.isfinite(rate):
         raise RateEvalError(f"rule {rule.id}: rate is not finite ({rate!r})")
-    if len(table) >= 4096:
-        table.clear()
-    table[key] = rate
+    return rate
+
+
+def _remembered(rule: RewriteRule, consts: Mapping[str, float],
+                table: dict) -> Callable[[Mapping[str, int]], float]:
+    """The rule's rate as a function of its counts. Each rate
+    :func:`eval_rate` computes is kept in ``table``, keyed by the counts'
+    names and values in their order, until it reaches 4096 entries.
+    Errors are not kept: every call raises again."""
+    def rate(counts: Mapping[str, int]) -> float:
+        key = tuple(counts.items())
+        value = table.get(key)
+        if value is None:
+            value = eval_rate(rule, counts, consts)
+            if len(table) >= 4096:
+                table.clear()
+            table[key] = value
+        return value
     return rate
 
 
@@ -287,9 +287,11 @@ class Enumerator:
     :func:`~tscls.compiled.dependents`), which it never can in an
     enclosing compartment, and each loop rule updates its order by the
     cells that changed. Any other compartment not kept is enumerated
-    afresh. The constants must not change while the enumerator is in
-    use. Rules without a plan are matched afresh in every state: that
+    afresh. Rules without a plan are matched afresh in every state: that
     path is the reference.
+
+    Each rule's rates are kept per tuple of counts, under the constants
+    as they were when the enumerator was made: it keeps its own copy.
     """
 
     def __init__(self, rules: Sequence[RewriteRule],
@@ -298,14 +300,16 @@ class Enumerator:
                  mode: str = POSITIONAL):
         self.rules = tuple(rules)
         self.env = env if env is not None else TypeEnv()
-        self.consts = consts if consts is not None else {}
+        self.consts = dict(consts) if consts is not None else {}
         self.mode = mode
         self._literal = mode != POSITIONAL
         self._general = tuple((index, rule) for index, rule
                               in enumerate(self.rules) if rule.plan is None)
-        # per rule, its rate as a function of its counts
-        self._rates = [partial(eval_rate, rule, consts=self.consts)
-                       for rule in self.rules]
+        # per rule, its rates by tuple of counts, and its rate as a
+        # function of its counts
+        self._tables: list[dict] = [{} for _ in self.rules]
+        self._rates = [_remembered(rule, self.consts, table)
+                       for rule, table in zip(self.rules, self._tables)]
         self._every = tuple(range(len(self.rules)))
         # the rules enumerated again in every compartment an event made:
         # those with a loop or without a plan

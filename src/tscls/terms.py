@@ -249,9 +249,6 @@ def min_rotation(names: tuple[str, ...]) -> tuple[str, ...]:
     return names if best == names else best
 
 
-_loop_cache: dict = {}
-
-
 def canonicalize(t: Term) -> Term:
     """Reduce to the canonical congruence-class representative.
 
@@ -281,14 +278,7 @@ def canonicalize(t: Term) -> Term:
         if mem == comp.membrane and content is comp.content:
             out.append(comp)
         else:
-            # rotated rebuilds of one loop repeat heavily; reuse them
-            ck = (mem, content)
-            cached = _loop_cache.get(ck)
-            if cached is None:
-                if len(_loop_cache) >= 4096:
-                    _loop_cache.clear()
-                cached = _loop_cache[ck] = Loop(mem, content)
-            out.append(cached)
+            out.append(Loop(mem, content))
             changed = True
     ordered = sorted(out, key=_KEY)
     if not changed and ordered == list(t.components):

@@ -508,8 +508,9 @@ class TestRateMemo:
                 assert tr.rate == rate
 
     def test_constants_changed_in_place(self):
-        # the memo compares the constants' values, not the mapping object:
-        # a caller that changes its dict between calls gets the new rates
+        # each transitions() call is its own run and reads the constants'
+        # values as they are then: a caller that changes its dict between
+        # calls gets the new rates
         model = parse_model(CELLS)
         env, consts = model.type_env(), model.constants
         for k in (10.0, 3.0, 3.0, 10.0):
@@ -556,16 +557,32 @@ class TestRateMemo:
     def test_table_is_bounded(self):
         r = rule("r", "a | $X", "b | $X", "(n + 1) * 0.5",
                  [(TypeName("t_a"), "n")])
-        consts = {}
+        enumerator = Enumerator([r], TypeEnv(), {})
         for n in list(range(5000)) + list(range(100)):
-            assert eval_rate(r, {"n": n}, consts) == (n + 1) * 0.5
-        assert len(r.rate_memo[1]) <= 4096
+            assert enumerator._rates[0]({"n": n}) == (n + 1) * 0.5
+        assert len(enumerator._tables[0]) <= 4096
+
+    def test_constants_are_fixed_when_the_enumerator_is_made(self):
+        # an enumerator keeps the rates of its run, so it must not see a
+        # later change to the caller's dict: in a state it has not seen,
+        # its rates are those of the constants it was made with
+        model = parse_model(CELLS)
+        env, consts = model.type_env(), model.constants
+        old = dict(consts)
+        enumerator = Enumerator(model.rules, env, consts)
+        first = enumerator.outcomes(model.init).transition(0).target
+        consts["k"] = 3.0
+        got = enumerator.outcomes(first).all()
+        assert got == Enumerator(model.rules, env, old).outcomes(first).all()
+        assert got != Enumerator(model.rules, env, consts).outcomes(
+            first).all()
 
 
 def test_a_warm_step_reuses_histograms_and_rates(monkeypatch):
     # 20 cells with distinct membranes and two kinds of content at the
     # root: after an event, a step types the compartments the event
-    # changed and evaluates the rates of count tuples it has not seen
+    # changed; each step makes its own enumerator, whose rate table
+    # evaluates each count tuple once, and the cells share few of them
     cells = " | ".join(f"<{'m.' * i}p>[ {(2, 4)[i % 2]} * W |"
                        f" {(3, 1)[i % 2]} * S ]" for i in range(1, 21))
     state = T(f"{cells} | 30 * W | 10 * S")

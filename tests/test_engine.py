@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from tscls import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, ModelError,
                    ModelFile, ObservableSpec, Pcg64, RateEvalError, SimConfig,
-                   Term, observe, parse_model, parse_term, simulate, step)
+                   Term, canonicalize, compartments, observe, parse_model,
+                   parse_term, simulate, step)
 from tscls import engine
 from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.engine import _count_all, _sample_grid
@@ -320,6 +321,37 @@ class TestSimulate:
                 assert [ref for ref in refs if ref() is not None] == []
         finally:
             gc.enable()
+
+    def test_a_run_leaves_its_rules_as_it_found_them(self):
+        # a rule may keep what its own fields determine, never anything
+        # of a run: the enumerator owns the rates
+        derived = {"plan", "evaluate", "seq_positioned"}
+        for model in (lac_operon_model(), parse_model(CELLS)):
+            trace = simulate(model, model.sim_config(seed=3, max_steps=150))
+            assert trace.steps > 10
+            for rule in model.rules:
+                fields = {f.name for f in dataclasses.fields(rule)}
+                assert set(vars(rule)) <= fields | derived, rule.id
+
+    def test_two_parses_of_one_model_share_no_cell(self):
+        # what a run leaves on a compartment it visited belongs to that
+        # run's terms: a second parse of the same text must not hold them
+        def loops(term):
+            for comp in term.components:
+                if isinstance(comp, Loop):
+                    yield comp
+                    yield from loops(comp.content)
+
+        first, second = parse_model(CELLS), parse_model(CELLS)
+        mine = canonicalize(first.init)
+        theirs = canonicalize(second.init)
+        assert {id(loop) for loop in loops(mine)}.isdisjoint(
+            id(loop) for loop in loops(theirs))
+        trace = simulate(first, first.sim_config(seed=3, max_steps=40))
+        assert trace.steps > 10
+        for site in compartments(theirs):
+            assert site.content._outcomes is None
+            assert site.content._types is None
 
     def test_runs_leave_no_reference_cycles(self):
         # parsing, matching and observing free what they make by reference
