@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from itertools import chain, repeat, starmap
+from operator import attrgetter
 from typing import Union
 
 from . import rates
@@ -25,8 +26,8 @@ from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
                        SeqVar, Var, VarKind)
 from .rates import BinOp, IfZero, Name, Num, RateExpr
 from .semantics import LITERAL, POSITIONAL, CountDecl, RewriteRule
-from .terms import (Loop, Seq, Term, TypeName, canonicalize,
-                    component_counts)
+from .terms import (Component, Loop, Seq, Term, TypeName, canonicalize,
+                    component_counts, counted, min_rotation)
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -49,13 +50,13 @@ _TOKEN = re.compile(
 # follows, and the height of a rate expression's tree
 MAX_DEPTH = 200
 
+# multiplicities are below this, as a count of copies must fit in a signed
+# 64-bit index
+MULT_LIMIT = 1 << 63
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # IDENT NUMBER SYM NEWLINE EOF
-    text: str
-    line: int
-    col: int
+# (kind, text, line, col); kind is IDENT NUMBER SYM NEWLINE or EOF. Only
+# a SYM token's text is a symbol, so a symbol is tested by its text alone.
+Token = tuple[str, str, int, int]
 
 
 def tokenize(text: str, newlines: bool = False) -> list[Token]:
@@ -63,28 +64,36 @@ def tokenize(text: str, newlines: bool = False) -> list[Token]:
     (model files are newline-structured); otherwise they are whitespace.
     Numbers are decimal digits; an identifier starts with a letter."""
     toks: list[Token] = []
+    append = toks.append
     line, line_start, end = 1, 0, len(text)
+    # in ASCII text the IDENT pattern matches letters first and nothing else
+    letters = text.isascii()
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind is None:
-            continue
-        start = m.start(kind)
-        if kind == "NEWLINE":
-            if newlines and toks and toks[-1].kind != "NEWLINE":
-                toks.append(Token(kind, "\n", line, start - line_start + 1))
+        if kind == "IDENT" or kind == "SYM" or kind == "NUMBER":
+            start = m.start(kind)
+            if letters or kind != "IDENT" or text[start].isalpha():
+                append((kind, m.group(kind), line, start - line_start + 1))
+                continue
+        elif kind == "NEWLINE":
+            if newlines and toks and toks[-1][0] != "NEWLINE":
+                append((kind, "\n", line, m.start(kind) - line_start + 1))
             line, line_start = line + 1, m.end()
+            continue
         elif kind == "COMMENT":
-            end = start
-        elif kind == "BAD" or kind == "IDENT" and not text[start].isalpha():
-            raise ParseError(f"unexpected character {text[start]!r}",
-                             line, start - line_start + 1)
+            end = m.start(kind)
+            continue
+        elif kind is None:
+            continue
         else:
-            toks.append(Token(kind, m.group(kind), line,
-                              start - line_start + 1))
+            start = m.start(kind)
+        # a BAD character, or an IDENT that starts with a digit such as '²'
+        raise ParseError(f"unexpected character {text[start]!r}",
+                         line, start - line_start + 1)
     col = end - line_start + 1
-    if newlines and toks and toks[-1].kind != "NEWLINE":
-        toks.append(Token("NEWLINE", "\n", line, col))
-    toks.append(Token("EOF", "", line, col))
+    if newlines and toks and toks[-1][0] != "NEWLINE":
+        append(("NEWLINE", "\n", line, col))
+    append(("EOF", "", line, col))
     return toks
 
 
@@ -96,38 +105,36 @@ class _Cursor:
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
     def next(self) -> Token:
         tok = self.toks[self.i]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.i += 1
         return tok
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == text
+        return self.toks[self.i][1] == text
 
     def take_sym(self, text: str) -> bool:
-        if self.at_sym(text):
-            self.next()
+        if self.toks[self.i][1] == text:
+            self.i += 1
             return True
         return False
 
     def expect_sym(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text == text:
-            return self.next()
-        raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                         tok.line, tok.col)
+        tok = self.toks[self.i]
+        if tok[1] == text:
+            self.i += 1
+            return tok
+        _, found, line, col = tok
+        raise ParseError(f"expected {text!r}, found {found!r}", line, col)
 
     def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            return self.next()
-        raise ParseError(f"expected {what}, found {tok.text!r}",
-                         tok.line, tok.col)
+        tok = self.toks[self.i]
+        if tok[0] == "IDENT":
+            self.i += 1
+            return tok
+        _, found, line, col = tok
+        raise ParseError(f"expected {what}, found {found!r}", line, col)
 
     def descend(self) -> Token:
         """Take the token that opens a nested construct; the caller
@@ -138,22 +145,21 @@ class _Cursor:
         return self.next()
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        _, _, line, col = self.toks[self.i]
+        raise ParseError(message, line, col)
 
 
 def _expect_end(cur: _Cursor) -> None:
     """Take the line end, or check that the input ends here."""
-    tok = cur.next()
-    if tok.kind not in ("NEWLINE", "EOF"):
-        raise ParseError(f"unexpected trailing input {tok.text!r}",
-                         tok.line, tok.col)
+    kind, text, line, col = cur.next()
+    if kind != "NEWLINE" and kind != "EOF":
+        raise ParseError(f"unexpected trailing input {text!r}", line, col)
 
 
 def _expect_keyword(cur: _Cursor, word: str) -> None:
-    tok = cur.expect_ident(f"'{word}'")
-    if tok.text != word:
-        raise ParseError(f"expected '{word}'", tok.line, tok.col)
+    _, text, line, col = cur.expect_ident(f"'{word}'")
+    if text != word:
+        raise ParseError(f"expected '{word}'", line, col)
 
 
 def _number(cur: _Cursor, signed: bool = False) -> Union[int, float]:
@@ -161,17 +167,17 @@ def _number(cur: _Cursor, signed: bool = False) -> Union[int, float]:
     float. An unsigned one is an int when written as digits alone, which
     must then be finite as a float, and a float otherwise."""
     negative = signed and cur.take_sym("-")
-    tok = cur.next()
-    if tok.kind != "NUMBER":
-        raise ParseError("expected a number", tok.line, tok.col)
-    value = float(tok.text)
+    kind, text, line, col = cur.next()
+    if kind != "NUMBER":
+        raise ParseError("expected a number", line, col)
+    value = float(text)
     if signed:
         return -value if negative else value
-    if not tok.text.isdecimal():
+    if not text.isdecimal():
         return value
     if math.isinf(value):
-        raise ParseError("number out of range", tok.line, tok.col)
-    return int(tok.text)
+        raise ParseError("number out of range", line, col)
+    return int(text)
 
 
 def _separated(cur: _Cursor, sep: str, parse, *args) -> list:
@@ -191,85 +197,100 @@ def _parse_whole(text: str, parse, *args):
 
 # ---------------------------------------------------------------------------
 # terms and patterns
+#
+# One grammar reads both. A pattern (``allow_vars``) is made of pattern
+# items, each listed as often as its multiplicity says. A ground term is
+# made of components: each sequence is its element names, each membrane
+# is taken at its least rotation, and a parallel composition is the
+# canonical term of its distinct components and their counts, so the
+# size of a term does not change the cost of reading it.
 
 _ATOM_SIGILS = {ElemLit: "", ElemVar: "?", SeqVar: "~"}
 _ATOM_VARS = {sigil: cls for cls, sigil in _ATOM_SIGILS.items() if sigil}
+_KEY = attrgetter("key")
 
 
-def _parse_par(cur: _Cursor, allow_vars: bool) -> Pattern:
-    items = _parse_item(cur, allow_vars)
+def _parse_par(cur: _Cursor, allow_vars: bool) -> Union[Pattern, Term]:
+    items = [_parse_item(cur, allow_vars)]
     while cur.take_sym("|"):
-        items += _parse_item(cur, allow_vars)
-    return Pattern(tuple(items))
+        items.append(_parse_item(cur, allow_vars))
+    if allow_vars:
+        return Pattern(tuple(chain.from_iterable(starmap(repeat, items))))
+    counts: dict[Component, int] = {}
+    for comp, n in items:
+        if n:
+            counts[comp] = counts.get(comp, 0) + n
+    return counted({comp: counts[comp] for comp in sorted(counts, key=_KEY)})
 
 
-def _parse_item(cur: _Cursor, allow_vars: bool) -> list:
+def _parse_item(cur: _Cursor, allow_vars: bool) -> tuple:
+    """One parallel item and its multiplicity; ``eps`` is ``(None, 0)``."""
     mult = 1
-    tok = cur.peek()
-    if tok.kind == "NUMBER":
+    kind, text, line, col = cur.toks[cur.i]
+    if kind == "NUMBER":
         mult = _number(cur)
         if isinstance(mult, float):
-            raise ParseError("multiplicity must be an integer",
-                             tok.line, tok.col)
+            raise ParseError("multiplicity must be an integer", line, col)
         if mult < 1:
-            raise ParseError("multiplicity must be positive",
-                             tok.line, tok.col)
+            raise ParseError("multiplicity must be positive", line, col)
+        if mult >= MULT_LIMIT:
+            raise ParseError("multiplicity must be below 2^63", line, col)
         cur.expect_sym("*")
-        tok = cur.peek()
-    if tok.kind == "IDENT" and tok.text == "eps":
-        cur.next()  # the empty term contributes no components
-        return []
-    if tok.text == "$":
+        text = cur.toks[cur.i][1]
+    if text == "eps":
+        cur.i += 1  # the empty term contributes no components
+        return None, 0
+    if text == "$":
         if not allow_vars:
             cur.fail("variables are not allowed in a ground term")
-        cur.next()
-        item = PTermVar(cur.expect_ident("variable name").text)
-    elif tok.text == "<":
-        item = _parse_loop(cur, allow_vars)
-    else:
-        item = _parse_seq(cur, allow_vars, membrane=False)
-    return [item] * mult
+        cur.i += 1
+        return PTermVar(cur.expect_ident("variable name")[1]), mult
+    if text == "<":
+        return _parse_loop(cur, allow_vars), mult
+    atoms = _parse_seq(cur, allow_vars, membrane=False)
+    return (PSeq(atoms) if allow_vars else Seq(atoms)), mult
 
 
-def _parse_loop(cur: _Cursor, allow_vars: bool) -> PLoop:
-    open_tok = cur.descend()
+def _parse_loop(cur: _Cursor, allow_vars: bool) -> Union[PLoop, Loop]:
+    _, _, line, col = cur.descend()
     if cur.at_sym(">"):
         raise ParseError("loop membrane must be a non-empty sequence",
-                         open_tok.line, open_tok.col)
+                         line, col)
     membrane = _parse_seq(cur, allow_vars, membrane=True)
     cur.expect_sym(">")
-    content = Pattern(())  # <S> abbreviates <S>[eps]
     if cur.take_sym("["):
         content = _parse_par(cur, allow_vars)
         cur.expect_sym("]")
+    else:  # <S> abbreviates <S>[eps]
+        content = Pattern(()) if allow_vars else counted({})
     cur.depth -= 1
-    return PLoop(membrane, content)
+    if allow_vars:
+        return PLoop(PSeq(membrane), content)
+    return Loop(min_rotation(membrane), content)
 
 
-def _parse_seq(cur: _Cursor, allow_vars: bool, membrane: bool) -> PSeq:
-    return PSeq(tuple(_separated(cur, ".", _parse_atom, allow_vars,
-                                 membrane)))
+def _parse_seq(cur: _Cursor, allow_vars: bool, membrane: bool) -> tuple:
+    """The atoms of a sequence: pattern atoms, or element names."""
+    return tuple(_separated(cur, ".", _parse_atom, allow_vars, membrane))
 
 
 def _parse_atom(cur: _Cursor, allow_vars: bool, membrane: bool):
-    tok = cur.next()
-    var = _ATOM_VARS.get(tok.text)
+    kind, text, line, col = cur.next()
+    if kind == "IDENT":
+        if text == "eps":
+            where = "a membrane" if membrane else "a sequence"
+            raise ParseError(f"'eps' cannot occur inside {where}", line, col)
+        return ElemLit(text) if allow_vars else text
+    var = _ATOM_VARS.get(text)
     if var is not None:
         if not allow_vars:
             raise ParseError("variables are not allowed in a ground term",
-                             tok.line, tok.col)
-        return var(cur.expect_ident("variable name").text)
-    if tok.kind == "IDENT":
-        if tok.text == "eps":
-            where = "a membrane" if membrane else "a sequence"
-            raise ParseError(f"'eps' cannot occur inside {where}",
-                             tok.line, tok.col)
-        return ElemLit(tok.text)
-    if tok.text == "$":
+                             line, col)
+        return var(cur.expect_ident("variable name")[1])
+    if text == "$":
         raise ParseError("term variable '$' cannot occur inside a sequence",
-                         tok.line, tok.col)
-    raise ParseError(f"expected an element, found {tok.text!r}",
-                     tok.line, tok.col)
+                         line, col)
+    raise ParseError(f"expected an element, found {text!r}", line, col)
 
 
 def parse_pattern(text: str) -> Pattern:
@@ -279,26 +300,7 @@ def parse_pattern(text: str) -> Pattern:
 
 def parse_term(text: str) -> Term:
     """Parse a ground term; the result is canonical."""
-    return _parse_whole(text, _parse_ground)
-
-
-def _parse_ground(cur: _Cursor) -> Term:
-    return canonicalize(_pattern_term(_parse_par(cur, allow_vars=False)))
-
-
-def _pattern_term(p: Pattern) -> Term:
-    comps: list[Union[Seq, Loop]] = []
-    prev = comp = None
-    for item in p.items:
-        if item is not prev:  # ``N * ITEM`` repeats one item object
-            prev = item
-            if isinstance(item, PSeq):
-                comp = Seq(tuple(a.name for a in item.atoms))
-            else:
-                comp = Loop(tuple(a.name for a in item.membrane.atoms),
-                            _pattern_term(item.content))
-        comps.append(comp)
-    return Term(comps)
+    return _parse_whole(text, _parse_par, False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,68 +317,66 @@ def _parse_chain(cur: _Cursor, min_prec: int) -> tuple[RateExpr, int]:
     """Precedence climbing over ``rates.PREC``; operators associate to the
     left. Returns the expression and its height (see :func:`_node`)."""
     left, height = _parse_factor(cur)
-    while (prec := rates.PREC.get(cur.peek().text, 0)) >= min_prec:
-        tok = cur.next()
+    while (prec := rates.PREC.get(cur.toks[cur.i][1], 0)) >= min_prec:
+        _, op, line, col = cur.next()
         right, right_height = _parse_chain(cur, prec + 1)
-        height = _node(tok, height, right_height)
-        left = BinOp(tok.text, left, right, (tok.line, tok.col))
+        height = _node((line, col), height, right_height)
+        left = BinOp(op, left, right, (line, col))
     return left, height
 
 
-def _node(tok: Token, *heights: int) -> int:
-    """The height of an operator or guard node over subtrees of the given
-    heights, a leaf's being 0. The tree is walked recursively (names,
-    compilation, printing, evaluation), so its height is held to
+def _node(pos: tuple[int, int], *heights: int) -> int:
+    """The height of an operator or guard node at ``pos`` over subtrees
+    of the given heights, a leaf's being 0. The tree is walked recursively
+    (names, compilation, printing, evaluation), so its height is held to
     ``MAX_DEPTH`` even where the parser reads it in a loop, as in a chain
     ``1 + 1 + 1`` that reads as ``(1 + 1) + 1``."""
     height = 1 + max(heights)
     if height > MAX_DEPTH:
-        raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
-                         tok.line, tok.col)
+        raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", *pos)
     return height
 
 
 def _parse_factor(cur: _Cursor) -> tuple[RateExpr, int]:
-    tok = cur.peek()
-    pos = (tok.line, tok.col)
-    if tok.text in ("-", "("):
+    kind, text, line, col = cur.toks[cur.i]
+    pos = (line, col)
+    if text == "-" or text == "(":
         cur.descend()
-        if tok.text == "-":
+        if text == "-":
             operand, height = _parse_factor(cur)
             expr = BinOp("-", Num(0, pos), operand, pos)
-            height = _node(tok, height)
+            height = _node(pos, height)
         else:
             expr, height = _parse_chain(cur, 1)
             cur.expect_sym(")")
         cur.depth -= 1
         return expr, height
-    if tok.kind == "NUMBER":
+    if kind == "NUMBER":
         return Num(_number(cur), pos), 0
-    if tok.kind != "IDENT":
-        raise ParseError(f"expected a rate expression, found {tok.text!r}",
-                         *pos)
-    if tok.text == "if":
+    if kind != "IDENT":
+        raise ParseError(f"expected a rate expression, found {text!r}", *pos)
+    if text == "if":
         return _parse_guard(cur)
-    if tok.text in _RATE_KEYWORDS:
-        raise ParseError(f"misplaced keyword '{tok.text}'", *pos)
-    cur.next()
-    return Name(tok.text, pos), 0
+    if text in _RATE_KEYWORDS:
+        raise ParseError(f"misplaced keyword '{text}'", *pos)
+    cur.i += 1
+    return Name(text, pos), 0
 
 
 def _parse_guard(cur: _Cursor) -> tuple[RateExpr, int]:
-    tok = cur.descend()  # 'if'
-    count = cur.expect_ident("count variable").text
+    _, _, line, col = cur.descend()  # 'if'
+    count = cur.expect_ident("count variable")[1]
     cur.expect_sym("==")
-    zero = cur.peek()
-    if zero.kind != "NUMBER" or _number(cur) != 0:
-        raise ParseError("guard must compare against 0", zero.line, zero.col)
+    kind, _, zero_line, zero_col = cur.toks[cur.i]
+    if kind != "NUMBER" or _number(cur) != 0:
+        raise ParseError("guard must compare against 0", zero_line, zero_col)
     _expect_keyword(cur, "then")
     then, then_height = _parse_chain(cur, 1)
     _expect_keyword(cur, "else")
     orelse, else_height = _parse_chain(cur, 1)
     cur.depth -= 1
-    return (IfZero(count, then, orelse, (tok.line, tok.col)),
-            _node(tok, then_height, else_height))
+    return (IfZero(count, then, orelse, (line, col)),
+            _node((line, col), then_height, else_height))
 
 
 def parse_rate(text: str) -> RateExpr:
@@ -452,50 +452,48 @@ def parse_model(text: str) -> ModelFile:
     duplicates: list[str] = []
     while True:
         _skip_newlines(cur)
-        tok = cur.next()
-        if tok.kind == "EOF":
+        kind, text, line, col = cur.next()
+        if kind == "EOF":
             break
-        if tok.kind != "IDENT":
-            raise ParseError(f"expected a directive, found {tok.text!r}",
-                             tok.line, tok.col)
-        if tok.text == "model":
-            mf.name = cur.expect_ident("model name").text
-        elif tok.text == "typing":
+        if kind != "IDENT":
+            raise ParseError(f"expected a directive, found {text!r}",
+                             line, col)
+        if text == "model":
+            mf.name = cur.expect_ident("model name")[1]
+        elif text == "typing":
             cur.expect_sym(":")
-            mode = cur.expect_ident("typing mode").text
+            mode = cur.expect_ident("typing mode")[1]
             if mode not in (POSITIONAL, LITERAL):
-                raise ParseError(f"unknown typing mode '{mode}'",
-                                 tok.line, tok.col)
+                raise ParseError(f"unknown typing mode '{mode}'", line, col)
             mf.typing = mode
-        elif tok.text == "const":
-            name = cur.expect_ident("constant name").text
+        elif text == "const":
+            name = cur.expect_ident("constant name")[1]
             if name in mf.constants:
                 duplicates.append(f"duplicate constant '{name}'")
             cur.expect_sym("=")
             mf.constants[name] = _number(cur, signed=True)
-        elif tok.text == "type":
-            elem = cur.expect_ident("element name").text
+        elif text == "type":
+            elem = cur.expect_ident("element name")[1]
             if elem in mf.type_decls:
                 duplicates.append(f"duplicate type declaration for '{elem}'")
             cur.expect_sym(":")
-            mf.type_decls[elem] = cur.expect_ident("type name").text
-        elif tok.text == "rule":
-            mf.rules.append(_parse_rule(cur, tok))
-        elif tok.text == "init":
+            mf.type_decls[elem] = cur.expect_ident("type name")[1]
+        elif text == "rule":
+            mf.rules.append(_parse_rule(cur, line, col))
+        elif text == "init":
             if seen_init:
                 duplicates.append("duplicate init directive")
             cur.expect_sym(":")
-            mf.init = _parse_ground(cur)
+            mf.init = _parse_par(cur, allow_vars=False)
             seen_init = True
-        elif tok.text == "observe":
+        elif text == "observe":
             mf.observables += [
-                ObservableSpec(name.text) for name in
+                ObservableSpec(name[1]) for name in
                 _separated(cur, ",", _Cursor.expect_ident, "element name")]
-        elif tok.text == "run":
+        elif text == "run":
             _parse_run_block(cur, mf)
         else:
-            raise ParseError(f"unknown directive '{tok.text}'",
-                             tok.line, tok.col)
+            raise ParseError(f"unknown directive '{text}'", line, col)
         _expect_end(cur)
     diagnostics = duplicates + validate_model(mf)
     if not seen_init:
@@ -506,8 +504,9 @@ def parse_model(text: str) -> ModelFile:
 
 
 def _skip_newlines(cur: _Cursor) -> None:
-    while cur.peek().kind == "NEWLINE":
-        cur.next()
+    toks = cur.toks
+    while toks[cur.i][0] == "NEWLINE":
+        cur.i += 1
 
 
 # the fields a rule must have, in the order a missing one is reported
@@ -516,8 +515,9 @@ _RULE_FIELDS = {"lhs": lambda cur: _parse_par(cur, True),
                 "rate": _parse_expr}
 
 
-def _parse_rule(cur: _Cursor, rule_tok: Token) -> RewriteRule:
-    rid = cur.expect_ident("rule id").text
+def _parse_rule(cur: _Cursor, line: int, col: int) -> RewriteRule:
+    """A rule block, after the 'rule' keyword at ``line``:``col``."""
+    rid = cur.expect_ident("rule id")[1]
     cur.expect_sym("{")
     fields = {}
     counts: list[CountDecl] = []
@@ -525,30 +525,30 @@ def _parse_rule(cur: _Cursor, rule_tok: Token) -> RewriteRule:
         _skip_newlines(cur)
         if cur.take_sym("}"):
             break
-        field_tok = cur.expect_ident("rule field (lhs, rhs, count, rate)")
-        if field_tok.text == "count":
+        _, field, field_line, field_col = cur.expect_ident(
+            "rule field (lhs, rhs, count, rate)")
+        if field == "count":
             counts.append(_parse_count_block(cur))
-        elif field_tok.text in _RULE_FIELDS:
+        elif field in _RULE_FIELDS:
             cur.expect_sym(":")
-            fields[field_tok.text] = _RULE_FIELDS[field_tok.text](cur)
+            fields[field] = _RULE_FIELDS[field](cur)
         else:
-            raise ParseError(f"unknown rule field '{field_tok.text}'",
-                             field_tok.line, field_tok.col)
+            raise ParseError(f"unknown rule field '{field}'",
+                             field_line, field_col)
         _expect_end(cur)
     missing = [name for name in _RULE_FIELDS if name not in fields]
     if missing:
         raise ParseError(f"rule {rid} is missing {', '.join(missing)}",
-                         rule_tok.line, rule_tok.col)
+                         line, col)
     return RewriteRule(rid, fields["lhs"], fields["rhs"], fields["rate"],
                        tuple(counts))
 
 
 def _parse_count_block(cur: _Cursor) -> CountDecl:
-    tok = cur.next()
-    if tok.text not in _VAR_SIGILS:
-        raise ParseError("expected a variable after 'count'",
-                         tok.line, tok.col)
-    var = Var(_VAR_SIGILS[tok.text], cur.expect_ident("variable name").text)
+    _, sigil, line, col = cur.next()
+    if sigil not in _VAR_SIGILS:
+        raise ParseError("expected a variable after 'count'", line, col)
+    var = Var(_VAR_SIGILS[sigil], cur.expect_ident("variable name")[1])
     cur.expect_sym("{")
     entries = ([] if cur.at_sym("}")
                else _separated(cur, ",", _parse_count_entry))
@@ -557,13 +557,13 @@ def _parse_count_block(cur: _Cursor) -> CountDecl:
 
 
 def _parse_count_entry(cur: _Cursor) -> tuple[TypeName, str]:
-    tok = cur.expect_ident("type name")
-    tname = TypeName(tok.text)
-    if tok.text == "seq" and cur.take_sym("("):
-        tname = TypeName(cur.expect_ident("type name").text, True)
+    name = cur.expect_ident("type name")[1]
+    tname = TypeName(name)
+    if name == "seq" and cur.take_sym("("):
+        tname = TypeName(cur.expect_ident("type name")[1], True)
         cur.expect_sym(")")
     cur.expect_sym("->")
-    return tname, cur.expect_ident("count variable name").text
+    return tname, cur.expect_ident("count variable name")[1]
 
 
 _RUN_FIELDS = {"seed": int, "tmax": float, "max_steps": int, "samples": int}
@@ -580,17 +580,17 @@ def _parse_run_block(cur: _Cursor, mf: ModelFile) -> None:
 def _parse_run_field(cur: _Cursor, mf: ModelFile) -> None:
     """One ``name: value`` field; line breaks may surround it."""
     _skip_newlines(cur)
-    tok = cur.expect_ident("run field")
-    if tok.text not in _RUN_FIELDS:
-        raise ParseError(f"unknown run field '{tok.text}'", tok.line, tok.col)
+    _, name, line, col = cur.expect_ident("run field")
+    if name not in _RUN_FIELDS:
+        raise ParseError(f"unknown run field '{name}'", line, col)
     cur.expect_sym(":")
     value = _number(cur, signed=True)
-    if _RUN_FIELDS[tok.text] is int:
+    if _RUN_FIELDS[name] is int:
         if not value.is_integer():
-            raise ParseError(f"run field '{tok.text}' must be an integer",
-                             tok.line, tok.col)
+            raise ParseError(f"run field '{name}' must be an integer",
+                             line, col)
         value = int(value)
-    mf.run_defaults[tok.text] = value
+    mf.run_defaults[name] = value
     _skip_newlines(cur)
 
 

@@ -11,10 +11,11 @@ membrane then content).
 
 A term holds either its components, one entry per copy, or its component
 multiset, one count per distinct component, and derives the other on
-first read. A term built by parsing, matching or canonicalizing holds its
-components; a compartment that an event rebuilds (``compiled.Plan.build``,
-``matching.splice``) holds only its multiset, in canonical order, so an
-event costs the distinct components it touches, not the copies of a
+first read. A term built by matching or canonicalizing holds its
+components; a parsed ground term and a compartment that an event rebuilds
+(``compiled.Plan.build``, ``matching.splice``) hold only their multiset,
+in canonical order, so reading a term costs its distinct components and
+an event the distinct components it touches, not the copies of a
 well-mixed compartment. A term's key is run-length: one ``(component key,
 -count)`` pair per run of equal components (see :attr:`Term.key`).
 
@@ -31,7 +32,6 @@ they are counted afresh only when no predecessor had them.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
 from operator import attrgetter, itemgetter, neg
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -140,8 +140,14 @@ class Term:
         comps = self._components
         if comps is None:
             counter = self._counter
-            comps = self._components = tuple(chain.from_iterable(
-                map(repeat, counter, counter.values())))
+            listed: list[Component] = []
+            for comp, n in counter.items():
+                # one allocation per run: a count of copies too large to
+                # list (a parsed multiplicity may be up to 2^63 - 1) fails
+                # at once with MemoryError, where a growing tuple would
+                # take memory until none is left
+                listed += [comp] * n
+            comps = self._components = tuple(listed)
         return comps
 
     @property

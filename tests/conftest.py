@@ -7,6 +7,8 @@ and stay inside the oracle size guard by construction.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
 
 import pytest
@@ -414,6 +416,20 @@ def random_rate(rng: random.Random, names: list[str], depth: int = 3):
                       random_rate(rng, names, depth - 1))
     return BinOp(rng.choice("+-*/"), random_rate(rng, names, depth - 1),
                  random_rate(rng, names, depth - 1))
+
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def load_perfbench(name: str):
+    """``perfbench/<name>.py``, loaded by path; the modules loaded this
+    way (the tracer and the model generators) import only the standard
+    library."""
+    path = os.path.join(ROOT, "perfbench", name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

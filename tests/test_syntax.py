@@ -1,6 +1,9 @@
 """Concrete syntax: parsing and printing of terms, patterns, rates, models."""
 
+import hashlib
+import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,9 @@ from tscls import (Loop, ModelError, ParseError, Pattern, PLoop, PSeq,
                    parse_term, print_model, print_pattern, print_rate,
                    print_term, pat, svar, tvar, validate_model)
 from tscls.rates import BinOp, IfZero, Name, Num
+from tscls.terms import component_counts
 
-from conftest import random_term
+from conftest import ROOT, load_perfbench, random_term
 
 
 class TestParseTerm:
@@ -51,6 +55,25 @@ class TestParseTerm:
     def test_variables_rejected_in_terms(self):
         with pytest.raises(ParseError):
             parse_term("a | $X")
+
+    def test_multiplicities_cost_nothing_to_read(self):
+        # a ground term is read into its component multiset: its copies
+        # are never listed, so two million of them take no memory
+        text = "init: 1000000 * a | <m>[ 1000000 * b ]\nobserve a\n"
+        tracemalloc.start()
+        try:
+            mf = parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert print_term(mf.init) == "1000000 * a | <m>[ 1000000 * b ]"
+        cell, = (c for c in component_counts(mf.init) if isinstance(c, Loop))
+        assert mf.init._components is None
+        assert cell.content._components is None
+        # the largest multiplicity there is, read as cheaply
+        assert component_counts(parse_term(f"{2 ** 63 - 1} * a")) \
+            == {Seq(("a",)): 2 ** 63 - 1}
 
 
 class TestParsePattern:
@@ -265,6 +288,49 @@ class TestParseModel:
         assert mf2.init == mf.init
         assert mf2.rules == mf.rules
 
+    def test_names_beyond_ascii(self):
+        # an identifier starts with a letter and goes on with letters,
+        # digits of any kind and '_'
+        text = ("type \u00e9 : t\n"
+                "rule r {\n  lhs: \u00e9 | a\u00b2 | $X\n"
+                "  rhs: a\u00b2.\u00e9 | $X\n  count $X { t -> n }\n"
+                "  rate: (n + 1) * 2\n}\n"
+                "init: 2 * \u00e9 | <\u00e9.a\u00b2>[ a\u00b2 ]\n"
+                "observe \u00e9, a\u00b2\n")
+        mf = parse_model(text)
+        assert mf.type_decls == {"\u00e9": "t"}
+        assert print_term(mf.init) == \
+            "2 * \u00e9 | <a\u00b2.\u00e9>[ a\u00b2 ]"
+        assert print_pattern(mf.rules[0].lhs) == "\u00e9 | a\u00b2 | $X"
+        assert [o.element for o in mf.observables] == ["\u00e9", "a\u00b2"]
+
+    # SHA-256 of print_model(parse_model(text)): for the lac model, and of
+    # the 16 digests of the generated models g0-g15 of each benchmark
+    # workload, at the step counts the benchmark gives them
+    PRINTED = {
+        "lac":
+            "32d49ffb027f010a1ca76588ba04c96cd40144b3a659890177fbfb59f19e9936",
+        "mass":
+            "0afa183fb174fcb448a3e11e26a53cb5e748aae4fe44ad2534dc6a1009d62358",
+        "cells":
+            "a8291597deb58f2f6505787d11dc1e35dd38c140f6ad9df818220b6d0ee9a91c",
+    }
+
+    def test_benchmark_models_read_as_pinned(self):
+        def digest(text):
+            return hashlib.sha256(
+                print_model(parse_model(text)).encode()).hexdigest()
+        with open(os.path.join(ROOT, "models", "lac_operon.tscls"),
+                  encoding="utf-8") as fh:
+            got = {"lac": digest(fh.read())}
+        gen = load_perfbench("gen")
+        for name, make, steps in (("mass", gen.mass_model, 120),
+                                  ("cells", gen.cells_model, 25)):
+            got[name] = hashlib.sha256("".join(
+                digest(make(g, steps)) for g in range(16)).encode()
+            ).hexdigest()
+        assert got == self.PRINTED
+
 
 RATE_RULE = "rule r {\n  lhs: a | $X\n  rhs: b | $X\n  rate: %s\n}\ninit: a\n"
 
@@ -289,6 +355,11 @@ DIAGNOSTICS = [
      "1:10: variables are not allowed in a ground term"),
     ("model", "init: 1.5 * a", "1:7: multiplicity must be an integer"),
     ("model", "init: 0 * a", "1:7: multiplicity must be positive"),
+    ("model", "init: 99999999999999999999 * a",
+     "1:7: multiplicity must be below 2^63"),
+    ("model", "rule r {\n  lhs: 99999999999999999999 * a | $X\n}\n",
+     "2:8: multiplicity must be below 2^63"),
+    ("term", f"{2 ** 63} * a", "1:1: multiplicity must be below 2^63"),
     ("model", "init: <>[a]",
      "1:7: loop membrane must be a non-empty sequence"),
     ("model", "init: a.eps", "1:9: 'eps' cannot occur inside a sequence"),
@@ -334,6 +405,10 @@ DIAGNOSTICS = [
     ("model", "const k = \u00b2", "1:11: unexpected character '\u00b2'"),
     ("model", "init: \u00b2 * a", "1:7: unexpected character '\u00b2'"),
     ("model", RATE_RULE % "\u00b2", "4:9: unexpected character '\u00b2'"),
+    # identifiers are checked for a leading letter in non-ASCII text only
+    ("model", "model m\n# \u00e9 \u00fc\ninit: \u00b2",
+     "3:7: unexpected character '\u00b2'"),
+    ("model", "init: a | \u2460", "1:11: unexpected character '\u2460'"),
     ("model", "run { seed: 1e400 }", "1:7: run field 'seed' must be an integer"),
     ("model", "run { samples: 1e400 }",
      "1:7: run field 'samples' must be an integer"),

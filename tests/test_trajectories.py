@@ -91,10 +91,12 @@ def test_plans_give_the_general_path_traces(model, seeds):
 
 
 def test_rules_shared_by_runs_under_other_inputs():
-    # a rule keeps what it derives from a run's typing and constants (its
-    # plan's cell entries and histograms, its rates); runs of one set of
-    # rules under models that differ in both, and after the constants are
-    # changed in place, must each give the traces of freshly parsed rules
+    # from a run, a rule keeps only its plan's histograms for the last
+    # TypeEnv asked (``Plan.typed``) and caches of its own content (its
+    # plan, its compiled rate, ``Plan._rotated``); runs of one set of rules
+    # under models that differ in typing and constants, and after the
+    # constants are changed in place, must each give the traces of freshly
+    # parsed rules
     other = CELLS.replace("const k = 10.0", "const k = 3.0") \
         + "type A : t_B\ntype S : t_W\n"
     shared = parse_model(CELLS)
