@@ -190,8 +190,8 @@ def _graft(rule: RewriteRule, prepend: list[tuple[TypeName, str]],
     if frame is None:
         taken = {v.name for v in pattern_vars(rule.lhs)}
         frame = _fresh("X_f", taken)
-        lhs = Pattern(lhs.items + (PTermVar(frame),))
-        rhs = Pattern(rhs.items + (PTermVar(frame),))
+        lhs = Pattern(lhs.items + (PTermVar(frame),), lhs.counts + (1,))
+        rhs = Pattern(rhs.items + (PTermVar(frame),), rhs.counts + (1,))
     fvar = Var(VarKind.TERM, frame)
     counts = list(rule.counts)
     for i, decl in enumerate(counts):
@@ -311,11 +311,9 @@ def lac_operon_model() -> ModelFile:
                     (("t_LACT", "n1"), ("t_betagal", "n2"))),
     ]
 
-    inner = [Seq(_OPERON)]
-    inner += [Seq(("polym",))] * 30
-    inner += [Seq(("repr",))] * 100
-    ecoli = Loop(("m",), canonicalize(Term(inner)))
-    init = canonicalize(Term([ecoli] + [Seq(("LACT",))] * 100))
+    ecoli = Loop(("m",), canonicalize(Term(
+        {Seq(_OPERON): 1, Seq(("polym",)): 30, Seq(("repr",)): 100})))
+    init = canonicalize(Term({ecoli: 1, Seq(("LACT",)): 100}))
 
     return ModelFile(
         name="lac_operon",

@@ -602,18 +602,18 @@ def _split(p: Pattern, loops: bool = True
     the loop, if any; None unless the rest of the pattern is exactly one
     term variable and (when ``loops``) at most one loop."""
     ground: Counter = Counter()
-    tvars, found = [], []
-    for item in p.items:
+    tvars, found = {}, {}
+    for item, n in zip(p.items, p.counts):
         if isinstance(item, PTermVar):
-            tvars.append(item.name)
+            tvars[item.name] = n
         elif isinstance(item, PSeq) and all(isinstance(a, ElemLit)
                                             for a in item.atoms):
             if item.atoms:  # an empty sequence consumes and gives nothing
-                ground[Seq(a.name for a in item.atoms)] += 1
+                ground[Seq(a.name for a in item.atoms)] += n
         elif isinstance(item, PLoop) and loops:
-            found.append(item)
+            found[item] = n
         else:
             return None
-    if len(tvars) != 1 or len(found) > 1:
+    if list(tvars.values()) != [1] or sum(found.values()) > 1:
         return None
-    return ground, tvars[0], found[0] if found else None
+    return ground, next(iter(tvars)), next(iter(found), None)

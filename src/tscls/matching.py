@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections import Counter
-from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import SubstitutionError, WellFormednessError
@@ -32,7 +31,6 @@ Change = tuple[tuple[Loop, ...], tuple[Loop, ...]]
 # rewrote, the content of the cell it rewrote, or one enclosing them
 DRAWN, INSIDE, AROUND = range(3)
 
-_KEY = attrgetter("key")
 Binding = Union[Term, tuple[str, ...], str]
 
 
@@ -126,31 +124,21 @@ def compartments(state: Term) -> list[Compartment]:
 
 def splice(state: Term, path: Path, new_content: Term,
            trail: Optional[list] = None) -> Term:
-    """Replace the compartment at ``path`` and re-canonicalize.
+    """Replace the compartment at ``path`` of the canonical form of
+    ``state``; the result is canonical.
 
-    In a canonical state only the loops on the path change, each keeping
-    its membrane, so each enclosing compartment is built from its
-    predecessor's component multiset with one copy of the loop replaced
-    (by :func:`replace_copy`), the new loop placed among the components
-    around it (by :func:`placed`), and its predecessor's type histogram;
-    its copies are never listed. If ``trail`` is a list, ``(AROUND, new,
-    old, change)`` is appended to it for each enclosing compartment
-    rebuilt, innermost first, with the ``change`` that ``replace_copy``
-    gives."""
+    Only the loops on the path change, each keeping its membrane, so each
+    enclosing compartment is built from its predecessor's component
+    multiset with one copy of the loop replaced (by :func:`replace_copy`),
+    the new loop placed among the components around it (by
+    :func:`placed`), and its predecessor's type histogram. If ``trail`` is
+    a list, ``(AROUND, new, old, change)`` is appended to it for each
+    enclosing compartment rebuilt, innermost first, with the ``change``
+    that ``replace_copy`` gives."""
     if not path:
         return canonicalize(new_content)
+    state = canonicalize(state)
     target, rest = path[0], path[1:]
-    if not state._canonical:
-        comps = list(state.components)
-        loop_index = 0
-        for i, comp in enumerate(comps):
-            if isinstance(comp, Loop):
-                if loop_index == target:
-                    comps[i] = Loop(comp.membrane,
-                                    splice(comp.content, rest, new_content))
-                    return canonicalize(Term(comps))
-                loop_index += 1
-        raise ValueError(f"no loop at path step {target}")
     # the multiset finds the loop without a walk over every copy
     counts = dict(component_counts(state))
     for comp, n in counts.items():
@@ -222,43 +210,44 @@ def substitute(p: Pattern, inst: Instantiation) -> Term:
     """Apply an instantiation to a pattern; the result is canonical.
 
     Sequence bindings splice into their enclosing sequences, term bindings
-    splice into the parallel multiset. Raises :class:`SubstitutionError`
-    if the pattern uses a variable the instantiation does not bind.
+    add their multisets to the parallel one, and an item of count n adds
+    n of its value. Raises :class:`SubstitutionError` if the pattern uses
+    a variable the instantiation does not bind.
     """
-    if len(p.items) == 1 and isinstance(p.items[0], PTermVar):
+    if p.counts == (1,) and isinstance(p.items[0], PTermVar):
         # a bare term variable passes its binding through unchanged
-        t = _lookup(inst, Var(VarKind.TERM, p.items[0].name))
-        return t if t._canonical else canonicalize(t)
-    comps: list[Union[Seq, Loop]] = []
-    for item in p.items:
+        return canonicalize(_lookup(inst, Var(VarKind.TERM, p.items[0].name)))
+    counts: Counter = Counter()
+    for item, n in zip(p.items, p.counts):
         if isinstance(item, PTermVar):
             t = _lookup(inst, Var(VarKind.TERM, item.name))
-            comps.extend(t.components)
+            for comp, k in component_counts(t).items():
+                counts[comp] += k * n
         elif isinstance(item, PSeq):
             names = _seq_names(item, inst)
             if names:
-                comps.append(Seq(names))
+                counts[Seq(names)] += n
         else:
             membrane = _seq_names(item.membrane, inst)
-            comps.append(Loop(membrane, substitute(item.content, inst)))
-    return canonicalize(Term(comps))
+            counts[Loop(membrane, substitute(item.content, inst))] += n
+    return canonicalize(Term(counts))
 
 
 def image(p: Pattern, inst: Instantiation) -> frozenset:
     """What ``substitute(p, inst)`` is made of, without building it.
 
-    The image is the multiset of the pattern's non-empty items: a term
-    variable gives its canonical binding, a sequence its element names,
-    a loop its least-rotation membrane and the image of its content.
+    The image is the multiset of the pattern's non-empty items, an item
+    of count n given n times: a term variable gives its canonical
+    binding, a sequence its element names, a loop its least-rotation
+    membrane and the image of its content.
     Equal images give congruent substitutes, so instantiations can be
     merged before any term is built. Raises the errors ``substitute``
     would raise, in the same order.
     """
     counts: dict = {}
-    for item in p.items:
+    for item, n in zip(p.items, p.counts):
         if isinstance(item, PTermVar):
-            t = _lookup(inst, Var(VarKind.TERM, item.name))
-            key = t if t._canonical else canonicalize(t)
+            key = canonicalize(_lookup(inst, Var(VarKind.TERM, item.name)))
             if key.is_empty():
                 continue
         elif isinstance(item, PSeq):
@@ -274,7 +263,7 @@ def image(p: Pattern, inst: Instantiation) -> frozenset:
                         "loop with empty membrane and non-empty content")
                 continue
             key = (min_rotation(membrane), content)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + n
     return frozenset(counts.items())
 
 
@@ -313,55 +302,60 @@ def match_whole(lhs: Pattern, content: Term) -> frozenset[Instantiation]:
 
 def _match_pattern(p: Pattern, content: Term, sigma: dict[Var, Binding],
                    memo: dict) -> Iterator[dict[Var, Binding]]:
-    slots: list[Union[PSeq, PLoop]] = []
-    tvar_occurrences: list[str] = []
-    for item in p.items:
+    slots: list[tuple[Union[PSeq, PLoop], int]] = []
+    occurrences: dict[str, int] = {}
+    for item, n in zip(p.items, p.counts):
         if isinstance(item, PTermVar):
-            tvar_occurrences.append(item.name)
+            occurrences[item.name] = n
         else:
-            slots.append(item)
+            slots.append((item, n))
     # sequence slots before loop slots: they fail fast without descending
     # into loop contents, and the explored assignment set is order-free
-    slots.sort(key=lambda it: isinstance(it, PLoop))
-    # the pristine multiset is cached on the term; each match mutates a
-    # private copy (copying costs one dict copy, rebuilding costs a walk
-    # over every component)
-    remaining = component_counts(content).copy()
-    yield from _match_slots(slots, 0, remaining, tvar_occurrences, sigma,
-                            memo)
+    slots.sort(key=lambda slot: isinstance(slot[0], PLoop))
+    # each match mutates a private copy of the term's multiset
+    remaining = dict(component_counts(content))
+    yield from _match_slots(slots, 0, remaining, occurrences, sigma, memo)
 
 
-def _match_slots(slots: list[Union[PSeq, PLoop]], i: int, remaining: dict,
-                 tvar_occurrences: list[str], sig: dict[Var, Binding],
+def _match_slots(slots: list[tuple[Union[PSeq, PLoop], int]], i: int,
+                 remaining: dict, occurrences: dict[str, int],
+                 sig: dict[Var, Binding],
                  memo: dict) -> Iterator[dict[Var, Binding]]:
-    """Match ``slots[i:]`` against components of ``remaining``, then give
-    the leftover to the term variables."""
+    """Match ``slots[i:]``, each an item and its count, against components
+    of ``remaining``, then give the leftover to the term variables.
+
+    The first copy of an item is matched as a single item is; the other
+    copies take the same component, one subtraction for all of them, or
+    none if the first vanished. That is exact: a variable denotes one
+    value in all its occurrences, and once the first copy has bound the
+    item's variables, each copy is congruent to one canonical component.
+    """
     if i == len(slots):
-        yield from _assign_term_vars(tvar_occurrences, remaining, sig, memo)
+        yield from _assign_term_vars(occurrences, remaining, sig, memo)
         return
-    item = slots[i]
+    item, n = slots[i]
     if isinstance(item, PLoop):
         for comp in [c for c in remaining if isinstance(c, Loop)]:
-            if remaining[comp] <= 0:
+            if remaining[comp] < n:
                 continue
-            remaining[comp] -= 1
+            remaining[comp] -= n
             for s2 in _match_loop(item, comp, sig, memo):
                 yield from _match_slots(slots, i + 1, remaining,
-                                        tvar_occurrences, s2, memo)
-            remaining[comp] += 1
+                                        occurrences, s2, memo)
+            remaining[comp] += n
     else:
         # a sequence pattern may vanish entirely (every atom binds eps)
         for s2 in _match_atoms(item.atoms, (), sig):
-            yield from _match_slots(slots, i + 1, remaining,
-                                    tvar_occurrences, s2, memo)
+            yield from _match_slots(slots, i + 1, remaining, occurrences,
+                                    s2, memo)
         for comp in [c for c in remaining if isinstance(c, Seq)]:
-            if remaining[comp] <= 0:
+            if remaining[comp] < n:
                 continue
-            remaining[comp] -= 1
+            remaining[comp] -= n
             for s2 in _match_atoms(item.atoms, comp.elems, sig):
                 yield from _match_slots(slots, i + 1, remaining,
-                                        tvar_occurrences, s2, memo)
-            remaining[comp] += 1
+                                        occurrences, s2, memo)
+            remaining[comp] += n
 
 
 def _match_loop(item: PLoop, comp: Loop, sigma: dict[Var, Binding],
@@ -422,76 +416,70 @@ def _match_atoms(atoms: tuple, names: tuple[str, ...],
                                         {**sigma, var: names[:cut]})
 
 
-def _assign_term_vars(occurrences: list[str], remaining: Counter,
+def _assign_term_vars(occurrences: dict[str, int], remaining: dict,
                       sigma: dict[Var, Binding],
                       memo: dict) -> Iterator[dict[Var, Binding]]:
-    """Distribute the leftover component multiset among term variables.
+    """Distribute the leftover component multiset among term variables,
+    each occurring as often as ``occurrences`` says.
 
     Pre-bound variables consume their binding times their occurrence
     count; the rest is split across unbound variables in every way that
-    respects occurrence multiplicities. Bindings come out canonical by
-    construction: splits walk components in sorted order, so no re-sort
-    is needed, and ``memo`` (scoped to one whole-compartment match)
-    reuses the binding term when symmetric slot choices leave the same
-    leftover behind.
+    respects occurrence multiplicities. Bindings are built from counts
+    and come out canonical by construction: the leftover keeps the
+    canonical order of the compartment's multiset, so no re-sort is
+    needed, and ``memo`` (scoped to one whole-compartment match) reuses
+    the binding term when symmetric slot choices leave the same leftover
+    behind.
     """
-    occ = Counter(occurrences)
-    leftover = Counter({c: n for c, n in remaining.items() if n > 0})
+    leftover = {c: n for c, n in remaining.items() if n > 0}
     unbound: list[str] = []
-    for name in dict.fromkeys(occurrences):
+    for name, k in occurrences.items():
         var = Var(VarKind.TERM, name)
         if var in sigma:
-            binding = sigma[var]
-            assert isinstance(binding, Term)
-            for comp in binding.components:
-                leftover[comp] -= occ[name]
-                if leftover[comp] < 0:
+            for comp, n in component_counts(sigma[var]).items():
+                left = leftover.get(comp, 0) - n * k
+                if left < 0:
                     return
+                leftover[comp] = left
         else:
             unbound.append(name)
-    leftover = Counter({c: n for c, n in leftover.items() if n > 0})
+    leftover = {c: n for c, n in leftover.items() if n > 0}
     if not unbound:
         if not leftover:
             yield sigma
         return
 
-    if len(unbound) == 1 and occ[unbound[0]] == 1:
+    if len(unbound) == 1 and occurrences[unbound[0]] == 1:
         # the whole leftover goes to the one variable, in one way
         key = tuple((id(c), n) for c, n in leftover.items())
         t = memo.get(key)
         if t is None:
-            parts: list = []
-            for c in sorted(leftover, key=_KEY):
-                parts.extend([c] * leftover[c])
-            t = Term(parts)
-            t._canonical = True
-            memo[key] = t
+            t = memo[key] = counted(leftover)
         sig2 = dict(sigma)
         sig2[Var(VarKind.TERM, unbound[0])] = t
         yield sig2
         return
 
-    mults = [occ[name] for name in unbound]
-    comps = sorted(leftover, key=_KEY)
-    # chosen[j] accumulates the components assigned to unbound[j]
-    chosen: list[list] = [[] for _ in unbound]
+    mults = [occurrences[name] for name in unbound]
+    comps = list(leftover)
+    # chosen[j] accumulates the counts assigned to unbound[j]
+    chosen: list[dict] = [{} for _ in unbound]
     for _ in _splits(comps, leftover, mults, chosen, 0, 0, 0):
         sig2 = dict(sigma)
         for j, name in enumerate(unbound):
-            t = Term(chosen[j])
-            t._canonical = True
-            sig2[Var(VarKind.TERM, name)] = t
+            sig2[Var(VarKind.TERM, name)] = counted(dict(chosen[j]))
         yield sig2
 
 
-def _splits(comps: list, leftover: Counter, mults: list[int],
-            chosen: list[list], ci: int, j: int,
+def _splits(comps: list, leftover: dict, mults: list[int],
+            chosen: list[dict], ci: int, j: int,
             left: int) -> Iterator[None]:
     """Yield once per way of splitting the ``leftover`` copies of each of
-    ``comps[ci:]`` among the ``chosen`` lists, appending to them: list
-    ``j`` given ``take`` copies uses ``take * mults[j]`` of them, and
-    every copy is used. Within ``comps[ci]`` the lists before ``j`` have
-    taken theirs and ``left`` copies remain; at ``j == 0`` all remain."""
+    ``comps[ci:]`` among the ``chosen`` count dicts, setting counts in
+    them: dict ``j`` given ``take`` copies uses ``take * mults[j]`` of
+    them, and every copy is used. Within ``comps[ci]`` the dicts before
+    ``j`` have taken theirs and ``left`` copies remain; at ``j == 0`` all
+    remain."""
     if ci == len(comps):
         yield None
         return
@@ -501,12 +489,14 @@ def _splits(comps: list, leftover: Counter, mults: list[int],
     if j == len(mults) - 1:
         if left % mults[j] == 0:
             take = left // mults[j]
-            chosen[j].extend([comp] * take)
+            if take:
+                chosen[j][comp] = take
             yield from _splits(comps, leftover, mults, chosen, ci + 1, 0, 0)
-            del chosen[j][len(chosen[j]) - take:]
+            chosen[j].pop(comp, None)
         return
     for take in range(left // mults[j] + 1):
-        chosen[j].extend([comp] * take)
+        if take:
+            chosen[j][comp] = take
         yield from _splits(comps, leftover, mults, chosen, ci, j + 1,
                            left - take * mults[j])
-        del chosen[j][len(chosen[j]) - take:]
+    chosen[j].pop(comp, None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Union
 
@@ -93,9 +94,27 @@ PatternItem = Union[PSeq, PLoop, PTermVar]
 
 @dataclass(frozen=True)
 class Pattern:
-    """A parallel multiset of pattern items. Ground terms are the special
-    case with no variables."""
+    """A parallel multiset of pattern items: each distinct item once, in
+    order of first occurrence, with its count. ``Pattern(items)`` counts
+    its items; ``Pattern(items, counts)`` gives each item a count, adds
+    up those of equal items and drops an item of count 0. Ground terms
+    are the special case with no variables."""
     items: tuple[PatternItem, ...]
+    counts: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        # a pattern has a few items: a list search by equality is cheaper
+        # than hashing the nested dataclasses
+        items: list[PatternItem] = []
+        counts: list[int] = []
+        for item, n in zip(self.items, self.counts or repeat(1)):
+            if item in items:
+                counts[items.index(item)] += n
+            elif n:
+                items.append(item)
+                counts.append(n)
+        object.__setattr__(self, "items", tuple(items))
+        object.__setattr__(self, "counts", tuple(counts))
 
 
 # -- construction helpers ---------------------------------------------------

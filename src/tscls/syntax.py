@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain, repeat, starmap
 from operator import attrgetter
 from typing import Union
 
@@ -198,12 +197,12 @@ def _parse_whole(text: str, parse, *args):
 # ---------------------------------------------------------------------------
 # terms and patterns
 #
-# One grammar reads both. A pattern (``allow_vars``) is made of pattern
-# items, each listed as often as its multiplicity says. A ground term is
-# made of components: each sequence is its element names, each membrane
-# is taken at its least rotation, and a parallel composition is the
-# canonical term of its distinct components and their counts, so the
-# size of a term does not change the cost of reading it.
+# One grammar reads both, and a parallel composition is read into its
+# distinct items and their counts: a pattern (``allow_vars``) of pattern
+# items, a ground term of components. In a ground term each sequence is
+# its element names, each membrane is taken at its least rotation, and
+# the composition is the canonical term of its multiset, so the size of
+# a term or a pattern does not change the cost of reading it.
 
 _ATOM_SIGILS = {ElemLit: "", ElemVar: "?", SeqVar: "~"}
 _ATOM_VARS = {sigil: cls for cls, sigil in _ATOM_SIGILS.items() if sigil}
@@ -215,7 +214,7 @@ def _parse_par(cur: _Cursor, allow_vars: bool) -> Union[Pattern, Term]:
     while cur.take_sym("|"):
         items.append(_parse_item(cur, allow_vars))
     if allow_vars:
-        return Pattern(tuple(chain.from_iterable(starmap(repeat, items))))
+        return Pattern(*zip(*items))
     counts: dict[Component, int] = {}
     for comp, n in items:
         if n:
@@ -389,12 +388,15 @@ def parse_rate(text: str) -> RateExpr:
 
 def print_term(t: Term) -> str:
     """Canonical printed form; parses back to ``canonicalize(t)``."""
-    t = canonicalize(t)
-    if t.is_empty():
-        return "eps"
-    return " | ".join(f"{n} * {_component_text(comp)}" if n > 1
-                      else _component_text(comp)
-                      for comp, n in component_counts(t).items())
+    return _par_text(component_counts(canonicalize(t)).items(),
+                     _component_text)
+
+
+def _par_text(counted_items, text) -> str:
+    """A parallel composition of ``(item, count)`` pairs, each item
+    printed by ``text`` and prefixed ``n *`` when its count n is above 1."""
+    return " | ".join(f"{n} * {text(item)}" if n > 1 else text(item)
+                      for item, n in counted_items) or "eps"
 
 
 def _component_text(comp: Union[Seq, Loop]) -> str:
@@ -412,9 +414,7 @@ def _loop_text(membrane: str, inner) -> str:
 
 def print_pattern(p: Pattern) -> str:
     """Printed form of a pattern, preserving item order."""
-    if not p.items:
-        return "eps"
-    return " | ".join(_item_text(item) for item in p.items)
+    return _par_text(zip(p.items, p.counts), _item_text)
 
 
 def _item_text(item) -> str:

@@ -2,22 +2,19 @@
 
 A term is a multiset of components; a component is either a flat element
 sequence or a loop (a circular membrane sequence wrapping an inner term).
+Parallel composition is associative and commutative and ``n * t`` is n
+copies of ``t``, so a term is stored as its component multiset alone: one
+count per distinct component. Listing the copies is only one way to read
+it (:attr:`Term.components`), and nothing on the path of a step does.
+
 Structural congruence -- commutativity of parallel composition, neutrality
 of the empty term, rotation of loop membranes -- is decided by reduction
 to a canonical form: empty sequences are erased, membranes are stored in
-their least rotation, and components are sorted by a total order (Seq
-before Loop, then shortlex on element-name lists, loops further by
-membrane then content).
-
-A term holds either its components, one entry per copy, or its component
-multiset, one count per distinct component, and derives the other on
-first read. A term built by matching or canonicalizing holds its
-components; a parsed ground term and a compartment that an event rebuilds
-(``compiled.Plan.build``, ``matching.splice``) hold only their multiset,
-in canonical order, so reading a term costs its distinct components and
-an event the distinct components it touches, not the copies of a
-well-mixed compartment. A term's key is run-length: one ``(component key,
--count)`` pair per run of equal components (see :attr:`Term.key`).
+their least rotation, and the distinct components are kept in a total
+order (Seq before Loop, then shortlex on element-name lists, loops further
+by membrane then content). A term's key has one ``(component key,
+-count)`` pair per distinct component (see :attr:`Term.key`), so reading
+or comparing a term costs its distinct components, not its copies.
 
 All values are immutable; each node caches its sort key and hash
 (a term on first use, sequences and loops at construction) so
@@ -25,8 +22,9 @@ canonicalization and multiset operations stay cheap on large states. A
 term also caches its type histogram and, as a compartment, the compiled
 outcomes of a run's rules in it; a successor shares every compartment an
 event left alone, and with it these caches. The compartments an event
-rebuilds get their multiset and histogram from their predecessors', so
-they are counted afresh only when no predecessor had them.
+rebuilds (``compiled.Plan.build``, ``matching.splice``) get their
+multiset and histogram from their predecessors', so they are counted
+afresh only when no predecessor had them.
 """
 
 from __future__ import annotations
@@ -100,36 +98,35 @@ Component = Union[Seq, Loop]
 
 
 class Term:
-    """A parallel multiset of components: a tuple of them, or their counts.
+    """A parallel multiset of components: one count per distinct component.
 
-    The constructor takes the components and does not normalize; use
-    :func:`canonicalize` to obtain the congruence-class representative,
-    or :func:`counted` to make a canonical term from its component
-    multiset. ``components`` lists a counted term's copies on first read;
-    :func:`component_counts` counts a listed term's on first read.
+    ``Term(components)`` counts its argument, an iterable of components
+    or a mapping of components to positive counts, and does not
+    normalize; use :func:`canonicalize` to obtain the congruence-class
+    representative, or :func:`counted` to make a canonical term from its
+    component multiset. ``components`` lists the copies, afresh on each
+    read.
 
-    The key is ``(2, n, runs)``: the number of components and, per run of
-    equal adjacent components, ``(component key, -run length)``. A
-    sequence has one run-length encoding, so equality and hashing, which
-    compare keys, are raw structural: two canonical terms compare equal
-    exactly when they are congruent. On canonical terms, whose components
-    are sorted, keys order as the tuples of every copy's key would: at
-    the first run two keys differ in, either the component keys differ,
-    or the longer run sorts first, since its next copy is less than the
-    next run's component in the other term. Raw terms order differently,
-    but nothing orders raw terms: what is sorted is components, or
-    canonical terms.
+    The key is ``(2, n, pairs)``: the number of components and, per
+    distinct component, ``(component key, -count)``. Equality and
+    hashing compare keys, so two canonical terms compare equal exactly
+    when they are congruent. On canonical terms, whose distinct
+    components are in order, keys order as the tuples of every copy's
+    key would: at the first pair two keys differ in, either the
+    component keys differ, or the larger count sorts first, since its
+    next copy is less than the next component in the other term. Raw
+    terms order differently, but nothing orders raw terms: what is
+    sorted is components, or canonical terms.
     """
 
-    __slots__ = ("_components", "_key", "_hash", "_canonical", "_counter",
-                 "_types", "_outcomes")
+    __slots__ = ("_counter", "_key", "_hash", "_canonical", "_types",
+                 "_outcomes")
 
     def __init__(self, components: Iterable[Component] = ()):
-        self._components = tuple(components)
+        self._counter = Counter(components) if components else {}
         self._key = None
         self._hash = None
         self._canonical = False
-        self._counter = None
         self._types = None  # (env, type histogram), see type_counts
         # (run token, compiled outcomes, loop rule orders), see
         # semantics.Enumerator
@@ -137,18 +134,13 @@ class Term:
 
     @property
     def components(self) -> tuple[Component, ...]:
-        comps = self._components
-        if comps is None:
-            counter = self._counter
-            listed: list[Component] = []
-            for comp, n in counter.items():
-                # one allocation per run: a count of copies too large to
-                # list (a parsed multiplicity may be up to 2^63 - 1) fails
-                # at once with MemoryError, where a growing tuple would
-                # take memory until none is left
-                listed += [comp] * n
-            comps = self._components = tuple(listed)
-        return comps
+        listed: list[Component] = []
+        for comp, n in self._counter.items():
+            # one allocation per distinct component: a count of copies too
+            # large to list fails at once with MemoryError, where a growing
+            # tuple would take memory until none is left
+            listed += [comp] * n
+        return tuple(listed)
 
     @property
     def key(self) -> tuple:
@@ -156,18 +148,12 @@ class Term:
         key = self._key
         if key is None:
             counter = self._counter
-            if self._canonical and counter is not None:
-                # a canonical term's multiset is in component order
-                key = (2, sum(counter.values()), tuple(zip(
-                    map(_KEY, counter), map(neg, counter.values()))))
-            else:
-                key = _runs(self._components)
-            self._key = key
+            key = self._key = (2, sum(counter.values()), tuple(zip(
+                map(_KEY, counter), map(neg, counter.values()))))
         return key
 
     def is_empty(self) -> bool:
-        comps = self._components
-        return not (self._counter if comps is None else comps)
+        return not self._counter
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Term)
@@ -185,23 +171,9 @@ class Term:
     def __repr__(self) -> str:
         if self.is_empty():
             return "Term(eps)"
-        return "Term(%s)" % " | ".join(repr(c) for c in self.components)
-
-
-def _runs(components: tuple[Component, ...]) -> tuple:
-    """The run-length key of a component tuple (see :class:`Term`)."""
-    runs = []
-    last = None
-    for key in map(_KEY, components):
-        if key is last or key == last:
-            n -= 1
-        else:
-            if last is not None:
-                runs.append((last, n))
-            last, n = key, -1
-    if last is not None:
-        runs.append((last, n))
-    return (2, len(components), tuple(runs))
+        return "Term(%s)" % " | ".join(
+            f"{n} * {c!r}" if n > 1 else repr(c)
+            for c, n in self._counter.items())
 
 
 def counted(counter: dict) -> Term:
@@ -209,7 +181,6 @@ def counted(counter: dict) -> Term:
     keyed in canonical order, each with a positive count. The term keeps
     the dict as its multiset; callers must not mutate it afterwards."""
     t = Term()
-    t._components = None
     t._counter = counter
     t._canonical = True
     return t
@@ -219,25 +190,17 @@ EMPTY = Term()
 
 
 def component_counts(t: Term) -> Mapping[Component, int]:
-    """The term's components as a multiset, cached on the term.
-
-    Keyed in component order, so on a canonical term the distinct
-    components come out in canonical order: counted here on first use,
-    or the multiset a counted term was built from. Callers must not
-    mutate it.
-    """
-    counter = t._counter
-    if counter is None:
-        counter = t._counter = Counter(t.components)
-    return counter
+    """The term's component multiset; on a canonical term, keyed in
+    canonical order. Callers must not mutate it."""
+    return t._counter
 
 
 def par(*terms: Term) -> Term:
-    """Parallel composition; flattens its arguments into one multiset."""
-    comps: list[Component] = []
+    """Parallel composition: the sum of the arguments' multisets."""
+    counts: Counter = Counter()
     for t in terms:
-        comps.extend(t.components)
-    return Term(comps)
+        counts.update(t._counter)
+    return Term(counts)
 
 
 def min_rotation(names: tuple[str, ...]) -> tuple[str, ...]:
@@ -258,41 +221,37 @@ def min_rotation(names: tuple[str, ...]) -> tuple[str, ...]:
 def canonicalize(t: Term) -> Term:
     """Reduce to the canonical congruence-class representative.
 
-    Empty sequence components are erased, `<eps>[eps]` loops vanish,
-    membranes take their least rotation, contents are canonicalized
-    recursively and components are sorted by the total order. Idempotent;
-    shares unchanged sub-structure with the input. Terms known to be
-    canonical are flagged, so repeated calls cost nothing.
+    Count the components, erasing empty sequences and `<eps>[eps]` loops,
+    rotate each membrane to its least rotation (canonicalizing contents
+    recursively) and order the distinct components by the total order.
+    Idempotent; shares unchanged sub-structure with the input. Terms
+    known to be canonical are flagged, so repeated calls cost nothing.
     """
     if t._canonical:
         return t
-    out: list[Component] = []
+    counts: dict[Component, int] = {}
     changed = False
-    for comp in t.components:
+    for comp, n in t._counter.items():
         if isinstance(comp, Seq):
-            if comp.elems:
-                out.append(comp)
-            else:
+            if not comp.elems:
                 changed = True
-            continue
-        content = canonicalize(comp.content)
-        if not comp.membrane:
+                continue
+        elif not comp.membrane:
             # constructor guarantees the content is empty here
             changed = True
             continue
-        mem = min_rotation(comp.membrane)
-        if mem == comp.membrane and content is comp.content:
-            out.append(comp)
         else:
-            out.append(Loop(mem, content))
-            changed = True
-    ordered = sorted(out, key=_KEY)
-    if not changed and ordered == list(t.components):
+            content = canonicalize(comp.content)
+            mem = min_rotation(comp.membrane)
+            if mem != comp.membrane or content is not comp.content:
+                comp = Loop(mem, content)
+                changed = True
+        counts[comp] = counts.get(comp, 0) + n
+    ordered = sorted(counts, key=_KEY)
+    if not changed and ordered == list(counts):
         t._canonical = True
         return t
-    result = Term(ordered)
-    result._canonical = True
-    return result
+    return counted({comp: counts[comp] for comp in ordered})
 
 
 def congruent(t1: Term, t2: Term) -> bool:

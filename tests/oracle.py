@@ -99,10 +99,16 @@ def _match_component(item, comp) -> Iterator[BindingMap]:
                     yield merged
 
 
+def _listed(pattern: Pattern) -> list:
+    """The pattern's items, each listed as often as its count says."""
+    return [item for item, n in zip(pattern.items, pattern.counts)
+            for _ in range(n)]
+
+
 def _match_term(pattern: Pattern, t: Term) -> Iterator[BindingMap]:
     comps = list(t.components)
-    concrete = [i for i in pattern.items if not isinstance(i, PTermVar)]
-    tvars = [i.name for i in pattern.items if isinstance(i, PTermVar)]
+    concrete = [i for i in _listed(pattern) if not isinstance(i, PTermVar)]
+    tvars = [i.name for i in _listed(pattern) if isinstance(i, PTermVar)]
 
     def choices(item) -> list[Optional[int]]:
         if isinstance(item, PSeq):
@@ -159,7 +165,7 @@ def _subst_seq(atoms: tuple[SeqAtom, ...], b: BindingMap) -> tuple[str, ...]:
 
 def _subst(pattern: Pattern, b: BindingMap) -> Term:
     comps = []
-    for item in pattern.items:
+    for item in _listed(pattern):
         if isinstance(item, PTermVar):
             comps.extend(b[Var(VarKind.TERM, item.name)].components)
         elif isinstance(item, PSeq):

@@ -459,3 +459,61 @@ def test_traces_are_the_same_on_other_interpreters(tmp_path):
             capture_output=True, text=True, env=env, timeout=600)
         assert done.returncode == 0, (version, done.stderr)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, version
+
+
+# a rule on the general path over a compartment of 10^11 copies, and a
+# rule that consumes 2^62 copies: neither may ever list them
+HUGE_STATE = """\
+rule r {
+  lhs: ?x.b | $X
+  rhs: ?x | $X
+  rate: 1
+}
+
+init: 100000000000 * a | c.b
+observe a, c
+"""
+
+HUGE_RULE = """\
+rule r {
+  lhs: 4611686018427387904 * a | $X
+  rhs: $X
+  rate: 1
+}
+
+init: c
+observe a, c
+"""
+
+# the address space the child may take, as ``ulimit -v 400000`` gives it
+ADDRESS_SPACE = 400_000 * 1024
+
+
+def run_capped(tmp_path, args, text):
+    """``tscls`` run with ``args`` on the model ``text`` in a child that
+    caps its own address space."""
+    model = tmp_path / "huge.tscls"
+    model.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tscls.__file__)))
+    child = ("import resource, sys;"
+             f" resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE},"
+             f" {ADDRESS_SPACE}));"
+             " from tscls.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run(
+        [sys.executable, "-c", child, *args, str(model)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, TSCLS_COLOR="0"))
+
+
+def test_a_general_rule_over_a_huge_compartment_runs(tmp_path):
+    done = run_capped(tmp_path, ["run", "--samples", "1"], HUGE_STATE)
+    assert done.returncode == 0, done.stderr
+    rows = list(csv.reader(io.StringIO(done.stdout)))
+    assert rows[0] == ["time", "step", "rule", "path", "rate", "a", "c"]
+    assert rows[2][1:] == ["1", "r", "/", "1.0", "100000000000", "1"]
+    assert "steps=1 " in done.stderr
+
+
+def test_a_huge_multiplicity_in_a_rule_checks(tmp_path):
+    done = run_capped(tmp_path, ["check"], HUGE_RULE)
+    assert done.returncode == 0, done.stderr

@@ -136,6 +136,8 @@ class TestPlan:
         ("<~x>[ a.?y | $X ] | $Y", "<~x>[ $X ] | $Y", X),  # element var
         ("<~x>[ $X ] | $Y", "<~x>[ $X ] | $Y",
          Var(VarKind.ELEM, "y")),                          # count elsewhere
+        ("2 * $X", "2 * $X", X),                           # $X twice
+        ("2 * <~x>[ $X ] | $Y", "2 * <~x>[ $X ] | $Y", X),  # loop twice
     ])
     def test_general_shapes(self, lhs, rhs, counted):
         r = RewriteRule("r", P(lhs), P(rhs), parse_rate("n"),
@@ -220,6 +222,17 @@ class TestAgainstGeneralPath:
         assert self.check(T("a"), [r]) == []
         [(_, _, rate, target)] = self.check(T("a | a | a | c"), [r])
         assert (rate, target) == (2.0, T("a | b | c"))
+
+    def test_a_multiplicity_too_large_to_list(self):
+        # 2^62 copies are consumed with one subtraction, by the plan and
+        # by the general path, which is checked with plans off as well
+        n = 2 ** 62
+        r = rule("r", f"{n} * a | $X", "$X", "1")
+        for state, want in ((T(f"{n - 1} * a | c"), []),
+                            (T(f"{n} * a | c"), [("r", (), 1.0, T("c"))])):
+            assert self.check(state, [r]) == want
+            assert compiled_outcome(state, [general(r)], TypeEnv(), {},
+                                    POSITIONAL) == want
 
     def test_multi_element_ground_sequence(self):
         r = rule("r", "b.c | $X", "c.b | b.c | $X", "1")
@@ -676,8 +689,7 @@ def test_steps_never_list_a_compartment(monkeypatch):
     components = Term.components
 
     def read(t):
-        if t._components is None:
-            listed.append(t)
+        listed.append(t)
         return components.fget(t)
     monkeypatch.setattr(Term, "components", property(read))
     mass = parse_model(MASS.replace("init: 20 * A | 15 * B | 10 * C | 8 * D",

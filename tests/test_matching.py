@@ -130,6 +130,13 @@ class TestMatchWhole:
     def test_nonlinear_terms(self):
         assert len(match_whole(P("$X | $X"), T("a | a"))) == 1
         assert match_whole(P("$X | $X"), T("a | b")) == frozenset()
+        insts = match_whole(P("2 * $X | $Y"), T("3 * a | b"))
+        assert {i[Var(VarKind.TERM, "X")] for i in insts} == {T("eps"), T("a")}
+        # bound inside the loop, $X takes its binding twice outside it
+        lhs = P("<~x>[ $X ] | 2 * $X")
+        assert match_whole(lhs, T("<m>[ a ] | a")) == frozenset()
+        assert the_binding(match_whole(lhs, T("<m>[ a ] | 2 * a")), "X") \
+            == T("a")
 
     def test_nonlinear_elements(self):
         insts = match_whole(P("?y.?y"), T("a.a"))
@@ -208,6 +215,7 @@ class TestImage:
         assert image(P("$X | $Y"), one) == image(P("$X | $Y"), two)
         assert image(P("<m>[ $X ] | $Y"), one) \
             != image(P("<m>[ $X ] | $Y"), two)
+        assert image(P("2 * $X | $Y"), one) != image(P("2 * $X | $Y"), two)
 
     def test_empty_items_vanish(self):
         inst = Instantiation({Var(VarKind.SEQ, "x"): (),

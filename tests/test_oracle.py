@@ -49,6 +49,19 @@ class TestBruteForceMatches:
         assert got == frozenset(
             [Instantiation({Var(VarKind.SEQ, "x"): ("b", "c")})])
 
+    @pytest.mark.parametrize("pattern, term, found", [
+        ("2 * <~x>[ $X ] | $Y", "<m>[ a ] | <m>[ b ]", 0),
+        ("2 * <~x>[ $X ] | $Y", "2 * <m>[ a ] | <m.n>[ a ]", 1),
+        ("2 * ?y | $X", "a | b | 2 * c | 2 * d.e", 1),
+        ("2 * ~x | $X", "3 * a | b", 2),
+    ])
+    def test_repeated_items(self, pattern, term, found):
+        # n copies of an item take n copies of one component, the same
+        # the oracle finds by matching every copy on its own
+        got = brute_force_matches(P(pattern), T(term))
+        assert len(got) == found
+        assert got == match_whole(P(pattern), T(term))
+
     def test_size_guard(self):
         with pytest.raises(OracleSizeError):
             brute_force_matches(P("$X"), T("9 * a"))

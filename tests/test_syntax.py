@@ -69,8 +69,8 @@ class TestParseTerm:
         assert peak < 1 << 20
         assert print_term(mf.init) == "1000000 * a | <m>[ 1000000 * b ]"
         cell, = (c for c in component_counts(mf.init) if isinstance(c, Loop))
-        assert mf.init._components is None
-        assert cell.content._components is None
+        assert component_counts(mf.init) == {Seq(("a",)): 1000000, cell: 1}
+        assert component_counts(cell.content) == {Seq(("b",)): 1000000}
         # the largest multiplicity there is, read as cheaply
         assert component_counts(parse_term(f"{2 ** 63 - 1} * a")) \
             == {Seq(("a",)): 2 ** 63 - 1}
@@ -123,10 +123,16 @@ class TestPatternPrinting:
         "<~x>[ perm | $X ] | $Y",
         "a.?y.~x | $X",
         "3 * a.b | <m>[eps]",
+        "a | b | a | <~x>[ 2 * c | $X ] | $Y | $Y",
+        f"{2 ** 62} * a | $X",
     ])
     def test_round_trip(self, text):
         p = parse_pattern(text)
         assert parse_pattern(print_pattern(p)) == p
+
+    def test_multiplicity(self):
+        assert print_pattern(parse_pattern("a | $X | a | a")) \
+            == "3 * a | $X"
 
 
 class TestRates:
@@ -445,13 +451,11 @@ def test_parse_error_messages(parser, text, message):
     assert str(exc.value) == message
 
 
-# whole numbers carry a trailing blank, so that a run of digits cannot
-# spell a multiplicity in the millions: legal, but slow to expand
 FUZZ_PIECES = [
     "model", "typing", "positional", "literal", "const", "type", "rule",
     "lhs", "rhs", "count", "rate", "init", "observe", "run", "seed",
     "tmax", "samples", "if", "then", "else", "seq", "eps", "a", "b", "m",
-    "n", "k", "t_a", "X", "e", "_", "0 ", "1 ", "2 ", "1.5", "2e3",
+    "n", "k", "t_a", "X", "e", "_", "0", "1", "2", "1.5", "2e3",
     "1e400", "->", "==", *"|.*<>[]{}(),:=$~?/+-#",
     " ", "\t", "\r", "\n", "\u00b2", "\u2460", "\u00e9", "\f", "\xa0",
 ]
