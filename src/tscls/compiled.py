@@ -39,8 +39,8 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cmp_to_key
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional,
-                    Sequence)
+from typing import (TYPE_CHECKING, Callable, Container, Mapping, NamedTuple,
+                    Optional, Sequence)
 
 from .errors import RateEvalError
 from .matching import (DRAWN, INSIDE, Change, Path, placed, replace_copy,
@@ -129,7 +129,9 @@ class Plan:
 
     def entries(self, kept: dict, content: Term, env: TypeEnv,
                 literal: bool, rate: Callable[[dict[str, int]], float],
-                change: Optional[Change] = None) -> list[Entry]:
+                change: Optional[Change] = None,
+                loop: Optional[Loop] = None,
+                carry: Container[Plan] = ()) -> list[Entry]:
         """The rule's enabled outcomes in ``content``, a compartment: one
         ``(key, rate)`` per distinct outcome of positive rate, merged and
         ordered as their targets and rates would be, so ``build(state,
@@ -146,8 +148,13 @@ class Plan:
         if any, made under the same ``env``, ``literal`` and ``rate``: it
         is brought up to date by those cells, and its rates are kept if
         the frame totals are the same. Otherwise the order is made
-        afresh. If a rate raises, the rates are evaluated again in the
-        order of the general path, which raises its first error."""
+        afresh. If ``loop`` is given too, ``content`` holds the compartment
+        an event rewrote in the cell that replaced ``loop``, and the plans
+        in ``carry`` read that cell as they read ``loop`` (see
+        :func:`dependents`): if this is one, the cell takes ``loop``'s
+        :class:`_Cell` and rates. If a rate raises, the rates are
+        evaluated again in the order of the general path, which raises
+        its first error."""
         have = component_counts(content)
         if not _contains(have, self.need):
             kept.pop(self, None)
@@ -162,7 +169,7 @@ class Plan:
         base = kept.get(self) if change is not None else None
         try:
             order = self._order(base, content, have, env, literal, rate,
-                                change)
+                                change, loop if self in carry else None)
         except RateEvalError:
             totals = self._totals(content, env)
             for cell in self._in_general_order(have):
@@ -203,7 +210,8 @@ class Plan:
     def _order(self, base: Optional[Order], content: Term, have: Mapping,
                env: TypeEnv, literal: bool,
                rate: Callable[[dict[str, int]], float],
-               change: Optional[Change]) -> Optional[Order]:
+               change: Optional[Change],
+               loop: Optional[Loop] = None) -> Optional[Order]:
         """The order of ``content``, a canonical compartment of component
         counter ``have``, made from ``base``, the order of the compartment
         it replaced, and ``change``, the cells it lost and gained against
@@ -211,7 +219,13 @@ class Plan:
         of the cells gained are placed by bisection. Only the added
         candidates are rated if the frame totals are the same. Without a
         base, every cell's candidates are sorted. None if ``content``
-        holds no cell."""
+        holds no cell.
+
+        With ``loop``, the one cell gained, if any, replaced ``loop`` and
+        takes its :class:`_Cell`, and the frame is the base's: an event
+        inside a cell leaves the types of the compartment around it as
+        they were. If that cell is the compartment's only one, the base's
+        candidates and rates are kept in place for it."""
         if base is None:
             if not isinstance(next(reversed(have), None), Loop):
                 return None  # loops sort last
@@ -219,9 +233,16 @@ class Plan:
             change = ((), [comp for comp in have if isinstance(comp, Loop)])
         cells, cands, rates = base.cells, base.cands, base.rates
         gone, came = change
-        if not came and len(gone) == len(cells):
-            return None
-        totals = self._totals(content, env)
+        if loop is None:
+            if not came and len(gone) == len(cells):
+                return None
+            totals = self._totals(content, env)
+        else:
+            was, totals = cells[loop], base.totals
+            if gone and came and len(cells) == 1:
+                entry = was and was.carried(came[0])
+                return Order({came[0]: entry}, [
+                    (entry, membrane) for _, membrane in cands], rates, totals)
         if base.totals != totals:
             rates = None
         elif not gone and not came:
@@ -238,7 +259,11 @@ class Plan:
                     del rates[j]
         new = []
         for cell in came:
-            entry = cells[cell] = self._cell(cell, env, literal)
+            if loop is None:
+                entry = self._cell(cell, env, literal)
+            else:
+                entry = was and was.carried(cell)
+            cells[cell] = entry
             if entry:
                 new += [(entry, membrane) for membrane in entry.membranes]
         if cands:
@@ -318,11 +343,11 @@ class Plan:
 
         Each compartment the build makes gets its component multiset and
         type histogram from the one it replaces, changed by the outcome.
-        If ``trail`` is a list, ``(role, new, old, change)`` is appended
-        to it for each, as :func:`~tscls.matching.splice` does for the
-        enclosing ones: the ``DRAWN`` one for ``content``, with the cells
-        it lost and gained, and, for a loop rule that changed the cell's
-        content, the ``INSIDE`` one for that content, with no cell
+        If ``trail`` is a list, ``(role, new, old, change, None)`` is
+        appended to it for each, as :func:`~tscls.matching.splice` does
+        for the enclosing ones: the ``DRAWN`` one for ``content``, with the
+        cells it lost and gained, and, for a loop rule that changed the
+        cell's content, the ``INSIDE`` one for that content, with no cell
         changed."""
         counter, came = _rebuilt(component_counts(content), self.need,
                                  self.give)
@@ -343,7 +368,7 @@ class Plan:
                     typed[1], seq_types(membrane, env, False),
                     seq_types(cell.membrane, env, False)))
             if new.content is not cell.content:
-                inner = (INSIDE, new.content, cell.content, ((), ()))
+                inner = (INSIDE, new.content, cell.content, ((), ()), None)
                 was = cell.content._types
                 if new.content._types is None and was is not None:
                     new.content._types = (was[0], _shifted(
@@ -351,7 +376,7 @@ class Plan:
         out = counted(placed(counter, came))
         out._types = typed
         if trail is not None:
-            trail.append((DRAWN, out, content, change))
+            trail.append((DRAWN, out, content, change, None))
             if inner is not None:
                 trail.append(inner)
         return splice(state, path, out, trail)
@@ -379,6 +404,12 @@ class _Cell:
         self.same = same
         self._inner: Optional[Term] = None
         self._successors: dict[tuple[str, ...], Loop] = {}
+
+    def carried(self, cell: Loop) -> "_Cell":
+        """The :class:`_Cell` of ``cell``, which the rule reads as it reads
+        this one's cell: the same counts, shares and membranes."""
+        return _Cell(self.plan, cell, self.counts, self.shares,
+                     self.membranes, self.same)
 
     def successor(self, membrane: tuple[str, ...]) -> Loop:
         """The loop that replaces the cell when it takes ``membrane``. Its
@@ -518,38 +549,54 @@ def _rebuilt(have: Mapping, need: Counter, give: Counter
 
 
 def dependents(plans: Sequence[Optional[Plan]], r: int, env: TypeEnv
-               ) -> tuple[frozenset[int], frozenset[int]]:
-    """The indexes of the plans without a loop whose outcomes an outcome
-    of ``plans[r]`` can change, in the compartment it rewrites and in the
-    content of the cell it rewrites. None in ``plans`` stands for a rule
-    without a plan.
+               ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The indexes of the plans whose outcomes an outcome of ``plans[r]``
+    can change, in the compartment it rewrites and in the content of the
+    cell it rewrites; and of the loop plans whose reading of a cell an
+    outcome of ``plans[r]`` inside that cell can change. None in
+    ``plans`` stands for a rule without a plan.
 
-    Such a plan's outcomes in a compartment depend on whether it holds
-    ``need`` and on the counts of the types it counts. An outcome changes
-    the number of the components whose count ``give`` and ``need``
-    differ in, and of the types of its histogram change. A loop rule
-    whose rhs membrane is more than its ``~x`` changes the types of the
-    cell's membrane as well, so it can change every plan's outcomes."""
+    A plan's outcomes in a compartment depend on whether it holds
+    ``need``, on the counts of the types its frame count blocks count
+    and, for a loop plan, on the compartment's cells. A loop plan reads
+    of a cell whether its content holds ``inner_need``, the counts of the
+    types its INNER count blocks count, and the membrane, which an event
+    inside the cell leaves as it is. An outcome changes the number of the
+    components whose count ``give`` and ``need`` differ in, and of the
+    types of its histogram change. A loop plan's outcome changes a cell
+    too, and, if its rhs membrane is more than its ``~x``, the types of
+    the cell's membrane, so it can change all a plan reads of the
+    compartment."""
     plan, typed = plans[r], plans[r].typed(env)
+    loops = frozenset(q for q, other in enumerate(plans)
+                      if other is not None and other.membrane is not None)
 
-    def hit(need: Counter, give: Counter, change: Types) -> frozenset[int]:
+    def hit(need: Counter, give: Counter, change: Types, what: str = FRAME
+            ) -> frozenset[int]:
+        """The plans that read a moved component or a changed type of a
+        compartment: as their frame, or, if ``what`` is INNER, as the
+        content of a cell."""
         moved = {comp for comp in need.keys() | give.keys()
                  if need.get(comp, 0) != give.get(comp, 0)}
         return frozenset(
-            q for q, other in enumerate(plans)
-            if other is not None and other.membrane is None
-            and (not moved.isdisjoint(other.need) or any(
-                tn in change for _, entries in other.decls
-                for tn, _ in entries)))
+            q for q, other in enumerate(plans) if other is not None
+            and (not moved.isdisjoint(
+                (other.need if what is FRAME else other.inner_need) or ())
+                 or any(tn in change for kind, entries in other.decls
+                        if kind is what for tn, _ in entries)))
 
     if plan.membrane is None:
-        return hit(plan.need, plan.give, typed.change), frozenset()
+        return (hit(plan.need, plan.give, typed.change), frozenset(),
+                hit(plan.need, plan.give, typed.change, INNER))
     if plan.membrane == (None,):
-        outer = hit(plan.need, plan.give, typed.change)
+        outer = hit(plan.need, plan.give, typed.change) | loops
+        around = hit(plan.need, plan.give, typed.change, INNER)
     else:
         outer = frozenset(q for q, other in enumerate(plans)
-                          if other is not None and other.membrane is None)
-    return outer, hit(plan.inner_need, plan.inner_give, typed.inner_change)
+                          if other is not None)
+        around = loops
+    return (outer, hit(plan.inner_need, plan.inner_give, typed.inner_change),
+            around)
 
 
 def compile_rule(rule: RewriteRule) -> Optional[Plan]:

@@ -27,9 +27,10 @@ Path = tuple[int, ...]
 Change = tuple[tuple[Loop, ...], tuple[Loop, ...]]
 
 # what a compartment that building a target made is, in an entry
-# (role, new, old, change) of the build's trail: the compartment a rule
-# rewrote, the content of the cell it rewrote, or one enclosing them
-DRAWN, INSIDE, AROUND = range(3)
+# (role, new, old, change, loop) of the build's trail: the compartment a
+# rule rewrote, the content of the cell it rewrote, the compartment that
+# holds the first in a cell, or one enclosing that
+DRAWN, INSIDE, AROUND, OUTER = range(4)
 
 Binding = Union[Term, tuple[str, ...], str]
 
@@ -132,9 +133,11 @@ def splice(state: Term, path: Path, new_content: Term,
     multiset with one copy of the loop replaced (by :func:`replace_copy`),
     the new loop placed among the components around it (by
     :func:`placed`), and its predecessor's type histogram. If ``trail`` is
-    a list, ``(AROUND, new, old, change)`` is appended to it for each
-    enclosing compartment rebuilt, innermost first, with the ``change``
-    that ``replace_copy`` gives."""
+    a list, ``(role, new, old, change, loop)`` is appended to it for each
+    enclosing compartment rebuilt, innermost first: ``role`` is AROUND
+    for the compartment that holds the replaced one in a cell and OUTER
+    for the others, ``change`` is what ``replace_copy`` gives, and
+    ``loop`` is the loop replaced."""
     if not path:
         return canonicalize(new_content)
     state = canonicalize(state)
@@ -153,7 +156,7 @@ def splice(state: Term, path: Path, new_content: Term,
     out = counted(placed(counts, change[1]))
     out._types = state._types  # the loop keeps its membrane
     if trail is not None:
-        trail.append((AROUND, out, state, change))
+        trail.append((OUTER if rest else AROUND, out, state, change, comp))
     return out
 
 

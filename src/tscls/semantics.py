@@ -281,14 +281,18 @@ class Enumerator:
 
     A target built from a compiled outcome leaves the enumerator what it
     changed: each compartment it made, the one that compartment replaced,
-    and the cells that left and came. A compartment so made is
-    enumerated from its predecessor's outcomes: a rule without a loop
-    keeps them unless the drawn rule can change them (see
-    :func:`~tscls.compiled.dependents`), which it never can in an
-    enclosing compartment, and each loop rule updates its order by the
-    cells that changed. Any other compartment not kept is enumerated
-    afresh. Rules without a plan are matched afresh in every state: that
-    path is the reference.
+    the cells that left and came, and, in an enclosing compartment, the
+    loop replaced. A compartment so made is enumerated from its
+    predecessor's outcomes (see :func:`~tscls.compiled.dependents`). In
+    the compartment the drawn rule rewrote and in the content of the cell
+    it rewrote, a compiled rule keeps them unless the drawn rule can
+    change them. In an enclosing compartment, a rule without a loop keeps
+    them, and each loop rule updates its order by the cells that changed:
+    the new cell takes the loop rule's reading of the old one, except
+    where the drawn rule rewrote that cell's content and can change what
+    the loop rule reads of it. Any other compartment not kept is
+    enumerated afresh. Rules without a plan are matched afresh in every
+    state: that path is the reference.
 
     Each rule's rates are kept per tuple of counts, under the constants
     as they were when the enumerator was made: it keeps its own copy.
@@ -312,14 +316,18 @@ class Enumerator:
                        for rule, table in zip(self.rules, self._tables)]
         self._every = tuple(range(len(self.rules)))
         # the rules enumerated again in every compartment an event made:
-        # those with a loop or without a plan
+        # those without a plan
         self._always = {index for index, rule in enumerate(self.rules)
-                        if rule.plan is None or rule.plan.membrane is not None}
-        # per compiled rule, once one of its outcomes is built: the rules
-        # to enumerate again in a compartment the build made, indexed by
-        # its role in the build's trail (DRAWN, INSIDE, AROUND in
-        # matching); the last is the same for every rule
-        self._around = _indexes(self._always)
+                        if rule.plan is None}
+        self._loops = frozenset(
+            index for index, rule in enumerate(self.rules)
+            if rule.plan is not None and rule.plan.membrane is not None)
+        # per compiled rule, once one of its outcomes is built: per role
+        # in the build's trail (DRAWN, INSIDE, AROUND, OUTER in matching),
+        # the rules to enumerate again in a compartment the build made, as
+        # _indexes gives them; the last is the same for every rule
+        self._outer = _indexes(self._always | self._loops,
+                               self._plans(self._loops))
         self._redo: list[Optional[tuple]] = [None] * len(self.rules)
         # what a term's outcomes are tied to; not the enumerator itself,
         # which would keep its rules alive as long as any term it visited
@@ -362,11 +370,12 @@ class Enumerator:
             hint = made.get(id(content))
             base = hint[1]._outcomes if hint is not None else None
             if base is not None and base[0] is self._token:
-                _, _, (redo, again), change = hint
+                _, _, (redo, again, carry), change, loop = hint
                 outs = [out for out in base[1] if out[0] not in again]
                 orders = dict(base[2])
             else:
-                redo, change, outs, orders = self._every, None, [], {}
+                redo, change, loop, carry = self._every, None, None, ()
+                outs, orders = [], {}
             for index in redo:
                 rule = self.rules[index]
                 plan = rule.plan
@@ -376,7 +385,7 @@ class Enumerator:
                 try:
                     found = plan.entries(orders, content, self.env,
                                          self._literal, self._rates[index],
-                                         change)
+                                         change, loop, carry)
                 except RateEvalError as exc:
                     raise _located(exc, path) from None
                 if found:
@@ -406,15 +415,19 @@ class Enumerator:
                                               trail)
         redo = self._redo[index]
         if redo is None:
-            outer, inside = dependents([rule.plan for rule in self.rules],
-                                       index, self.env)
-            always = self._always
-            redo = self._redo[index] = (_indexes(always | outer),
-                                        _indexes(always | inside),
-                                        self._around)
-        self._made = {id(new): (new, old, redo[role], change)
-                      for role, new, old, change in trail}
+            drawn, inside, around = dependents(
+                [rule.plan for rule in self.rules], index, self.env)
+            always, loops = self._always, self._loops
+            redo = self._redo[index] = (
+                _indexes(always | drawn), _indexes(always | inside),
+                _indexes(always | loops, self._plans(loops - around)),
+                self._outer)
+        self._made = {id(new): (new, old, redo[role], change, loop)
+                      for role, new, old, change, loop in trail}
         return target
+
+    def _plans(self, indexes: frozenset[int]) -> frozenset[Plan]:
+        return frozenset(self.rules[index].plan for index in indexes)
 
     def _match(self, state: Term, path: tuple[int, ...], content: Term,
                index: int, rule: RewriteRule, groups: list[tuple]) -> None:
@@ -441,9 +454,12 @@ class Enumerator:
             groups.append((index, path, None, None, survivors))
 
 
-def _indexes(indexes: set[int]) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Rule indexes in order, and as a set."""
-    return tuple(sorted(indexes)), frozenset(indexes)
+def _indexes(indexes: set[int], carry: frozenset[Plan] = frozenset()
+             ) -> tuple[tuple[int, ...], frozenset[int], frozenset[Plan]]:
+    """Rule indexes in order, as a set, and the plans of the loop rules
+    among them that read the cell the event was in as they read the one
+    it replaced."""
+    return tuple(sorted(indexes)), frozenset(indexes), carry
 
 
 def _resolved(rule: RewriteRule, path: tuple[int, ...],

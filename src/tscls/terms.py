@@ -39,20 +39,35 @@ from .errors import WellFormednessError
 _KEY = attrgetter("key")
 
 
+# the sequences made last, by their element names, so that equal
+# sequences are mostly one object and a dict lookup matches them by
+# identity, without a call of Seq.__eq__; cleared when full
+_SEQS: dict[tuple[str, ...], "Seq"] = {}
+
+
 class Seq:
     """A flat, non-rotating element sequence used as a parallel component.
 
     ``elems`` is a tuple of element names; the empty tuple is the neutral
-    sequence and is erased by canonicalization.
+    sequence and is erased by canonicalization. ``Seq(elems)`` gives the
+    sequence already made with those names, if it is still kept.
     """
 
     __slots__ = ("elems", "key", "_hash")
 
-    def __init__(self, elems: Iterable[str] = ()):
-        self.elems = tuple(elems)
-        # shortlex component order: kind tag, length, then names
-        self.key = (0, len(self.elems), self.elems)
-        self._hash = hash(self.key)
+    def __new__(cls, elems: Iterable[str] = ()) -> "Seq":
+        elems = tuple(elems)
+        seq = _SEQS.get(elems)
+        if seq is None:
+            seq = super().__new__(cls)
+            seq.elems = elems
+            # shortlex component order: kind tag, length, then names
+            seq.key = (0, len(elems), elems)
+            seq._hash = hash(seq.key)
+            if len(_SEQS) >= 4096:
+                _SEQS.clear()
+            _SEQS[elems] = seq
+        return seq
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Seq)

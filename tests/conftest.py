@@ -19,6 +19,7 @@ from tscls import (CountDecl, ElemLit, ElemVar, Loop, Pattern, PLoop, PSeq,
                    parse_rate, pat, pattern_vars, tvar)
 from tscls.catalog import OsmosisParams, osmosis_rules
 from tscls.rates import BinOp, IfZero, Name, Num
+from tscls.terms import component_counts
 
 ALPHABET = ("a", "b", "c", "d", "e", "f")
 
@@ -98,11 +99,19 @@ def _abstract_seq(rng: random.Random, elems: tuple[str, ...],
 def abstract_pattern(rng: random.Random, t: Term,
                      names: _NameGen = None) -> Pattern:
     """A pattern guaranteed to match ``t`` (via the identity-shaped
-    binding), with concrete positions randomly abstracted to variables."""
+    binding), with concrete positions randomly abstracted to variables.
+    If ``t`` holds a component twice, a term variable sometimes occurs
+    twice and binds one copy in each place."""
     names = names or _NameGen()
     items = []
     comps = list(t.components)
     rng.shuffle(comps)
+    twice = [comp for comp, n in component_counts(t).items() if n > 1]
+    if twice and rng.random() < 0.5:
+        comp = rng.choice(twice)
+        comps.remove(comp)
+        comps.remove(comp)
+        items += [PTermVar(names.fresh("X"))] * 2
     absorbed = 0
     for comp in comps:
         if rng.random() < 0.35:
@@ -121,8 +130,12 @@ def abstract_pattern(rng: random.Random, t: Term,
 
 
 def random_rule(rng: random.Random, rule_id: str) -> RewriteRule:
-    """A validated random rule whose lhs matches at least one small term."""
+    """A validated random rule whose lhs matches at least one small term.
+    That term sometimes holds a component twice, so the lhs may repeat a
+    term variable (see :func:`abstract_pattern`)."""
     base = random_term(rng, depth=1, max_comps=3)
+    if base.components and rng.random() < 0.3:
+        base = Term(base.components + (rng.choice(base.components),))
     lhs = abstract_pattern(rng, base)
     vars_ = list(pattern_vars(lhs))
 

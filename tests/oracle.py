@@ -137,18 +137,23 @@ def _match_term(pattern: Pattern, t: Term) -> Iterator[BindingMap]:
                 continue
             yield from partials
             continue
-        distinct = sorted(set(tvars))
-        for split in itertools.product(range(len(distinct)),
+        # each occurrence of a term variable takes its own group of the
+        # leftover, and a variable binds the term all its groups make
+        for split in itertools.product(range(len(tvars)),
                                        repeat=len(leftover)):
-            groups: list[list] = [[] for _ in distinct]
+            groups: list[list] = [[] for _ in tvars]
             for comp, slot in zip(leftover, split):
                 groups[slot].append(comp)
-            bound = {Var(VarKind.TERM, name): canonicalize(Term(group))
-                     for name, group in zip(distinct, groups)}
-            for partial in partials:
-                merged = _merge(partial, bound)
-                if merged is not None:
-                    yield merged
+            bound: BindingMap = {}
+            for name, group in zip(tvars, groups):
+                term = canonicalize(Term(group))
+                if bound.setdefault(Var(VarKind.TERM, name), term) != term:
+                    break
+            else:
+                for partial in partials:
+                    merged = _merge(partial, bound)
+                    if merged is not None:
+                        yield merged
 
 
 def _subst_seq(atoms: tuple[SeqAtom, ...], b: BindingMap) -> tuple[str, ...]:

@@ -619,10 +619,12 @@ def test_a_warm_step_reuses_histograms_and_rates(monkeypatch):
 def test_a_step_enumerates_only_what_an_event_changed(monkeypatch):
     # 20 cells; an event changes one compartment and those enclosing it,
     # and the next step of the same enumerator calls Plan.entries there
-    # only: for the loop rules, and for the rule without a loop where the
-    # event can change its outcomes. AB counts t_A, so an A -> B event in
-    # a cell changes its outcomes in that cell only, and an osmosis event
-    # none of them
+    # only: around the changed cell for the loop rules, whose outcomes
+    # must name the new cell, and inside it for the rules whose outcomes
+    # the event can change. AB counts t_A, so an A -> B event in a cell
+    # changes AB's outcomes there, and no count the osmosis rules read;
+    # an osmosis event changes the cell's count of W, which both osmosis
+    # rules read there, and none of AB's
     cells = " | ".join(f"<m.p>[ {n} * W | 3 * S | A ]" for n in range(1, 21))
     state = canonicalize(T(f"{cells} | 30 * W | 10 * S | A"))
     rules = osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
@@ -635,7 +637,8 @@ def test_a_step_enumerates_only_what_an_event_changed(monkeypatch):
     monkeypatch.setattr(Plan, "entries", lambda self, kept, content, *rest:
                         seen.append((self, id(content)))
                         or entries(self, kept, content, *rest))
-    for drawn, at_root, redo in (("AB", False, (ab,)), ("W_out", True, ())):
+    for drawn, at_root, redo in (("AB", False, (ab,)),
+                                 ("W_out", True, (w_out, w_in))):
         target = next(tr for tr in outcomes.all() if tr.rule_id == drawn
                       and (tr.path == ()) == at_root).target
         before = {id(site.content) for site in compartments(state)}
@@ -647,23 +650,128 @@ def test_a_step_enumerates_only_what_an_event_changed(monkeypatch):
         got = enumerator.outcomes(target).all()
         # the root, then the content of the cell the event changed
         assert seen == [(w_out, id(target)), (w_in, id(target))] + [
-            (plan, id(cell.content)) for plan in (w_out, w_in) + redo]
+            (plan, id(cell.content)) for plan in redo]
         del seen[:]
         assert got == transitions(target, rules, TypeEnv(), {})
         assert len(seen) == 21 * len(rules)  # a fresh enumerator keeps nothing
         state, outcomes = target, enumerator.outcomes(target)
 
 
+def steps_after(rules, state, drawn):
+    """For each outcome of rule ``drawn`` in ``state``: the transitions of
+    its target from the enumerator that drew it, and from a fresh one."""
+    out = []
+    for i, tr in enumerate(transitions(state, rules, TypeEnv(), {})):
+        if tr.rule_id == drawn:
+            enumerator = Enumerator(rules, TypeEnv(), {})
+            target = enumerator.outcomes(state).transition(i).target
+            out.append((enumerator.outcomes(target).all(),
+                        transitions(target, rules, TypeEnv(), {})))
+    return out
+
+
+def rated(trs, rule_id):
+    return sorted(tr.rate for tr in trs if tr.rule_id == rule_id)
+
+
+GROW = loop_rule("grow", "<~x>[ $X ] | A | $Y", "<p.~x>[ $X ] | $Y", "1")
+COUNT_P = loop_rule("count", "<~x>[ $X ] | $Y", "<~x>[ $X ] | $Y", "n + 1",
+                    (X, [(TypeName("t_p", True), "n")]))
+
+
+@pytest.mark.parametrize("rules, state, drawn, watched", [
+    # AS moves no W, which is all W_out needs in a cell, but changes the
+    # count of S there, which both osmosis rules read
+    (osmosis_pair() + [rule("AS", "A | $X", "S | $X", "1")], cells,
+     "AS", "W_out") for cells in (
+        "<m.p>[ 3 * W | S | A ] | 5 * W | 2 * S",
+        "<m.p>[ 3 * W | S | A ] | <p>[ 2 * W | 4 * S ] | 5 * W | 2 * S",
+        "2 * <m.p>[ 3 * W | S | A ] | 5 * W | 2 * S")] + [
+    # AC takes the A that "in" needs in the cell, and changes no count
+    ([loop_rule("in", "<~x>[ A | $X ] | $Y", "<~x>[ B | $X ] | $Y", "1"),
+      rule("AC", "A | $X", "C | $X", "1")], cells, "AC", "in")
+    for cells in ("<m>[ A ] | c", "<m>[ A | B ] | <p>[ B ] | c")] + [
+    # grow adds p to the membrane of a cell inside <d>, and "count" counts
+    # seq(t_p) in <d>
+    ([GROW, COUNT_P], "<d>[ <m>[ c ] | A ] | b", "grow", "count")] + [
+    # beside the cells: AW adds to the W that the osmosis rules count
+    # there, and AC takes the A that "up" needs there
+    (osmosis_pair() + [rule("AW", "A | $X", "W | $X", "1")],
+     "<m.p>[ 3 * W | S ] | <p>[ W | 2 * S ] | 2 * W | 3 * S | A", "AW",
+     "W_out"),
+    ([loop_rule("up", "<~x>[ $X ] | A | $Y", "<~x>[ A | $X ] | $Y", "1"),
+      rule("AC", "A | $X", "C | $X", "1")], "<m>[ B ] | A", "AC", "up")])
+def test_an_event_rates_the_loop_rules_that_read_what_it_changed(
+        rules, state, drawn, watched):
+    # the event changes what a loop rule reads of its compartment or of
+    # a cell there: the next step of the same enumerator must rate that
+    # rule again, as a fresh enumeration does
+    state = canonicalize(T(state))
+    before = rated(transitions(state, rules, TypeEnv(), {}), watched)
+    steps = steps_after(rules, state, drawn)
+    assert steps
+    for got, fresh in steps:
+        assert got == fresh
+        assert rated(fresh, watched) != before
+
+
+def test_an_event_that_makes_perm_rates_r13_again():
+    # R6 inside lac's cell makes a perm, which R13, the root's permease
+    # insertion, needs in the cell and counts there: the next step must
+    # give R13 its new rate
+    model = lac_operon_model()
+    env, consts = model.type_env(), model.constants
+    state = canonicalize(T("<m>[ Rna | perm | 5 * repr ] | 3 * LACT"))
+    enumerator = Enumerator(model.rules, env, consts)
+    before = enumerator.outcomes(state).all()
+    [r6] = [tr for tr in before if tr.rule_id == "R6"]
+    got = enumerator.outcomes(r6.target).all()
+    assert got == transitions(r6.target, model.rules, env, consts)
+    assert rated(before, "R13") == [0.1] and rated(got, "R13") == [0.2]
+
+
+def test_an_event_two_membranes_deep_keeps_the_enclosing_orders(
+        monkeypatch):
+    # AB inside a cell inside <d>, alone or beside other cells at each
+    # level, one of them the cell AB makes: the osmosis rules read
+    # nothing AB changes, so the next step carries their orders of
+    # outcomes around the event to the cells that replaced the old ones,
+    # reading no cell and no frame again, and gives the transitions of a
+    # fresh enumeration
+    rules = osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
+                                   [(TypeName("t_A"), "n")])]
+    for inner, outer in (("", ""), (" | <q>[ 2 * W ]", " | <p>[ W | 2 * S ]"),
+                         (" | <m.p>[ 3 * W | S | B ]", "")):
+        state = canonicalize(T(
+            f"<d>[ <m.p>[ 3 * W | S | A ]{inner} | 4 * W | S ]{outer}"
+            " | 2 * W | 3 * S"))
+        enumerator = Enumerator(rules, TypeEnv(), {})
+        outcomes = enumerator.outcomes(state)
+        [tr] = [tr for tr in outcomes.all() if tr.rule_id == "AB"]
+        assert len(tr.path) == 2
+        read = []
+        with monkeypatch.context() as patch:
+            for name in ("_cell", "_totals"):
+                patch.setattr(Plan, name, lambda *args, fn=getattr(
+                    Plan, name): read.append(args) or fn(*args))
+            got = enumerator.outcomes(tr.target).all()
+        assert not read
+        assert got == transitions(tr.target, rules, TypeEnv(), {})
+
+
 def test_lac_steps_cost_what_their_events_changed(monkeypatch):
     # an event on lac changes a few components of one compartment: the
-    # next step re-rates the loop rules and the rules the event can
-    # affect (15 rules in two compartments if it re-rated all), types no
-    # compartment afresh, and the observables follow from the drawn rule
+    # next step enumerates again the rules the event can affect there and
+    # the loop rules around it (15 rules in two compartments if it did
+    # all), reads the cell again only for a loop rule that reads what the
+    # event changed, types no compartment afresh, and the observables
+    # follow from the drawn rule
     calls = Counter()
 
     def counted(name, fn):
         return lambda *args: calls.update([name]) or fn(*args)
     monkeypatch.setattr(Plan, "entries", counted("entries", Plan.entries))
+    monkeypatch.setattr(Plan, "_cell", counted("cells", Plan._cell))
     for module in (terms, compiled):
         monkeypatch.setattr(module, "counter_types",
                             counted("types", terms.counter_types))
@@ -675,7 +783,8 @@ def test_lac_steps_cost_what_their_events_changed(monkeypatch):
         events += simulate(model, model.sim_config(seed=seed,
                                                    max_steps=150)).steps
     assert events == 450
-    assert calls["entries"] <= 12 * events
+    assert calls["entries"] <= 9 * events
+    assert calls["cells"] <= 0.6 * events
     assert calls["types"] <= 0.5 * events
     assert calls["walks"] == 3
 

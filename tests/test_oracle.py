@@ -54,10 +54,13 @@ class TestBruteForceMatches:
         ("2 * <~x>[ $X ] | $Y", "2 * <m>[ a ] | <m.n>[ a ]", 1),
         ("2 * ?y | $X", "a | b | 2 * c | 2 * d.e", 1),
         ("2 * ~x | $X", "3 * a | b", 2),
+        ("2 * $X | $Y", "3 * a | b", 2),
+        ("<~x>[ $X ] | 2 * $X", "<m>[ a ] | 2 * a", 1),
     ])
     def test_repeated_items(self, pattern, term, found):
         # n copies of an item take n copies of one component, the same
-        # the oracle finds by matching every copy on its own
+        # the oracle finds by matching every copy on its own; each
+        # occurrence of a term variable binds the same term
         got = brute_force_matches(P(pattern), T(term))
         assert len(got) == found
         assert got == match_whole(P(pattern), T(term))
