@@ -178,6 +178,21 @@ def membrane_counter(rule_id):
                        parse_rate(" + ".join(names) + " + 1"), (count,))
 
 
+def cell_counter(rule_id):
+    """A loop rule that rewrites nothing, at a rate that counts the
+    elements of every basic type in a cell's content and beside the cell:
+    an event inside the cell or beside it that changes such a count
+    changes its rate."""
+    counts, names = [], []
+    for var in ("X", "Y"):
+        entries = tuple((TypeName("t_" + e), f"{var}{e}") for e in ALPHABET)
+        counts.append(CountDecl(Var(VarKind.TERM, var), entries))
+        names += [name for _, name in entries]
+    cell = PLoop(PSeq((SeqVar("x"),)), pat(tvar("X")))
+    return RewriteRule(rule_id, pat(cell, tvar("Y")), pat(cell, tvar("Y")),
+                       parse_rate(" + ".join(names) + " + 1"), tuple(counts))
+
+
 def uptake(rule_id, element):
     """A loop rule that moves ``element`` into a cell and adds ``b`` to
     the cell's membrane: its events change the observables inside and
@@ -195,8 +210,9 @@ def random_model(rng):
     and cells, repeated and nested; one to three rules, of the compiled
     loop and ground shapes and of general shapes, counting on the frame,
     on a cell's content and on its membrane, and sometimes a
-    :func:`membrane_counter` or an :func:`uptake`; a typing and a typing
-    mode; every element of the model observed, in a drawn order."""
+    :func:`membrane_counter`, a :func:`cell_counter` or an
+    :func:`uptake`; a typing and a typing mode; every element of the
+    model observed, in a drawn order."""
     init = canonicalize(random_loop_state(rng))
 
     def general_rule(i):
@@ -214,6 +230,8 @@ def random_model(rng):
     rules = [rng.choice(makers)(i) for i in range(rng.randint(1, 3))]
     if rng.random() < 0.5:
         rules.append(membrane_counter(f"r{len(rules)}"))
+    if rng.random() < 0.5:
+        rules.append(cell_counter(f"r{len(rules)}"))
     if rng.random() < 0.5:
         bare = sorted({c.elems[0] for c in init.components
                        if isinstance(c, Seq) and len(c.elems) == 1})
