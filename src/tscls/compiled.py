@@ -39,8 +39,8 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cmp_to_key
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Callable, Container, Mapping, NamedTuple,
-                    Optional, Sequence)
+from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from .errors import RateEvalError
 from .matching import (DRAWN, INSIDE, Change, Path, placed, replace_copy,
@@ -130,8 +130,7 @@ class Plan:
     def entries(self, kept: dict, content: Term, env: TypeEnv,
                 literal: bool, rate: Callable[[dict[str, int]], float],
                 change: Optional[Change] = None,
-                loop: Optional[Loop] = None,
-                carry: Container[Plan] = ()) -> list[Entry]:
+                loop: Optional[Loop] = None) -> list[Entry]:
         """The rule's enabled outcomes in ``content``, a compartment: one
         ``(key, rate)`` per distinct outcome of positive rate, merged and
         ordered as their targets and rates would be, so ``build(state,
@@ -149,12 +148,11 @@ class Plan:
         is brought up to date by those cells, and its rates are kept if
         the frame totals are the same. Otherwise the order is made
         afresh. If ``loop`` is given too, ``content`` holds the compartment
-        an event rewrote in the cell that replaced ``loop``, and the plans
-        in ``carry`` read that cell as they read ``loop`` (see
-        :func:`dependents`): if this is one, the cell takes ``loop``'s
-        :class:`_Cell` and rates. If a rate raises, the rates are
-        evaluated again in the order of the general path, which raises
-        its first error."""
+        an event rewrote in the cell that replaced ``loop``, and the plan
+        reads that cell as it read ``loop`` (see :func:`dependents`): the
+        cell takes ``loop``'s :class:`_Cell` and rates. If a rate raises,
+        the rates are evaluated again in the order of the general path,
+        which raises its first error."""
         have = component_counts(content)
         if not _contains(have, self.need):
             kept.pop(self, None)
@@ -169,7 +167,7 @@ class Plan:
         base = kept.get(self) if change is not None else None
         try:
             order = self._order(base, content, have, env, literal, rate,
-                                change, loop if self in carry else None)
+                                change, loop)
         except RateEvalError:
             totals = self._totals(content, env)
             for cell in self._in_general_order(have):

@@ -326,8 +326,7 @@ class Enumerator:
         # in the build's trail (DRAWN, INSIDE, AROUND, OUTER in matching),
         # the rules to enumerate again in a compartment the build made, as
         # _indexes gives them; the last is the same for every rule
-        self._outer = _indexes(self._always | self._loops,
-                               self._plans(self._loops))
+        self._outer = _indexes(self._always | self._loops, self._loops)
         self._redo: list[Optional[tuple]] = [None] * len(self.rules)
         # what a term's outcomes are tied to; not the enumerator itself,
         # which would keep its rules alive as long as any term it visited
@@ -385,7 +384,8 @@ class Enumerator:
                 try:
                     found = plan.entries(orders, content, self.env,
                                          self._literal, self._rates[index],
-                                         change, loop, carry)
+                                         change,
+                                         loop if index in carry else None)
                 except RateEvalError as exc:
                     raise _located(exc, path) from None
                 if found:
@@ -420,14 +420,11 @@ class Enumerator:
             always, loops = self._always, self._loops
             redo = self._redo[index] = (
                 _indexes(always | drawn), _indexes(always | inside),
-                _indexes(always | loops, self._plans(loops - around)),
+                _indexes(always | loops, loops - around),
                 self._outer)
         self._made = {id(new): (new, old, redo[role], change, loop)
                       for role, new, old, change, loop in trail}
         return target
-
-    def _plans(self, indexes: frozenset[int]) -> frozenset[Plan]:
-        return frozenset(self.rules[index].plan for index in indexes)
 
     def _match(self, state: Term, path: tuple[int, ...], content: Term,
                index: int, rule: RewriteRule, groups: list[tuple]) -> None:
@@ -454,11 +451,11 @@ class Enumerator:
             groups.append((index, path, None, None, survivors))
 
 
-def _indexes(indexes: set[int], carry: frozenset[Plan] = frozenset()
-             ) -> tuple[tuple[int, ...], frozenset[int], frozenset[Plan]]:
-    """Rule indexes in order, as a set, and the plans of the loop rules
-    among them that read the cell the event was in as they read the one
-    it replaced."""
+def _indexes(indexes: set[int], carry: frozenset[int] = frozenset()
+             ) -> tuple[tuple[int, ...], frozenset[int], frozenset[int]]:
+    """Rule indexes in order, as a set, and the loop rules among them
+    that read the cell the event was in as they read the one it
+    replaced."""
     return tuple(sorted(indexes)), frozenset(indexes), carry
 
 

@@ -69,6 +69,10 @@ class Seq:
             _SEQS[elems] = seq
         return seq
 
+    def __getnewargs__(self) -> tuple[tuple[str, ...]]:
+        # copy and pickle make the copy through Seq.__new__ and the table
+        return (self.elems,)
+
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Seq)
                                  and self.elems == other.elems)

@@ -1,5 +1,6 @@
 """Term algebra: canonical forms, congruence, typing multisets."""
 
+import copy
 import pickle
 import random
 from collections import Counter
@@ -64,6 +65,17 @@ class TestCanonicalize:
         rng = random.Random(seed)
         t = random_term(rng)
         assert canonicalize(scramble(t, rng)) == canonicalize(t)
+
+    def test_copied_sequences_leave_the_neutral_one_empty(self):
+        a = Seq(("a",))
+        state = T("<m>[ a | b ] | a.c")
+        for again in (copy.copy(a), copy.deepcopy(a),
+                      pickle.loads(pickle.dumps(a))):
+            assert again is a
+        assert copy.deepcopy(state) == state
+        assert pickle.loads(pickle.dumps(state)) == state
+        assert Seq(()).elems == ()
+        assert canonicalize(Term((a, Seq(())))) == T("a")
 
 
 class TestCongruence:
