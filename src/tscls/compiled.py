@@ -69,6 +69,10 @@ Entry = tuple[object, float]
 # loop it rewrites and the rhs membrane it gives it
 Candidate = tuple["_Cell", tuple[str, ...]]
 
+# a rule's rate as a function of its counts, kept in its ``table`` under
+# the key given, or under the counts' names and values in their order
+Rate = Callable[..., float]
+
 
 class Typed(NamedTuple):
     """A plan's type histograms under one environment: those of ``need``
@@ -128,7 +132,7 @@ class Plan:
         self._typed: tuple = (None, None)
 
     def entries(self, kept: dict, content: Term, env: TypeEnv,
-                literal: bool, rate: Callable[[dict[str, int]], float],
+                literal: bool, rate: Rate,
                 change: Optional[Change] = None,
                 loop: Optional[Loop] = None) -> list[Entry]:
         """The rule's enabled outcomes in ``content``, a compartment: one
@@ -206,8 +210,7 @@ class Plan:
         return typed[1]
 
     def _order(self, base: Optional[Order], content: Term, have: Mapping,
-               env: TypeEnv, literal: bool,
-               rate: Callable[[dict[str, int]], float],
+               env: TypeEnv, literal: bool, rate: Rate,
                change: Optional[Change],
                loop: Optional[Loop] = None) -> Optional[Order]:
         """The order of ``content``, a canonical compartment of component
@@ -217,7 +220,9 @@ class Plan:
         of the cells gained are placed by bisection. Only the added
         candidates are rated if the frame totals are the same. Without a
         base, every cell's candidates are sorted. None if ``content``
-        holds no cell.
+        holds no cell. A candidate's rate is looked up in ``rate.table``
+        by its :class:`_Cell`'s count values and the frame totals' values,
+        and its counts are made only if it is not there.
 
         With ``loop``, the one cell gained, if any, replaced ``loop`` and
         takes its :class:`_Cell`, and the frame is the base's: an event
@@ -255,6 +260,8 @@ class Plan:
                 del cands[j]
                 if rates is not None:
                     del rates[j]
+        frame = tuple([n for total in totals if total is not None
+                       for n in total.values()])
         new = []
         for cell in came:
             if loop is None:
@@ -270,12 +277,12 @@ class Plan:
                                  key=_TARGET_ORDER)
                 cands.insert(j, cand)
                 if rates is not None:
-                    rates.insert(j, rate(_counts(cand[0], totals)))
+                    rates.insert(j, _rated(cand[0], totals, frame, rate))
         else:
             cands = sorted(new, key=_TARGET_ORDER)
             rates = None
         if rates is None:
-            rates = [rate(_counts(cand[0], totals)) for cand in cands]
+            rates = [_rated(cand[0], totals, frame, rate) for cand in cands]
         return Order(cells, cands, rates, totals)
 
     def _in_general_order(self, have: Mapping) -> list[Loop]:
@@ -310,7 +317,9 @@ class Plan:
         same = None
         if self._same_inner and cell.membrane in membranes:
             same = membranes[membranes.index(cell.membrane)]
-        return _Cell(self, cell, counts, tuple(shares), membranes, same)
+        return _Cell(self, cell, counts, tuple(shares), membranes, same,
+                     tuple(counts.values()) + tuple(
+                         [n for _, share in shares for n in share.values()]))
 
     def _membranes(self, mem: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
         """The distinct least rotations of the rhs membrane over the
@@ -384,22 +393,24 @@ class _Cell:
     """What a loop rule derives from one cell component: the counts that
     depend on the cell alone; per frame count block, its index and the
     cell membrane's share of the frame; the rhs membranes it can take,
-    and the one that leaves it as it is, if any; and, as they are asked
-    for, the loops it becomes."""
+    and the one that leaves it as it is, if any; the values of its counts
+    and shares, which with the frame totals give a candidate's counts;
+    and, as they are asked for, the loops it becomes."""
 
     __slots__ = ("plan", "cell", "counts", "shares", "membranes", "same",
-                 "_inner", "_successors")
+                 "values", "_inner", "_successors")
 
     def __init__(self, plan: Plan, cell: Loop, counts: dict[str, int],
                  shares: tuple[tuple[int, dict[str, int]], ...],
                  membranes: tuple[tuple[str, ...], ...],
-                 same: Optional[tuple[str, ...]]):
+                 same: Optional[tuple[str, ...]], values: tuple[int, ...]):
         self.plan = plan
         self.cell = cell
         self.counts = counts
         self.shares = shares
         self.membranes = membranes
         self.same = same
+        self.values = values
         self._inner: Optional[Term] = None
         self._successors: dict[tuple[str, ...], Loop] = {}
 
@@ -407,7 +418,7 @@ class _Cell:
         """The :class:`_Cell` of ``cell``, which the rule reads as it reads
         this one's cell: the same counts, shares and membranes."""
         return _Cell(self.plan, cell, self.counts, self.shares,
-                     self.membranes, self.same)
+                     self.membranes, self.same, self.values)
 
     def successor(self, membrane: tuple[str, ...]) -> Loop:
         """The loop that replaces the cell when it takes ``membrane``. Its
@@ -472,6 +483,19 @@ def _counts(entry: _Cell, totals: tuple) -> dict[str, int]:
             for name, n in share.items():
                 counts[name] = total[name] - n
     return counts
+
+
+def _rated(entry: _Cell, totals: tuple, frame: tuple[int, ...], rate: Rate
+           ) -> float:
+    """The rate of the entry's cell in a compartment of frame totals
+    ``totals``, whose values are ``frame``: looked up in ``rate.table`` by
+    the entry's count values and ``frame``, which give its counts, before
+    those are made."""
+    key = entry.values + frame
+    found = rate.table.get(key)
+    if found is None:
+        found = rate(_counts(entry, totals), key)
+    return found
 
 
 def _by_target(a: Candidate, b: Candidate) -> int:

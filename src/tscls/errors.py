@@ -36,4 +36,5 @@ class SubstitutionError(TsclsError):
 
 class RateEvalError(TsclsError):
     """Rate expression evaluation failure (division by zero outside the
-    guarded idiom, an undeclared name, or a NaN or infinite rate)."""
+    guarded idiom, an undeclared name, a NaN or infinite rate, or one too
+    large for a float)."""

@@ -4,12 +4,23 @@ Expressions combine real literals, named constants, count variables, the
 four arithmetic operators and the guarded zero test
 ``if n == 0 then e1 else e2`` (the idiom that keeps inhibition factors
 well-defined when the inhibitor count is zero).
+
+:func:`compile_expr` turns an expression into one Python function of the
+counts and the constants. Its source is straight-line: one assignment
+per operator, and a function of its own for each branch of a guard. The
+source holds names only as string literals and takes numbers and error
+positions as data, so it depends only on the expression's shape and is
+compiled once per shape per process (a table keeps up to 1,024); parsing
+a model again, or changing only its numbers, compiles nothing. Counts
+are integers, so a value may be an integer too large for a float: then
+converting or dividing it raises :class:`OverflowError`, which
+:func:`~tscls.semantics.eval_rate` reports as a rate error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import RateEvalError
 
@@ -66,59 +77,131 @@ def _where(pos: Pos) -> str:
 # a compiled rate expression: (counts, consts) -> value
 Evaluator = Callable[[Mapping[str, int], Mapping[str, float]], float]
 
+# per expression shape (see _shape), the function that makes an evaluator
+# of that shape from its data; cleared when full
+_MADE: dict[object, Callable[..., Evaluator]] = {}
+
 
 def compile_expr(expr: RateExpr) -> Evaluator:
-    """The expression as nested closures, built once: each node evaluates
-    its left operand before its right one, looks a name up in the counts
-    before the constants, and raises :class:`RateEvalError` as
-    :func:`evaluate` documents."""
+    """The expression as one Python function, made from straight-line
+    source: one assignment per operator, and a function of its own for
+    each branch of a guard, so no Python limit on nesting is reached.
+    Names appear in the source only as string literals; numbers, and the
+    nodes whose errors give a position, are passed in as data, so the
+    source depends only on the expression's shape, and it is made and
+    compiled once per shape per process. Each operator evaluates its
+    left operand before its right one, a name is looked up in the counts
+    before the constants, and errors are raised as :func:`evaluate`
+    documents."""
+    data: list = []
+    shape = _shape(expr, data)
+    make = _MADE.get(shape)
+    if make is None:
+        functions: list[list[str]] = []
+        _function(shape, functions, iter(range(len(data))))
+        params = ", ".join([f"a{i}" for i in range(len(data))])
+        text = "".join([f"def make({params}):\n",
+                        *[line for body in functions for line in body],
+                        "    return f0\n"])
+        scope = {"_raise": _raise}
+        exec(compile(text, "<rate expression>", "exec"), scope)
+        make = scope["make"]
+        if len(_MADE) >= 1024:
+            _MADE.clear()
+        _MADE[shape] = make
+    return make(*data)
+
+
+def _shape(expr: RateExpr, data: list) -> object:
+    """The expression's shape: None for a number, the name for a name,
+    ``(op, left, right)`` for an operator and ``(None, count, then,
+    orelse)`` for a guard. What the evaluator reads as data, in the order
+    it reads it, is appended to ``data``: a number's value, and each node
+    whose error gives a position (a name, a guard, a division or an
+    unknown operator)."""
     if isinstance(expr, Num):
-        value = expr.value
-        return lambda counts, consts: value
-    where = _where(expr.pos)
+        data.append(expr.value)
+        return None
     if isinstance(expr, Name):
-        ident = expr.ident
-
-        def name(counts, consts):
-            if ident in counts:
-                return counts[ident]
-            if ident in consts:
-                return consts[ident]
-            raise RateEvalError(f"undeclared name '{ident}'{where}")
-        return name
+        data.append(expr)
+        return expr.ident
     if isinstance(expr, IfZero):
-        count = expr.count
-        then, orelse = compile_expr(expr.then), compile_expr(expr.orelse)
+        data.append(expr)
+        return (None, expr.count, _shape(expr.then, data),
+                _shape(expr.orelse, data))
+    shape = (expr.op, _shape(expr.left, data), _shape(expr.right, data))
+    if expr.op not in ("+", "-", "*"):
+        data.append(expr)
+    return shape
 
-        def if_zero(counts, consts):
-            if count not in counts:
-                raise RateEvalError(
-                    f"guard names unknown count '{count}'{where}")
-            if counts[count] == 0:
-                return then(counts, consts)
-            return orelse(counts, consts)
-        return if_zero
-    left, right, op = compile_expr(expr.left), compile_expr(expr.right), \
-        expr.op
-    if op == "+":
-        return lambda c, k: left(c, k) + right(c, k)
-    if op == "-":
-        return lambda c, k: left(c, k) - right(c, k)
-    if op == "*":
-        return lambda c, k: left(c, k) * right(c, k)
-    if op == "/":
-        def divide(counts, consts):
-            num, den = left(counts, consts), right(counts, consts)
-            if den == 0:
-                raise RateEvalError(f"division by zero{where}")
-            return num / den
-        return divide
 
-    def unknown(counts, consts):
-        left(counts, consts)
-        right(counts, consts)
-        raise RateEvalError(f"unknown operator {op!r}")
-    return unknown
+def _function(shape: object, functions: list[list[str]],
+              params: Iterator[int]) -> str:
+    """The name of a new function, ``f0`` for the first and ``f1`` on
+    after it, whose source lines are appended to ``functions`` and return
+    the value of an expression of ``shape``; ``params`` gives the index
+    of each datum in turn."""
+    name = f"f{len(functions)}"
+    body = [f"    def {name}(counts, consts):\n"]
+    functions.append(body)
+    out = _value(shape, body, functions, params, {})
+    body.append(f"        return {out}\n")
+    return name
+
+
+def _value(shape: object, body: list[str], functions: list[list[str]],
+           params: Iterator[int], names: dict[str, str]) -> str:
+    """The variable or parameter that holds the value of an expression of
+    ``shape`` once the lines appended to ``body`` have run; ``names``
+    holds the variables of the names those lines have looked up
+    already."""
+    if shape is None:
+        return f"a{next(params)}"
+    if isinstance(shape, str):
+        error = f"_raise(a{next(params)})"
+        out = names.get(shape)
+        if out is None:
+            out = names[shape] = f"x{len(body)}"
+            ident = repr(shape)
+            body.append(f"        {out} = counts[{ident}] if {ident} in counts"
+                        f" else consts[{ident}] if {ident} in consts"
+                        f" else {error}\n")
+        return out
+    if shape[0] is None:
+        _, count, then, orelse = shape
+        count, out = repr(count), f"x{len(body)}"
+        body.append(f"        if {count} not in counts:"
+                    f" _raise(a{next(params)})\n")
+        then = _function(then, functions, params)
+        orelse = _function(orelse, functions, params)
+        body.append(f"        {out} = {then}(counts, consts) if"
+                    f" counts[{count}] == 0 else {orelse}(counts, consts)\n")
+        return out
+    op, left, right = shape
+    left = _value(left, body, functions, params, names)
+    right = _value(right, body, functions, params, names)
+    out = f"x{len(body)}"
+    if op in ("+", "-", "*"):
+        body.append(f"        {out} = {left} {op} {right}\n")
+    elif op == "/":
+        body.append(f"        {out} = _raise(a{next(params)})"
+                    f" if {right} == 0 else {left} / {right}\n")
+    else:
+        body.append(f"        {out} = _raise(a{next(params)})\n")
+    return out
+
+
+def _raise(node: RateExpr) -> None:
+    """Raise the error of ``node``: an undeclared name, a guard on an
+    unknown count, a division by zero or an unknown operator."""
+    where = _where(node.pos)
+    if isinstance(node, Name):
+        raise RateEvalError(f"undeclared name '{node.ident}'{where}")
+    if isinstance(node, IfZero):
+        raise RateEvalError(f"guard names unknown count '{node.count}'{where}")
+    if node.op == "/":
+        raise RateEvalError(f"division by zero{where}")
+    raise RateEvalError(f"unknown operator {node.op!r}")
 
 
 def evaluate(expr: RateExpr, counts: Mapping[str, int],

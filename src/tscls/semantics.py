@@ -141,25 +141,35 @@ def eval_rate(rule: RewriteRule, counts: Mapping[str, int],
     """Evaluate the rule's rate expression; errors carry the rule id.
 
     A NaN or infinite result raises :class:`RateEvalError`: it would
-    corrupt the clock and the selection of every later step. Nothing is
-    kept: each :class:`Enumerator` keeps the rates of its run."""
+    corrupt the clock and the selection of every later step. So does an
+    integer too large for a float, as the result or as an operand of a
+    division or of an operation with a float. Nothing is kept: each
+    :class:`Enumerator` keeps the rates of its run."""
     try:
         rate = float(rule.evaluate(counts, consts))
     except RateEvalError as exc:
         raise RateEvalError(f"rule {rule.id}: {exc}") from None
+    except OverflowError as exc:
+        raise RateEvalError(f"rule {rule.id}: rate overflows a float ({exc})"
+                            ) from None
     if not math.isfinite(rate):
         raise RateEvalError(f"rule {rule.id}: rate is not finite ({rate!r})")
     return rate
 
 
-def _remembered(rule: RewriteRule, consts: Mapping[str, float],
-                table: dict) -> Callable[[Mapping[str, int]], float]:
+def _remembered(rule: RewriteRule, consts: Mapping[str, float]
+                ) -> Callable[..., float]:
     """The rule's rate as a function of its counts. Each rate
-    :func:`eval_rate` computes is kept in ``table``, keyed by the counts'
-    names and values in their order, until it reaches 4096 entries.
-    Errors are not kept: every call raises again."""
-    def rate(counts: Mapping[str, int]) -> float:
-        key = tuple(counts.items())
+    :func:`eval_rate` computes is kept in the function's ``table`` under
+    ``key``, if given, else the counts' names and values in their order,
+    until it reaches 4096 entries. Errors are not kept: every call raises
+    again."""
+    table: dict = {}
+
+    def rate(counts: Mapping[str, int], key: Optional[tuple] = None
+             ) -> float:
+        if key is None:
+            key = tuple(counts.items())
         value = table.get(key)
         if value is None:
             value = eval_rate(rule, counts, consts)
@@ -167,6 +177,7 @@ def _remembered(rule: RewriteRule, consts: Mapping[str, float],
                 table.clear()
             table[key] = value
         return value
+    rate.table = table
     return rate
 
 
@@ -309,11 +320,9 @@ class Enumerator:
         self._literal = mode != POSITIONAL
         self._general = tuple((index, rule) for index, rule
                               in enumerate(self.rules) if rule.plan is None)
-        # per rule, its rates by tuple of counts, and its rate as a
-        # function of its counts
-        self._tables: list[dict] = [{} for _ in self.rules]
-        self._rates = [_remembered(rule, self.consts, table)
-                       for rule, table in zip(self.rules, self._tables)]
+        # per rule, its rate as a function of its counts, which keeps
+        # its rates in its table
+        self._rates = [_remembered(rule, self.consts) for rule in self.rules]
         self._every = tuple(range(len(self.rules)))
         # the rules enumerated again in every compartment an event made:
         # those without a plan

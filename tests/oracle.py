@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping, Optional
 
-from tscls.errors import TsclsError
+from tscls.errors import RateEvalError, TsclsError
 from tscls.matching import Binding, Instantiation
 from tscls.patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
                             SeqAtom, SeqVar, Var, VarKind)
-from tscls.rates import evaluate
+from tscls.rates import IfZero, Name, Num, RateExpr
 from tscls.semantics import (POSITIONAL, LITERAL, CountSpec, RewriteRule,
                              Transition)
 from tscls.terms import (Loop, Seq, Term, TypeEnv, canonicalize, stype_of,
@@ -260,6 +260,42 @@ def _oracle_counts(inst: Instantiation, counts: CountSpec, env: TypeEnv,
     return out
 
 
+def interpret(expr: RateExpr, counts: Mapping[str, int],
+              consts: Mapping[str, float]) -> float:
+    """The value of a rate expression by plain recursion over its tree:
+    an operator evaluates its left operand, then its right one; a name is
+    read from the counts, else from the constants; a guard reads only the
+    counts. Errors are :class:`RateEvalError` and name their position."""
+    if isinstance(expr, Num):
+        return expr.value
+    where = f" at {expr.pos[0]}:{expr.pos[1]}" if expr.pos else ""
+    if isinstance(expr, Name):
+        if expr.ident in counts:
+            return counts[expr.ident]
+        if expr.ident in consts:
+            return consts[expr.ident]
+        raise RateEvalError(f"undeclared name '{expr.ident}'{where}")
+    if isinstance(expr, IfZero):
+        if expr.count not in counts:
+            raise RateEvalError(
+                f"guard names unknown count '{expr.count}'{where}")
+        branch = expr.then if counts[expr.count] == 0 else expr.orelse
+        return interpret(branch, counts, consts)
+    left = interpret(expr.left, counts, consts)
+    right = interpret(expr.right, counts, consts)
+    if expr.op == "+":
+        return left + right
+    if expr.op == "-":
+        return left - right
+    if expr.op == "*":
+        return left * right
+    if expr.op == "/":
+        if right == 0:
+            raise RateEvalError(f"division by zero{where}")
+        return left / right
+    raise RateEvalError(f"unknown operator {expr.op!r}")
+
+
 def brute_force_transitions(state: Term, rules: list[RewriteRule],
                             env: Optional[TypeEnv] = None,
                             consts: Optional[Mapping[str, float]] = None,
@@ -279,7 +315,7 @@ def brute_force_transitions(state: Term, rules: list[RewriteRule],
             for inst in brute_force_matches(rule.lhs, content):
                 counts = _oracle_counts(inst, rule.counts, env, mode,
                                         positioned)
-                rate = float(evaluate(rule.rate, counts, consts))
+                rate = float(interpret(rule.rate, counts, consts))
                 if rate <= 0:
                     continue
                 target = canonicalize(

@@ -71,6 +71,25 @@ rule r {
 init: 3 * a
 """
 
+# constants and a count named by Python keywords and builtins:
+# 2.5 * (3 + 3) at 4 * a
+WORDS = """\
+const lambda = 2.5
+const None = 3
+
+rule r {
+  lhs: a | $X
+  rhs: b | $X
+  count $X { t_a -> def }
+  rate: lambda * (def + None)
+}
+init: 4 * a
+"""
+
+# a product of integer counts too large for a float; the rule is
+# compiled with ``a`` on its lhs and takes the general path with ``?x``
+OVERFLOW = RATE_MODEL.replace("init: 3 * a", "init: 1000000000000000000 * a")
+
 
 @pytest.fixture
 def tiny(tmp_path):
@@ -123,7 +142,8 @@ class TestCheck:
         " + ".join(["1"] * 200), " - ".join(["n"] * 100 + ["1"] * 100),
         " * ".join(["(n + 1)"] * 100), "(" * 199 + "n" + ")" * 199,
         "(" * 150 + " + ".join(["1"] * 200) + ")" * 150,
-        "((n" + " + 1" * 99 + ")" + " + 1" * 100 + ")"])
+        "((n" + " + 1" * 99 + ")" + " + 1" * 100 + ")",
+        "if n == 0 then 1 else " * 200 + "2"])
     def test_long_rates_run(self, rate, tmp_path, capsys):
         path = tmp_path / "long.tscls"
         path.write_text(RATE_MODEL % rate, encoding="utf-8")
@@ -132,6 +152,14 @@ class TestCheck:
         model = parse_model(print_model(parse_model(RATE_MODEL % rate)))
         assert print_rate(model.rules[0].rate) \
             == print_rate(parse_rate(rate))
+
+    def test_python_words_are_names(self, tmp_path, capsys):
+        path = tmp_path / "words.tscls"
+        path.write_text(WORDS, encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["transitions", str(path)]) == 0
+        assert capsys.readouterr().out == "r  /  15.0  3 * a | b\n"
 
     def test_missing_file(self, capsys, monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")
@@ -295,6 +323,26 @@ class TestRun:
         got = capsys.readouterr()
         assert got.out == ""
         assert names in got.err and "not finite" in got.err
+
+    @pytest.mark.parametrize("lhs", ["a | $X", "?x | $X"])
+    @pytest.mark.parametrize("rate, message", [
+        (" * ".join(["n"] * 19), "int too large to convert to float"),
+        (" * ".join(["n"] * 19) + " / 3",
+         "integer division result too large for a float")])
+    def test_integer_rate_too_large_for_a_float(self, tmp_path, capsys,
+                                                monkeypatch, lhs, rate,
+                                                message):
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        model = tmp_path / "big.tscls"
+        model.write_text((OVERFLOW % rate).replace("a | $X", lhs, 1),
+                         encoding="utf-8")
+        assert main(["check", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(model)]) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == (f"error: rule r: rate overflows a float"
+                           f" ({message}) (compartment /)\n")
 
     @pytest.mark.parametrize("replicas", ["1", "2"])
     def test_unwritable_out_fails_before_the_run(self, replicas, tiny,

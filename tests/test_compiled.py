@@ -573,7 +573,7 @@ class TestRateMemo:
         enumerator = Enumerator([r], TypeEnv(), {})
         for n in list(range(5000)) + list(range(100)):
             assert enumerator._rates[0]({"n": n}) == (n + 1) * 0.5
-        assert len(enumerator._tables[0]) <= 4096
+        assert len(enumerator._rates[0].table) <= 4096
 
     def test_constants_are_fixed_when_the_enumerator_is_made(self):
         # an enumerator keeps the rates of its run, so it must not see a
