@@ -26,19 +26,20 @@ is the order of the loops' membranes, ties broken by the binding of the
 term variable whose name sorts first.
 
 A loop rule's outcomes in a compartment are ordered by their targets
-without building one (see :func:`_by_target`). Two outcomes compare by
-the cell each rewrites and the loop it becomes alone, so that order is
-kept from one compartment to the compartment that replaces it: the
-outcomes of cells that left are dropped and those of cells that came
-are placed by bisection.
+without building one: each has a target key (see :func:`_target_key`)
+made from the cell it rewrites and the loop it becomes alone, so that
+order is kept from one compartment to the compartment that replaces it,
+with the keys beside it: the outcomes of cells that left are found and
+dropped by bisection on their keys, and those of cells that came are
+placed by bisection.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import cmp_to_key
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import add, attrgetter, gt, is_, itemgetter
 from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional,
                     Sequence)
 
@@ -61,9 +62,12 @@ FRAME, INNER, MEMBRANE = "frame", "inner", "membrane"
 # per count block: what it counts and its (type, count name) entries
 Decl = tuple[str, tuple[tuple[TypeName, str], ...]]
 
-# an outcome's key and its rate; the key is what :meth:`Plan.build` needs
-# beside the state, the path and the content
-Entry = tuple[object, float]
+# a compartment's outcomes of one rule: their keys and their rates; a key
+# is what :meth:`Plan.build` needs beside the state, the path and the
+# content
+Entries = tuple[tuple[object, ...], tuple[float, ...]]
+
+_NO_ENTRIES: Entries = ((), ())
 
 # a loop rule's outcome before it is rated, and its key: the _Cell of the
 # loop it rewrites and the rhs membrane it gives it
@@ -103,7 +107,7 @@ class Plan:
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
                  "membrane", "frame_first", "net", "_same_inner",
-                 "_rotated", "_typed")
+                 "_inner_moves", "_rotated", "_typed")
 
     def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
                  inner_need: Optional[Counter] = None,
@@ -125,8 +129,15 @@ class Plan:
                     name = comp.elems[0]
                     net[name] = net.get(name, 0) + sign * n
         self.net = {name: n for name, n in net.items() if n}
-        # whether the rule leaves a loop's content as it is
+        # whether the rule leaves a loop's content as it is, and the key
+        # and the change in count of each component it changes there
         self._same_inner = inner_need == inner_give
+        moves: dict = {}
+        for part, sign in ((inner_need, -1), (inner_give, 1)):
+            for comp, n in (part or {}).items():
+                moves[comp] = moves.get(comp, 0) + sign * n
+        self._inner_moves = tuple((comp.key, n) for comp, n in moves.items()
+                                  if n)
         self._rotated: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
         # (env, Typed under it)
         self._typed: tuple = (None, None)
@@ -134,13 +145,13 @@ class Plan:
     def entries(self, kept: dict, content: Term, env: TypeEnv,
                 literal: bool, rate: Rate,
                 change: Optional[Change] = None,
-                loop: Optional[Loop] = None) -> list[Entry]:
-        """The rule's enabled outcomes in ``content``, a compartment: one
-        ``(key, rate)`` per distinct outcome of positive rate, merged and
-        ordered as their targets and rates would be, so ``build(state,
-        path, content, key)`` makes the outcome's successor. ``rate``
-        rates an outcome's counts; ``literal`` types a length-1 ``~x`` by
-        its basic type. The key of a loop rule's outcome is ``(entry,
+                loop: Optional[Loop] = None) -> Entries:
+        """The rule's enabled outcomes in ``content``, a compartment: the
+        keys and the rates of its distinct outcomes of positive rate,
+        merged and ordered as their targets and rates would be, so
+        ``build(state, path, content, key)`` makes an outcome's
+        successor. ``rate`` rates an outcome's counts; ``literal`` types a
+        length-1 ``~x`` by its basic type. The key of a loop rule's outcome is ``(entry,
         membrane)``: the :class:`_Cell` of the loop it rewrites and the
         membrane it gives it; the other rule's key is None.
 
@@ -160,14 +171,14 @@ class Plan:
         have = component_counts(content)
         if not _contains(have, self.need):
             kept.pop(self, None)
-            return []
+            return _NO_ENTRIES
         if self.membrane is None:
             types, less = type_counts(content, env), self.typed(env).need
             counts: dict[str, int] = {}
             for _, entries in self.decls:
                 counts.update(read_counts(entries, types, less))
             found = rate(counts)
-            return [(None, found)] if found > 0 else []
+            return ((None,), (found,)) if found > 0 else _NO_ENTRIES
         base = kept.get(self) if change is not None else None
         try:
             order = self._order(base, content, have, env, literal, rate,
@@ -181,7 +192,7 @@ class Plan:
             raise
         if order is None:
             kept.pop(self, None)
-            return []
+            return _NO_ENTRIES
         kept[self] = order
         return order.entries
 
@@ -216,19 +227,24 @@ class Plan:
         """The order of ``content``, a canonical compartment of component
         counter ``have``, made from ``base``, the order of the compartment
         it replaced, and ``change``, the cells it lost and gained against
-        that one: the candidates of the cells lost are dropped, and those
-        of the cells gained are placed by bisection. Only the added
-        candidates are rated if the frame totals are the same. Without a
-        base, every cell's candidates are sorted. None if ``content``
-        holds no cell. A candidate's rate is looked up in ``rate.table``
-        by its :class:`_Cell`'s count values and the frame totals' values,
-        and its counts are made only if it is not there.
+        that one: the candidates of the cells lost are found by bisection
+        on their target keys and dropped, and those of the cells gained
+        are placed by bisection on theirs, which are made for them alone.
+        Only the added candidates are rated if the frame totals are the
+        same; otherwise all are (see :func:`_rate_all`). Without a base,
+        every cell's candidates are sorted by their target keys, and one
+        cell's by their membranes, which needs no key. None if ``content``
+        holds no cell.
 
         With ``loop``, the one cell gained, if any, replaced ``loop`` and
         takes its :class:`_Cell`, and the frame is the base's: an event
         inside a cell leaves the types of the compartment around it as
         they were. If that cell is the compartment's only one, the base's
-        candidates and rates are kept in place for it."""
+        candidates and rates are kept in place for it, and their keys,
+        made from the cell replaced, are not: the candidates of one cell
+        all put the same content in a loop, so they are in the order of
+        their membranes, whatever the cell holds. Its keys are made when
+        another cell comes."""
         if base is None:
             if not isinstance(next(reversed(have), None), Loop):
                 return None  # loops sort last
@@ -244,46 +260,68 @@ class Plan:
             was, totals = cells[loop], base.totals
             if gone and came and len(cells) == 1:
                 entry = was and was.carried(came[0])
+                outs, rated = base.entries
                 return Order({came[0]: entry}, [
-                    (entry, membrane) for _, membrane in cands], rates, totals)
+                    (entry, membrane) for _, membrane in cands], None,
+                    rates, totals, (tuple([(entry, membrane)
+                                           for _, membrane in outs]), rated))
         if base.totals != totals:
             rates = None
         elif not gone and not came:
             return base
-        cells, cands = dict(cells), cands.copy()
-        if rates is not None:
-            rates = rates.copy()
-        if gone:
-            dead = [cells.pop(cell) for cell in gone]
-            for j in reversed([j for j, cand in enumerate(cands)
-                               if cand[0] in dead]):
-                del cands[j]
-                if rates is not None:
-                    del rates[j]
-        frame = tuple([n for total in totals if total is not None
-                       for n in total.values()])
-        new = []
+        if len(gone) == len(cells):
+            cells, cands, keys = {}, [], []
+        else:
+            cells, cands, keys = dict(cells), cands.copy(), base.keys
+            # without keys, the candidates are one cell's, in key order
+            keys = keys.copy() if keys is not None else sorted(
+                cands[0][0].keys()) if cands else []
+            if rates is not None:
+                rates = rates.copy()
+            for cell in gone:
+                entry = cells.pop(cell)
+                for key in entry.keys() if entry else ():
+                    j = bisect_left(keys, key)
+                    if key is _SAME:  # the one key several candidates share
+                        j += list(map(itemgetter(0), cands[
+                            j:bisect_right(keys, key, j)])).index(entry)
+                    del cands[j], keys[j]
+                    if rates is not None:
+                        del rates[j]
+        # a cell that came alone replaced the cell that went
+        before = base.cells[gone[0]] if len(gone) == len(came) == 1 else None
+        entries = []
         for cell in came:
             if loop is None:
-                entry = self._cell(cell, env, literal)
+                entry = self._cell(cell, env, literal, before)
             else:
                 entry = was and was.carried(cell)
             cells[cell] = entry
             if entry:
-                new += [(entry, membrane) for membrane in entry.membranes]
+                entries.append(entry)
+        new = [(entry, membrane) for entry in entries
+               for membrane in entry.membranes]
         if cands:
-            for cand in new:
-                j = bisect_right(cands, _TARGET_ORDER(cand),
-                                 key=_TARGET_ORDER)
+            added = None if rates is None else _rate_all(new, totals, rate)
+            made = [key for entry in entries for key in entry.keys()]
+            for i, (cand, key) in enumerate(zip(new, made)):
+                j = bisect_right(keys, key)
                 cands.insert(j, cand)
-                if rates is not None:
-                    rates.insert(j, _rated(cand[0], totals, frame, rate))
+                keys.insert(j, key)
+                if added is not None:
+                    rates.insert(j, added[i])
+        elif len(entries) == 1:
+            # one cell's candidates all put one content in a loop, so
+            # they are in the order of the loops' membranes
+            cands, keys, rates = sorted(new, key=_membrane_order), None, None
         else:
-            cands = sorted(new, key=_TARGET_ORDER)
+            made = [key for entry in entries for key in entry.keys()]
+            at = sorted(range(len(new)), key=made.__getitem__)
+            cands, keys = [new[j] for j in at], [made[j] for j in at]
             rates = None
         if rates is None:
-            rates = [_rated(cand[0], totals, frame, rate) for cand in cands]
-        return Order(cells, cands, rates, totals)
+            rates = _rate_all(cands, totals, rate)
+        return Order(cells, cands, keys, rates, totals)
 
     def _in_general_order(self, have: Mapping) -> list[Loop]:
         """The cells of a compartment in the order the general path counts
@@ -294,25 +332,35 @@ class Plan:
         cells.sort(key=attrgetter("membrane"))
         return cells
 
-    def _cell(self, cell: Loop, env: TypeEnv, literal: bool):
+    def _cell(self, cell: Loop, env: TypeEnv, literal: bool,
+              before: Optional[_Cell] = None):
         """The cell's :class:`_Cell`, or False if the rule cannot rewrite
-        it."""
+        it. If ``before``, the :class:`_Cell` of the cell this one
+        replaced, has the same membrane, all it read of the membrane is
+        kept."""
         inner = component_counts(cell.content)
         if not _contains(inner, self.inner_need):
             return False
-        counts: dict[str, int] = {}
+        keep = before and before.cell.membrane == cell.membrane
+        counts: dict[str, int] = dict(before.counts) if keep else {}
         shares = []
         for i, (what, entries) in enumerate(self.decls):
             if what is INNER:
                 counts.update(read_counts(entries,
                                           type_counts(cell.content, env),
                                           self.typed(env).inner_need))
+            elif keep:
+                continue
             elif what is MEMBRANE:
                 counts.update(read_counts(entries, seq_types(
                     cell.membrane, env, literal)))
             else:
                 shares.append((i, read_counts(entries, seq_types(
                     cell.membrane, env, False))))
+        if keep:
+            return _Cell(self, cell, counts, before.shares, before.membranes,
+                         before.same, tuple(counts.values())
+                         + before.values[len(counts):])
         membranes = self._membranes(cell.membrane)
         same = None
         if self._same_inner and cell.membrane in membranes:
@@ -350,12 +398,13 @@ class Plan:
 
         Each compartment the build makes gets its component multiset and
         type histogram from the one it replaces, changed by the outcome.
-        If ``trail`` is a list, ``(role, new, old, change, None)`` is
+        If ``trail`` is a list, ``(role, new, old, change, swap)`` is
         appended to it for each, as :func:`~tscls.matching.splice` does
         for the enclosing ones: the ``DRAWN`` one for ``content``, with the
-        cells it lost and gained, and, for a loop rule that changed the
-        cell's content, the ``INSIDE`` one for that content, with no cell
-        changed."""
+        cells it lost and gained and, for a loop rule, the cell and the
+        loop that replaced one copy of it, and, for a loop rule that
+        changed the cell's content, the ``INSIDE`` one for that content,
+        with no cell changed and ``swap`` None."""
         counter, came = _rebuilt(component_counts(content), self.need,
                                  self.give)
         typed = content._types
@@ -363,11 +412,11 @@ class Plan:
             typed = (typed[0], _shifted(typed[1],
                                         self.typed(typed[0]).change))
         change: Change = ((), ())
-        inner = None
+        inner = swap = None
         if key is not None:
             entry, membrane = key
             cell, new = entry.cell, entry.successor(membrane)
-            change = replace_copy(counter, cell, new)
+            change, swap = replace_copy(counter, cell, new), (cell, new)
             came += change[1]
             if typed is not None and membrane != cell.membrane:
                 env = typed[0]
@@ -383,7 +432,7 @@ class Plan:
         out = counted(placed(counter, came))
         out._types = typed
         if trail is not None:
-            trail.append((DRAWN, out, content, change, None))
+            trail.append((DRAWN, out, content, change, swap))
             if inner is not None:
                 trail.append(inner)
         return splice(state, path, out, trail)
@@ -395,10 +444,11 @@ class _Cell:
     cell membrane's share of the frame; the rhs membranes it can take,
     and the one that leaves it as it is, if any; the values of its counts
     and shares, which with the frame totals give a candidate's counts;
-    and, as they are asked for, the loops it becomes."""
+    and, as they are asked for, the loops it becomes and the target keys
+    of its candidates."""
 
     __slots__ = ("plan", "cell", "counts", "shares", "membranes", "same",
-                 "values", "_inner", "_successors")
+                 "values", "_inner", "_successors", "_keys")
 
     def __init__(self, plan: Plan, cell: Loop, counts: dict[str, int],
                  shares: tuple[tuple[int, dict[str, int]], ...],
@@ -413,6 +463,7 @@ class _Cell:
         self.values = values
         self._inner: Optional[Term] = None
         self._successors: dict[tuple[str, ...], Loop] = {}
+        self._keys: Optional[tuple[tuple, ...]] = None
 
     def carried(self, cell: Loop) -> "_Cell":
         """The :class:`_Cell` of ``cell``, which the rule reads as it reads
@@ -433,43 +484,121 @@ class _Cell:
             out = self._successors[membrane] = Loop(membrane, self._inner)
         return out
 
+    def successor_key(self, membrane: tuple[str, ...]) -> tuple:
+        """The key of :meth:`successor`, made from the cell's content
+        key without making the loop."""
+        loop = self._successors.get(membrane)
+        if loop is not None:
+            return loop.key
+        return (1, (len(membrane), membrane), _rebuilt_key(
+            self.cell.content.key, self.plan._inner_moves))
+
+    def keys(self) -> tuple[tuple, ...]:
+        """The target keys of the cell's candidates, one per membrane in
+        ``membranes``, made once (see :func:`_target_key`)."""
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = tuple([_target_key(self, membrane)
+                                       for membrane in self.membranes])
+        return keys
+
+
+class _Reversed(tuple):
+    """A tuple that sorts after the tuples that sort before it as tuples:
+    the tuple order, reversed. Its comparisons are the tuple's own, in C,
+    swapped."""
+
+    __slots__ = ()
+    __lt__, __gt__ = tuple.__gt__, tuple.__lt__
+    __le__, __ge__ = tuple.__ge__, tuple.__le__
+
+
+# the target key of every candidate that leaves its cell as it is
+_SAME = (1,)
+
+
+def _target_key(entry: _Cell, membrane: tuple[str, ...]) -> tuple:
+    """The key of the target of the candidate ``(entry, membrane)``, by
+    which the candidates of one loop rule in one compartment sort as
+    their targets do: with ``x`` the key of the loop the cell becomes and
+    ``y`` the cell's, ``(0, x, R(y))`` if ``x < y``, :data:`_SAME` if they
+    are equal, else ``(2, R(y), x)``, where ``R`` reverses the order.
+
+    Both targets of two candidates are the compartment less the cell
+    plus the new loop, so the first has more of its new loop and of the
+    second's cell, and the second more of its own new loop and of the
+    first's cell, less what cancels. Two canonical terms with the same
+    number of components first differ at the least component they hold
+    in different numbers, and the term with more of it sorts first. So a
+    target that adds a loop less than the cell it removes sorts before
+    the compartment as it was, the earlier the less that loop is and,
+    for the same loop, the greater the cell it removes; one that adds a
+    greater loop sorts after it, the earlier the greater the cell it
+    removes and, for the same cell, the less the loop. At a nested path
+    that holds for the changed compartment and, in turn, for each
+    enclosing one, whose loops compare by their contents. Only
+    candidates that keep their loop have equal targets."""
+    x, y = entry.successor_key(membrane), entry.cell.key
+    if x < y:
+        return (0, x, _Reversed(y))
+    if x == y:
+        return _SAME
+    return (2, _Reversed(y), x)
+
 
 class Order:
     """A loop rule's outcomes in one compartment: ``cells`` maps each
     distinct cell to its :class:`_Cell`, or False if the rule cannot
-    rewrite it; ``cands`` holds the candidates in target order, and
-    ``rates`` their rates under the frame totals ``totals``; ``entries``
-    are the outcomes :meth:`Plan.entries` gives. Never changed once made.
+    rewrite it; ``cands`` holds the candidates in target order, ``keys``
+    their target keys, or None if the candidates are one cell's and their
+    keys are not made, and ``rates`` their rates under the frame totals
+    ``totals``; ``entries`` are the outcomes :meth:`Plan.entries` gives,
+    made from the others unless given. Never changed once made.
     """
 
-    __slots__ = ("cells", "cands", "rates", "totals", "entries")
+    __slots__ = ("cells", "cands", "keys", "rates", "totals", "entries")
 
     def __init__(self, cells: dict, cands: list[Candidate],
-                 rates: list[float], totals: Optional[tuple]):
+                 keys: Optional[list[tuple]], rates: list[float],
+                 totals: Optional[tuple], entries: Optional[Entries] = None):
         self.cells = cells
         self.cands = cands
+        self.keys = keys
         self.rates = rates
         self.totals = totals
+        if entries is not None:
+            self.entries = entries
+            return
         # the candidates of positive rate; those that keep their loop
         # form one block of equal targets, which gives one outcome per
         # distinct rate, in rate order
-        out: list[Entry] = []
-        same: dict[float, tuple] = {}
-        at = 0
-        for cand, rate in zip(cands, rates):
-            if rate <= 0:
-                continue
-            if cand[1] is cand[0].same:
-                at = len(out)
-                same.setdefault(rate, cand)
-            else:
-                out.append((cand, rate))
-        if same:
-            out[at:at] = [(key, rate) for rate, key in sorted(same.items())]
-        self.entries = out
+        if keys is None:  # one cell's: at most one keeps its loop
+            same = [j for j, (entry, membrane) in enumerate(cands)
+                    if membrane is entry.same]
+            lo, hi = (same[0], same[0] + 1) if same else (0, 0)
+        else:
+            lo = hi = bisect_left(keys, _SAME)
+            if lo < len(keys) and keys[lo] is _SAME:
+                hi = bisect_right(keys, _SAME, lo)
+        positive = list(map(gt, rates, repeat(0)))
+        if lo == hi:
+            self.entries = (tuple(compress(cands, positive)),
+                            tuple(compress(rates, positive)))
+            return
+        out, rated = list(compress(cands, positive)), list(
+            compress(rates, positive))
+        at = sum(positive[:lo])
+        to = at + sum(positive[lo:hi])
+        same = {}
+        for cand, rate in zip(out[at:to], rated[at:to]):
+            same.setdefault(rate, cand)
+        merged = sorted(same.items())
+        out[at:to] = map(itemgetter(1), merged)
+        rated[at:to] = map(itemgetter(0), merged)
+        self.entries = (tuple(out), tuple(rated))
 
 
-_NO_ORDER = Order({}, [], [], None)
+_NO_ORDER = Order({}, [], [], [], None)
 
 
 def _counts(entry: _Cell, totals: tuple) -> dict[str, int]:
@@ -485,45 +614,34 @@ def _counts(entry: _Cell, totals: tuple) -> dict[str, int]:
     return counts
 
 
-def _rated(entry: _Cell, totals: tuple, frame: tuple[int, ...], rate: Rate
-           ) -> float:
-    """The rate of the entry's cell in a compartment of frame totals
-    ``totals``, whose values are ``frame``: looked up in ``rate.table`` by
-    the entry's count values and ``frame``, which give its counts, before
-    those are made."""
-    key = entry.values + frame
-    found = rate.table.get(key)
-    if found is None:
-        found = rate(_counts(entry, totals), key)
+_ENTRY, _VALUES = itemgetter(0), attrgetter("values")
+
+
+def _membrane_order(cand: Candidate) -> tuple:
+    """The order of one cell's candidates: the shortlex order of the
+    membranes they give it."""
+    return (len(cand[1]), cand[1])
+
+
+def _rate_all(cands: list[Candidate], totals: tuple, rate: Rate
+              ) -> list[float]:
+    """The rates of the candidates in a compartment of frame totals
+    ``totals``. Each is looked up in ``rate.table`` by its
+    :class:`_Cell`'s count values and the totals' values, all with one
+    lookup; only the candidates not there get their counts made and are
+    rated, in order."""
+    frame = tuple([n for total in totals if total is not None
+                   for n in total.values()])
+    keys = list(map(add, map(_VALUES, map(_ENTRY, cands)), repeat(frame)))
+    table = rate.table
+    found = list(map(table.get, keys))
+    if None in found:
+        for j in compress(range(len(keys)), map(is_, found, repeat(None))):
+            # an earlier candidate of the same counts may have rated them
+            value = table.get(keys[j])
+            found[j] = value if value is not None else rate(
+                _counts(cands[j][0], totals), keys[j])
     return found
-
-
-def _by_target(a: Candidate, b: Candidate) -> int:
-    """Compare two candidates of one loop rule in one compartment by
-    their targets' keys: -1, 0 or 1. Only candidates that keep their loop
-    have equal targets.
-
-    Both targets are the content less the cell plus the new loop, spliced
-    at one path, so a's has more of a's new loop and b's cell, and b's
-    has more of a's cell and b's new loop, less what cancels. Two
-    canonical terms with the same number of components first differ at
-    the least component they hold in different numbers, and the term with
-    more of it sorts first. At a nested path that holds for the changed
-    compartment and, in turn, for each enclosing one, whose loops compare
-    by their contents."""
-    a_cell, a_new = a[0].cell.key, a[0].successor(a[1]).key
-    b_cell, b_new = b[0].cell.key, b[0].successor(b[1]).key
-    more_a, more_b = [a_new, b_cell], [a_cell, b_new]
-    for key in (a_new, b_cell):
-        if key in more_b:
-            more_a.remove(key)
-            more_b.remove(key)
-    if not more_a:
-        return 0
-    return -1 if min(more_a) < min(more_b) else 1
-
-
-_TARGET_ORDER = cmp_to_key(_by_target)
 
 
 def _shifted(types: Types, more: Types = _NO_TYPES,
@@ -568,6 +686,30 @@ def _rebuilt(have: Mapping, need: Counter, give: Counter
         else:
             del counter[comp]
     return counter, tuple(came)
+
+
+def _rebuilt_key(key: tuple, moves: tuple[tuple[tuple, int], ...]
+                 ) -> tuple:
+    """The key of the canonical term of key ``key`` with the count of each
+    component of key ``comp`` changed by ``more``, for each ``(comp,
+    more)`` in ``moves``, none below 0: its pairs, one per distinct
+    component in order, with the counts changed."""
+    if not moves:
+        return key
+    _, n, pairs = key
+    pairs = list(pairs)
+    for comp, more in moves:
+        n += more
+        at = bisect_left(pairs, (comp,))
+        if at < len(pairs) and pairs[at][0] == comp:
+            more -= pairs[at][1]
+            if more:
+                pairs[at] = (comp, -more)
+            else:
+                del pairs[at]
+        else:
+            pairs.insert(at, (comp, -more))
+    return (2, n, tuple(pairs))
 
 
 def dependents(plans: Sequence[Optional[Plan]], r: int, env: TypeEnv

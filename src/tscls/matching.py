@@ -27,7 +27,7 @@ Path = tuple[int, ...]
 Change = tuple[tuple[Loop, ...], tuple[Loop, ...]]
 
 # what a compartment that building a target made is, in an entry
-# (role, new, old, change, loop) of the build's trail: the compartment a
+# (role, new, old, change, swap) of the build's trail: the compartment a
 # rule rewrote, the content of the cell it rewrote, the compartment that
 # holds the first in a cell, or one enclosing that
 DRAWN, INSIDE, AROUND, OUTER = range(4)
@@ -133,11 +133,11 @@ def splice(state: Term, path: Path, new_content: Term,
     multiset with one copy of the loop replaced (by :func:`replace_copy`),
     the new loop placed among the components around it (by
     :func:`placed`), and its predecessor's type histogram. If ``trail`` is
-    a list, ``(role, new, old, change, loop)`` is appended to it for each
+    a list, ``(role, new, old, change, swap)`` is appended to it for each
     enclosing compartment rebuilt, innermost first: ``role`` is AROUND
     for the compartment that holds the replaced one in a cell and OUTER
     for the others, ``change`` is what ``replace_copy`` gives, and
-    ``loop`` is the loop replaced."""
+    ``swap`` is the loop replaced and the loop that replaced it."""
     if not path:
         return canonicalize(new_content)
     state = canonicalize(state)
@@ -156,7 +156,8 @@ def splice(state: Term, path: Path, new_content: Term,
     out = counted(placed(counts, change[1]))
     out._types = state._types  # the loop keeps its membrane
     if trail is not None:
-        trail.append((OUTER if rest else AROUND, out, state, change, comp))
+        trail.append((OUTER if rest else AROUND, out, state, change,
+                      (comp, new)))
     return out
 
 

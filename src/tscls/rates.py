@@ -204,11 +204,25 @@ def _raise(node: RateExpr) -> None:
     raise RateEvalError(f"unknown operator {node.op!r}")
 
 
+# per expression object, by its id, the object and its evaluator; an
+# object is matched by identity, never by equality: equal expressions
+# parsed at different places raise their errors at different positions.
+# Holding the object keeps its id from being taken; cleared when full
+_EVALUATORS: dict[int, tuple[RateExpr, Evaluator]] = {}
+
+
 def evaluate(expr: RateExpr, counts: Mapping[str, int],
              consts: Mapping[str, float]) -> float:
     """Evaluate to a real. Count variables shadow constants; division by
-    zero outside the guarded idiom raises :class:`RateEvalError`."""
-    return compile_expr(expr)(counts, consts)
+    zero outside the guarded idiom raises :class:`RateEvalError`. The
+    evaluator :func:`compile_expr` makes is kept for the expression
+    object."""
+    kept = _EVALUATORS.get(id(expr))
+    if kept is None:
+        if len(_EVALUATORS) >= 1024:
+            _EVALUATORS.clear()
+        kept = _EVALUATORS[id(expr)] = (expr, compile_expr(expr))
+    return kept[1](counts, consts)
 
 
 # binary operator precedence, read by the parser and by expr_text

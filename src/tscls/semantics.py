@@ -10,10 +10,11 @@ outcomes of one rule at one site are merged.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import itemgetter
+from itertools import accumulate, chain, islice
+from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import rates
@@ -282,28 +283,41 @@ class Enumerator:
     constants and typing mode, such as the states of one run.
 
     A rule rewrites one whole compartment and counts inside it, so a
-    compartment's compiled outcomes (each compiled rule's ``(key, rate)``
-    list, see :meth:`~tscls.compiled.Plan.entries`) depend on its content
+    compartment's compiled outcomes (each compiled rule's keys and rates,
+    see :meth:`~tscls.compiled.Plan.entries`) depend on its content
     alone. They are kept on the content's :class:`~tscls.terms.Term`,
-    tied to this enumerator: a compartment that a successor shares with
-    its parent costs one identity check, and only the changed compartment
-    and the ones enclosing it are enumerated again. With them a
-    compartment keeps each loop rule's order of outcomes.
+    tied to this enumerator, and with them a compartment keeps each loop
+    rule's order of outcomes.
 
     A target built from a compiled outcome leaves the enumerator what it
     changed: each compartment it made, the one that compartment replaced,
-    the cells that left and came, and, in an enclosing compartment, the
-    loop replaced. A compartment so made is enumerated from its
-    predecessor's outcomes (see :func:`~tscls.compiled.dependents`). In
-    the compartment the drawn rule rewrote and in the content of the cell
-    it rewrote, a compiled rule keeps them unless the drawn rule can
-    change them. In an enclosing compartment, a rule without a loop keeps
-    them, and each loop rule updates its order by the cells that changed:
-    the new cell takes the loop rule's reading of the old one, except
-    where the drawn rule rewrote that cell's content and can change what
-    the loop rule reads of it. Any other compartment not kept is
-    enumerated afresh. Rules without a plan are matched afresh in every
-    state: that path is the reference.
+    the cells that left and came, and the cell whose copy was replaced
+    and the loop that replaced it. A compartment so made is enumerated
+    from its predecessor's outcomes (see
+    :func:`~tscls.compiled.dependents`). In the compartment the drawn
+    rule rewrote and in the content of the cell it rewrote, a compiled
+    rule keeps them unless the drawn rule can change them. In an
+    enclosing compartment, a rule without a loop keeps them, and each
+    loop rule updates its order by the cells that changed: the new cell
+    takes the loop rule's reading of the old one, except where the drawn
+    rule rewrote that cell's content and can change what the loop rule
+    reads of it. Any other compartment not kept is enumerated afresh.
+
+    The enumerator keeps the last state's groups of outcomes, one per
+    rule and compartment, in :func:`transitions` order: by rule, then by
+    the compartment's position. A position lists the key and the copy
+    number of each loop on the way from the root, so positions sort in
+    pre-order, and unlike a path a position does not change when a cell
+    moves among its siblings. If the next state is the target built last
+    and the event left a cell of the root alone, only the groups of the
+    root and of the cell the event replaced there, with the compartments
+    inside it, are replaced (see :meth:`_patched`): the step costs no
+    Python work for a compartment the event left alone, and a path is
+    worked out only for the transitions asked for. Otherwise, as for a
+    first state, every compartment is walked in pre-order, which gives
+    each its path, and one whose outcomes are kept costs an identity
+    check. Rules without a plan are matched afresh in every state: that
+    path is the reference, and with one of them every state is walked.
 
     Each rule's rates are kept per tuple of counts, under the constants
     as they were when the enumerator was made: it keeps its own copy.
@@ -342,77 +356,163 @@ class Enumerator:
         self._token = object()
         # id of each compartment the last target built made -> (it, held
         # so that no other object takes its id; the compartment it
-        # replaced; the rules to enumerate again; the cells that changed)
+        # replaced; the rules to enumerate again; the cells that changed;
+        # the cell whose copy was replaced there and the loop that
+        # replaced it, or None)
         self._made: dict[int, tuple] = {}
+        # the last state enumerated, its groups and, unless it was
+        # walked, its groups per rule (see _patched), if every rule has a
+        # plan
+        self._kept: Optional[tuple] = None
 
     def outcomes(self, state: Term) -> "Outcomes":
         """The state's enabled transitions, in :func:`transitions` order.
 
-        Compartments are visited in pre-order and, in each one not kept,
-        rules in order, so the first rate error is the one the general
-        path raises; multi-outcome groups of rules without a plan build
-        their targets afterwards, in the order of the result."""
+        Compartments are enumerated in pre-order and, in each one not
+        kept, rules in order, so the first rate error is the one the
+        general path raises; multi-outcome groups of rules without a plan
+        build their targets afterwards, in the order of the result."""
         state = canonicalize(state)
-        # (rule index, path, content, rates, keys); for a rule without a
-        # plan, (rule index, path, None, None, survivors)
-        groups: list[tuple] = []
         made, self._made = self._made, {}
-        self._visit(state, (), state, made, groups)
-        # stable: by rule, then in pre-order, which is path order
-        groups.sort(key=itemgetter(0))
-        return Outcomes(self, state, groups)
+        kept, self._kept = self._kept, None
+        segs = None if kept is None else self._patched(state, kept, made)
+        if segs is None:
+            # (rule index, position, content, rates, keys, path); for a
+            # rule without a plan, (rule index, position, None, None,
+            # resolve, path). A path holds in the state walked only
+            groups: list[tuple] = []
+            self._visit(state, (), (), state, made, groups)
+            # stable: by rule, then in pre-order, which is position order
+            groups.sort(key=_RULE)
+        else:
+            groups = list(chain.from_iterable(segs))
+        outcomes = Outcomes(self, state, groups, segs is None)
+        if not self._general:
+            self._kept = (state, groups, segs)
+        return outcomes
 
-    def _visit(self, state: Term, path: Path, content: Term,
-               made: dict[int, tuple], groups: list[tuple]) -> None:
-        """Enumerate the compartment at ``path`` and, in pre-order, the
-        ones inside it, numbered as :func:`~tscls.matching.compartments`
-        numbers them."""
+    def _patched(self, state: Term, kept: tuple, made: dict[int, tuple]
+                 ) -> Optional[list[list[tuple]]]:
+        """The groups of ``state``, per rule, made from ``kept``: the last
+        state enumerated, its groups and, unless it was walked, its
+        groups per rule. None unless ``state`` is the target built last
+        from that state and the event left a cell of the root alone.
+
+        In each rule's groups, the root's group is replaced, and so is
+        the block of groups of the copy of the cell the event replaced at
+        the root and of the compartments inside it: by the block of the
+        loop that replaced it, whose compartments are visited. Copies of
+        a cell have equal blocks, so the last copy's is dropped, and the
+        new loop's goes after those of its other copies, if it has any.
+        Blocks are found and placed by bisection on position."""
+        old, groups, segs = kept
+        hint = made.get(id(state))
+        if hint is None or hint[1] is not old:
+            return None
+        swap = hint[4]
+        have = component_counts(old)
+        cells = reversed(have)  # loops sort last
+        last = next(cells, None)
+        if not isinstance(last, Loop) or (
+                swap is not None and last is swap[0] and have[last] == 1
+                and not isinstance(next(cells, None), Loop)):
+            return None  # the event replaced every compartment
+        if segs is None:
+            segs = [[] for _ in self.rules]
+            for group in groups:
+                segs[group[0]].append(group)
+        outs = iter(self._enumerated(state, (), (), state, made, None))
+        block: list[tuple] = []
+        if swap is not None:
+            cell, loop = swap
+            gone, end = (cell.key, have[cell] - 1), (cell.key, have[cell])
+            came = (loop.key, component_counts(state)[loop] - 1)
+            self._visit(state, came, None, loop.content, made, block)
+        out = next(outs, None)
+        for index, seg in enumerate(segs):
+            group = None
+            if out is not None and out[0] == index:
+                group = (index, (), state, out[1], out[2], ())
+                out = next(outs, None)
+            if seg and not seg[0][1]:
+                if group is None:
+                    del seg[0]
+                else:
+                    seg[0] = group
+            elif group is not None:
+                seg.insert(0, group)
+            if swap is not None and len(seg) > (group is not None):
+                lo = bisect_left(seg, gone, key=_POS)
+                del seg[lo:bisect_left(seg, end, lo, key=_POS)]
+        for group in block:
+            seg = segs[group[0]]
+            seg.insert(bisect_left(seg, group[1], key=_POS), group)
+        return segs
+
+    def _visit(self, state: Term, pos: tuple, path: Optional[Path],
+               content: Term, made: dict[int, tuple], groups: list[tuple]
+               ) -> None:
+        """Enumerate the compartment at position ``pos`` and path ``path``
+        (None if every rule has a plan) and, in pre-order, the ones inside
+        it, numbered as :func:`~tscls.matching.compartments` numbers them,
+        and append their groups to ``groups``."""
         if content.is_empty():
             return  # an instantiated lhs is never the empty term
-        kept = content._outcomes
-        if kept is not None and kept[0] is self._token:
-            for index, rule in self._general:
-                self._match(state, path, content, index, rule, groups)
-            _, outs, orders = kept
-        else:
-            hint = made.get(id(content))
-            base = hint[1]._outcomes if hint is not None else None
-            if base is not None and base[0] is self._token:
-                _, _, (redo, again, carry), change, loop = hint
-                outs = [out for out in base[1] if out[0] not in again]
-                orders = dict(base[2])
-            else:
-                redo, change, loop, carry = self._every, None, None, ()
-                outs, orders = [], {}
-            for index in redo:
-                rule = self.rules[index]
-                plan = rule.plan
-                if plan is None:
-                    self._match(state, path, content, index, rule, groups)
-                    continue
-                try:
-                    found = plan.entries(orders, content, self.env,
-                                         self._literal, self._rates[index],
-                                         change,
-                                         loop if index in carry else None)
-                except RateEvalError as exc:
-                    raise _located(exc, path) from None
-                if found:
-                    keys, rates = zip(*found)
-                    outs.append((index, rates, keys))
-            outs.sort(key=itemgetter(0))
-            content._outcomes = (self._token, outs, orders)
-        for index, rates, keys in outs:
-            groups.append((index, path, content, rates, keys))
+        for index, rates, keys in self._enumerated(state, pos, path,
+                                                   content, made, groups):
+            groups.append((index, pos, content, rates, keys, path))
         # equal loops are adjacent in canonical order, so n copies of a
         # loop take the next n indices
         i = 0
         for comp, n in component_counts(content).items():
             if isinstance(comp, Loop):
-                for _ in range(n):
-                    self._visit(state, path + (i,), comp.content, made,
-                                groups)
+                for copy in range(n):
+                    self._visit(state, pos + (comp.key, copy),
+                                None if path is None else path + (i,),
+                                comp.content, made, groups)
                     i += 1
+
+    def _enumerated(self, state: Term, pos: tuple, path: Optional[Path],
+                    content: Term, made: dict[int, tuple],
+                    groups: Optional[list[tuple]]) -> list[tuple]:
+        """The compiled outcomes of ``content``, the compartment at
+        position ``pos`` and path ``path`` of ``state``: per rule with
+        some, ``(rule index, rates, keys)``, in rule order, kept on the
+        content. The groups of the rules without a plan are appended to
+        ``groups``, and every rule is enumerated in rule order."""
+        kept = content._outcomes
+        if kept is not None and kept[0] is self._token:
+            for index, rule in self._general:
+                self._match(state, pos, path, content, index, rule, groups)
+            return kept[1]
+        hint = made.get(id(content))
+        base = hint[1]._outcomes if hint is not None else None
+        if base is not None and base[0] is self._token:
+            _, _, (redo, again, carry), change, swap = hint
+            outs = [out for out in base[1] if out[0] not in again]
+            orders = dict(base[2])
+        else:
+            redo, change, swap, carry = self._every, None, None, ()
+            outs, orders = [], {}
+        for index in redo:
+            rule = self.rules[index]
+            plan = rule.plan
+            if plan is None:
+                self._match(state, pos, path, content, index, rule, groups)
+                continue
+            try:
+                found = plan.entries(orders, content, self.env,
+                                     self._literal, self._rates[index],
+                                     change,
+                                     swap[0] if index in carry else None)
+            except RateEvalError as exc:
+                raise _located(exc, _path(state, pos)) from None
+            keys, rates = found
+            if keys:
+                outs.append((index, rates, keys))
+        outs.sort(key=_RULE)
+        content._outcomes = (self._token, outs, orders)
+        return outs
 
     def _build(self, state: Term, index: int, path: Path, content: Term,
                key: object) -> Term:
@@ -431,11 +531,11 @@ class Enumerator:
                 _indexes(always | drawn), _indexes(always | inside),
                 _indexes(always | loops, loops - around),
                 self._outer)
-        self._made = {id(new): (new, old, redo[role], change, loop)
-                      for role, new, old, change, loop in trail}
+        self._made = {id(new): (new, old, redo[role], change, swap)
+                      for role, new, old, change, swap in trail}
         return target
 
-    def _match(self, state: Term, path: tuple[int, ...], content: Term,
+    def _match(self, state: Term, pos: tuple, path: Path, content: Term,
                index: int, rule: RewriteRule, groups: list[tuple]) -> None:
         """The general path: a rule's instantiations in the compartment,
         merged by rhs image and rate, each with its deferred target."""
@@ -457,7 +557,31 @@ class Enumerator:
                 survivors[key] = partial(_build_target, state, path,
                                          rule.rhs, inst)
         if survivors:
-            groups.append((index, path, None, None, survivors))
+            groups.append((index, pos, None, None,
+                           partial(_resolved, rule, path, survivors), path))
+
+
+# a group's rule, position and rates
+_RULE, _POS, _RATES = itemgetter(0), itemgetter(1), itemgetter(3)
+_KEY = attrgetter("key")
+
+# less than the key of every loop, and more than that of every sequence
+_LOOP = (1,)
+
+
+def _path(state: Term, pos: tuple) -> Path:
+    """The path of the compartment at position ``pos`` of ``state`` (see
+    :class:`Enumerator`): at each level, the copies of the loops before
+    its loop, and its copy number."""
+    path = []
+    for at in range(0, len(pos), 2):
+        have = component_counts(state)
+        comps = list(have)
+        i = bisect_left(comps, pos[at], key=_KEY)
+        first = bisect_left(comps, _LOOP, 0, i, key=_KEY)
+        path.append(sum(islice(have.values(), first, i)) + pos[at + 1])
+        state = comps[i].content
+    return tuple(path)
 
 
 def _indexes(indexes: set[int], carry: frozenset[int] = frozenset()
@@ -490,37 +614,41 @@ class Outcomes:
     ``rates`` lists their rates, :meth:`transition` makes the one drawn,
     with a deferred target, and :meth:`rule_index` gives its rule."""
 
-    __slots__ = ("rates", "_enumerator", "_state", "_groups", "_starts")
+    __slots__ = ("rates", "_enumerator", "_state", "_groups", "_ends",
+                 "_walked")
 
     def __init__(self, enumerator: Enumerator, state: Term,
-                 groups: list[tuple]):
-        """``groups`` as :meth:`Enumerator.outcomes` orders them; the
-        survivors of a rule without a plan become its transitions here."""
+                 groups: list[tuple], walked: bool = True):
+        """``groups`` as :meth:`Enumerator.outcomes` orders them, with
+        their paths if ``walked``; the survivors of a rule without a plan
+        become its transitions here."""
         self._enumerator = enumerator
         self._state = state
         self._groups = groups
-        self._starts: list[int] = []
-        self.rates: list[float] = []
-        rules = enumerator.rules
-        for g, (index, path, content, rates, keys) in enumerate(groups):
-            if rates is None:
-                rates, keys = _resolved(rules[index], path, keys)
-                groups[g] = (index, path, content, rates, keys)
-            self._starts.append(len(self.rates))
-            self.rates.extend(rates)
+        self._walked = walked
+        if enumerator._general:
+            for g, (index, pos, content, rates, keys, path) in enumerate(
+                    groups):
+                if rates is None:
+                    groups[g] = (index, pos, content, *keys(), path)
+        # where each group's transitions end
+        self._ends = list(accumulate(map(len, map(_RATES, groups))))
+        self.rates = list(chain.from_iterable(map(_RATES, groups)))
 
     def rule_index(self, i: int) -> int:
         """The index of the rule of the ``i``-th transition."""
-        return self._groups[bisect_right(self._starts, i) - 1][0]
+        return self._groups[bisect_right(self._ends, i)][0]
 
     def transition(self, i: int) -> Transition:
         """The ``i``-th transition. Building the target of a compiled
         rule's outcome leaves the enumerator what it changed."""
-        g = bisect_right(self._starts, i) - 1
-        index, path, content, rates, keys = self._groups[g]
-        j = i - self._starts[g]
+        g = bisect_right(self._ends, i)
+        index, pos, content, rates, keys, path = self._groups[g]
+        j = i - self._ends[g - 1] if g else i
         if content is None:
             return keys[j]  # a rule without a plan: its transitions
+        if not self._walked:
+            path = _path(self._state, pos)
         enumerator = self._enumerator
         return Transition.deferred(
             enumerator.rules[index].id, path,

@@ -1,10 +1,8 @@
 """The compiled path for ``ground | $X`` and single-loop rules versus the
 general path."""
 
-import math
 import random
 from collections import Counter
-from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -508,6 +506,22 @@ def test_successors_type_as_type_of(seed):
                 == type_of(site.content, env)
 
 
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=200, deadline=None)
+def test_target_keys_are_made_without_the_loop(seed):
+    # a candidate's target key is made from the key of the cell's content
+    # alone; it names the loop the candidate makes
+    rng = random.Random(seed)
+    state = canonicalize(random_loop_state(rng))
+    plan, env = random_loop_rule(rng, state, "r").plan, random_env(rng)
+    for site in compartments(state) if plan is not None else ():
+        for cell in component_counts(site.content):
+            entry = isinstance(cell, Loop) and plan._cell(cell, env, False)
+            for membrane in entry.membranes if entry else ():
+                key = entry.successor_key(membrane)
+                assert key == entry.successor(membrane).key
+
+
 class TestRateMemo:
     def test_two_constants_mappings(self):
         r = rule("r", "a | $X", "b | $X", "(n + 1) * k",
@@ -655,6 +669,76 @@ def test_a_step_enumerates_only_what_an_event_changed(monkeypatch):
         assert got == transitions(target, rules, TypeEnv(), {})
         assert len(seen) == 21 * len(rules)  # a fresh enumerator keeps nothing
         state, outcomes = target, enumerator.outcomes(target)
+    # the Python work of a step is that of the compartments and cells the
+    # event replaced: with 20 or 200 cells at the root, the step after a
+    # W_out event enumerates the root and the new cell's content, calls
+    # Plan.entries, Plan._cell and the rates missing from the rate table
+    # as often, and makes target keys for the new cell alone. The cells
+    # differ in their membranes only, so that all but the new one share
+    # a rate
+    monkeypatch.undo()
+    work = [step_work(monkeypatch, n) for n in (20, 200)]
+    assert work[0] == work[1]
+    assert work[0] == {"compartments": 2, "entries": 4, "cells": 2,
+                       "missed": 4, "keys": 2}
+
+
+def step_work(monkeypatch, n):
+    """What the step after a W_out event among ``n`` cells does, counted;
+    its transitions are those of a fresh enumeration."""
+    cells = " | ".join(f"<m{i}.p>[ 4 * W | 3 * S ]" for i in range(n))
+    state = canonicalize(T(f"{cells} | 30 * W | 10 * S"))
+    rules = osmosis_pair()
+    enumerator = Enumerator(rules, TypeEnv(), {})
+    outcomes = enumerator.outcomes(state)
+    i = next(i for i in range(len(outcomes.rates))
+             if outcomes.rule_index(i) == 0)
+    target = outcomes.transition(i).target
+    calls = Counter()
+    with monkeypatch.context() as patch:
+        for owner, name, counted in (
+                (Enumerator, "_enumerated", "compartments"),
+                (Plan, "entries", "entries"), (Plan, "_cell", "cells"),
+                (semantics, "eval_rate", "missed"),
+                (compiled, "_target_key", "keys")):
+            patch.setattr(owner, name, lambda *args, fn=getattr(owner, name),
+                          counted=counted: calls.update([counted])
+                          or fn(*args))
+        got = enumerator.outcomes(target).all()
+    assert got == transitions(target, rules, TypeEnv(), {})
+    return dict(calls)
+
+
+@pytest.mark.parametrize("rules, state", [
+    # W_out turns <m.p>[ S | 2 * W ] into a cell that sorts before two of
+    # its siblings, and W_in moves others by one
+    (osmosis_pair(), "<m.p>[ 3 * W ] | <m.p>[ 2 * W | S ] |"
+     " <m.p>[ W | 2 * S ] | <m.p>[ 3 * S ] | <m.p>[ 4 * W | S ] |"
+     " <p>[ 2 * W | 2 * S ] | 6 * W | 3 * S"),
+    # cells two deep, beside cells one deep
+    (osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
+                            [(TypeName("t_A"), "n")])],
+     "<d>[ <m.p>[ 3 * W | S | A ] | <p>[ 2 * W | A ] | 4 * W | S | A ] |"
+     " <e>[ <m>[ W | S ] | W ] | <m.p>[ W | 2 * S ] | 2 * W | 3 * S"),
+    # two copies of one cell
+    (osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
+                            [(TypeName("t_A"), "n")])],
+     "2 * <m.p>[ 3 * W | S | A ] | <m.p>[ 2 * W | S ] |"
+     " 2 * <p>[ <q>[ W | A ] | W ] | 5 * W | 2 * S")])
+def test_a_step_after_any_event_is_a_fresh_enumeration(rules, state):
+    # after each outcome, and after each outcome of its target in turn,
+    # the enumerator that drew it gives the transitions a fresh one gives
+    state = canonicalize(T(state))
+    for i in range(len(transitions(state, rules, TypeEnv(), {}))):
+        enumerator = Enumerator(rules, TypeEnv(), {})
+        target = enumerator.outcomes(state).transition(i).target
+        outcomes = enumerator.outcomes(target)
+        assert outcomes.all() == transitions(target, rules, TypeEnv(), {})
+        for j in range(len(outcomes.rates)):
+            later = outcomes.transition(j).target
+            assert enumerator.outcomes(later).all() \
+                == transitions(later, rules, TypeEnv(), {})
+            outcomes = enumerator.outcomes(target)
 
 
 def steps_after(rules, state, drawn):
@@ -819,20 +903,22 @@ def test_a_step_after_an_osmosis_event_places_one_cell(monkeypatch):
     # 20 cells at the root: a W_out event replaces one cell by a cell
     # unlike the others and changes the root. The next step of the same
     # enumerator keeps each loop rule's order of outcomes from the step
-    # before and places the new cell's outcome in it by bisection, where
-    # a fresh enumerator sorts all of them
+    # before, with their target keys, and makes keys only for the new
+    # cell's outcome, one per loop rule, which it places by bisection;
+    # a fresh enumerator makes the keys of all 40 and sorts them
     cells = " | ".join(f"<m.p>[ {2 * n} * W | 3 * S ]" for n in range(1, 21))
     state = canonicalize(T(f"{cells} | 30 * W | 10 * S"))
     rules = osmosis_pair()
     enumerator = Enumerator(rules, TypeEnv(), {})
     outcomes = enumerator.outcomes(state)
     target = next(tr for tr in outcomes.all() if tr.rule_id == "W_out").target
-    compared = []
-    by_target = compiled._by_target
-    monkeypatch.setattr(compiled, "_TARGET_ORDER", cmp_to_key(
-        lambda a, b: compared.append(a) or by_target(a, b)))
+    [cell] = set(target.components) - set(state.components)
+    made = []
+    target_key = compiled._target_key
+    monkeypatch.setattr(compiled, "_target_key", lambda entry, membrane:
+                        made.append(entry.cell) or target_key(entry, membrane))
     got = enumerator.outcomes(target).all()
-    assert 0 < len(compared) <= 2 * math.ceil(math.log2(40))
-    del compared[:]
+    assert made == [cell, cell]
+    del made[:]
     assert got == transitions(target, rules, TypeEnv(), {})
-    assert len(compared) >= 2 * 19
+    assert len(made) == 40

@@ -105,6 +105,26 @@ def test_an_expression_shape_is_compiled_once():
     assert len(rates._MADE) <= 1024
 
 
+def test_evaluate_keeps_an_evaluator_per_expression_object(monkeypatch):
+    # equal expressions parsed at different places are distinct objects,
+    # each with its own evaluator and the position of its own division
+    made = []
+    compile_expr = rates.compile_expr
+    monkeypatch.setattr(rates, "compile_expr",
+                        lambda expr: made.append(expr) or compile_expr(expr))
+    first, second = parse_rate("x / y"), parse_rate("  x / y")
+    assert first == second and first is not second
+    for _ in range(3):
+        for expr in (first, second):
+            assert evaluate(expr, {"x": 6, "y": 3}, {}) == 2
+    assert made == [first, second]
+    for expr, where in ((first, "1:3"), (second, "1:5"), (first, "1:3")):
+        with pytest.raises(RateEvalError) as exc:
+            evaluate(expr, {"x": 1, "y": 0}, {})
+        assert str(exc.value) == f"division by zero at {where}"
+    assert made == [first, second]
+
+
 def test_check_compiles_no_rate(monkeypatch, capsys):
     def no_compile(expr):
         raise AssertionError("a rate was compiled")
