@@ -107,7 +107,7 @@ class Plan:
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
                  "membrane", "frame_first", "net", "_same_inner",
-                 "_inner_moves", "_rotated", "_typed")
+                 "_inner_moves", "_typed")
 
     def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
                  inner_need: Optional[Counter] = None,
@@ -138,7 +138,6 @@ class Plan:
                 moves[comp] = moves.get(comp, 0) + sign * n
         self._inner_moves = tuple((comp.key, n) for comp, n in moves.items()
                                   if n)
-        self._rotated: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
         # (env, Typed under it)
         self._typed: tuple = (None, None)
 
@@ -371,25 +370,20 @@ class Plan:
 
     def _membranes(self, mem: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
         """The distinct least rotations of the rhs membrane over the
-        rotations of ``mem``, cached per membrane."""
+        rotations of ``mem``."""
         if self.membrane == (None,):
             return (mem,)  # mem is a least rotation already
-        out = self._rotated.get(mem)
-        if out is None:
-            found: dict[tuple[str, ...], None] = {}
-            for shift in range(len(mem)):
-                rot = mem[shift:] + mem[:shift]
-                names: list[str] = []
-                for atom in self.membrane:
-                    if atom is None:
-                        names.extend(rot)
-                    else:
-                        names.append(atom)
-                found[min_rotation(tuple(names))] = None
-            if len(self._rotated) >= 4096:
-                self._rotated.clear()
-            out = self._rotated[mem] = tuple(found)
-        return out
+        found: dict[tuple[str, ...], None] = {}
+        for shift in range(len(mem)):
+            rot = mem[shift:] + mem[:shift]
+            names: list[str] = []
+            for atom in self.membrane:
+                if atom is None:
+                    names.extend(rot)
+                else:
+                    names.append(atom)
+            found[min_rotation(tuple(names))] = None
+        return tuple(found)
 
     def build(self, state: Term, path: Path, content: Term,
               key: Optional[tuple], trail: Optional[list] = None) -> Term:
@@ -444,11 +438,10 @@ class _Cell:
     cell membrane's share of the frame; the rhs membranes it can take,
     and the one that leaves it as it is, if any; the values of its counts
     and shares, which with the frame totals give a candidate's counts;
-    and, as they are asked for, the loops it becomes and the target keys
-    of its candidates."""
+    and, once asked for, the target keys of its candidates."""
 
     __slots__ = ("plan", "cell", "counts", "shares", "membranes", "same",
-                 "values", "_inner", "_successors", "_keys")
+                 "values", "_keys")
 
     def __init__(self, plan: Plan, cell: Loop, counts: dict[str, int],
                  shares: tuple[tuple[int, dict[str, int]], ...],
@@ -461,8 +454,6 @@ class _Cell:
         self.membranes = membranes
         self.same = same
         self.values = values
-        self._inner: Optional[Term] = None
-        self._successors: dict[tuple[str, ...], Loop] = {}
         self._keys: Optional[tuple[tuple, ...]] = None
 
     def carried(self, cell: Loop) -> "_Cell":
@@ -474,22 +465,15 @@ class _Cell:
     def successor(self, membrane: tuple[str, ...]) -> Loop:
         """The loop that replaces the cell when it takes ``membrane``. Its
         content is the cell's if the rule leaves that as it is."""
-        out = self._successors.get(membrane)
-        if out is None:
-            if self._inner is None:
-                plan, content = self.plan, self.cell.content
-                self._inner = content if plan._same_inner else counted(
-                    placed(*_rebuilt(component_counts(content),
-                                     plan.inner_need, plan.inner_give)))
-            out = self._successors[membrane] = Loop(membrane, self._inner)
-        return out
+        plan, content = self.plan, self.cell.content
+        if not plan._same_inner:
+            content = counted(placed(*_rebuilt(
+                component_counts(content), plan.inner_need, plan.inner_give)))
+        return Loop(membrane, content)
 
     def successor_key(self, membrane: tuple[str, ...]) -> tuple:
         """The key of :meth:`successor`, made from the cell's content
         key without making the loop."""
-        loop = self._successors.get(membrane)
-        if loop is not None:
-            return loop.key
         return (1, (len(membrane), membrane), _rebuilt_key(
             self.cell.content.key, self.plan._inner_moves))
 

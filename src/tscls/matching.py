@@ -12,6 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections import Counter
+from itertools import islice
+from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import SubstitutionError, WellFormednessError
@@ -21,6 +23,10 @@ from .terms import (Component, Loop, Seq, Term, canonicalize,
                     component_counts, counted, min_rotation)
 
 Path = tuple[int, ...]
+
+# the key and the copy number of each loop on the way from the root to a
+# compartment (see :func:`path_of`)
+Position = tuple
 
 # the distinct cells a compartment lost and gained against the one it
 # replaced: (gone, came)
@@ -121,6 +127,30 @@ def compartments(state: Term) -> list[Compartment]:
                     inner.append((path + (len(inner),), comp.content))
         stack.extend(reversed(inner))
     return out
+
+
+def path_of(state: Term, pos: Position) -> Path:
+    """The path of the compartment at position ``pos`` of the canonical
+    ``state``, as :func:`compartments` numbers it. Positions sort in
+    pre-order, and unlike a path a position does not change when a cell
+    moves among its siblings. At each level, the path's step is the
+    number of copies of the loops before the position's loop, plus its
+    copy number."""
+    path = []
+    for at in range(0, len(pos), 2):
+        have = component_counts(state)
+        comps = list(have)
+        i = bisect_left(comps, pos[at], key=_KEY)
+        first = bisect_left(comps, _LOOP, 0, i, key=_KEY)
+        path.append(sum(islice(have.values(), first, i)) + pos[at + 1])
+        state = comps[i].content
+    return tuple(path)
+
+
+_KEY = attrgetter("key")
+
+# less than the key of every loop, and more than that of every sequence
+_LOOP = (1,)
 
 
 def splice(state: Term, path: Path, new_content: Term,

@@ -70,6 +70,15 @@ def expr_names(expr: RateExpr) -> set[str]:
     return {expr.count} | expr_names(expr.then) | expr_names(expr.orelse)
 
 
+def guard_names(expr: RateExpr) -> set[str]:
+    """The names guards test, which must be count variables."""
+    if isinstance(expr, (Num, Name)):
+        return set()
+    if isinstance(expr, BinOp):
+        return guard_names(expr.left) | guard_names(expr.right)
+    return {expr.count} | guard_names(expr.then) | guard_names(expr.orelse)
+
+
 def _where(pos: Pos) -> str:
     return f" at {pos[0]}:{pos[1]}" if pos else ""
 

@@ -13,15 +13,15 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, islice
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import rates
 from .compiled import Plan, compile_rule, dependents
 from .errors import RateEvalError
-from .matching import (Instantiation, Path, image, match_whole, path_text,
-                       splice, substitute)
+from .matching import (Instantiation, Path, Position, image, match_whole,
+                       path_of, path_text, splice, substitute)
 from .patterns import (Pattern, Var, VarKind, pattern_vars,
                        seq_positioned_elem_vars)
 from .rates import RateExpr
@@ -100,6 +100,10 @@ def rule_violations(rule: RewriteRule,
     for ident in sorted(rates.expr_names(rule.rate)):
         if ident not in known:
             out.append(f"rule {rule.id}: rate references undeclared name '{ident}'")
+    for ident in sorted(rates.guard_names(rule.rate) & set(consts)
+                        - seen_names):
+        out.append(f"rule {rule.id}: guard names constant '{ident}',"
+                   " not a count variable")
     return out
 
 
@@ -305,19 +309,17 @@ class Enumerator:
 
     The enumerator keeps the last state's groups of outcomes, one per
     rule and compartment, in :func:`transitions` order: by rule, then by
-    the compartment's position. A position lists the key and the copy
-    number of each loop on the way from the root, so positions sort in
-    pre-order, and unlike a path a position does not change when a cell
-    moves among its siblings. If the next state is the target built last
-    and the event left a cell of the root alone, only the groups of the
-    root and of the cell the event replaced there, with the compartments
-    inside it, are replaced (see :meth:`_patched`): the step costs no
-    Python work for a compartment the event left alone, and a path is
-    worked out only for the transitions asked for. Otherwise, as for a
-    first state, every compartment is walked in pre-order, which gives
-    each its path, and one whose outcomes are kept costs an identity
-    check. Rules without a plan are matched afresh in every state: that
-    path is the reference, and with one of them every state is walked.
+    the compartment's position (see :func:`~tscls.matching.path_of`),
+    the only name it keeps for a compartment. If the next state is the
+    target built last and the event left a cell of the root alone, only
+    the groups of the root and of the cell the event replaced there, with
+    the compartments inside it, are replaced (see :meth:`_patched`): the
+    step costs no Python work for a compartment the event left alone.
+    Otherwise, as for a first state, every compartment is walked in
+    pre-order, and one whose outcomes are kept costs an identity check.
+    Either way, a path is worked out only for the transitions asked for.
+    Rules without a plan are matched afresh in every state: that path is
+    the reference, and with one of them every state is walked.
 
     Each rule's rates are kept per tuple of counts, under the constants
     as they were when the enumerator was made: it keeps its own copy.
@@ -340,8 +342,7 @@ class Enumerator:
         self._every = tuple(range(len(self.rules)))
         # the rules enumerated again in every compartment an event made:
         # those without a plan
-        self._always = {index for index, rule in enumerate(self.rules)
-                        if rule.plan is None}
+        self._always = frozenset(index for index, _ in self._general)
         self._loops = frozenset(
             index for index, rule in enumerate(self.rules)
             if rule.plan is not None and rule.plan.membrane is not None)
@@ -377,16 +378,15 @@ class Enumerator:
         kept, self._kept = self._kept, None
         segs = None if kept is None else self._patched(state, kept, made)
         if segs is None:
-            # (rule index, position, content, rates, keys, path); for a
-            # rule without a plan, (rule index, position, None, None,
-            # resolve, path). A path holds in the state walked only
+            # (rule index, position, content, rates, keys); for a rule
+            # without a plan, (rule index, position, None, None, resolve)
             groups: list[tuple] = []
-            self._visit(state, (), (), state, made, groups)
+            self._visit(state, (), state, made, groups)
             # stable: by rule, then in pre-order, which is position order
             groups.sort(key=_RULE)
         else:
             groups = list(chain.from_iterable(segs))
-        outcomes = Outcomes(self, state, groups, segs is None)
+        outcomes = Outcomes(self, state, groups)
         if not self._general:
             self._kept = (state, groups, segs)
         return outcomes
@@ -421,18 +421,18 @@ class Enumerator:
             segs = [[] for _ in self.rules]
             for group in groups:
                 segs[group[0]].append(group)
-        outs = iter(self._enumerated(state, (), (), state, made, None))
+        outs = iter(self._enumerated(state, (), state, made, None))
         block: list[tuple] = []
         if swap is not None:
             cell, loop = swap
             gone, end = (cell.key, have[cell] - 1), (cell.key, have[cell])
             came = (loop.key, component_counts(state)[loop] - 1)
-            self._visit(state, came, None, loop.content, made, block)
+            self._visit(state, came, loop.content, made, block)
         out = next(outs, None)
         for index, seg in enumerate(segs):
             group = None
             if out is not None and out[0] == index:
-                group = (index, (), state, out[1], out[2], ())
+                group = (index, (), state, out[1], out[2])
                 out = next(outs, None)
             if seg and not seg[0][1]:
                 if group is None:
@@ -449,41 +449,34 @@ class Enumerator:
             seg.insert(bisect_left(seg, group[1], key=_POS), group)
         return segs
 
-    def _visit(self, state: Term, pos: tuple, path: Optional[Path],
-               content: Term, made: dict[int, tuple], groups: list[tuple]
-               ) -> None:
-        """Enumerate the compartment at position ``pos`` and path ``path``
-        (None if every rule has a plan) and, in pre-order, the ones inside
-        it, numbered as :func:`~tscls.matching.compartments` numbers them,
-        and append their groups to ``groups``."""
+    def _visit(self, state: Term, pos: Position, content: Term,
+               made: dict[int, tuple], groups: list[tuple]) -> None:
+        """Enumerate the compartment at position ``pos`` and, in
+        pre-order, the ones inside it, and append their groups to
+        ``groups``."""
         if content.is_empty():
             return  # an instantiated lhs is never the empty term
-        for index, rates, keys in self._enumerated(state, pos, path,
-                                                   content, made, groups):
-            groups.append((index, pos, content, rates, keys, path))
-        # equal loops are adjacent in canonical order, so n copies of a
-        # loop take the next n indices
-        i = 0
+        for index, rates, keys in self._enumerated(state, pos, content,
+                                                   made, groups):
+            groups.append((index, pos, content, rates, keys))
         for comp, n in component_counts(content).items():
             if isinstance(comp, Loop):
                 for copy in range(n):
-                    self._visit(state, pos + (comp.key, copy),
-                                None if path is None else path + (i,),
-                                comp.content, made, groups)
-                    i += 1
+                    self._visit(state, pos + (comp.key, copy), comp.content,
+                                made, groups)
 
-    def _enumerated(self, state: Term, pos: tuple, path: Optional[Path],
-                    content: Term, made: dict[int, tuple],
-                    groups: Optional[list[tuple]]) -> list[tuple]:
+    def _enumerated(self, state: Term, pos: Position, content: Term,
+                    made: dict[int, tuple], groups: Optional[list[tuple]]
+                    ) -> list[tuple]:
         """The compiled outcomes of ``content``, the compartment at
-        position ``pos`` and path ``path`` of ``state``: per rule with
-        some, ``(rule index, rates, keys)``, in rule order, kept on the
-        content. The groups of the rules without a plan are appended to
-        ``groups``, and every rule is enumerated in rule order."""
+        position ``pos`` of ``state``: per rule with some, ``(rule index,
+        rates, keys)``, in rule order, kept on the content. The groups of
+        the rules without a plan are appended to ``groups``, and every
+        rule is enumerated in rule order."""
         kept = content._outcomes
         if kept is not None and kept[0] is self._token:
             for index, rule in self._general:
-                self._match(state, pos, path, content, index, rule, groups)
+                self._match(state, pos, content, index, rule, groups)
             return kept[1]
         hint = made.get(id(content))
         base = hint[1]._outcomes if hint is not None else None
@@ -498,7 +491,7 @@ class Enumerator:
             rule = self.rules[index]
             plan = rule.plan
             if plan is None:
-                self._match(state, pos, path, content, index, rule, groups)
+                self._match(state, pos, content, index, rule, groups)
                 continue
             try:
                 found = plan.entries(orders, content, self.env,
@@ -506,7 +499,7 @@ class Enumerator:
                                      change,
                                      swap[0] if index in carry else None)
             except RateEvalError as exc:
-                raise _located(exc, _path(state, pos)) from None
+                raise _located(exc, path_of(state, pos)) from None
             keys, rates = found
             if keys:
                 outs.append((index, rates, keys))
@@ -535,13 +528,14 @@ class Enumerator:
                       for role, new, old, change, swap in trail}
         return target
 
-    def _match(self, state: Term, pos: tuple, path: Path, content: Term,
-               index: int, rule: RewriteRule, groups: list[tuple]) -> None:
+    def _match(self, state: Term, pos: Position, content: Term, index: int,
+               rule: RewriteRule, groups: list[tuple]) -> None:
         """The general path: a rule's instantiations in the compartment,
         merged by rhs image and rate, each with its deferred target."""
         insts = match_whole(rule.lhs, content)
         if not insts:
             return
+        path = path_of(state, pos)
         survivors: dict[tuple, Callable[[], Term]] = {}
         for inst in sorted(insts, key=Instantiation.sort_key):
             counts = count_types(inst, rule.counts, self.env, self.mode,
@@ -558,30 +552,11 @@ class Enumerator:
                                          rule.rhs, inst)
         if survivors:
             groups.append((index, pos, None, None,
-                           partial(_resolved, rule, path, survivors), path))
+                           partial(_resolved, rule, path, survivors)))
 
 
 # a group's rule, position and rates
 _RULE, _POS, _RATES = itemgetter(0), itemgetter(1), itemgetter(3)
-_KEY = attrgetter("key")
-
-# less than the key of every loop, and more than that of every sequence
-_LOOP = (1,)
-
-
-def _path(state: Term, pos: tuple) -> Path:
-    """The path of the compartment at position ``pos`` of ``state`` (see
-    :class:`Enumerator`): at each level, the copies of the loops before
-    its loop, and its copy number."""
-    path = []
-    for at in range(0, len(pos), 2):
-        have = component_counts(state)
-        comps = list(have)
-        i = bisect_left(comps, pos[at], key=_KEY)
-        first = bisect_left(comps, _LOOP, 0, i, key=_KEY)
-        path.append(sum(islice(have.values(), first, i)) + pos[at + 1])
-        state = comps[i].content
-    return tuple(path)
 
 
 def _indexes(indexes: set[int], carry: frozenset[int] = frozenset()
@@ -612,25 +587,22 @@ def _resolved(rule: RewriteRule, path: tuple[int, ...],
 class Outcomes:
     """A state's enabled transitions, in :func:`transitions` order:
     ``rates`` lists their rates, :meth:`transition` makes the one drawn,
-    with a deferred target, and :meth:`rule_index` gives its rule."""
+    with a deferred target and the path worked out from its
+    compartment's position, and :meth:`rule_index` gives its rule."""
 
-    __slots__ = ("rates", "_enumerator", "_state", "_groups", "_ends",
-                 "_walked")
+    __slots__ = ("rates", "_enumerator", "_state", "_groups", "_ends")
 
     def __init__(self, enumerator: Enumerator, state: Term,
-                 groups: list[tuple], walked: bool = True):
-        """``groups`` as :meth:`Enumerator.outcomes` orders them, with
-        their paths if ``walked``; the survivors of a rule without a plan
-        become its transitions here."""
+                 groups: list[tuple]):
+        """``groups`` as :meth:`Enumerator.outcomes` orders them; the
+        survivors of a rule without a plan become its transitions here."""
         self._enumerator = enumerator
         self._state = state
         self._groups = groups
-        self._walked = walked
         if enumerator._general:
-            for g, (index, pos, content, rates, keys, path) in enumerate(
-                    groups):
+            for g, (index, pos, content, rates, keys) in enumerate(groups):
                 if rates is None:
-                    groups[g] = (index, pos, content, *keys(), path)
+                    groups[g] = (index, pos, content, *keys())
         # where each group's transitions end
         self._ends = list(accumulate(map(len, map(_RATES, groups))))
         self.rates = list(chain.from_iterable(map(_RATES, groups)))
@@ -643,12 +615,11 @@ class Outcomes:
         """The ``i``-th transition. Building the target of a compiled
         rule's outcome leaves the enumerator what it changed."""
         g = bisect_right(self._ends, i)
-        index, pos, content, rates, keys, path = self._groups[g]
+        index, pos, content, rates, keys = self._groups[g]
         j = i - self._ends[g - 1] if g else i
         if content is None:
             return keys[j]  # a rule without a plan: its transitions
-        if not self._walked:
-            path = _path(self._state, pos)
+        path = path_of(self._state, pos)
         enumerator = self._enumerator
         return Transition.deferred(
             enumerator.rules[index].id, path,

@@ -161,22 +161,23 @@ def _expect_keyword(cur: _Cursor, word: str) -> None:
         raise ParseError(f"expected '{word}'", line, col)
 
 
-def _number(cur: _Cursor, signed: bool = False) -> Union[int, float]:
+def _number(cur: _Cursor, signed: bool = False, finite: bool = False
+            ) -> Union[int, float]:
     """Read a number literal. A signed one, after an optional '-', is a
-    float. An unsigned one is an int when written as digits alone, which
-    must then be finite as a float, and a float otherwise."""
+    float. An unsigned one is an int when written as digits alone, and a
+    float otherwise. That int, and with ``finite`` (as for a rate or a
+    constant) every literal, must be finite as a float."""
     negative = signed and cur.take_sym("-")
     kind, text, line, col = cur.next()
     if kind != "NUMBER":
         raise ParseError("expected a number", line, col)
     value = float(text)
+    whole = not signed and text.isdecimal()
+    if math.isinf(value) and (finite or whole):
+        raise ParseError("number out of range", line, col)
     if signed:
         return -value if negative else value
-    if not text.isdecimal():
-        return value
-    if math.isinf(value):
-        raise ParseError("number out of range", line, col)
-    return int(text)
+    return int(text) if whole else value
 
 
 def _separated(cur: _Cursor, sep: str, parse, *args) -> list:
@@ -351,7 +352,7 @@ def _parse_factor(cur: _Cursor) -> tuple[RateExpr, int]:
         cur.depth -= 1
         return expr, height
     if kind == "NUMBER":
-        return Num(_number(cur), pos), 0
+        return Num(_number(cur, finite=True), pos), 0
     if kind != "IDENT":
         raise ParseError(f"expected a rate expression, found {text!r}", *pos)
     if text == "if":
@@ -471,7 +472,7 @@ def parse_model(text: str) -> ModelFile:
             if name in mf.constants:
                 duplicates.append(f"duplicate constant '{name}'")
             cur.expect_sym("=")
-            mf.constants[name] = _number(cur, signed=True)
+            mf.constants[name] = _number(cur, signed=True, finite=True)
         elif text == "type":
             elem = cur.expect_ident("element name")[1]
             if elem in mf.type_decls:

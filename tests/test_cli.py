@@ -113,6 +113,19 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "$Z" in err
 
+    def test_guard_on_a_constant(self, tmp_path, capsys, monkeypatch):
+        # the run would fail at its first rate: check reports it first
+        monkeypatch.setenv("TSCLS_COLOR", "0")
+        bad = tmp_path / "bad.tscls"
+        bad.write_text(TINY.replace("const k = 1.0", "const k = 2").replace(
+            "rate: (n + 1) * k", "rate: if k == 0 then 1 else 2"),
+            encoding="utf-8")
+        for command in ("check", "run"):
+            assert main([command, str(bad)]) == 1
+            assert capsys.readouterr().err == (
+                "error: rule change: guard names constant 'k',"
+                " not a count variable\n")
+
     def test_syntax_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")
         bad = tmp_path / "bad.tscls"
@@ -129,7 +142,11 @@ class TestCheck:
          "1:1007: nesting deeper than 200 levels"),
         (RATE_MODEL % " + ".join(["1"] * 1000),
          "5:811: nesting deeper than 200 levels"),
-    ], ids=["digit", "overflow", "seed", "nesting", "chain"])
+        (TINY.replace("const k = 1.0", "const k = 1e400"),
+         "2:11: number out of range"),
+        (RATE_MODEL % "1e400 * 0", "5:9: number out of range"),
+    ], ids=["digit", "overflow", "seed", "nesting", "chain", "inf-const",
+            "inf-rate"])
     def test_bad_text_is_a_parse_error(self, text, message, tmp_path, capsys,
                                        monkeypatch):
         monkeypatch.setenv("TSCLS_COLOR", "0")

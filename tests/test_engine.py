@@ -17,6 +17,7 @@ from tscls import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, ModelError,
                    parse_term, simulate, step)
 from tscls import engine
 from tscls.catalog import lac_operon_model, state_change_rule
+from tscls.compiled import Plan, compile_rule
 from tscls.engine import _count_all, _sample_grid
 from tscls.terms import Loop, TypeEnv
 
@@ -324,7 +325,8 @@ class TestSimulate:
 
     def test_a_run_leaves_its_rules_as_it_found_them(self):
         # a rule may keep what its own fields determine, never anything
-        # of a run: the enumerator owns the rates
+        # of a run: the enumerator owns the rates. Its plan keeps only
+        # its type histograms for the last environment (Plan.typed)
         derived = {"plan", "evaluate", "seq_positioned"}
         for model in (lac_operon_model(), parse_model(CELLS)):
             trace = simulate(model, model.sim_config(seed=3, max_steps=150))
@@ -332,6 +334,10 @@ class TestSimulate:
             for rule in model.rules:
                 fields = {f.name for f in dataclasses.fields(rule)}
                 assert set(vars(rule)) <= fields | derived, rule.id
+                fresh = compile_rule(rule)
+                for name in set(Plan.__slots__) - {"_typed"}:
+                    assert getattr(rule.plan, name) \
+                        == getattr(fresh, name), (rule.id, name)
 
     def test_two_parses_of_one_model_share_no_cell(self):
         # what a run leaves on a compartment it visited belongs to that

@@ -10,7 +10,8 @@ from tscls import (Instantiation, Loop, SubstitutionError, Term, Var,
                    VarKind, WellFormednessError, canonicalize, compartments,
                    congruent, match_whole, parse_pattern, parse_term,
                    path_text, splice, substitute)
-from tscls.matching import image
+from tscls.matching import image, path_of
+from tscls.terms import component_counts
 
 from conftest import abstract_pattern, random_rule, random_seq, random_term
 
@@ -55,6 +56,37 @@ class TestCompartments:
         assert [c.path for c in comps] == [
             (), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1), (2,)]
         assert [c.content for c in comps[-2:]] == [T("x"), T("y")]
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=150, deadline=None)
+    def test_positions_give_the_paths_of_compartments(self, seed):
+        # a position lists the key and the copy number of each loop on the
+        # way from the root: positions sort in pre-order, and path_of
+        # gives each the path compartments() gives its site
+        def copied(t):
+            comps = []
+            for comp in t.components:
+                if isinstance(comp, Loop):
+                    comp = Loop(comp.membrane, copied(comp.content))
+                    comps.extend([comp] * rng.randint(1, 3))
+                else:
+                    comps.append(comp)
+            return Term(comps)
+
+        def positions(term, pos):
+            yield pos
+            for comp, n in component_counts(term).items():
+                if isinstance(comp, Loop):
+                    for copy in range(n):
+                        yield from positions(comp.content,
+                                             pos + (comp.key, copy))
+
+        rng = random.Random(seed)
+        state = canonicalize(copied(random_term(rng, depth=3)))
+        found = list(positions(state, ()))
+        assert found == sorted(found)
+        assert [path_of(state, pos) for pos in found] \
+            == [comp.path for comp in compartments(state)]
 
     @given(st.integers(0, 10 ** 9))
     @settings(max_examples=150, deadline=None)

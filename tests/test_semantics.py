@@ -168,6 +168,17 @@ class TestRuleViolations:
                            parse_rate("kx"))
         assert any("kx" in v for v in rule_violations(rule, {}))
 
+    def test_guard_on_a_constant(self):
+        # a guard tests a count variable; the evaluator looks its name up
+        # in the counts alone, so a guard on a constant fails every run
+        rule = RewriteRule("r", pat(lits("a")), pat(lits("b")),
+                           parse_rate("if k == 0 then 1 else 2"))
+        assert rule_violations(rule, {"k": 2.0}) == [
+            "rule r: guard names constant 'k', not a count variable"]
+        with pytest.raises(RateEvalError, match="guard names unknown count"):
+            eval_rate(rule, {}, {"k": 2.0})
+        assert rule_violations(eq1_rule(), CONSTS) == []  # guards n2
+
 
 class TestTransitions:
     def test_flat_example(self):

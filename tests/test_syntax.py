@@ -422,6 +422,11 @@ DIAGNOSTICS = [
      "1:7: run field 'max_steps' must be an integer"),
     ("model", "init: " + "1" * 400 + " * a", "1:7: number out of range"),
     ("model", RATE_RULE % ("1" * 5000), "4:9: number out of range"),
+    # a literal that overflows a float, in a constant or a rate
+    ("model", "const k = 1e400\n" + RATE_RULE % "k * 0",
+     "1:11: number out of range"),
+    ("model", "const k = 1.0\n" + RATE_RULE % "1e400 * 0",
+     "5:9: number out of range"),
     ("model", RATE_RULE % ("(" * 400 + "1" + ")" * 400),
      "4:209: nesting deeper than 200 levels"),
     ("model", RATE_RULE % ("-" * 1000 + "1"),

@@ -93,7 +93,7 @@ def test_plans_give_the_general_path_traces(model, seeds):
 def test_rules_shared_by_runs_under_other_inputs():
     # from a run, a rule keeps only its plan's histograms for the last
     # TypeEnv asked (``Plan.typed``) and caches of its own content (its
-    # plan, its compiled rate, ``Plan._rotated``); runs of one set of rules
+    # plan, its compiled rate); runs of one set of rules
     # under models that differ in typing and constants, and after the
     # constants are changed in place, must each give the traces of freshly
     # parsed rules
