@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import compress, repeat
-from operator import add, attrgetter, gt, is_, itemgetter
+from operator import attrgetter, gt, itemgetter
 from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional,
                     Sequence)
 
@@ -598,9 +598,6 @@ def _counts(entry: _Cell, totals: tuple) -> dict[str, int]:
     return counts
 
 
-_ENTRY, _VALUES = itemgetter(0), attrgetter("values")
-
-
 def _membrane_order(cand: Candidate) -> tuple:
     """The order of one cell's candidates: the shortlex order of the
     membranes they give it."""
@@ -610,21 +607,18 @@ def _membrane_order(cand: Candidate) -> tuple:
 def _rate_all(cands: list[Candidate], totals: tuple, rate: Rate
               ) -> list[float]:
     """The rates of the candidates in a compartment of frame totals
-    ``totals``. Each is looked up in ``rate.table`` by its
-    :class:`_Cell`'s count values and the totals' values, all with one
-    lookup; only the candidates not there get their counts made and are
-    rated, in order."""
+    ``totals``, in order. Each is looked up in ``rate.table`` by its
+    :class:`_Cell`'s count values and the totals' values; one not there
+    gets its counts made and is rated."""
     frame = tuple([n for total in totals if total is not None
                    for n in total.values()])
-    keys = list(map(add, map(_VALUES, map(_ENTRY, cands)), repeat(frame)))
     table = rate.table
-    found = list(map(table.get, keys))
-    if None in found:
-        for j in compress(range(len(keys)), map(is_, found, repeat(None))):
-            # an earlier candidate of the same counts may have rated them
-            value = table.get(keys[j])
-            found[j] = value if value is not None else rate(
-                _counts(cands[j][0], totals), keys[j])
+    found = []
+    for entry, _ in cands:
+        key = entry.values + frame
+        value = table.get(key)
+        found.append(value if value is not None
+                     else rate(_counts(entry, totals), key))
     return found
 
 

@@ -10,7 +10,7 @@ outcomes of one rule at one site are merged.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain
@@ -20,13 +20,13 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import rates
 from .compiled import Plan, compile_rule, dependents
 from .errors import RateEvalError
-from .matching import (Instantiation, Path, Position, image, match_whole,
-                       path_of, path_text, splice, substitute)
+from .matching import (_KEY, _LOOP, Instantiation, Path, Position, image,
+                       match_whole, path_of, path_text, splice, substitute)
 from .patterns import (Pattern, Var, VarKind, pattern_vars,
                        seq_positioned_elem_vars)
 from .rates import RateExpr
-from .terms import (Loop, Term, TypeEnv, TypeName, canonicalize,
-                    component_counts, read_counts, seq_types, type_counts)
+from .terms import (Term, TypeEnv, TypeName, canonicalize, component_counts,
+                    read_counts, seq_types, type_counts)
 
 POSITIONAL = "positional"
 LITERAL = "literal"
@@ -308,18 +308,19 @@ class Enumerator:
     reads of it. Any other compartment not kept is enumerated afresh.
 
     The enumerator keeps the last state's groups of outcomes, one per
-    rule and compartment, in :func:`transitions` order: by rule, then by
-    the compartment's position (see :func:`~tscls.matching.path_of`),
-    the only name it keeps for a compartment. If the next state is the
-    target built last and the event left a cell of the root alone, only
-    the groups of the root and of the cell the event replaced there, with
-    the compartments inside it, are replaced (see :meth:`_patched`): the
-    step costs no Python work for a compartment the event left alone.
-    Otherwise, as for a first state, every compartment is walked in
-    pre-order, and one whose outcomes are kept costs an identity check.
-    Either way, a path is worked out only for the transitions asked for.
-    Rules without a plan are matched afresh in every state: that path is
-    the reference, and with one of them every state is walked.
+    rule and compartment, per rule in the order of the compartment's
+    position (see :func:`~tscls.matching.path_of`), the only name it
+    keeps for a compartment: one after another, they are in
+    :func:`transitions` order. A first state's compartments are visited
+    once, in pre-order, and one whose outcomes are kept costs an
+    identity check. If the next state is the target built last from the
+    last state, only the groups of the root and of the cell the event
+    replaced there, with the compartments inside it, are replaced (see
+    :meth:`_patched`): the step costs no Python work for a compartment
+    the event left alone. Any other state is visited as a first state
+    is. Either way, a path is worked out only for the transitions asked
+    for. Rules without a plan are matched afresh in every state: that
+    path is the reference, and with one of them every state is visited.
 
     Each rule's rates are kept per tuple of counts, under the constants
     as they were when the enumerator was made: it keeps its own copy.
@@ -334,6 +335,7 @@ class Enumerator:
         self.consts = dict(consts) if consts is not None else {}
         self.mode = mode
         self._literal = mode != POSITIONAL
+        self._plans = tuple(rule.plan for rule in self.rules)
         self._general = tuple((index, rule) for index, rule
                               in enumerate(self.rules) if rule.plan is None)
         # per rule, its rate as a function of its counts, which keeps
@@ -361,122 +363,103 @@ class Enumerator:
         # the cell whose copy was replaced there and the loop that
         # replaced it, or None)
         self._made: dict[int, tuple] = {}
-        # the last state enumerated, its groups and, unless it was
-        # walked, its groups per rule (see _patched), if every rule has a
-        # plan
-        self._kept: Optional[tuple] = None
+        # the last state enumerated, its groups per rule and its root's
+        # compiled outcomes, whose groups lead their rules' groups, if
+        # every rule has a plan
+        self._kept: tuple = (None, None, ())
 
     def outcomes(self, state: Term) -> "Outcomes":
         """The state's enabled transitions, in :func:`transitions` order.
 
-        Compartments are enumerated in pre-order and, in each one not
-        kept, rules in order, so the first rate error is the one the
-        general path raises; multi-outcome groups of rules without a plan
-        build their targets afterwards, in the order of the result."""
+        Each rule's groups are in the order of their compartments'
+        positions, whether the state was visited or patched, so the
+        groups of one rule after another are in that order. Compartments
+        are enumerated in pre-order and, in each one not kept, rules in
+        order, so the first rate error is the one the general path
+        raises; multi-outcome groups of rules without a plan build their
+        targets afterwards, in the order of the result."""
         state = canonicalize(state)
         made, self._made = self._made, {}
-        kept, self._kept = self._kept, None
-        segs = None if kept is None else self._patched(state, kept, made)
-        if segs is None:
-            # (rule index, position, content, rates, keys); for a rule
-            # without a plan, (rule index, position, None, None, resolve)
-            groups: list[tuple] = []
-            self._visit(state, (), state, made, groups)
-            # stable: by rule, then in pre-order, which is position order
-            groups.sort(key=_RULE)
+        (old, segs, roots), self._kept = self._kept, (None, None, ())
+        hint = made.get(id(state))
+        patch = hint is not None and hint[1] is old
+        if patch:
+            for out in roots:
+                del segs[out[0]][0]  # every event replaces the root
+            outs = () if state.is_empty() else self._enumerated(
+                state, (), state, made, segs)
+            if hint[4] is not None:
+                self._patched(state, old, hint[4], made, segs)
+            # after the block: _patched then bisects no rule's groups
+            # that are the root's alone
+            for index, rates, keys in outs:
+                segs[index].insert(0, (index, (), state, rates, keys))
         else:
-            groups = list(chain.from_iterable(segs))
-        outcomes = Outcomes(self, state, groups)
+            # per rule, its groups by position: (rule index, position,
+            # content, rates, keys); for a rule without a plan, (rule
+            # index, position, None, None, resolve)
+            segs = [[] for _ in self.rules]
+            outs = self._visit(state, (), state, made, segs)
+        outcomes = Outcomes(self, state, list(chain.from_iterable(segs)))
         if not self._general:
-            self._kept = (state, groups, segs)
+            self._kept = (state, segs, outs)
         return outcomes
 
-    def _patched(self, state: Term, kept: tuple, made: dict[int, tuple]
-                 ) -> Optional[list[list[tuple]]]:
-        """The groups of ``state``, per rule, made from ``kept``: the last
-        state enumerated, its groups and, unless it was walked, its
-        groups per rule. None unless ``state`` is the target built last
-        from that state and the event left a cell of the root alone.
+    def _patched(self, state: Term, old: Term, swap: tuple,
+                 made: dict[int, tuple], segs: list[list[tuple]]) -> None:
+        """Make ``segs``, the groups per rule of ``old`` but the root's,
+        those of ``state`` but the root's: ``state`` is the target built
+        last from ``old``, in which one copy of the cell ``swap[0]`` was
+        replaced by the loop ``swap[1]``.
 
-        In each rule's groups, the root's group is replaced, and so is
-        the block of groups of the copy of the cell the event replaced at
-        the root and of the compartments inside it: by the block of the
-        loop that replaced it, whose compartments are visited. Copies of
-        a cell have equal blocks, so the last copy's is dropped, and the
-        new loop's goes after those of its other copies, if it has any.
-        Blocks are found and placed by bisection on position."""
-        old, groups, segs = kept
-        hint = made.get(id(state))
-        if hint is None or hint[1] is not old:
-            return None
-        swap = hint[4]
-        have = component_counts(old)
-        cells = reversed(have)  # loops sort last
-        last = next(cells, None)
-        if not isinstance(last, Loop) or (
-                swap is not None and last is swap[0] and have[last] == 1
-                and not isinstance(next(cells, None), Loop)):
-            return None  # the event replaced every compartment
-        if segs is None:
-            segs = [[] for _ in self.rules]
-            for group in groups:
-                segs[group[0]].append(group)
-        outs = iter(self._enumerated(state, (), state, made, None))
-        block: list[tuple] = []
-        if swap is not None:
-            cell, loop = swap
-            gone, end = (cell.key, have[cell] - 1), (cell.key, have[cell])
-            came = (loop.key, component_counts(state)[loop] - 1)
-            self._visit(state, came, loop.content, made, block)
-        out = next(outs, None)
-        for index, seg in enumerate(segs):
-            group = None
-            if out is not None and out[0] == index:
-                group = (index, (), state, out[1], out[2])
-                out = next(outs, None)
-            if seg and not seg[0][1]:
-                if group is None:
-                    del seg[0]
-                else:
-                    seg[0] = group
-            elif group is not None:
-                seg.insert(0, group)
-            if swap is not None and len(seg) > (group is not None):
-                lo = bisect_left(seg, gone, key=_POS)
-                del seg[lo:bisect_left(seg, end, lo, key=_POS)]
-        for group in block:
-            seg = segs[group[0]]
-            seg.insert(bisect_left(seg, group[1], key=_POS), group)
-        return segs
+        In each rule's groups, the block of groups of the copy of the cell
+        and of the compartments inside it is replaced by the block of the
+        loop, whose compartments are visited. Copies of a cell have equal
+        blocks, so the last copy's is dropped, and the new loop's goes
+        after those of its other copies, if it has any. Blocks are found
+        and placed by bisection on position."""
+        cell, loop = swap
+        copy = component_counts(old)[cell] - 1
+        gone, end = (cell.key, copy), (cell.key, copy + 1)
+        for seg in filter(None, segs):
+            del seg[bisect_left(seg, gone, key=_POS):
+                    bisect_left(seg, end, key=_POS)]
+        self._visit(state, (loop.key, component_counts(state)[loop] - 1),
+                    loop.content, made, segs)
 
     def _visit(self, state: Term, pos: Position, content: Term,
-               made: dict[int, tuple], groups: list[tuple]) -> None:
+               made: dict[int, tuple], segs: list[list[tuple]]
+               ) -> Sequence[tuple]:
         """Enumerate the compartment at position ``pos`` and, in
-        pre-order, the ones inside it, and append their groups to
-        ``groups``."""
+        pre-order, the ones inside it, and place each group in its rule's
+        groups ``segs[rule index]`` by position. Gives the compartment's
+        compiled outcomes (see :meth:`_enumerated`)."""
         if content.is_empty():
-            return  # an instantiated lhs is never the empty term
-        for index, rates, keys in self._enumerated(state, pos, content,
-                                                   made, groups):
-            groups.append((index, pos, content, rates, keys))
-        for comp, n in component_counts(content).items():
-            if isinstance(comp, Loop):
-                for copy in range(n):
-                    self._visit(state, pos + (comp.key, copy), comp.content,
-                                made, groups)
+            return ()  # an instantiated lhs is never the empty term
+        outs = self._enumerated(state, pos, content, made, segs)
+        for index, rates, keys in outs:
+            insort(segs[index], (index, pos, content, rates, keys), key=_POS)
+        have = component_counts(content)
+        comps = list(have)
+        # loops sort last, after _LOOP
+        for cell in comps[bisect_left(comps, _LOOP, key=_KEY):]:
+            for copy in range(have[cell]):
+                self._visit(state, pos + (cell.key, copy), cell.content,
+                            made, segs)
+        return outs
 
     def _enumerated(self, state: Term, pos: Position, content: Term,
-                    made: dict[int, tuple], groups: Optional[list[tuple]]
+                    made: dict[int, tuple], segs: list[list[tuple]]
                     ) -> list[tuple]:
         """The compiled outcomes of ``content``, the compartment at
         position ``pos`` of ``state``: per rule with some, ``(rule index,
-        rates, keys)``, in rule order, kept on the content. The groups of
-        the rules without a plan are appended to ``groups``, and every
-        rule is enumerated in rule order."""
+        rates, keys)``, in rule order, kept on the content. The group of
+        each rule without a plan is appended to its groups in ``segs``,
+        and every rule is enumerated in rule order."""
         kept = content._outcomes
         if kept is not None and kept[0] is self._token:
             for index, rule in self._general:
-                self._match(state, pos, content, index, rule, groups)
+                self._match(state, pos, content, index, rule, segs)
             return kept[1]
         hint = made.get(id(content))
         base = hint[1]._outcomes if hint is not None else None
@@ -487,20 +470,20 @@ class Enumerator:
         else:
             redo, change, swap, carry = self._every, None, None, ()
             outs, orders = [], {}
+        plans = self._plans
         for index in redo:
-            rule = self.rules[index]
-            plan = rule.plan
+            plan = plans[index]
             if plan is None:
-                self._match(state, pos, content, index, rule, groups)
+                self._match(state, pos, content, index, self.rules[index],
+                            segs)
                 continue
             try:
-                found = plan.entries(orders, content, self.env,
-                                     self._literal, self._rates[index],
-                                     change,
-                                     swap[0] if index in carry else None)
+                keys, rates = plan.entries(orders, content, self.env,
+                                           self._literal, self._rates[index],
+                                           change,
+                                           swap[0] if index in carry else None)
             except RateEvalError as exc:
                 raise _located(exc, path_of(state, pos)) from None
-            keys, rates = found
             if keys:
                 outs.append((index, rates, keys))
         outs.sort(key=_RULE)
@@ -529,7 +512,7 @@ class Enumerator:
         return target
 
     def _match(self, state: Term, pos: Position, content: Term, index: int,
-               rule: RewriteRule, groups: list[tuple]) -> None:
+               rule: RewriteRule, segs: list[list[tuple]]) -> None:
         """The general path: a rule's instantiations in the compartment,
         merged by rhs image and rate, each with its deferred target."""
         insts = match_whole(rule.lhs, content)
@@ -551,8 +534,8 @@ class Enumerator:
                 survivors[key] = partial(_build_target, state, path,
                                          rule.rhs, inst)
         if survivors:
-            groups.append((index, pos, None, None,
-                           partial(_resolved, rule, path, survivors)))
+            segs[index].append((index, pos, None, None,
+                                partial(_resolved, rule, path, survivors)))
 
 
 # a group's rule, position and rates

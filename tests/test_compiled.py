@@ -724,7 +724,22 @@ def step_work(monkeypatch, n):
     (osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
                             [(TypeName("t_A"), "n")])],
      "2 * <m.p>[ 3 * W | S | A ] | <m.p>[ 2 * W | S ] |"
-     " 2 * <p>[ <q>[ W | A ] | W ] | 5 * W | 2 * S")])
+     " 2 * <p>[ <q>[ W | A ] | W ] | 5 * W | 2 * S"),
+    # the root's only cell, as in the lac operon, holds two cells: an
+    # event two levels deep replaces every compartment on its way
+    (osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
+                            [(TypeName("t_A"), "n")])],
+     "<d>[ <m.p>[ 3 * W | S | A ] | <p>[ 2 * W | A ] | 4 * W | S ] |"
+     " 5 * W | 2 * S"),
+    # two copies of the root's only cell: the last copy's block goes
+    (osmosis_pair() + [rule("AB", "A | $X", "B | $X", "(n + 1) * 2",
+                            [(TypeName("t_A"), "n")])],
+     "2 * <m.p>[ 3 * W | S | A ] | 5 * W | 2 * S"),
+    # no cell, two ground rules: no event replaces a cell
+    ([rule("AB", "A | $X", "B | $X", "(n + 1) * 2", [(TypeName("t_A"), "n")]),
+      rule("BA", "B | $X", "A | $X", "(n + 1) * 3",
+           [(TypeName("t_B"), "n")])],
+     "3 * A | 2 * B | C")])
 def test_a_step_after_any_event_is_a_fresh_enumeration(rules, state):
     # after each outcome, and after each outcome of its target in turn,
     # the enumerator that drew it gives the transitions a fresh one gives
