@@ -67,7 +67,9 @@ Decl = tuple[str, tuple[tuple[TypeName, str], ...]]
 # content
 Entries = tuple[tuple[object, ...], tuple[float, ...]]
 
-_NO_ENTRIES: Entries = ((), ())
+# a rule's outcomes in a compartment, as a compartment's record keeps
+# them: their keys, their rates, and for a loop rule its Order, else None
+Outcome = tuple[tuple[object, ...], tuple[float, ...], Optional["Order"]]
 
 # a loop rule's outcome before it is rated, and its key: the _Cell of the
 # loop it rewrites and the rhs membrane it gives it
@@ -141,47 +143,46 @@ class Plan:
         # (env, Typed under it)
         self._typed: tuple = (None, None)
 
-    def entries(self, kept: dict, content: Term, env: TypeEnv,
+    def entries(self, prev: Optional[Outcome], content: Term, env: TypeEnv,
                 literal: bool, rate: Rate,
                 change: Optional[Change] = None,
-                loop: Optional[Loop] = None) -> Entries:
-        """The rule's enabled outcomes in ``content``, a compartment: the
-        keys and the rates of its distinct outcomes of positive rate,
-        merged and ordered as their targets and rates would be, so
-        ``build(state, path, content, key)`` makes an outcome's
-        successor. ``rate`` rates an outcome's counts; ``literal`` types a
-        length-1 ``~x`` by its basic type. The key of a loop rule's outcome is ``(entry,
-        membrane)``: the :class:`_Cell` of the loop it rewrites and the
-        membrane it gives it; the other rule's key is None.
+                loop: Optional[Loop] = None) -> Optional[Outcome]:
+        """The rule's outcomes in ``content``, a compartment, or None if it
+        has none and, for a loop rule, no order: the keys and the rates of
+        its distinct outcomes of positive rate, merged and ordered as
+        their targets and rates would be, so ``build(state, path, content,
+        key)`` makes an outcome's successor, and for a loop rule its
+        :class:`Order`. ``rate`` rates an outcome's counts; ``literal``
+        types a length-1 ``~x`` by its basic type. The key of a loop
+        rule's outcome is ``(entry, membrane)``: the :class:`_Cell` of the
+        loop it rewrites and the membrane it gives it; the other rule's
+        key is None.
 
-        A loop rule keeps its :class:`Order` for ``content`` in
-        ``kept[self]``, or removes it if it has none. If ``change`` gives
-        the cells ``content`` lost and gained against the compartment it
-        replaced, ``kept[self]`` holds on entry that compartment's order,
-        if any, made under the same ``env``, ``literal`` and ``rate``: it
-        is brought up to date by those cells, and its rates are kept if
-        the frame totals are the same. Otherwise the order is made
-        afresh. If ``loop`` is given too, ``content`` holds the compartment
-        an event rewrote in the cell that replaced ``loop``, and the plan
-        reads that cell as it read ``loop`` (see :func:`dependents`): the
-        cell takes ``loop``'s :class:`_Cell` and rates. If a rate raises,
-        the rates are evaluated again in the order of the general path,
+        ``prev`` is None unless ``change`` gives the cells ``content``
+        lost and gained against the compartment it replaced: it is then
+        the rule's outcomes there, if any, made under the same ``env``,
+        ``literal`` and ``rate``. A loop rule's order is brought up to
+        date by those cells, and its rates are kept if the frame totals
+        are the same; without ``prev``, the order is made afresh. If
+        ``loop`` is given too, ``content`` holds the compartment an event
+        rewrote in the cell that replaced ``loop``, and the plan reads
+        that cell as it read ``loop`` (see :func:`dependents`): the cell
+        takes ``loop``'s :class:`_Cell` and rates. If a rate raises, the
+        rates are evaluated again in the order of the general path,
         which raises its first error."""
         have = component_counts(content)
         if not _contains(have, self.need):
-            kept.pop(self, None)
-            return _NO_ENTRIES
+            return None
         if self.membrane is None:
             types, less = type_counts(content, env), self.typed(env).need
             counts: dict[str, int] = {}
             for _, entries in self.decls:
                 counts.update(read_counts(entries, types, less))
             found = rate(counts)
-            return ((None,), (found,)) if found > 0 else _NO_ENTRIES
-        base = kept.get(self) if change is not None else None
+            return ((None,), (found,), None) if found > 0 else None
         try:
-            order = self._order(base, content, have, env, literal, rate,
-                                change, loop)
+            order = self._order(prev and prev[2], content, have, env, literal,
+                                rate, change, loop)
         except RateEvalError:
             totals = self._totals(content, env)
             for cell in self._in_general_order(have):
@@ -190,10 +191,9 @@ class Plan:
                     rate(_counts(entry, totals))
             raise
         if order is None:
-            kept.pop(self, None)
-            return _NO_ENTRIES
-        kept[self] = order
-        return order.entries
+            return None
+        keys, rates = order.entries
+        return keys, rates, order
 
     def _totals(self, content: Term, env: TypeEnv) -> tuple:
         """Per count block, the counts of the frame, the compartment less

@@ -164,12 +164,12 @@ HALT_TMAX = "tmax"
 HALT_MAX_STEPS = "max_steps"
 
 
-def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
+def simulate(model: ModelFile, cfg: SimConfig) -> Trace:
     """Run the SSA from the model's initial state under ``cfg``.
 
     Sampling uses the inclusive grid i*tmax/samples for i = 0..samples
     (collapsed when tmax is 0), recording the state in force at each grid
-    time. Identical (model, cfg, stream) inputs give identical traces.
+    time. Identical (model, cfg) inputs give identical traces.
     A model that names a rule id or an observable twice raises
     :class:`ModelError`: its trace could not tell them apart.
     """
@@ -182,7 +182,7 @@ def simulate(model: ModelFile, cfg: SimConfig, stream: int = 0) -> Trace:
     enumerator = Enumerator(model.rules, model.type_env(), model.constants,
                             model.typing)
     names = tuple(o.element for o in model.observables)
-    rng = Pcg64(cfg.seed, stream)
+    rng = Pcg64(cfg.seed)
     state = canonicalize(model.init)
     clock = 0.0
     events: list[TraceEvent] = []

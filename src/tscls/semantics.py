@@ -203,10 +203,11 @@ class Transition:
 
     def __init__(self, rule_id: str, path: tuple[int, ...], target: Term,
                  rate: float):
-        for name, value in (("rule_id", rule_id), ("path", path),
-                            ("rate", rate), ("_target", target),
-                            ("_build", None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rule_id", rule_id)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_build", None)
 
     @classmethod
     def deferred(cls, rule_id: str, path: tuple[int, ...],
@@ -286,41 +287,46 @@ class Enumerator:
     """The enabled transitions of states under one set of rules, typing,
     constants and typing mode, such as the states of one run.
 
-    A rule rewrites one whole compartment and counts inside it, so a
-    compartment's compiled outcomes (each compiled rule's keys and rates,
-    see :meth:`~tscls.compiled.Plan.entries`) depend on its content
-    alone. They are kept on the content's :class:`~tscls.terms.Term`,
-    tied to this enumerator, and with them a compartment keeps each loop
-    rule's order of outcomes.
+    A rule rewrites one whole compartment and counts inside it, so all
+    the enumerator knows of a compartment depends on its content alone.
+    It keeps that on the content's :class:`~tscls.terms.Term` as the
+    compartment's record, tied to this enumerator: a dict from the index
+    of each compiled rule with outcomes there, or with an order of
+    outcomes, to its keys, rates and, for a loop rule, its order (see
+    :meth:`~tscls.compiled.Plan.entries`). An empty compartment has no
+    transitions, so nothing is built from it, and it keeps no record.
 
-    A target built from a compiled outcome leaves the enumerator what it
-    changed: each compartment it made, the one that compartment replaced,
-    the cells that left and came, and the cell whose copy was replaced
-    and the loop that replaced it. A compartment so made is enumerated
-    from its predecessor's outcomes (see
-    :func:`~tscls.compiled.dependents`). In the compartment the drawn
-    rule rewrote and in the content of the cell it rewrote, a compiled
-    rule keeps them unless the drawn rule can change them. In an
-    enclosing compartment, a rule without a loop keeps them, and each
-    loop rule updates its order by the cells that changed: the new cell
-    takes the loop rule's reading of the old one, except where the drawn
-    rule rewrote that cell's content and can change what the loop rule
-    reads of it. Any other compartment not kept is enumerated afresh.
+    A target built from a compiled outcome leaves a hint, tied to this
+    enumerator too, on each compartment it made: the compartment it
+    replaced, the rules to enumerate again, the cells that left and
+    came, and the cell whose copy was replaced and the loop that
+    replaced it. Enumerating the compartment replaces the hint with its
+    record, which copies its predecessor's and makes again only the
+    rules to enumerate again (see :func:`~tscls.compiled.dependents`). In
+    the compartment the drawn rule rewrote and in the content of the
+    cell it rewrote, a compiled rule is kept unless the drawn rule can
+    change its outcomes. In an enclosing compartment, a rule without a
+    loop is kept, and each loop rule updates its order by the cells that
+    changed: the new cell takes the loop rule's reading of the old one,
+    except where the drawn rule rewrote that cell's content and can
+    change what the loop rule reads of it. Any other compartment without
+    a record is enumerated afresh.
 
-    The enumerator keeps the last state's groups of outcomes, one per
-    rule and compartment, per rule in the order of the compartment's
-    position (see :func:`~tscls.matching.path_of`), the only name it
-    keeps for a compartment: one after another, they are in
-    :func:`transitions` order. A first state's compartments are visited
-    once, in pre-order, and one whose outcomes are kept costs an
-    identity check. If the next state is the target built last from the
-    last state, only the groups of the root and of the cell the event
-    replaced there, with the compartments inside it, are replaced (see
-    :meth:`_patched`): the step costs no Python work for a compartment
-    the event left alone. Any other state is visited as a first state
-    is. Either way, a path is worked out only for the transitions asked
-    for. Rules without a plan are matched afresh in every state: that
-    path is the reference, and with one of them every state is visited.
+    Beside its rules and their rates, the enumerator keeps the last
+    state's groups of outcomes, one per rule and compartment, per rule in
+    the order of the compartment's position (see
+    :func:`~tscls.matching.path_of`), the only name it keeps for a
+    compartment: one after another, they are in :func:`transitions`
+    order. A first state's compartments are visited once, in pre-order,
+    and one with a record costs an identity check. If the next state is
+    a target built from the last state, only the groups of the root and
+    of the cell the event replaced there, with the compartments inside
+    it, are replaced (see :meth:`_patched`): the step costs no Python
+    work for a compartment the event left alone. Any other state is
+    visited as a first state is. Either way, a path is worked out only
+    for the transitions asked for. Rules without a plan are matched
+    afresh in every state: that path is the reference, and with one of
+    them every state is visited.
 
     Each rule's rates are kept per tuple of counts, under the constants
     as they were when the enumerator was made: it keeps its own copy.
@@ -350,23 +356,20 @@ class Enumerator:
             if rule.plan is not None and rule.plan.membrane is not None)
         # per compiled rule, once one of its outcomes is built: per role
         # in the build's trail (DRAWN, INSIDE, AROUND, OUTER in matching),
-        # the rules to enumerate again in a compartment the build made, as
-        # _indexes gives them; the last is the same for every rule
-        self._outer = _indexes(self._always | self._loops, self._loops)
+        # the rules to enumerate again in a compartment the build made, in
+        # order, and the loop rules among them that read the cell the
+        # event was in as they read the one it replaced; the last is the
+        # same for every rule
+        self._outer = (sorted(self._always | self._loops), self._loops)
         self._redo: list[Optional[tuple]] = [None] * len(self.rules)
-        # what a term's outcomes are tied to; not the enumerator itself,
-        # which would keep its rules alive as long as any term it visited
-        self._token = object()
-        # id of each compartment the last target built made -> (it, held
-        # so that no other object takes its id; the compartment it
-        # replaced; the rules to enumerate again; the cells that changed;
-        # the cell whose copy was replaced there and the loop that
-        # replaced it, or None)
-        self._made: dict[int, tuple] = {}
-        # the last state enumerated, its groups per rule and its root's
-        # compiled outcomes, whose groups lead their rules' groups, if
-        # every rule has a plan
-        self._kept: tuple = (None, None, ())
+        # what a record and a hint on a term are tied to; not the
+        # enumerator itself, which would keep its rules alive as long as
+        # any term it visited. Each has its own, so that telling a record
+        # of this enumerator costs one identity check
+        self._token, self._hinted = object(), object()
+        # the last state enumerated and its groups per rule, if every
+        # rule has a plan
+        self._kept: tuple = (None, None)
 
     def outcomes(self, state: Term) -> "Outcomes":
         """The state's enabled transitions, in :func:`transitions` order.
@@ -374,42 +377,42 @@ class Enumerator:
         Each rule's groups are in the order of their compartments'
         positions, whether the state was visited or patched, so the
         groups of one rule after another are in that order. Compartments
-        are enumerated in pre-order and, in each one not kept, rules in
-        order, so the first rate error is the one the general path
-        raises; multi-outcome groups of rules without a plan build their
-        targets afterwards, in the order of the result."""
+        are enumerated in pre-order and, in each one without a record,
+        rules in order, so the first rate error is the one the general
+        path raises; multi-outcome groups of rules without a plan build
+        their targets afterwards, in the order of the result."""
         state = canonicalize(state)
-        made, self._made = self._made, {}
-        (old, segs, roots), self._kept = self._kept, (None, None, ())
-        hint = made.get(id(state))
-        patch = hint is not None and hint[1] is old
-        if patch:
-            for out in roots:
-                del segs[out[0]][0]  # every event replaces the root
-            outs = () if state.is_empty() else self._enumerated(
-                state, (), state, made, segs)
+        (old, segs), self._kept = self._kept, (None, None)
+        hint = state._outcomes
+        if (hint is not None and hint[0] is self._hinted and hint[1] is old
+                and old._outcomes[0] is self._token):
+            for index, (keys, _, _) in old._outcomes[1].items():
+                if keys:
+                    del segs[index][0]  # every event replaces the root
+            record = self._enumerated(state, (), state, segs)
             if hint[4] is not None:
-                self._patched(state, old, hint[4], made, segs)
+                self._patched(state, old, hint[4], segs)
             # after the block: _patched then bisects no rule's groups
             # that are the root's alone
-            for index, rates, keys in outs:
-                segs[index].insert(0, (index, (), state, rates, keys))
+            for index, (keys, rates, _) in record.items():
+                if keys:
+                    segs[index].insert(0, (index, (), state, rates, keys))
         else:
             # per rule, its groups by position: (rule index, position,
             # content, rates, keys); for a rule without a plan, (rule
             # index, position, None, None, resolve)
             segs = [[] for _ in self.rules]
-            outs = self._visit(state, (), state, made, segs)
+            self._visit(state, (), state, segs)
         outcomes = Outcomes(self, state, list(chain.from_iterable(segs)))
         if not self._general:
-            self._kept = (state, segs, outs)
+            self._kept = (state, segs)
         return outcomes
 
     def _patched(self, state: Term, old: Term, swap: tuple,
-                 made: dict[int, tuple], segs: list[list[tuple]]) -> None:
+                 segs: list[list[tuple]]) -> None:
         """Make ``segs``, the groups per rule of ``old`` but the root's,
-        those of ``state`` but the root's: ``state`` is the target built
-        last from ``old``, in which one copy of the cell ``swap[0]`` was
+        those of ``state`` but the root's: ``state`` is a target built
+        from ``old``, in which one copy of the cell ``swap[0]`` was
         replaced by the loop ``swap[1]``.
 
         In each rule's groups, the block of groups of the copy of the cell
@@ -425,51 +428,50 @@ class Enumerator:
             del seg[bisect_left(seg, gone, key=_POS):
                     bisect_left(seg, end, key=_POS)]
         self._visit(state, (loop.key, component_counts(state)[loop] - 1),
-                    loop.content, made, segs)
+                    loop.content, segs)
 
     def _visit(self, state: Term, pos: Position, content: Term,
-               made: dict[int, tuple], segs: list[list[tuple]]
-               ) -> Sequence[tuple]:
+               segs: list[list[tuple]]) -> None:
         """Enumerate the compartment at position ``pos`` and, in
         pre-order, the ones inside it, and place each group in its rule's
-        groups ``segs[rule index]`` by position. Gives the compartment's
-        compiled outcomes (see :meth:`_enumerated`)."""
-        if content.is_empty():
-            return ()  # an instantiated lhs is never the empty term
-        outs = self._enumerated(state, pos, content, made, segs)
-        for index, rates, keys in outs:
-            insort(segs[index], (index, pos, content, rates, keys), key=_POS)
+        groups ``segs[rule index]`` by position."""
+        for index, (keys, rates, _) in self._enumerated(
+                state, pos, content, segs).items():
+            if keys:
+                insort(segs[index], (index, pos, content, rates, keys),
+                       key=_POS)
         have = component_counts(content)
         comps = list(have)
         # loops sort last, after _LOOP
         for cell in comps[bisect_left(comps, _LOOP, key=_KEY):]:
             for copy in range(have[cell]):
                 self._visit(state, pos + (cell.key, copy), cell.content,
-                            made, segs)
-        return outs
+                            segs)
 
     def _enumerated(self, state: Term, pos: Position, content: Term,
-                    made: dict[int, tuple], segs: list[list[tuple]]
-                    ) -> list[tuple]:
-        """The compiled outcomes of ``content``, the compartment at
-        position ``pos`` of ``state``: per rule with some, ``(rule index,
-        rates, keys)``, in rule order, kept on the content. The group of
-        each rule without a plan is appended to its groups in ``segs``,
-        and every rule is enumerated in rule order."""
+                    segs: list[list[tuple]]) -> dict:
+        """The record of ``content``, the compartment at position ``pos``
+        of ``state``, made from its hint if it has one and its
+        predecessor has a record, else afresh, and kept on the content in
+        place of the hint. The group of each rule without a plan is
+        appended to its groups in ``segs``, and every rule is enumerated
+        in rule order."""
         kept = content._outcomes
         if kept is not None and kept[0] is self._token:
             for index, rule in self._general:
                 self._match(state, pos, content, index, rule, segs)
             return kept[1]
-        hint = made.get(id(content))
-        base = hint[1]._outcomes if hint is not None else None
-        if base is not None and base[0] is self._token:
-            _, _, (redo, again, carry), change, swap = hint
-            outs = [out for out in base[1] if out[0] not in again]
-            orders = dict(base[2])
-        else:
-            redo, change, swap, carry = self._every, None, None, ()
-            outs, orders = [], {}
+        if content.is_empty():  # an instantiated lhs is never the empty term
+            content._outcomes = None
+            return {}
+        record = None
+        if kept is not None and kept[0] is self._hinted:
+            _, old, (redo, carry), change, swap = kept
+            base = old._outcomes
+            if base is not None and base[0] is self._token:
+                record = base[1].copy()
+        if record is None:
+            redo, carry, change, swap, record = self._every, (), None, None, {}
         plans = self._plans
         for index in redo:
             plan = plans[index]
@@ -478,23 +480,22 @@ class Enumerator:
                             segs)
                 continue
             try:
-                keys, rates = plan.entries(orders, content, self.env,
-                                           self._literal, self._rates[index],
-                                           change,
-                                           swap[0] if index in carry else None)
+                entry = plan.entries(record.pop(index, None), content,
+                                     self.env, self._literal,
+                                     self._rates[index], change,
+                                     swap[0] if index in carry else None)
             except RateEvalError as exc:
                 raise _located(exc, path_of(state, pos)) from None
-            if keys:
-                outs.append((index, rates, keys))
-        outs.sort(key=_RULE)
-        content._outcomes = (self._token, outs, orders)
-        return outs
+            if entry is not None:
+                record[index] = entry
+        content._outcomes = (self._token, record)
+        return record
 
     def _build(self, state: Term, index: int, path: Path, content: Term,
                key: object) -> Term:
         """The target of rule ``index``'s outcome ``key`` in ``content``,
-        the compartment at ``path`` of ``state``; what it made is kept for
-        the next :meth:`outcomes`."""
+        the compartment at ``path`` of ``state``. Each compartment the
+        build made gets its hint, for the next :meth:`outcomes`."""
         trail: list[tuple] = []
         target = self.rules[index].plan.build(state, path, content, key,
                                               trail)
@@ -504,11 +505,11 @@ class Enumerator:
                 [rule.plan for rule in self.rules], index, self.env)
             always, loops = self._always, self._loops
             redo = self._redo[index] = (
-                _indexes(always | drawn), _indexes(always | inside),
-                _indexes(always | loops, loops - around),
-                self._outer)
-        self._made = {id(new): (new, old, redo[role], change, swap)
-                      for role, new, old, change, swap in trail}
+                (sorted(always | drawn), ()), (sorted(always | inside), ()),
+                (sorted(always | loops), loops - around), self._outer)
+        hinted = self._hinted
+        for role, new, old, change, swap in trail:
+            new._outcomes = (hinted, old, redo[role], change, swap)
         return target
 
     def _match(self, state: Term, pos: Position, content: Term, index: int,
@@ -538,16 +539,8 @@ class Enumerator:
                                 partial(_resolved, rule, path, survivors)))
 
 
-# a group's rule, position and rates
-_RULE, _POS, _RATES = itemgetter(0), itemgetter(1), itemgetter(3)
-
-
-def _indexes(indexes: set[int], carry: frozenset[int] = frozenset()
-             ) -> tuple[tuple[int, ...], frozenset[int], frozenset[int]]:
-    """Rule indexes in order, as a set, and the loop rules among them
-    that read the cell the event was in as they read the one it
-    replaced."""
-    return tuple(sorted(indexes)), frozenset(indexes), carry
+# a group's position and rates
+_POS, _RATES = itemgetter(1), itemgetter(3)
 
 
 def _resolved(rule: RewriteRule, path: tuple[int, ...],

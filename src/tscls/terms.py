@@ -147,8 +147,9 @@ class Term:
         self._hash = None
         self._canonical = False
         self._types = None  # (env, type histogram), see type_counts
-        # (run token, compiled outcomes, loop rule orders), see
-        # semantics.Enumerator
+        # what a run knows of the compartment, tied to its enumerator (see
+        # semantics.Enumerator): its record of outcomes per rule, or the
+        # hint the build that made it left until it is enumerated
         self._outcomes = None
 
     @property
@@ -345,10 +346,7 @@ TypeMultiset = Counter  # Counter[TypeName] with positive counts
 
 def stype_of(elems: Iterable[str], env: TypeEnv) -> TypeMultiset:
     """Sequence typing: one seq-tagged type occurrence per element."""
-    out: TypeMultiset = Counter()
-    for name in elems:
-        out[env.seq(name)] += 1
-    return out
+    return Counter(seq_types(tuple(elems), env, False))
 
 
 def type_of(t: Term, env: TypeEnv) -> TypeMultiset:
@@ -359,18 +357,7 @@ def type_of(t: Term, env: TypeEnv) -> TypeMultiset:
     typing of its membrane (its content is a separate compartment and does
     not show through).
     """
-    out: TypeMultiset = Counter()
-    for comp in t.components:
-        if isinstance(comp, Seq):
-            if len(comp.elems) == 1:
-                out[env.basic(comp.elems[0])] += 1
-            else:
-                for name in comp.elems:
-                    out[env.seq(name)] += 1
-        else:
-            for name in comp.membrane:
-                out[env.seq(name)] += 1
-    return out
+    return Counter(counter_types(component_counts(t), env))
 
 
 # a type histogram: type -> positive count

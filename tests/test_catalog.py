@@ -242,3 +242,9 @@ class TestLacOperon:
         assert model.init == direct.init
         assert model.run_defaults == direct.run_defaults
         assert [r.id for r in model.rules] == [r.id for r in direct.rules]
+        # the file perfbench runs and the model test_08 runs are one model
+        with open("models/lac_operon.tscls", encoding="utf-8") as fh:
+            read = parse_model(fh.read())
+        for part in ("rules", "observables", "constants", "type_decls",
+                     "typing"):
+            assert getattr(read, part) == getattr(direct, part), part

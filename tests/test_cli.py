@@ -554,20 +554,26 @@ observe a, c
 ADDRESS_SPACE = 400_000 * 1024
 
 
+def capped(code, *args):
+    """The Python ``code`` run with ``args`` in a child that caps its own
+    address space."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tscls.__file__)))
+    child = ("import resource, sys;"
+             f" resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE},"
+             f" {ADDRESS_SPACE})); {code}")
+    return subprocess.run(
+        [sys.executable, "-c", child, *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, TSCLS_COLOR="0"))
+
+
 def run_capped(tmp_path, args, text):
     """``tscls`` run with ``args`` on the model ``text`` in a child that
     caps its own address space."""
     model = tmp_path / "huge.tscls"
     model.write_text(text)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tscls.__file__)))
-    child = ("import resource, sys;"
-             f" resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE},"
-             f" {ADDRESS_SPACE}));"
-             " from tscls.cli import main; sys.exit(main(sys.argv[1:]))")
-    return subprocess.run(
-        [sys.executable, "-c", child, *args, str(model)],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src, TSCLS_COLOR="0"))
+    return capped("from tscls.cli import main; sys.exit(main(sys.argv[1:]))",
+                  *args, str(model))
 
 
 def test_a_general_rule_over_a_huge_compartment_runs(tmp_path):
@@ -582,3 +588,14 @@ def test_a_general_rule_over_a_huge_compartment_runs(tmp_path):
 def test_a_huge_multiplicity_in_a_rule_checks(tmp_path):
     done = run_capped(tmp_path, ["check"], HUGE_RULE)
     assert done.returncode == 0, done.stderr
+
+
+def test_typing_a_huge_compartment_lists_no_copy():
+    # type_of types each distinct component once, times its multiplicity
+    done = capped("from tscls import TypeEnv, parse_term, type_of;"
+                  " print(dict(type_of(parse_term('100000000000 * a | c.b'),"
+                  " TypeEnv())))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("{TypeName(base='t_a', is_seq=False): 100000000000,"
+                           " TypeName(base='t_c', is_seq=True): 1,"
+                           " TypeName(base='t_b', is_seq=True): 1}\n")

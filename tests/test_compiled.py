@@ -739,21 +739,40 @@ def step_work(monkeypatch, n):
     ([rule("AB", "A | $X", "B | $X", "(n + 1) * 2", [(TypeName("t_A"), "n")]),
       rule("BA", "B | $X", "A | $X", "(n + 1) * 3",
            [(TypeName("t_B"), "n")])],
-     "3 * A | 2 * B | C")])
+     "3 * A | 2 * B | C"),
+    # an event that empties a cell or the root
+    (osmosis_pair() + [rule("A0", "A | $X", "$X", "1")],
+     "<m.p>[ A ] | <p>[ W | A ] | W | S"),
+    ([rule("A0", "A | $X", "$X", "1")], "A")])
 def test_a_step_after_any_event_is_a_fresh_enumeration(rules, state):
     # after each outcome, and after each outcome of its target in turn,
-    # the enumerator that drew it gives the transitions a fresh one gives
+    # the enumerator that drew it gives the transitions a fresh one gives,
+    # and enumerating a target drops what its build left on it, which
+    # names the compartments of the state before
     state = canonicalize(T(state))
+    before = {id(site.content) for site in compartments(state)}
     for i in range(len(transitions(state, rules, TypeEnv(), {}))):
         enumerator = Enumerator(rules, TypeEnv(), {})
         target = enumerator.outcomes(state).transition(i).target
         outcomes = enumerator.outcomes(target)
+        assert not any(id(part) in before for site in compartments(target)
+                       for part in site.content._outcomes or ())
         assert outcomes.all() == transitions(target, rules, TypeEnv(), {})
         for j in range(len(outcomes.rates)):
             later = outcomes.transition(j).target
             assert enumerator.outcomes(later).all() \
                 == transitions(later, rules, TypeEnv(), {})
             outcomes = enumerator.outcomes(target)
+    # an enumerator of the rules in another order reads nothing that
+    # another one's builds left on the targets
+    outcomes = Enumerator(rules, TypeEnv(), {}).outcomes(state)
+    targets = [outcomes.transition(i).target
+               for i in range(len(outcomes.rates))]
+    other, backwards = Enumerator(rules[::-1], TypeEnv(), {}), rules[::-1]
+    for target in targets:
+        other.outcomes(state)
+        assert other.outcomes(target).all() \
+            == transitions(target, backwards, TypeEnv(), {})
 
 
 def steps_after(rules, state, drawn):

@@ -19,9 +19,9 @@ from tscls import engine
 from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.compiled import Plan, compile_rule
 from tscls.engine import _count_all, _sample_grid
-from tscls.terms import Loop, TypeEnv
+from tscls.terms import Loop, Term, TypeEnv
 
-from conftest import ALPHABET, CELLS, general, random_term
+from conftest import ALPHABET, CELLS, general, load_perfbench, random_term
 
 
 def T(text):
@@ -382,6 +382,22 @@ class TestSimulate:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_a_trace_keeps_no_earlier_state(self):
+        # a build leaves on each compartment it made a hint naming the one
+        # it replaced, and enumerating the compartment replaces the hint
+        # with its record: a finished run holds its final state and at
+        # most what the last build left on it, not the states before
+        model = parse_model(load_perfbench("gen").cells_model(3, 25))
+
+        def live(steps):
+            trace = simulate(model, model.sim_config(seed=1,
+                                                     max_steps=steps))
+            assert trace.steps == steps
+            gc.collect()
+            return sum(isinstance(o, Term) for o in gc.get_objects())
+        few, many = live(10), live(200)
+        assert many <= few + 40
 
     @pytest.mark.parametrize("twice, message", [
         ("rule", "duplicate rule id 'a_to_b'"),
