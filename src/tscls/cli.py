@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import json
@@ -83,27 +82,39 @@ def cmd_transitions(args: argparse.Namespace) -> int:
 # run
 
 
-def _records(trace: Trace):
-    """Events and samples merged into one time-ordered stream."""
-    merged: list[tuple[tuple, object]] = []
+def _records(trace: Trace) -> list:
+    """Events and samples merged into one stream, ordered by time, then
+    step, then events before samples: each list is in that order, so
+    one linear merge does it."""
+    samples, merged, j = trace.samples, [], 0
     for ev in trace.events:
-        merged.append(((ev.time, ev.step, 0), ev))
-    for sm in trace.samples:
-        merged.append(((sm.time, sm.step, 1), sm))
-    merged.sort(key=lambda pair: pair[0])
-    return [rec for _, rec in merged]
+        key = (ev.time, ev.step)
+        while j < len(samples) and (samples[j].time, samples[j].step) < key:
+            merged.append(samples[j])
+            j += 1
+        merged.append(ev)
+    merged += samples[j:]
+    return merged
 
 
 def _write_csv(trace: Trace, out: TextIO) -> None:
-    writer = csv.writer(out)
-    writer.writerow(CSV_FIXED_COLUMNS + trace.observable_names)
+    """The trace as CSV, written at once, each line ended by CRLF. No
+    field needs quoting: the fields are numbers, identifiers and paths."""
+    lines = [",".join(CSV_FIXED_COLUMNS + trace.observable_names)]
+    counts = tail = None
     for rec in _records(trace):
+        # the samples after an event share its observables
+        if rec.observables is not counts:
+            counts = rec.observables
+            tail = "".join([f",{n}" for n in counts])
         if isinstance(rec, TraceEvent):
-            row = [format_number(rec.time), rec.step, rec.rule_id,
-                   path_text(rec.path), format_number(rec.rate)]
+            lines.append(f"{format_number(rec.time)},{rec.step},{rec.rule_id},"
+                         f"{path_text(rec.path)},{format_number(rec.rate)}"
+                         f"{tail}")
         else:
-            row = [format_number(rec.time), rec.step, "", "", ""]
-        writer.writerow(row + list(rec.observables))
+            lines.append(f"{format_number(rec.time)},{rec.step},,,{tail}")
+    lines.append("")
+    out.write("\r\n".join(lines))
 
 
 def _write_json(trace: Trace, out: TextIO) -> None:

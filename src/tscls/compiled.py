@@ -101,15 +101,16 @@ class Plan:
 
     Every term binding's counts are read from its compartment's type
     histogram (:func:`~tscls.terms.type_counts`, cached on the term) less
-    the type histogram of ``need`` or ``inner_need``, which the plan
-    keeps for the last environment. ``net`` maps each element to the
-    change an outcome makes in its bare occurrences, over the compartment
-    and the cell it rewrites.
+    the type histogram of ``need`` or ``inner_need``, which the
+    environment keeps per plan. ``net`` maps each element to the change
+    an outcome makes in its bare occurrences, over the compartment and
+    the cell it rewrites. A plan is never changed once made, so the
+    rules of one text share it (see :func:`~tscls.semantics.parsed_rule`).
     """
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
                  "membrane", "frame_first", "net", "_same_inner",
-                 "_inner_moves", "_typed")
+                 "_inner_moves")
 
     def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
                  inner_need: Optional[Counter] = None,
@@ -140,8 +141,6 @@ class Plan:
                 moves[comp] = moves.get(comp, 0) + sign * n
         self._inner_moves = tuple((comp.key, n) for comp, n in moves.items()
                                   if n)
-        # (env, Typed under it)
-        self._typed: tuple = (None, None)
 
     def entries(self, prev: Optional[Outcome], content: Term, env: TypeEnv,
                 literal: bool, rate: Rate,
@@ -203,21 +202,24 @@ class Plan:
                       else None for what, entries in self.decls])
 
     def typed(self, env: TypeEnv) -> Typed:
-        """The plan's type histograms under ``env``, kept for the last
-        environment asked."""
-        typed = self._typed
-        if typed[0] is not env:
+        """The plan's type histograms under ``env``, made once and kept on
+        the environment, which keeps up to 1,024 plans' and is cleared
+        when full."""
+        typed = env._typed.get(self)
+        if typed is None:
+            if len(env._typed) >= 1024:
+                env._typed.clear()
             need = counter_types(self.need, env)
             inner_need, inner_change = _NO_TYPES, _NO_TYPES
             if self.inner_need is not None:
                 inner_need = counter_types(self.inner_need, env)
                 inner_change = _shifted(counter_types(self.inner_give, env),
                                         less=inner_need)
-            typed = self._typed = (env, Typed(
+            typed = env._typed[self] = Typed(
                 need, inner_need,
                 _shifted(counter_types(self.give, env), less=need),
-                inner_change))
-        return typed[1]
+                inner_change)
+        return typed
 
     def _order(self, base: Optional[Order], content: Term, have: Mapping,
                env: TypeEnv, literal: bool, rate: Rate,

@@ -226,6 +226,8 @@ def simulate(model: ModelFile, cfg: SimConfig) -> Trace:
             counts = tuple(map(add, counts, net))
         events.append(TraceEvent(clock, len(events) + 1, chosen.rule_id,
                                  chosen.path, chosen.rate, total, counts))
+    # a state no step enumerated keeps the hints of the build that made it
+    enumerator.drop_hints()
     while gi < len(grid):
         samples.append(Sample(grid[gi], len(events), counts))
         gi += 1

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .patterns import pattern_elements
-from .semantics import LITERAL, POSITIONAL, RewriteRule, rule_violations
+from .semantics import (LITERAL, POSITIONAL, RewriteRule, RuleFacts,
+                        rule_facts, rule_violations)
 from .terms import Term, TypeEnv, term_elements
 
 
@@ -45,6 +44,12 @@ class SimConfig:
         return out
 
 
+# per type-declaration content, its one environment, so that what an
+# environment keeps (see TypeEnv) serves every model that declares the
+# same; cleared when full
+_ENVS: dict[frozenset, TypeEnv] = {}
+
+
 @dataclass
 class ModelFile:
     """Everything a model file declares, ready for simulation."""
@@ -56,9 +61,29 @@ class ModelFile:
     observables: list[ObservableSpec] = field(default_factory=list)
     run_defaults: dict = field(default_factory=dict)
     typing: str = POSITIONAL
+    # per rule the parser read, by its id: the rule and its facts, which
+    # the parser found by the rule's text
+    _facts: dict[int, tuple[RewriteRule, RuleFacts]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def type_env(self) -> TypeEnv:
-        return TypeEnv(self.type_decls)
+        """The environment of the type declarations: one per process for
+        each content they can have."""
+        key = frozenset(self.type_decls.items())
+        env = _ENVS.get(key)
+        if env is None:
+            if len(_ENVS) >= 1024:
+                _ENVS.clear()
+            env = _ENVS[key] = TypeEnv(self.type_decls)
+        return env
+
+    def facts(self, rule: RewriteRule) -> RuleFacts:
+        """The rule's :class:`~tscls.semantics.RuleFacts`: those the
+        parser found if it read this rule, else derived from the rule."""
+        kept = self._facts.get(id(rule))
+        if kept is not None and kept[0] is rule:
+            return kept[1]
+        return rule_facts(rule)
 
     def elements(self) -> set[str]:
         """Every element occurring in rules, the initial term or type
@@ -66,17 +91,14 @@ class ModelFile:
         out = set(term_elements(self.init))
         out.update(self.type_decls)
         for rule in self.rules:
-            out.update(pattern_elements(rule.lhs))
-            out.update(pattern_elements(rule.rhs))
+            out.update(self.facts(rule).elements)
         return out
 
     def sim_config(self, **overrides) -> SimConfig:
         """Defaults, overlaid with the model's run block, overlaid with
         any non-None overrides."""
-        merged = dataclasses.asdict(SimConfig())
-        merged.update(self.run_defaults)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        return SimConfig(**merged)
+        return SimConfig(**{**self.run_defaults, **{
+            k: v for k, v in overrides.items() if v is not None}})
 
 
 def name_clashes(mf: ModelFile) -> list[str]:
@@ -101,7 +123,7 @@ def validate_model(mf: ModelFile) -> list[str]:
         out.append(f"unknown typing mode '{mf.typing}'")
     out.extend(name_clashes(mf))
     for rule in mf.rules:
-        out.extend(rule_violations(rule, mf.constants))
+        out.extend(rule_violations(rule, mf.constants, mf.facts(rule)))
     known = mf.elements()
     for element in dict.fromkeys(o.element for o in mf.observables):
         if element not in known:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from typing import Union
 
@@ -103,18 +102,24 @@ class Pattern:
     counts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        # a pattern has a few items: a list search by equality is cheaper
-        # than hashing the nested dataclasses
-        items: list[PatternItem] = []
-        counts: list[int] = []
-        for item, n in zip(self.items, self.counts or repeat(1)):
-            if item in items:
-                counts[items.index(item)] += n
-            elif n:
-                items.append(item)
-                counts.append(n)
-        object.__setattr__(self, "items", tuple(items))
-        object.__setattr__(self, "counts", tuple(counts))
+        items = tuple(self.items)
+        counts = tuple(self.counts) or (1,) * len(items)
+        # items of distinct classes are distinct, as many patterns' are.
+        # Otherwise a list search by equality finds equal items: a pattern
+        # has a few, and hashing nested dataclasses costs more
+        if (len(set(map(type, items))) < len(items) or 0 in counts
+                or len(counts) != len(items)):
+            merged: list[PatternItem] = []
+            added: list[int] = []
+            for item, n in zip(items, counts):
+                if item in merged:
+                    added[merged.index(item)] += n
+                elif n:
+                    merged.append(item)
+                    added.append(n)
+            items, counts = tuple(merged), tuple(added)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "counts", counts)
 
 
 # -- construction helpers ---------------------------------------------------

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import rates
 from .compiled import Plan, compile_rule, dependents
 from .errors import RateEvalError
 from .matching import (_KEY, _LOOP, Instantiation, Path, Position, image,
                        match_whole, path_of, path_text, splice, substitute)
-from .patterns import (Pattern, Var, VarKind, pattern_vars,
-                       seq_positioned_elem_vars)
+from .patterns import (Pattern, Var, VarKind, pattern_elements,
+                       pattern_vars, seq_positioned_elem_vars)
 from .rates import RateExpr
 from .terms import (Term, TypeEnv, TypeName, canonicalize, component_counts,
                     read_counts, seq_types, type_counts)
@@ -74,14 +74,61 @@ class RewriteRule:
         return seq_positioned_elem_vars(self.lhs)
 
 
+class RuleFacts(NamedTuple):
+    """What the static checks read of a rule's patterns and rate: the
+    variables of its lhs, those of its rhs in order of first occurrence,
+    the names its rate reads, sorted, the names its guards test, and the
+    elements its patterns name."""
+    lhs_vars: frozenset[Var]
+    rhs_vars: tuple[Var, ...]
+    names: tuple[str, ...]
+    guards: frozenset[str]
+    elements: frozenset[str]
+
+
+def rule_facts(rule: RewriteRule) -> RuleFacts:
+    """Walk the rule's patterns and rate for its :class:`RuleFacts`."""
+    return RuleFacts(frozenset(pattern_vars(rule.lhs)),
+                     pattern_vars(rule.rhs),
+                     tuple(sorted(rates.expr_names(rule.rate))),
+                     frozenset(rates.guard_names(rule.rate)),
+                     frozenset(pattern_elements(rule.lhs)
+                               | pattern_elements(rule.rhs)))
+
+
+# per rule block's source text, the plan and the facts of the rule parsed
+# from it: a block's text determines both, wherever it stands. Holds no
+# rule, pattern or term; cleared when full
+_BLOCKS: dict[str, tuple[Optional[Plan], RuleFacts]] = {}
+
+
+def parsed_rule(rule: RewriteRule, text: str) -> RuleFacts:
+    """The facts of ``rule``, parsed from the rule block ``text``, as they
+    were derived when that text was first parsed in this process; the
+    rule gets that parse's plan. A text not seen before has its rule's
+    plan and facts derived and kept."""
+    kept = _BLOCKS.get(text)
+    if kept is None:
+        if len(_BLOCKS) >= 1024:
+            _BLOCKS.clear()
+        kept = _BLOCKS[text] = (rule.plan, rule_facts(rule))
+    else:
+        rule.__dict__["plan"] = kept[0]  # as the cached property keeps it
+    return kept[1]
+
+
 def rule_violations(rule: RewriteRule,
-                    consts: Mapping[str, float] = ()) -> list[str]:
-    """Static checks; returns one message per violation."""
+                    consts: Mapping[str, float] = (),
+                    facts: Optional[RuleFacts] = None) -> list[str]:
+    """Static checks; returns one message per violation. ``facts`` are
+    the rule's :class:`RuleFacts`, derived here if not given."""
+    if facts is None:
+        facts = rule_facts(rule)
     out: list[str] = []
-    lhs_vars = set(pattern_vars(rule.lhs))
+    lhs_vars = facts.lhs_vars
     if not rule.lhs.items:
         out.append(f"rule {rule.id}: lhs is the empty term")
-    for var in pattern_vars(rule.rhs):
+    for var in facts.rhs_vars:
         if var not in lhs_vars:
             out.append(f"rule {rule.id}: rhs variable {var} does not occur in lhs")
     seen_names: set[str] = set()
@@ -96,12 +143,10 @@ def rule_violations(rule: RewriteRule,
             if name in consts:
                 out.append(f"rule {rule.id}: count variable '{name}'"
                            " shadows a declared constant")
-    known = seen_names | set(consts)
-    for ident in sorted(rates.expr_names(rule.rate)):
-        if ident not in known:
+    for ident in facts.names:
+        if ident not in seen_names and ident not in consts:
             out.append(f"rule {rule.id}: rate references undeclared name '{ident}'")
-    for ident in sorted(rates.guard_names(rule.rate) & set(consts)
-                        - seen_names):
+    for ident in sorted(facts.guards.intersection(consts) - seen_names):
         out.append(f"rule {rule.id}: guard names constant '{ident}',"
                    " not a count variable")
     return out
@@ -283,6 +328,11 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     return Enumerator(rules, env, consts, mode).outcomes(state).all()
 
 
+# per tuple of plans and environment, the Enumerator._redo of their rules;
+# holds no rule, pattern or term, and is cleared when full
+_REDO: dict[tuple, list[Optional[tuple]]] = {}
+
+
 class Enumerator:
     """The enabled transitions of states under one set of rules, typing,
     constants and typing mode, such as the states of one run.
@@ -359,9 +409,15 @@ class Enumerator:
         # the rules to enumerate again in a compartment the build made, in
         # order, and the loop rules among them that read the cell the
         # event was in as they read the one it replaced; the last is the
-        # same for every rule
+        # same for every rule. All of it follows from the plans and the
+        # environment, so enumerators of the same share it
         self._outer = (sorted(self._always | self._loops), self._loops)
-        self._redo: list[Optional[tuple]] = [None] * len(self.rules)
+        key = (self._plans, self.env)
+        self._redo = _REDO.get(key)
+        if self._redo is None:
+            if len(_REDO) >= 1024:
+                _REDO.clear()
+            self._redo = _REDO[key] = [None] * len(self.rules)
         # what a record and a hint on a term are tied to; not the
         # enumerator itself, which would keep its rules alive as long as
         # any term it visited. Each has its own, so that telling a record
@@ -370,6 +426,8 @@ class Enumerator:
         # the last state enumerated and its groups per rule, if every
         # rule has a plan
         self._kept: tuple = (None, None)
+        # the last build's trail (see compiled.Plan.build)
+        self._trail: list = []
 
     def outcomes(self, state: Term) -> "Outcomes":
         """The state's enabled transitions, in :func:`transitions` order.
@@ -501,8 +559,7 @@ class Enumerator:
                                               trail)
         redo = self._redo[index]
         if redo is None:
-            drawn, inside, around = dependents(
-                [rule.plan for rule in self.rules], index, self.env)
+            drawn, inside, around = dependents(self._plans, index, self.env)
             always, loops = self._always, self._loops
             redo = self._redo[index] = (
                 (sorted(always | drawn), ()), (sorted(always | inside), ()),
@@ -510,7 +567,18 @@ class Enumerator:
         hinted = self._hinted
         for role, new, old, change, swap in trail:
             new._outcomes = (hinted, old, redo[role], change, swap)
+        self._trail = trail
         return target
+
+    def drop_hints(self) -> None:
+        """Drop the hints that the last build left on the compartments it
+        made and no enumeration has replaced, as on a run's final state:
+        each hint holds the compartment it replaced."""
+        hinted = self._hinted
+        for _, new, _, _, _ in self._trail:
+            if new._outcomes is not None and new._outcomes[0] is hinted:
+                new._outcomes = None
+        self._trail = ()
 
     def _match(self, state: Term, pos: Position, content: Term, index: int,
                rule: RewriteRule, segs: list[list[tuple]]) -> None:

@@ -24,7 +24,8 @@ from .model import ModelFile, ObservableSpec, validate_model
 from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
                        SeqVar, Var, VarKind)
 from .rates import BinOp, IfZero, Name, Num, RateExpr
-from .semantics import LITERAL, POSITIONAL, CountDecl, RewriteRule
+from .semantics import (LITERAL, POSITIONAL, CountDecl, RewriteRule,
+                        parsed_rule)
 from .terms import (Component, Loop, Seq, Term, TypeName, canonicalize,
                     component_counts, counted, min_rotation)
 
@@ -448,6 +449,8 @@ def parse_model(text: str) -> ModelFile:
     :class:`ModelError` carrying every validation diagnostic otherwise.
     """
     cur = _Cursor(tokenize(text, newlines=True))
+    # a rule block starts a line and ends one, so its lines are its text
+    lines = text.split("\n")
     mf = ModelFile()
     seen_init = False
     duplicates: list[str] = []
@@ -480,7 +483,10 @@ def parse_model(text: str) -> ModelFile:
             cur.expect_sym(":")
             mf.type_decls[elem] = cur.expect_ident("type name")[1]
         elif text == "rule":
-            mf.rules.append(_parse_rule(cur, line, col))
+            rule = _parse_rule(cur, line, col)
+            block = "\n".join(lines[line - 1:cur.toks[cur.i - 1][2]])
+            mf.rules.append(rule)
+            mf._facts[id(rule)] = (rule, parsed_rule(rule, block))
         elif text == "init":
             if seen_init:
                 duplicates.append("duplicate init directive")

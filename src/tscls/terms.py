@@ -314,13 +314,15 @@ class TypeEnv:
 
     Elements without an explicit assignment default to ``t_<name>``. The
     assignment is treated as immutable; resolved type names are cached
-    per element.
+    per element, and each compiled plan's type histograms per plan (see
+    :meth:`~tscls.compiled.Plan.typed`).
     """
 
     def __init__(self, assignment: Optional[Mapping[str, str]] = None):
         self.assignment = dict(assignment or {})
         self._basic: dict[str, TypeName] = {}
         self._seq: dict[str, TypeName] = {}
+        self._typed: dict = {}
 
     def base(self, element: str) -> str:
         return self.assignment.get(element, "t_" + element)

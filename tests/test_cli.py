@@ -14,6 +14,8 @@ import pytest
 import tscls
 from tscls import cli, parse_model, parse_rate, print_model, print_rate
 from tscls.cli import main
+from tscls.engine import Sample, Trace, TraceEvent
+from tscls.terms import Term
 
 from conftest import CELLS
 
@@ -304,6 +306,39 @@ class TestRun:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == "sample"
+
+    @pytest.mark.parametrize("init, args, want", [
+        ("a | a", [], "0.0,0,,,,2,0\r\n"
+         "0.11515274616565048,1,change,/,2.0,1,1\r\n"
+         "0.1346166782028954,2,change,/,1.0,0,2\r\n250.0,2,,,,0,2\r\n"
+         "500.0,2,,,,0,2\r\n750.0,2,,,,0,2\r\n1000.0,2,,,,0,2\r\n"),
+        ("a | a", ["--tmax", "0"], "0.0,0,,,,2,0\r\n"),
+        ("b", [], "0.0,0,,,,0,1\r\n250.0,0,,,,0,1\r\n500.0,0,,,,0,1\r\n"
+         "750.0,0,,,,0,1\r\n1000.0,0,,,,0,1\r\n")],
+        ids=["exhausted", "tmax-0", "no-event"])
+    def test_csv_bytes(self, init, args, want, tmp_path, capsys):
+        # the bytes the csv module wrote: CRLF line ends, no quoting
+        path = tmp_path / "model.tscls"
+        path.write_text(TINY.replace("init: a | a", f"init: {init}"),
+                        encoding="utf-8")
+        assert main(["run", str(path), *args]) == 0
+        assert capsys.readouterr().out \
+            == "time,step,rule,path,rate,a,b\r\n" + want
+
+    def test_csv_event_at_a_grid_time(self):
+        # an event goes before the sample at its time, which counts it
+        trace = Trace(("a", "b"), [
+            TraceEvent(0.5, 1, "change", (), 2.0, 2.0, (1, 1)),
+            TraceEvent(1.0, 2, "change", (0,), 1.0, 1.0, (0, 2))], [
+            Sample(0.0, 0, (2, 0)), Sample(0.5, 1, (1, 1)),
+            Sample(1.0, 2, (0, 2)), Sample(1.5, 2, (0, 2))],
+            Term(), 1.5, "tmax")
+        out = io.StringIO()
+        cli._write_csv(trace, out)
+        assert out.getvalue() == (
+            "time,step,rule,path,rate,a,b\r\n0.0,0,,,,2,0\r\n"
+            "0.5,1,change,/,2.0,1,1\r\n0.5,1,,,,1,1\r\n"
+            "1.0,2,change,/0,1.0,0,2\r\n1.0,2,,,,0,2\r\n1.5,2,,,,0,2\r\n")
 
     def test_deterministic_output(self, tiny, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

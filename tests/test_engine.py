@@ -19,6 +19,7 @@ from tscls import engine
 from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.compiled import Plan, compile_rule
 from tscls.engine import _count_all, _sample_grid
+from tscls.semantics import Enumerator
 from tscls.terms import Loop, Term, TypeEnv
 
 from conftest import ALPHABET, CELLS, general, load_perfbench, random_term
@@ -273,9 +274,11 @@ class TestSimulate:
         assert model.sim_config(tmax=5.0).tmax == 5.0
 
     def test_rules_are_freed_with_their_model(self):
-        # nothing derived from a rule (its compiled plan, its lhs
-        # analysis) may be cached where it outlives the model; the element
-        # names occur in no other test, so no equal pattern is cached
+        # what the per-process tables keep of a rule block's text (its
+        # plan, what its static checks read, the enumerator's dependents)
+        # and the type environments may outlive the model; a rule, a
+        # pattern, a rate or a term may not. The element names occur in
+        # no other test, so no table holds anything of another test
         model = parse_model("""
             model freed
             rule enter {
@@ -301,6 +304,8 @@ class TestSimulate:
         assert [r.plan is None for r in model.rules] == [False, False, True]
         refs = [weakref.ref(r) for r in model.rules]
         refs += [weakref.ref(r.lhs) for r in model.rules]
+        refs += [weakref.ref(r.rhs) for r in model.rules]
+        refs += [weakref.ref(r.rate) for r in model.rules]
         del model, trace
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
@@ -383,7 +388,7 @@ class TestSimulate:
         finally:
             gc.enable()
 
-    def test_a_trace_keeps_no_earlier_state(self):
+    def test_a_trace_keeps_no_earlier_state(self, monkeypatch):
         # a build leaves on each compartment it made a hint naming the one
         # it replaced, and enumerating the compartment replaces the hint
         # with its record: a finished run holds its final state and at
@@ -398,6 +403,20 @@ class TestSimulate:
             return sum(isinstance(o, Term) for o in gc.get_objects())
         few, many = live(10), live(200)
         assert many <= few + 40
+        # the run halted at max_steps: no step enumerated its final state,
+        # yet none of its compartments keeps what the build that made it
+        # left there, which names the compartments of the state before
+        seen = []
+        outcomes = Enumerator.outcomes
+        monkeypatch.setattr(Enumerator, "outcomes", lambda self, state:
+                            seen.append(state) or outcomes(self, state))
+        trace = simulate(model, model.sim_config(seed=1, max_steps=10))
+        assert trace.halt_reason == HALT_MAX_STEPS and len(seen) == 10
+        before = {id(site.content) for state in seen
+                  for site in compartments(state)}
+        assert not any(id(part) in before
+                       for site in compartments(trace.final_state)
+                       for part in site.content._outcomes or ())
 
     @pytest.mark.parametrize("twice, message", [
         ("rule", "duplicate rule id 'a_to_b'"),

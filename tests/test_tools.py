@@ -13,3 +13,7 @@ def test_bytecode_counter_counts_a_small_run():
     for workload in ("lac", "cells"):
         events, each = tool.per_event(workload, 1)
         assert events > 0 and each > 0, workload
+    # one perfbench lac trajectory of each stratum, after one not counted
+    for stratum in ("quiet", "induced"):
+        count, each, setup = tool.per_trajectory(stratum, 1, 1)
+        assert count == 1 and each > setup > 0, stratum

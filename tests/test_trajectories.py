@@ -19,13 +19,16 @@ from hypothesis import strategies as st
 from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, ModelFile,
                    ObservableSpec, PLoop, PSeq, RateEvalError, RewriteRule,
                    SeqVar, SimConfig, TypeName, Var, VarKind, canonicalize,
-                   compartments, lac_operon_model, lits, parse_model,
-                   parse_rate, pat, pattern_vars, simulate, tvar)
+                   compartments, compiled, lac_operon_model, lits,
+                   parse_model, parse_pattern, parse_rate, pat, pattern_vars,
+                   semantics, simulate, transitions, tvar)
+from tscls import model as modelfile
+from tscls.catalog import lac_operon_source
 from tscls.cli import _write_trace
-from tscls.compiled import Plan
-from tscls.engine import Pcg64, _count_all, step
+from tscls.compiled import Plan, Typed, compile_rule
+from tscls.engine import Pcg64, _count_all, _draw, step
 from tscls.semantics import Enumerator
-from tscls.terms import Seq, counter_types
+from tscls.terms import Seq, TypeEnv, counter_types
 
 from conftest import (ALPHABET, CELLS, MASS, assert_multisets_canonical,
                       general, random_compiled_rule, random_env,
@@ -148,6 +151,109 @@ def test_one_model_run_under_other_inputs():
         assert got == traces(parse_model(text), 1)
         assert got != last  # the change mattered
         last = got
+
+
+def test_a_second_parse_derives_nothing_again(monkeypatch):
+    # a rule block's plan and what its static checks read are derived
+    # once per text, a plan's type histograms once per environment and
+    # the enumerator's dependents once per plans and environment: a
+    # second parse of the lac model, and the same run of it, derive none
+    text = lac_operon_source()
+    first = parse_model(text)
+    simulate(first, first.sim_config(seed=1, max_steps=MAX_STEPS))
+    derived = Counter()
+    for module, name in ((semantics, "compile_rule"),
+                         (semantics, "dependents"),
+                         (semantics, "rule_facts"), (modelfile, "rule_facts"),
+                         (compiled, "Typed")):
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(
+            module, name), name=name: derived.update([name]) or fn(*args))
+    second = parse_model(text)
+    trace = simulate(second, second.sim_config(seed=1, max_steps=MAX_STEPS))
+    assert trace.steps == MAX_STEPS
+    assert derived == Counter()
+    assert all(r.plan is s.plan for r, s in zip(first.rules, second.rules))
+
+
+def test_two_parses_give_the_same_traces_in_either_order():
+    text = lac_operon_source()
+    reference = lac_operon_model()
+    reference.rules[:] = [general(rule) for rule in reference.rules]
+    want = {seed: traces(reference, seed) for seed in (1, 3)}
+    first, second = parse_model(text), parse_model(text)
+    for order in ((first, second), (second, first)):
+        for parsed in order:
+            for seed in want:
+                assert traces(parsed, seed) == want[seed]
+
+
+def test_shared_plans_under_other_declarations(monkeypatch):
+    # two models share their rules' text, so their plans, but not their
+    # type declarations and constants: stepped in turn, each enumerator
+    # gives the transitions of the general path under its own model, and
+    # a plan's type histograms are made once per environment
+    other = CELLS.replace("const k = 10.0", "const k = 3.0") \
+        + "type A : t_B\ntype S : t_W\n"
+    models = [parse_model(CELLS), parse_model(other)]
+    assert all(r.plan is s.plan for r, s in zip(*[m.rules for m in models]))
+    built = []
+    monkeypatch.setattr(compiled, "Typed",
+                        lambda *args: built.append(args) or Typed(*args))
+    runs = [[Enumerator(m.rules, m.type_env(), m.constants, m.typing),
+             ([general(r) for r in m.rules], TypeEnv(m.type_decls),
+              dict(m.constants), m.typing), canonicalize(m.init), Pcg64(1)]
+            for m in models]
+    for _ in range(30):
+        for run in runs:
+            enumerator, (rules, env, consts, mode), state, rng = run
+            outcomes = enumerator.outcomes(state)
+            assert outcomes.all() == transitions(state, rules, env, consts,
+                                                 mode)
+            run[2] = outcomes.transition(_draw(outcomes.rates, rng)[1]).target
+    assert len(built) <= len(models) * len(models[0].rules)
+
+
+# three ground rules; with r's lhs "c | $X", an event of r changes what t
+# reads, which it does not otherwise
+LHS = """\
+rule r {
+  lhs: a | $X
+  rhs: b | $X
+  count $X { t_a -> n }
+  rate: (n + 1) * 1
+}
+
+rule s {
+  lhs: b | $X
+  rhs: a | $X
+  count $X { t_b -> n }
+  rate: (n + 1) * 2
+}
+
+rule t {
+  lhs: c | $X
+  rhs: a | $X
+  count $X { t_c -> n }
+  rate: (n + 1) * 3
+}
+
+init: 5 * a | 5 * c
+observe a, b, c
+"""
+
+
+def test_rules_that_differ_in_their_lhs_keep_their_own_plans():
+    other = LHS.replace("lhs: a | $X", "lhs: c | $X", 1)
+    for text in (LHS, other, LHS):
+        parsed = parse_model(text)
+        reference = dataclasses.replace(
+            parsed, rules=[general(rule) for rule in parsed.rules])
+        for seed in (1, 2):
+            assert traces(parsed, seed) == traces(reference, seed)
+    # a copy of a rule with another lhs has a plan of its own
+    rule = parse_model(LHS).rules[0]
+    copy = dataclasses.replace(rule, lhs=parse_pattern("c | $X"))
+    assert copy.plan.need == compile_rule(copy).need != rule.plan.need
 
 
 def test_simulate_builds_one_target_per_event(monkeypatch):
