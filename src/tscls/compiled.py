@@ -105,7 +105,8 @@ class Plan:
     environment keeps per plan. ``net`` maps each element to the change
     an outcome makes in its bare occurrences, over the compartment and
     the cell it rewrites. A plan is never changed once made, so the
-    rules of one text share it (see :func:`~tscls.semantics.parsed_rule`).
+    rules parsed from one text share it (see
+    :class:`~tscls.semantics.RewriteRule`).
     """
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
@@ -203,22 +204,19 @@ class Plan:
 
     def typed(self, env: TypeEnv) -> Typed:
         """The plan's type histograms under ``env``, made once and kept on
-        the environment, which keeps up to 1,024 plans' and is cleared
-        when full."""
-        typed = env._typed.get(self)
+        the environment (see :meth:`~tscls.terms.TypeEnv.keep`)."""
+        typed = env._kept.get(self)
         if typed is None:
-            if len(env._typed) >= 1024:
-                env._typed.clear()
             need = counter_types(self.need, env)
             inner_need, inner_change = _NO_TYPES, _NO_TYPES
             if self.inner_need is not None:
                 inner_need = counter_types(self.inner_need, env)
                 inner_change = _shifted(counter_types(self.inner_give, env),
                                         less=inner_need)
-            typed = env._typed[self] = Typed(
+            typed = env.keep(self, Typed(
                 need, inner_need,
                 _shifted(counter_types(self.give, env), less=need),
-                inner_change)
+                inner_change))
         return typed
 
     def _order(self, base: Optional[Order], content: Term, have: Mapping,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .semantics import (LITERAL, POSITIONAL, RewriteRule, RuleFacts,
-                        rule_facts, rule_violations)
+from .semantics import (LITERAL, POSITIONAL, RewriteRule, rule_facts,
+                        rule_violations)
 from .terms import Term, TypeEnv, term_elements
 
 
@@ -61,10 +61,6 @@ class ModelFile:
     observables: list[ObservableSpec] = field(default_factory=list)
     run_defaults: dict = field(default_factory=dict)
     typing: str = POSITIONAL
-    # per rule the parser read, by its id: the rule and its facts, which
-    # the parser found by the rule's text
-    _facts: dict[int, tuple[RewriteRule, RuleFacts]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def type_env(self) -> TypeEnv:
         """The environment of the type declarations: one per process for
@@ -77,21 +73,13 @@ class ModelFile:
             env = _ENVS[key] = TypeEnv(self.type_decls)
         return env
 
-    def facts(self, rule: RewriteRule) -> RuleFacts:
-        """The rule's :class:`~tscls.semantics.RuleFacts`: those the
-        parser found if it read this rule, else derived from the rule."""
-        kept = self._facts.get(id(rule))
-        if kept is not None and kept[0] is rule:
-            return kept[1]
-        return rule_facts(rule)
-
     def elements(self) -> set[str]:
         """Every element occurring in rules, the initial term or type
         declarations."""
         out = set(term_elements(self.init))
         out.update(self.type_decls)
         for rule in self.rules:
-            out.update(self.facts(rule).elements)
+            out.update(rule_facts(rule).elements)
         return out
 
     def sim_config(self, **overrides) -> SimConfig:
@@ -123,7 +111,7 @@ def validate_model(mf: ModelFile) -> list[str]:
         out.append(f"unknown typing mode '{mf.typing}'")
     out.extend(name_clashes(mf))
     for rule in mf.rules:
-        out.extend(rule_violations(rule, mf.constants, mf.facts(rule)))
+        out.extend(rule_violations(rule, mf.constants))
     known = mf.elements()
     for element in dict.fromkeys(o.element for o in mf.observables):
         if element not in known:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -46,12 +46,19 @@ CountSpec = tuple[CountDecl, ...]
 class RewriteRule:
     """A rewrite rule. It keeps only what its own fields determine (its
     plan, compiled rate and seq-positioned variables), never anything of
-    a run: an :class:`Enumerator` keeps the rates it computes."""
+    a run: an :class:`Enumerator` keeps the rates it computes.
+
+    ``source`` is the text of the rule block the rule was parsed from, or
+    empty; what that text determines is derived once per process (see
+    :func:`parsed_rule`). A copy made by :func:`dataclasses.replace` has
+    none.
+    """
     id: str
     lhs: Pattern
     rhs: Pattern
     rate: RateExpr
     counts: CountSpec = ()
+    source: str = field(default="", init=False, repr=False, compare=False)
 
     def count_names(self) -> tuple[str, ...]:
         return tuple(name for decl in self.counts for _, name in decl.entries)
@@ -62,7 +69,12 @@ class RewriteRule:
     def plan(self) -> Optional[Plan]:
         """The compiled plan (see :mod:`tscls.compiled`), or None when the
         rule takes the general path."""
-        return compile_rule(self)
+        kept = _BLOCKS.get(self.source)
+        if kept is None:
+            return compile_rule(self)
+        if kept[0] is _UNSET:
+            kept[0] = compile_rule(self)
+        return kept[0]
 
     @cached_property
     def evaluate(self) -> rates.Evaluator:
@@ -86,7 +98,7 @@ class RuleFacts(NamedTuple):
     elements: frozenset[str]
 
 
-def rule_facts(rule: RewriteRule) -> RuleFacts:
+def _derive_facts(rule: RewriteRule) -> RuleFacts:
     """Walk the rule's patterns and rate for its :class:`RuleFacts`."""
     return RuleFacts(frozenset(pattern_vars(rule.lhs)),
                      pattern_vars(rule.rhs),
@@ -96,34 +108,39 @@ def rule_facts(rule: RewriteRule) -> RuleFacts:
                                | pattern_elements(rule.rhs)))
 
 
-# per rule block's source text, the plan and the facts of the rule parsed
-# from it: a block's text determines both, wherever it stands. Holds no
-# rule, pattern or term; cleared when full
-_BLOCKS: dict[str, tuple[Optional[Plan], RuleFacts]] = {}
+def rule_facts(rule: RewriteRule) -> RuleFacts:
+    """The rule's :class:`RuleFacts`, derived once per rule block text."""
+    kept = _BLOCKS.get(rule.source)
+    return _derive_facts(rule) if kept is None else kept[1]
 
 
-def parsed_rule(rule: RewriteRule, text: str) -> RuleFacts:
-    """The facts of ``rule``, parsed from the rule block ``text``, as they
-    were derived when that text was first parsed in this process; the
-    rule gets that parse's plan. A text not seen before has its rule's
-    plan and facts derived and kept."""
+_UNSET = object()
+
+# per rule block text, the plan of the rules parsed from it, or _UNSET
+# until one of them is asked for it, and their facts: a block's text
+# determines both, wherever it stands. Holds no rule, pattern or term; up
+# to 1,024 texts, cleared when full
+_BLOCKS: dict[str, list] = {}
+
+
+def parsed_rule(rule: RewriteRule, text: str) -> None:
+    """Tie ``rule`` to the text of the rule block it was parsed from: it
+    gets the facts derived for that text and, once a rule of that text
+    was compiled, its plan."""
+    object.__setattr__(rule, "source", text)
     kept = _BLOCKS.get(text)
     if kept is None:
         if len(_BLOCKS) >= 1024:
             _BLOCKS.clear()
-        kept = _BLOCKS[text] = (rule.plan, rule_facts(rule))
-    else:
+        _BLOCKS[text] = [_UNSET, _derive_facts(rule)]
+    elif kept[0] is not _UNSET:
         rule.__dict__["plan"] = kept[0]  # as the cached property keeps it
-    return kept[1]
 
 
 def rule_violations(rule: RewriteRule,
-                    consts: Mapping[str, float] = (),
-                    facts: Optional[RuleFacts] = None) -> list[str]:
-    """Static checks; returns one message per violation. ``facts`` are
-    the rule's :class:`RuleFacts`, derived here if not given."""
-    if facts is None:
-        facts = rule_facts(rule)
+                    consts: Mapping[str, float] = ()) -> list[str]:
+    """Static checks; returns one message per violation."""
+    facts = rule_facts(rule)
     out: list[str] = []
     lhs_vars = facts.lhs_vars
     if not rule.lhs.items:
@@ -328,11 +345,6 @@ def transitions(state: Term, rules: Sequence[RewriteRule],
     return Enumerator(rules, env, consts, mode).outcomes(state).all()
 
 
-# per tuple of plans and environment, the Enumerator._redo of their rules;
-# holds no rule, pattern or term, and is cleared when full
-_REDO: dict[tuple, list[Optional[tuple]]] = {}
-
-
 class Enumerator:
     """The enabled transitions of states under one set of rules, typing,
     constants and typing mode, such as the states of one run.
@@ -410,14 +422,11 @@ class Enumerator:
         # order, and the loop rules among them that read the cell the
         # event was in as they read the one it replaced; the last is the
         # same for every rule. All of it follows from the plans and the
-        # environment, so enumerators of the same share it
+        # environment, so the environment keeps it for the plans
         self._outer = (sorted(self._always | self._loops), self._loops)
-        key = (self._plans, self.env)
-        self._redo = _REDO.get(key)
+        self._redo = self.env._kept.get(self._plans)
         if self._redo is None:
-            if len(_REDO) >= 1024:
-                _REDO.clear()
-            self._redo = _REDO[key] = [None] * len(self.rules)
+            self._redo = self.env.keep(self._plans, [None] * len(self.rules))
         # what a record and a hint on a term are tied to; not the
         # enumerator itself, which would keep its rules alive as long as
         # any term it visited. Each has its own, so that telling a record

@@ -449,7 +449,8 @@ def parse_model(text: str) -> ModelFile:
     :class:`ModelError` carrying every validation diagnostic otherwise.
     """
     cur = _Cursor(tokenize(text, newlines=True))
-    # a rule block starts a line and ends one, so its lines are its text
+    # the lines a rule block spans hold its text, and only what shares
+    # its first or last line besides
     lines = text.split("\n")
     mf = ModelFile()
     seen_init = False
@@ -484,9 +485,9 @@ def parse_model(text: str) -> ModelFile:
             mf.type_decls[elem] = cur.expect_ident("type name")[1]
         elif text == "rule":
             rule = _parse_rule(cur, line, col)
-            block = "\n".join(lines[line - 1:cur.toks[cur.i - 1][2]])
+            parsed_rule(rule, "\n".join(
+                lines[line - 1:cur.toks[cur.i - 1][2]]))
             mf.rules.append(rule)
-            mf._facts[id(rule)] = (rule, parsed_rule(rule, block))
         elif text == "init":
             if seen_init:
                 duplicates.append("duplicate init directive")

@@ -314,15 +314,18 @@ class TypeEnv:
 
     Elements without an explicit assignment default to ``t_<name>``. The
     assignment is treated as immutable; resolved type names are cached
-    per element, and each compiled plan's type histograms per plan (see
-    :meth:`~tscls.compiled.Plan.typed`).
+    per element. What compiled plans derive under the environment is kept
+    on it (see :meth:`keep`): per plan, its type histograms
+    (:meth:`~tscls.compiled.Plan.typed`), and per tuple of plans, the
+    rules to enumerate again after an event of each
+    (:class:`~tscls.semantics.Enumerator`).
     """
 
     def __init__(self, assignment: Optional[Mapping[str, str]] = None):
         self.assignment = dict(assignment or {})
         self._basic: dict[str, TypeName] = {}
         self._seq: dict[str, TypeName] = {}
-        self._typed: dict = {}
+        self._kept: dict = {}
 
     def base(self, element: str) -> str:
         return self.assignment.get(element, "t_" + element)
@@ -338,6 +341,14 @@ class TypeEnv:
         if tn is None:
             tn = self._seq[element] = TypeName(self.base(element), True)
         return tn
+
+    def keep(self, key, value):
+        """Keep ``value`` for ``key`` in ``_kept``, which holds up to 1,024
+        entries and is cleared when full; returns ``value``."""
+        if len(self._kept) >= 1024:
+            self._kept.clear()
+        self._kept[key] = value
+        return value
 
     def __repr__(self) -> str:
         return f"TypeEnv({self.assignment!r})"

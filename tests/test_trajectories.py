@@ -22,7 +22,6 @@ from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, ModelFile,
                    compartments, compiled, lac_operon_model, lits,
                    parse_model, parse_pattern, parse_rate, pat, pattern_vars,
                    semantics, simulate, transitions, tvar)
-from tscls import model as modelfile
 from tscls.catalog import lac_operon_source
 from tscls.cli import _write_trace
 from tscls.compiled import Plan, Typed, compile_rule
@@ -164,7 +163,7 @@ def test_a_second_parse_derives_nothing_again(monkeypatch):
     derived = Counter()
     for module, name in ((semantics, "compile_rule"),
                          (semantics, "dependents"),
-                         (semantics, "rule_facts"), (modelfile, "rule_facts"),
+                         (semantics, "_derive_facts"),
                          (compiled, "Typed")):
         monkeypatch.setattr(module, name, lambda *args, fn=getattr(
             module, name), name=name: derived.update([name]) or fn(*args))
@@ -254,6 +253,24 @@ def test_rules_that_differ_in_their_lhs_keep_their_own_plans():
     rule = parse_model(LHS).rules[0]
     copy = dataclasses.replace(rule, lhs=parse_pattern("c | $X"))
     assert copy.plan.need == compile_rule(copy).need != rule.plan.need
+
+
+def test_a_parse_compiles_no_plan(monkeypatch):
+    # `tscls check` parses and validates a model and runs none of it: a
+    # rule's plan is compiled when a run first asks for it, once per
+    # rule block text
+    made = []
+    monkeypatch.setattr(semantics, "compile_rule", lambda rule, fn=compile_rule:
+                        made.append(rule.id) or fn(rule))
+    text = LHS
+    for rid in "rst":
+        text = text.replace(f"rule {rid} {{", f"rule {rid}_compiled_here {{")
+    parse_model(text)
+    assert made == []
+    for _ in range(2):
+        parsed = parse_model(text)
+        simulate(parsed, parsed.sim_config(seed=1))
+        assert made == [f"{rid}_compiled_here" for rid in "rst"]
 
 
 def test_simulate_builds_one_target_per_event(monkeypatch):
