@@ -203,8 +203,8 @@ class Plan:
                       else None for what, entries in self.decls])
 
     def typed(self, env: TypeEnv) -> Typed:
-        """The plan's type histograms under ``env``, made once and kept on
-        the environment (see :meth:`~tscls.terms.TypeEnv.keep`)."""
+        """The plan's type histograms under ``env``, made once and kept in
+        the environment's table (see :class:`~tscls.terms.TypeEnv`)."""
         typed = env._kept.get(self)
         if typed is None:
             need = counter_types(self.need, env)
@@ -213,10 +213,10 @@ class Plan:
                 inner_need = counter_types(self.inner_need, env)
                 inner_change = _shifted(counter_types(self.inner_give, env),
                                         less=inner_need)
-            typed = env.keep(self, Typed(
+            typed = env._kept[self] = Typed(
                 need, inner_need,
                 _shifted(counter_types(self.give, env), less=need),
-                inner_change))
+                inner_change)
         return typed
 
     def _order(self, base: Optional[Order], content: Term, have: Mapping,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .semantics import (LITERAL, POSITIONAL, RewriteRule, rule_facts,
                         rule_violations)
-from .terms import Term, TypeEnv, term_elements
+from .terms import Table, Term, TypeEnv, term_elements
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,9 @@ class SimConfig:
         return out
 
 
-# per type-declaration content, its one environment, so that what an
-# environment keeps (see TypeEnv) serves every model that declares the
-# same; cleared when full
-_ENVS: dict[frozenset, TypeEnv] = {}
+# per type-declaration content, its one environment: what an environment
+# keeps (see TypeEnv) serves every model that declares the same
+_ENVS = Table()
 
 
 @dataclass
@@ -68,8 +67,6 @@ class ModelFile:
         key = frozenset(self.type_decls.items())
         env = _ENVS.get(key)
         if env is None:
-            if len(_ENVS) >= 1024:
-                _ENVS.clear()
             env = _ENVS[key] = TypeEnv(self.type_decls)
         return env
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import RateEvalError
+from .terms import Table
 
 Pos = Optional[tuple[int, int]]  # (line, col) when the expression was parsed
 
@@ -87,8 +88,8 @@ def _where(pos: Pos) -> str:
 Evaluator = Callable[[Mapping[str, int], Mapping[str, float]], float]
 
 # per expression shape (see _shape), the function that makes an evaluator
-# of that shape from its data; cleared when full
-_MADE: dict[object, Callable[..., Evaluator]] = {}
+# of that shape from its data
+_MADE = Table()
 
 
 def compile_expr(expr: RateExpr) -> Evaluator:
@@ -114,10 +115,8 @@ def compile_expr(expr: RateExpr) -> Evaluator:
                         "    return f0\n"])
         scope = {"_raise": _raise}
         exec(compile(text, "<rate expression>", "exec"), scope)
-        make = scope["make"]
-        if len(_MADE) >= 1024:
-            _MADE.clear()
-        _MADE[shape] = make
+        # popped: in its own globals, it would be a cycle once _MADE drops it
+        make = _MADE[shape] = scope.pop("make")
     return make(*data)
 
 
@@ -216,8 +215,8 @@ def _raise(node: RateExpr) -> None:
 # per expression object, by its id, the object and its evaluator; an
 # object is matched by identity, never by equality: equal expressions
 # parsed at different places raise their errors at different positions.
-# Holding the object keeps its id from being taken; cleared when full
-_EVALUATORS: dict[int, tuple[RateExpr, Evaluator]] = {}
+# Holding the object keeps its id from being taken
+_EVALUATORS = Table()
 
 
 def evaluate(expr: RateExpr, counts: Mapping[str, int],
@@ -228,8 +227,6 @@ def evaluate(expr: RateExpr, counts: Mapping[str, int],
     object."""
     kept = _EVALUATORS.get(id(expr))
     if kept is None:
-        if len(_EVALUATORS) >= 1024:
-            _EVALUATORS.clear()
         kept = _EVALUATORS[id(expr)] = (expr, compile_expr(expr))
     return kept[1](counts, consts)
 

@@ -25,8 +25,8 @@ from .matching import (_KEY, _LOOP, Instantiation, Path, Position, image,
 from .patterns import (Pattern, Var, VarKind, pattern_elements,
                        pattern_vars, seq_positioned_elem_vars)
 from .rates import RateExpr
-from .terms import (Term, TypeEnv, TypeName, canonicalize, component_counts,
-                    read_counts, seq_types, type_counts)
+from .terms import (Table, Term, TypeEnv, TypeName, canonicalize,
+                    component_counts, read_counts, seq_types, type_counts)
 
 POSITIONAL = "positional"
 LITERAL = "literal"
@@ -118,9 +118,8 @@ _UNSET = object()
 
 # per rule block text, the plan of the rules parsed from it, or _UNSET
 # until one of them is asked for it, and their facts: a block's text
-# determines both, wherever it stands. Holds no rule, pattern or term; up
-# to 1,024 texts, cleared when full
-_BLOCKS: dict[str, list] = {}
+# determines both, wherever it stands. Holds no rule, pattern or term
+_BLOCKS = Table()
 
 
 def parsed_rule(rule: RewriteRule, text: str) -> None:
@@ -130,8 +129,6 @@ def parsed_rule(rule: RewriteRule, text: str) -> None:
     object.__setattr__(rule, "source", text)
     kept = _BLOCKS.get(text)
     if kept is None:
-        if len(_BLOCKS) >= 1024:
-            _BLOCKS.clear()
         _BLOCKS[text] = [_UNSET, _derive_facts(rule)]
     elif kept[0] is not _UNSET:
         rule.__dict__["plan"] = kept[0]  # as the cached property keeps it
@@ -227,11 +224,11 @@ def eval_rate(rule: RewriteRule, counts: Mapping[str, int],
 def _remembered(rule: RewriteRule, consts: Mapping[str, float]
                 ) -> Callable[..., float]:
     """The rule's rate as a function of its counts. Each rate
-    :func:`eval_rate` computes is kept in the function's ``table`` under
-    ``key``, if given, else the counts' names and values in their order,
-    until it reaches 4096 entries. Errors are not kept: every call raises
-    again."""
-    table: dict = {}
+    :func:`eval_rate` computes is kept in the function's ``table``, a
+    :class:`~tscls.terms.Table`, under ``key``, if given, else the
+    counts' names and values in their order. Errors are not kept: every
+    call raises again."""
+    table = Table(4)
 
     def rate(counts: Mapping[str, int], key: Optional[tuple] = None
              ) -> float:
@@ -239,10 +236,7 @@ def _remembered(rule: RewriteRule, consts: Mapping[str, float]
             key = tuple(counts.items())
         value = table.get(key)
         if value is None:
-            value = eval_rate(rule, counts, consts)
-            if len(table) >= 4096:
-                table.clear()
-            table[key] = value
+            value = table[key] = eval_rate(rule, counts, consts)
         return value
     rate.table = table
     return rate
@@ -426,7 +420,7 @@ class Enumerator:
         self._outer = (sorted(self._always | self._loops), self._loops)
         self._redo = self.env._kept.get(self._plans)
         if self._redo is None:
-            self._redo = self.env.keep(self._plans, [None] * len(self.rules))
+            self._redo = self.env._kept[self._plans] = [None] * len(self.rules)
         # what a record and a hint on a term are tied to; not the
         # enumerator itself, which would keep its rules alive as long as
         # any term it visited. Each has its own, so that telling a record

@@ -37,12 +37,30 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .errors import WellFormednessError
 
 _KEY = attrgetter("key")
+_TABLE_UNIT = 1024
+
+
+class Table(dict):
+    """A table a process keeps to save work, holding no state of a model:
+    it holds up to ``size`` times ``_TABLE_UNIT`` (1,024) entries, and
+    storing one more clears it first. Only a store runs this class's
+    code; a lookup is the dict's own."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int = 1):
+        self.size = size
+
+    def __setitem__(self, key, value) -> None:
+        if len(self) >= self.size * _TABLE_UNIT:
+            self.clear()
+        return dict.__setitem__(self, key, value)
 
 
 # the sequences made last, by their element names, so that equal
 # sequences are mostly one object and a dict lookup matches them by
-# identity, without a call of Seq.__eq__; cleared when full
-_SEQS: dict[tuple[str, ...], "Seq"] = {}
+# identity, without a call of Seq.__eq__
+_SEQS = Table(4)
 
 
 class Seq:
@@ -50,7 +68,7 @@ class Seq:
 
     ``elems`` is a tuple of element names; the empty tuple is the neutral
     sequence and is erased by canonicalization. ``Seq(elems)`` gives the
-    sequence already made with those names, if it is still kept.
+    sequence already made with those names while ``_SEQS`` holds it.
     """
 
     __slots__ = ("elems", "key", "_hash")
@@ -64,8 +82,6 @@ class Seq:
             # shortlex component order: kind tag, length, then names
             seq.key = (0, len(elems), elems)
             seq._hash = hash(seq.key)
-            if len(_SEQS) >= 4096:
-                _SEQS.clear()
             _SEQS[elems] = seq
         return seq
 
@@ -315,7 +331,7 @@ class TypeEnv:
     Elements without an explicit assignment default to ``t_<name>``. The
     assignment is treated as immutable; resolved type names are cached
     per element. What compiled plans derive under the environment is kept
-    on it (see :meth:`keep`): per plan, its type histograms
+    in its ``_kept`` :class:`Table`: per plan, its type histograms
     (:meth:`~tscls.compiled.Plan.typed`), and per tuple of plans, the
     rules to enumerate again after an event of each
     (:class:`~tscls.semantics.Enumerator`).
@@ -325,7 +341,7 @@ class TypeEnv:
         self.assignment = dict(assignment or {})
         self._basic: dict[str, TypeName] = {}
         self._seq: dict[str, TypeName] = {}
-        self._kept: dict = {}
+        self._kept = Table()
 
     def base(self, element: str) -> str:
         return self.assignment.get(element, "t_" + element)
@@ -341,14 +357,6 @@ class TypeEnv:
         if tn is None:
             tn = self._seq[element] = TypeName(self.base(element), True)
         return tn
-
-    def keep(self, key, value):
-        """Keep ``value`` for ``key`` in ``_kept``, which holds up to 1,024
-        entries and is cleared when full; returns ``value``."""
-        if len(self._kept) >= 1024:
-            self._kept.clear()
-        self._kept[key] = value
-        return value
 
     def __repr__(self) -> str:
         return f"TypeEnv({self.assignment!r})"

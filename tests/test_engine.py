@@ -330,8 +330,8 @@ class TestSimulate:
 
     def test_a_run_leaves_its_rules_as_it_found_them(self):
         # a rule may keep what its own fields determine, never anything
-        # of a run: the enumerator owns the rates. Its plan keeps only
-        # its type histograms for the last environment (Plan.typed)
+        # of a run: the enumerator owns the rates, and the environment
+        # keeps the plan's type histograms under it (Plan.typed)
         derived = {"plan", "evaluate", "seq_positioned"}
         for model in (lac_operon_model(), parse_model(CELLS)):
             trace = simulate(model, model.sim_config(seed=3, max_steps=150))
@@ -340,7 +340,7 @@ class TestSimulate:
                 fields = {f.name for f in dataclasses.fields(rule)}
                 assert set(vars(rule)) <= fields | derived, rule.id
                 fresh = compile_rule(rule)
-                for name in set(Plan.__slots__) - {"_typed"}:
+                for name in Plan.__slots__:
                     assert getattr(rule.plan, name) \
                         == getattr(fresh, name), (rule.id, name)
 

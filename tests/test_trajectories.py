@@ -8,6 +8,7 @@ the bytes must be identical with and without the rules' plans.
 """
 
 import dataclasses
+import gc
 import io
 import random
 from collections import Counter
@@ -16,22 +17,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tscls.model
 from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, ModelFile,
                    ObservableSpec, PLoop, PSeq, RateEvalError, RewriteRule,
                    SeqVar, SimConfig, TypeName, Var, VarKind, canonicalize,
                    compartments, compiled, lac_operon_model, lits,
                    parse_model, parse_pattern, parse_rate, pat, pattern_vars,
-                   semantics, simulate, transitions, tvar)
+                   rates, semantics, simulate, terms, transitions, tvar)
 from tscls.catalog import lac_operon_source
 from tscls.cli import _write_trace
 from tscls.compiled import Plan, Typed, compile_rule
 from tscls.engine import Pcg64, _count_all, _draw, step
 from tscls.semantics import Enumerator
-from tscls.terms import Seq, TypeEnv, counter_types
+from tscls.terms import Seq, Table, TypeEnv, counter_types
 
 from conftest import (ALPHABET, CELLS, MASS, assert_multisets_canonical,
-                      general, random_compiled_rule, random_env,
-                      random_loop_rule, random_loop_state, random_rule)
+                      general, load_perfbench, random_compiled_rule,
+                      random_env, random_loop_rule, random_loop_state,
+                      random_rule)
 
 MAX_STEPS = 100
 
@@ -93,12 +96,11 @@ def test_plans_give_the_general_path_traces(model, seeds):
 
 
 def test_rules_shared_by_runs_under_other_inputs():
-    # from a run, a rule keeps only its plan's histograms for the last
-    # TypeEnv asked (``Plan.typed``) and caches of its own content (its
-    # plan, its compiled rate); runs of one set of rules
-    # under models that differ in typing and constants, and after the
-    # constants are changed in place, must each give the traces of freshly
-    # parsed rules
+    # from a run, a rule keeps only caches of its own content (its plan,
+    # its compiled rate); each TypeEnv keeps a plan's histograms under it
+    # (``Plan.typed``). Runs of one set of rules under models that differ
+    # in typing and constants, and after the constants are changed in
+    # place, must each give the traces of freshly parsed rules
     other = CELLS.replace("const k = 10.0", "const k = 3.0") \
         + "type A : t_B\ntype S : t_W\n"
     shared = parse_model(CELLS)
@@ -210,6 +212,64 @@ def test_shared_plans_under_other_declarations(monkeypatch):
                                                  mode)
             run[2] = outcomes.transition(_draw(outcomes.rates, rng)[1]).target
     assert len(built) <= len(models) * len(models[0].rules)
+
+
+def test_tables_past_their_bounds(monkeypatch):
+    # a long-lived process runs many models through its per-process
+    # tables: under bounds lowered so that every table clears itself again
+    # and again, each model gives its traces from fresh tables, no table
+    # holds more than its bound, and what a cleared table dropped is freed
+    # by reference counting alone
+    gen = load_perfbench("gen")
+    texts = [lac_operon_source(), CELLS, CELLS + "type A : t_B\n",
+             gen.mass_model(0, MAX_STEPS),
+             gen.mass_model(1, MAX_STEPS) + "\ntype A : t_D\n",
+             gen.cells_model(0, MAX_STEPS),
+             gen.cells_model(1, MAX_STEPS) + "\ntype S : t_W\n"]
+    shared = {"_MADE": rates._MADE, "_EVALUATORS": rates._EVALUATORS,
+              "_SEQS": terms._SEQS, "_BLOCKS": semantics._BLOCKS,
+              "_ENVS": tscls.model._ENVS}
+    want = {}
+    for text in texts:
+        for table in shared.values():
+            table.clear()
+        want[text] = [traces(parse_model(text), seed) for seed in (1, 3)]
+    # the tables of each environment and of each rule's rates are made
+    # during the runs: keep them to count their clears
+    made = {"TypeEnv._kept": [], "_remembered": []}
+    for module, kind in ((terms, "TypeEnv._kept"), (semantics, "_remembered")):
+        monkeypatch.setattr(module, "Table", lambda size=1, kept=made[kind]:
+                            kept.append(Table(size)) or kept[-1])
+    clears = Counter()
+    store = Table.__setitem__
+
+    def checked(table, key, value):
+        before = len(table)
+        store(table, key, value)
+        assert len(table) <= table.size * terms._TABLE_UNIT
+        clears[id(table)] += len(table) < before
+
+    monkeypatch.setattr(Table, "__setitem__", checked)
+    monkeypatch.setattr(terms, "_TABLE_UNIT", 2)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            for text in texts:
+                model = parse_model(text)
+                for rule in model.rules:
+                    counts = dict.fromkeys(rule.count_names(), 2)
+                    assert rates.evaluate(rule.rate, counts, model.constants) \
+                        == rule.evaluate(counts, model.constants)
+                assert [traces(model, seed) for seed in (1, 3)] == want[text]
+        del model, rule
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    for name, table in shared.items():
+        assert clears[id(table)] >= 3, name
+    for kind, tables in made.items():
+        assert max(clears[id(table)] for table in tables) >= 3, kind
 
 
 # three ground rules; with r's lhs "c | $X", an event of r changes what t
