@@ -116,22 +116,49 @@ def rule_facts(rule: RewriteRule) -> RuleFacts:
 
 _UNSET = object()
 
-# per rule block text, the plan of the rules parsed from it, or _UNSET
-# until one of them is asked for it, and their facts: a block's text
-# determines both, wherever it stands. Holds no rule, pattern or term
+# per rule block text, what it determines wherever it stands: the plan of
+# the rules parsed from it, or _UNSET until one of them is asked for it;
+# their facts; and, once the text was parsed twice, the recipe that makes
+# its rule without parsing it, or None. Holds no rule, pattern or term
 _BLOCKS = Table()
 
 
-def parsed_rule(rule: RewriteRule, text: str) -> None:
+def parsed_rule(rule: RewriteRule, text: str,
+                recipe: Callable[[], Callable[[int], RewriteRule]]) -> None:
     """Tie ``rule`` to the text of the rule block it was parsed from: it
     gets the facts derived for that text and, once a rule of that text
-    was compiled, its plan."""
+    was compiled, its plan. The second time the text is parsed,
+    ``recipe()`` is kept for it: a function of the line the block begins
+    at that makes its rule again (see :func:`known_rule`). A process that
+    parses a text once pays for no recipe."""
     object.__setattr__(rule, "source", text)
     kept = _BLOCKS.get(text)
     if kept is None:
-        _BLOCKS[text] = [_UNSET, _derive_facts(rule)]
-    elif kept[0] is not _UNSET:
+        _BLOCKS[text] = [_UNSET, _derive_facts(rule), None]
+        return
+    if kept[2] is None:
+        kept[2] = recipe()
+    if kept[0] is not _UNSET:
         rule.__dict__["plan"] = kept[0]  # as the cached property keeps it
+
+
+def known_block(text: str) -> Optional[list]:
+    """The table entry of a rule block's text once it has a recipe, to be
+    given to :func:`known_rule`; else None."""
+    kept = _BLOCKS.get(text)
+    return None if kept is None or kept[2] is None else kept
+
+
+def known_rule(text: str, kept: list, line: int) -> RewriteRule:
+    """The rule of the block of ``text``, beginning at ``line``, made by
+    the recipe of its entry ``kept`` (see :func:`known_block`): equal to
+    a rule parsed from it there, rate positions included, and tied to the
+    text as :func:`parsed_rule` ties one."""
+    rule = kept[2](line)
+    object.__setattr__(rule, "source", text)
+    if kept[0] is not _UNSET:
+        rule.__dict__["plan"] = kept[0]
+    return rule
 
 
 def rule_violations(rule: RewriteRule,

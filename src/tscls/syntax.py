@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 from operator import attrgetter
-from typing import Union
+from typing import Callable, Iterable, Union
 
 from . import rates
 from .errors import ModelError, ParseError
@@ -25,7 +26,7 @@ from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
                        SeqVar, Var, VarKind)
 from .rates import BinOp, IfZero, Name, Num, RateExpr
 from .semantics import (LITERAL, POSITIONAL, CountDecl, RewriteRule,
-                        parsed_rule)
+                        known_block, known_rule, parsed_rule)
 from .terms import (Component, Loop, Seq, Term, TypeName, canonicalize,
                     component_counts, counted, min_rotation)
 
@@ -59,37 +60,50 @@ MULT_LIMIT = 1 << 63
 Token = tuple[str, str, int, int]
 
 
-def tokenize(text: str, newlines: bool = False) -> list[Token]:
+def tokenize(text: str, newlines: bool = False,
+             known: Iterable[tuple[int, int]] = ()) -> list[Token]:
     """Lex the input. With ``newlines`` set, line breaks become tokens
     (model files are newline-structured); otherwise they are whitespace.
-    Numbers are decimal digits; an identifier starts with a letter."""
+    Numbers are decimal digits; an identifier starts with a letter. Each
+    ``(start, stop)`` span in ``known``, in order, is a known rule block
+    from its 'rule' to its closing '}' (see :func:`parse_model`): it is
+    not lexed, and stands as its one token 'rule'."""
     toks: list[Token] = []
     append = toks.append
     line, line_start, end = 1, 0, len(text)
     # in ASCII text the IDENT pattern matches letters first and nothing else
     letters = text.isascii()
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "IDENT" or kind == "SYM" or kind == "NUMBER":
-            start = m.start(kind)
-            if letters or kind != "IDENT" or text[start].isalpha():
-                append((kind, m.group(kind), line, start - line_start + 1))
+    pos = 0
+    for start, stop in [*known, (end, None)]:
+        for m in _TOKEN.finditer(text, pos, start):
+            kind = m.lastgroup
+            if kind == "IDENT" or kind == "SYM" or kind == "NUMBER":
+                at = m.start(kind)
+                if letters or kind != "IDENT" or text[at].isalpha():
+                    append((kind, m.group(kind), line, at - line_start + 1))
+                    continue
+            elif kind == "NEWLINE":
+                if newlines and toks and toks[-1][0] != "NEWLINE":
+                    append((kind, "\n", line,
+                            m.start(kind) - line_start + 1))
+                line, line_start = line + 1, m.end()
                 continue
-        elif kind == "NEWLINE":
-            if newlines and toks and toks[-1][0] != "NEWLINE":
-                append((kind, "\n", line, m.start(kind) - line_start + 1))
-            line, line_start = line + 1, m.end()
-            continue
-        elif kind == "COMMENT":
-            end = m.start(kind)
-            continue
-        elif kind is None:
-            continue
-        else:
-            start = m.start(kind)
-        # a BAD character, or an IDENT that starts with a digit such as '²'
-        raise ParseError(f"unexpected character {text[start]!r}",
-                         line, start - line_start + 1)
+            elif kind == "COMMENT":
+                end = m.start(kind)
+                continue
+            elif kind is None:
+                continue
+            else:
+                at = m.start(kind)
+            # a BAD character, or an IDENT that starts with a digit such as '²'
+            raise ParseError(f"unexpected character {text[at]!r}",
+                             line, at - line_start + 1)
+        if stop is None:
+            break
+        append(("IDENT", "rule", line, start - line_start + 1))
+        line += text.count("\n", start, stop)
+        line_start = text.rindex("\n", start, stop) + 1
+        pos = stop
     col = end - line_start + 1
     if newlines and toks and toks[-1][0] != "NEWLINE":
         append(("NEWLINE", "\n", line, col))
@@ -442,13 +456,28 @@ def print_rate(expr: RateExpr) -> str:
 _VAR_SIGILS = {"$": VarKind.TERM, "~": VarKind.SEQ, "?": VarKind.ELEM}
 
 
+# a rule block found by its lines alone, which the grammar allows: from a
+# line that begins with 'rule' to the first later one that holds only its
+# closing '}' and maybe a comment, with no line between that begins with
+# 'rule'. Group 1 runs from 'rule' to '}'
+_BLOCK = re.compile(r"^[ \t\r]*(rule\b[^\n]*(?:\n(?![ \t\r]*rule\b)[^\n]*)*?"
+                    r"\n[ \t\r]*\})[ \t\r]*(?:#[^\n]*)?$", re.M)
+
+
 def parse_model(text: str) -> ModelFile:
     """Parse and validate a model file.
+
+    A rule block whose text the process has parsed twice before is
+    neither tokenized nor parsed: its rule is made by the recipe kept for
+    that text (see :func:`~tscls.semantics.parsed_rule`), with the rate
+    positions of its lines in this file. The text outside such blocks is
+    tokenized before anything is parsed, so the first error is the same.
 
     Raises :class:`ParseError` on the first syntax error and
     :class:`ModelError` carrying every validation diagnostic otherwise.
     """
-    cur = _Cursor(tokenize(text, newlines=True))
+    spans, known = _known_blocks(text)
+    cur = _Cursor(tokenize(text, True, spans))
     # the lines a rule block spans hold its text, and only what shares
     # its first or last line besides
     lines = text.split("\n")
@@ -484,9 +513,14 @@ def parse_model(text: str) -> ModelFile:
             cur.expect_sym(":")
             mf.type_decls[elem] = cur.expect_ident("type name")[1]
         elif text == "rule":
-            rule = _parse_rule(cur, line, col)
-            parsed_rule(rule, "\n".join(
-                lines[line - 1:cur.toks[cur.i - 1][2]]))
+            block = known.get(line)
+            if block is None:
+                rule = _parse_rule(cur, line, col)
+                parsed_rule(rule, "\n".join(
+                    lines[line - 1:cur.toks[cur.i - 1][2]]),
+                    partial(_recipe, rule, line))
+            else:  # a known block, which stands as its 'rule' token
+                rule = known_rule(*block, line)
             mf.rules.append(rule)
         elif text == "init":
             if seen_init:
@@ -515,6 +549,28 @@ def _skip_newlines(cur: _Cursor) -> None:
     toks = cur.toks
     while toks[cur.i][0] == "NEWLINE":
         cur.i += 1
+
+
+def _known_blocks(text: str) -> tuple[list[tuple[int, int]], dict]:
+    """The rule blocks of ``text`` that a recipe makes: the span of each,
+    from its 'rule' to its closing '}', and by the line each begins at,
+    its text and its table entry (see :func:`~tscls.semantics.known_rule`).
+
+    A block is found by its lines alone. Where its 'rule' is not that of a
+    directive, the parser fails at that token, as it would had the block
+    been lexed: the token before it is a line end, and a line end is
+    followed by a directive, a rule field or a run field."""
+    spans: list[tuple[int, int]] = []
+    known = {}
+    line, pos = 1, 0
+    for m in _BLOCK.finditer(text):
+        kept = known_block(m[0])
+        if kept is not None:
+            line += text.count("\n", pos, m.start())
+            pos = m.start()
+            spans.append(m.span(1))
+            known[line] = m[0], kept
+    return spans, known
 
 
 # the fields a rule must have, in the order a missing one is reported
@@ -600,6 +656,87 @@ def _parse_run_field(cur: _Cursor, mf: ModelFile) -> None:
         value = int(value)
     mf.run_defaults[name] = value
     _skip_newlines(cur)
+
+
+# the names a recipe's source reads
+_RECIPE_SCOPE = {cls.__name__: cls for cls in (
+    BinOp, CountDecl, ElemLit, ElemVar, IfZero, Name, Num, Pattern, PLoop,
+    PSeq, PTermVar, RewriteRule, SeqVar, TypeName, Var, VarKind)}
+
+
+def _recipe(rule: RewriteRule, first: int) -> Callable[[int], RewriteRule]:
+    """A function of a line that makes ``rule`` again, as parsed from its
+    block had that block begun at that line instead of at ``first``: its
+    rate nodes are placed on the lines of the block there. The source is
+    straight-line, one assignment per distinct value, so no Python limit
+    on nesting is reached, and equal parts of a rule are one object, as
+    frozen values may be. Names and numbers are literals in it, so the
+    function holds no rule, pattern or rate."""
+    made: dict[str, str] = {}
+    lhs = _pattern_source(rule.lhs, made)
+    rhs = _pattern_source(rule.rhs, made)
+    rate = _rate_source(rule.rate, made, first)
+    counts = "".join(
+        f"CountDecl(Var(VarKind.{decl.var.kind.name}, {decl.var.name!r}), ("
+        + "".join(f"(TypeName({tname.base!r}, {tname.is_seq}), {name!r}), "
+                  for tname, name in decl.entries) + ")), "
+        for decl in rule.counts)
+    text = "".join(["def make(line):\n",
+                    *[f"    {out} = {value}\n" for value, out in made.items()],
+                    f"    return RewriteRule({rule.id!r}, {lhs}, {rhs},"
+                    f" {rate}, ({counts}))\n"])
+    scope = dict(_RECIPE_SCOPE)
+    exec(compile(text, "<rule recipe>", "exec"), scope)
+    # popped: in its own globals, it would be a cycle once _BLOCKS drops it
+    return scope.pop("make")
+
+
+def _assigned(value: str, made: dict[str, str]) -> str:
+    """The variable that holds ``value`` in a recipe's source; ``made``
+    maps the value of each of its assignments, in order, to the variable
+    assigned."""
+    out = made.get(value)
+    if out is None:
+        out = made[value] = f"v{len(made)}"
+    return out
+
+
+def _pattern_source(p: Pattern, made: dict[str, str]) -> str:
+    items = []
+    for item in p.items:
+        if isinstance(item, PTermVar):
+            items.append(_assigned(f"PTermVar({item.name!r})", made))
+        elif isinstance(item, PSeq):
+            items.append(_pseq_source(item, made))
+        else:
+            membrane = _pseq_source(item.membrane, made)
+            content = _pattern_source(item.content, made)
+            items.append(_assigned(f"PLoop({membrane}, {content})", made))
+    return _assigned(f"Pattern(({''.join(i + ', ' for i in items)}),"
+                     f" {p.counts!r})", made)
+
+
+def _pseq_source(ps: PSeq, made: dict[str, str]) -> str:
+    return _assigned("PSeq((" + "".join(
+        _assigned(f"{type(atom).__name__}({atom.name!r})", made) + ", "
+        for atom in ps.atoms) + "))", made)
+
+
+def _rate_source(expr: RateExpr, made: dict[str, str], first: int) -> str:
+    line, col = expr.pos
+    pos = f"(line + {line - first}, {col})"
+    if isinstance(expr, Num):
+        return f"Num({expr.value!r}, {pos})"
+    if isinstance(expr, Name):
+        return f"Name({expr.ident!r}, {pos})"
+    if isinstance(expr, BinOp):
+        left = _rate_source(expr.left, made, first)
+        right = _rate_source(expr.right, made, first)
+        return _assigned(f"BinOp({expr.op!r}, {left}, {right}, {pos})", made)
+    then = _rate_source(expr.then, made, first)
+    orelse = _rate_source(expr.orelse, made, first)
+    return _assigned(f"IfZero({expr.count!r}, {then}, {orelse}, {pos})",
+                     made)
 
 
 def print_model(mf: ModelFile) -> str:

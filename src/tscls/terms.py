@@ -168,6 +168,11 @@ class Term:
         # hint the build that made it left until it is enumerated
         self._outcomes = None
 
+    def __reduce__(self):
+        # a copy or a pickle carries the multiset and the canonical flag,
+        # never what a run cached on the term
+        return (counted if self._canonical else Term), (self._counter,)
+
     @property
     def components(self) -> tuple[Component, ...]:
         listed: list[Component] = []

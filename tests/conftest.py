@@ -305,6 +305,26 @@ def random_loop_rule(rng, state, rid, doubling=True):
     return RewriteRule(rid, pat(*lhs), pat(*rhs), expr, tuple(decls))
 
 
+# one rule whose rate is placeholder; its count is n
+RATE_MODEL = """\
+rule r {
+  lhs: a | $X
+  rhs: b | $X
+  count $X { t_a -> n }
+  rate: %s
+}
+init: 3 * a
+"""
+
+# rates as high as a rate may be, 200 operators or guards
+LONG_RATES = [
+    " + ".join(["1"] * 200), " - ".join(["n"] * 100 + ["1"] * 100),
+    " * ".join(["(n + 1)"] * 100), "(" * 199 + "n" + ")" * 199,
+    "(" * 150 + " + ".join(["1"] * 200) + ")" * 150,
+    "((n" + " + 1" * 99 + ")" + " + 1" * 100 + ")",
+    "if n == 0 then 1 else " * 200 + "2"]
+
+
 # water crosses membranes by the osmosis pair, faster with more p on the
 # other cells' membranes; A and B interconvert in every compartment;
 # repeated cells and rotation-symmetric membranes

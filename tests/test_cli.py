@@ -17,7 +17,7 @@ from tscls.cli import main
 from tscls.engine import Sample, Trace, TraceEvent
 from tscls.terms import Term
 
-from conftest import CELLS
+from conftest import CELLS, LONG_RATES, RATE_MODEL
 
 LAC = os.path.join(os.path.dirname(__file__), os.pardir, "models",
                    "lac_operon.tscls")
@@ -61,17 +61,6 @@ init: a | c
 observe a, b, c, d
 """
 
-
-# one rule whose rate is placeholder; its count is n
-RATE_MODEL = """\
-rule r {
-  lhs: a | $X
-  rhs: b | $X
-  count $X { t_a -> n }
-  rate: %s
-}
-init: 3 * a
-"""
 
 # constants and a count named by Python keywords and builtins:
 # 2.5 * (3 + 3) at 4 * a
@@ -157,12 +146,7 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("rate", [
-        " + ".join(["1"] * 200), " - ".join(["n"] * 100 + ["1"] * 100),
-        " * ".join(["(n + 1)"] * 100), "(" * 199 + "n" + ")" * 199,
-        "(" * 150 + " + ".join(["1"] * 200) + ")" * 150,
-        "((n" + " + 1" * 99 + ")" + " + 1" * 100 + ")",
-        "if n == 0 then 1 else " * 200 + "2"])
+    @pytest.mark.parametrize("rate", LONG_RATES)
     def test_long_rates_run(self, rate, tmp_path, capsys):
         path = tmp_path / "long.tscls"
         path.write_text(RATE_MODEL % rate, encoding="utf-8")

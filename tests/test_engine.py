@@ -1,9 +1,11 @@
 """Stochastic engine: PRNG, stepping, sampling, halting, reproducibility."""
 
+import copy
 import dataclasses
 import gc
 import math
 import os
+import pickle
 import random
 import weakref
 
@@ -20,7 +22,7 @@ from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.compiled import Plan, compile_rule
 from tscls.engine import _count_all, _sample_grid
 from tscls.semantics import Enumerator
-from tscls.terms import Loop, Term, TypeEnv
+from tscls.terms import Loop, Term, TypeEnv, component_counts
 
 from conftest import ALPHABET, CELLS, general, load_perfbench, random_term
 
@@ -327,6 +329,27 @@ class TestSimulate:
                 assert [ref for ref in refs if ref() is not None] == []
         finally:
             gc.enable()
+
+    def test_a_visited_state_copies_without_what_a_run_cached(self):
+        # a run caches type histograms and outcome records on the terms it
+        # visits; a pickled or copied state carries its multiset alone
+        def compartments_of(term):
+            stack = [term]
+            while stack:
+                t = stack.pop()
+                yield t
+                stack += [c.content for c in component_counts(t)
+                          if isinstance(c, Loop)]
+
+        model = lac_operon_model()
+        state = simulate(model, model.sim_config(seed=3,
+                                                 max_steps=20)).final_state
+        assert any(t._types is not None for t in compartments_of(state))
+        for copied in (pickle.loads(pickle.dumps(state)),
+                       copy.deepcopy(state)):
+            assert copied == state and copied._canonical
+            assert [(t._types, t._outcomes) for t in compartments_of(copied)
+                    ] == [(None, None)] * len(list(compartments_of(state)))
 
     def test_a_run_leaves_its_rules_as_it_found_them(self):
         # a rule may keep what its own fields determine, never anything

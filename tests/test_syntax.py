@@ -1,23 +1,28 @@
 """Concrete syntax: parsing and printing of terms, patterns, rates, models."""
 
+import contextlib
 import hashlib
 import os
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscls import (Loop, ModelError, ParseError, Pattern, PLoop, PSeq,
-                   PTermVar, RateEvalError, Seq, SeqVar, Term, canonicalize, congruent,
-                   evaluate, lits, parse_model, parse_pattern, parse_rate,
-                   parse_term, print_model, print_pattern, print_rate,
-                   print_term, pat, svar, tvar, validate_model)
+                   PTermVar, RateEvalError, Seq, SeqVar, SimConfig, Term,
+                   canonicalize, congruent, evaluate, lits, parse_model,
+                   parse_pattern, parse_rate, parse_term, print_model,
+                   print_pattern, print_rate, print_term, pat, simulate,
+                   svar, tvar, validate_model)
+from tscls import semantics, syntax
 from tscls.rates import BinOp, IfZero, Name, Num
-from tscls.terms import component_counts
+from tscls.terms import Table, component_counts
 
-from conftest import ROOT, load_perfbench, random_term
+from conftest import (CELLS, LONG_RATES, RATE_MODEL, ROOT, load_perfbench,
+                      random_term)
 
 
 class TestParseTerm:
@@ -118,14 +123,16 @@ class TestPrintTerm:
 
 
 class TestPatternPrinting:
-    @pytest.mark.parametrize("text", [
+    ROUND_TRIP = [
         "a | $X",
         "<~x>[ perm | $X ] | $Y",
         "a.?y.~x | $X",
         "3 * a.b | <m>[eps]",
         "a | b | a | <~x>[ 2 * c | $X ] | $Y | $Y",
         f"{2 ** 62} * a | $X",
-    ])
+    ]
+
+    @pytest.mark.parametrize("text", ROUND_TRIP)
     def test_round_trip(self, text):
         p = parse_pattern(text)
         assert parse_pattern(print_pattern(p)) == p
@@ -157,14 +164,16 @@ class TestRates:
     def test_unary_minus(self):
         assert evaluate(parse_rate("-3 + 5"), {}, {}) == 2
 
-    @pytest.mark.parametrize("text", [
+    ROUND_TRIP = [
         "(n1 + 1) * k / (if n2 == 0 then 1 else n2 * kp)",
         "n1 * (n2 + 1) * 0.001",
         "1.0 / 1.0 * (n2 / ((n1 + 1) * 1.0 + n2 * 1.0) - n4 / ((n3 + 1) * 1.0 + n4 * 1.0)) * 1.0",
         "a - (b - c)",
         "a - b - c",
         "(nc * 3.0 + 1) * (k / v)",
-    ])
+    ]
+
+    @pytest.mark.parametrize("text", ROUND_TRIP)
     def test_round_trip(self, text):
         e = parse_rate(text)
         assert parse_rate(print_rate(e)) == _strip_pos(e)
@@ -481,3 +490,181 @@ def test_bad_text_gives_a_diagnostic(text):
         parse_model(text)
     except (ParseError, ModelError):
         pass
+
+
+# ---------------------------------------------------------------------------
+# a rule block whose text the process parsed twice is made by its recipe
+
+
+@contextlib.contextmanager
+def fresh_blocks():
+    """Empty rule-block tables while the block runs."""
+    with mock.patch.object(semantics, "_BLOCKS", Table()):
+        yield
+
+
+def rate_nodes(expr) -> list[tuple]:
+    """Every node of a rate in preorder with its position, which rate
+    equality does not compare, and a number's type besides its value."""
+    out, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Num):
+            out.append(("Num", node.value, type(node.value), node.pos))
+        elif isinstance(node, Name):
+            out.append(("Name", node.ident, node.pos))
+        elif isinstance(node, BinOp):
+            out.append(("BinOp", node.op, node.pos))
+            stack += [node.right, node.left]
+        else:
+            out.append(("IfZero", node.count, node.pos))
+            stack += [node.orelse, node.then]
+    return out
+
+
+def parsed(text: str):
+    """What ``parse_model`` makes of the text: each rule field by field,
+    its rate node by node, and the rest of the model; or the error it
+    raises, with its message and position."""
+    try:
+        mf = parse_model(text)
+    except ParseError as exc:
+        return "ParseError", exc.message, exc.line, exc.col
+    except ModelError as exc:
+        return "ModelError", exc.diagnostics
+    rules = [(r.id, repr(r.lhs), repr(r.rhs), repr(r.counts), r.source,
+              rate_nodes(r.rate)) for r in mf.rules]
+    return rules, {k: v for k, v in vars(mf).items() if k != "rules"}
+
+
+def warm_as_fresh(text: str, *primers: str):
+    """Assert that the text parses, once it and ``primers`` were each
+    parsed twice, as it does with fresh tables, and that a model it
+    parses to has every rule made by a recipe; returns the outcome."""
+    with fresh_blocks():
+        fresh = parsed(text)
+    parses = []
+    with fresh_blocks(), mock.patch.object(
+            syntax, "_parse_rule", lambda *args, parse=syntax._parse_rule:
+            parses.append(args) or parse(*args)):
+        for _ in range(2):
+            for primer in (*primers, text):
+                parsed(primer)
+        parses.clear()
+        assert parsed(text) == fresh
+    if fresh[0] not in ("ParseError", "ModelError"):
+        assert parses == []
+    return fresh
+
+
+BLOCK = "rule r {\n  lhs: a | $X\n  rhs: b | $X\n  rate: 1\n}\n"
+
+
+def indented(text: str, blanks: str = "    ") -> str:
+    return "".join(blanks + line if line.strip() else line
+                   for line in text.splitlines(True))
+
+
+def test_a_known_block_is_neither_tokenized_nor_parsed():
+    with open(os.path.join(ROOT, "models", "lac_operon.tscls"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    tokens = []
+    with fresh_blocks(), mock.patch.object(
+            syntax, "tokenize", lambda *args, lex=syntax.tokenize:
+            tokens.append(lex(*args)) or tokens[-1]):
+        rules = [parse_model(text).rules for _ in range(3)]
+    first, _, third = tokens
+    assert [t[1] for t in first].count("lhs") == 15
+    assert [t[1] for t in third].count("lhs") == 0
+    assert [t[1] for t in third].count("rule") == 15
+    assert rules[2] == rules[0]
+
+
+def test_known_blocks_make_the_rules_parsed():
+    gen = load_perfbench("gen")
+    with open(os.path.join(ROOT, "models", "lac_operon.tscls"),
+              encoding="utf-8") as fh:
+        lac = fh.read()
+    texts = [lac, CELLS, MINIMAL_MODEL,
+             print_model(parse_model(MINIMAL_MODEL)),
+             "# leading\n\n" + MINIMAL_MODEL.replace(
+                 "init:", "# mid comment\ninit:"),
+             MINIMAL_MODEL.replace("t_a -> n1", "seq(t_a) -> n1"),
+             indented(lac), indented(CELLS, "\t"),
+             MINIMAL_MODEL.replace("\n", "\r\n"),
+             lac.rstrip("\n"), lac.replace("\n}\n", "\n} # end\n"),
+             lac + BLOCK.replace("rule r", "rule R1"),
+             MINIMAL_MODEL.replace("run { seed: 7,", "run {\n  seed: 7,")
+             .replace("samples: 5 }", "samples: 5\n}"),
+             "rule r { lhs: a | $X\n  rhs: b | $X\n  rate: 1\n}\ninit: a\n",
+             "rule r {\n  lhs: \u00e9 | a\u00b2 | $X\n"
+             "  rhs: a\u00b2.\u00e9 | $X\n  count $X { t -> n }\n"
+             "  rate: (n + 1) * 2\n}\ninit: \u00e9\n",
+             *[gen.mass_model(g, 120) for g in range(2)],
+             *[gen.cells_model(g, 25) for g in range(2)],
+             *[RATE_MODEL % rate for rate in LONG_RATES],
+             *[RATE_MODEL % rate for rate in TestRates.ROUND_TRIP],
+             *[RATE_MODEL.replace("a | $X", text, 1)
+               for text in TestPatternPrinting.ROUND_TRIP]]
+    for text in texts:
+        warm_as_fresh(text)
+
+
+@pytest.mark.parametrize(
+    "text", [text for parser, text, _ in DIAGNOSTICS if parser == "model"])
+def test_known_blocks_give_the_errors_parsed(text):
+    warm_as_fresh(text, BLOCK + "init: a\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    # a bad character after known blocks is found before any parsing
+    (BLOCK + "init: & | a\n", (6, 7)),
+    (BLOCK + BLOCK + "&\n", (11, 1)),
+    (BLOCK + "rule s {\n  rate: \u00b2\n}\n", (7, 9)),
+    # a known block where no directive may stand
+    ("run { seed: 1,\n" + BLOCK + "}\ninit: a\n", (2, 1)),
+    ("run {\n" + BLOCK + "}\ninit: a\n", (2, 1)),
+    ("run { seed: 1\n" + BLOCK + "}\ninit: a\n", (2, 1)),
+    ("rule q {\n  lhs: a | $X\n" + BLOCK + "init: a\n", (3, 1)),
+    # text after a known block's '}', and a block ending the text
+    (BLOCK.replace("}", "} x") + "init: a\n", (5, 3)),
+    (BLOCK.replace("}", "}}") + "init: a\n", (5, 2)),
+    (BLOCK + "init: a\n" + BLOCK.rstrip("\n") + " x", (11, 3)),
+    ("init: a\n" + BLOCK.rstrip("\n"), None),
+    (indented(BLOCK) + "init: a\n", None),
+    (BLOCK + BLOCK + "init: a\n", None),
+])
+def test_known_blocks_in_other_places(text, error):
+    outcome = warm_as_fresh(text, BLOCK + "init: a\n",
+                            indented(BLOCK) + "init: a\n")
+    if error is None:
+        assert outcome[0] != "ParseError"
+    else:
+        assert outcome[0] == "ParseError" and outcome[2:] == error
+
+
+@given(st.lists(fuzz_lines, max_size=4).map("\n".join))
+@settings(max_examples=200, deadline=None)
+def test_known_blocks_in_bad_text(text):
+    warm_as_fresh(text, RATE_RULE % "1")
+
+
+def test_rate_positions_are_those_of_each_file():
+    # one rule block at other lines in two files: each file's rate error
+    # gives the block's line there, whichever file made its recipe
+    text = RATE_MODEL % "2 / (n - 2)"
+    lines = {5: text, 9: "model m\n\nconst k = 1.0\n\n" + text}
+    parses = []
+    with fresh_blocks(), mock.patch.object(
+            syntax, "_parse_rule", lambda *args, parse=syntax._parse_rule:
+            parses.append(args) or parse(*args)):
+        for round in range(3):
+            for line, text in (lines.items() if round % 2
+                               else reversed(lines.items())):
+                model = parse_model(text)
+                with pytest.raises(RateEvalError) as exc:
+                    simulate(model, SimConfig(seed=1, tmax=1.0))
+                assert str(exc.value) == \
+                    f"rule r: division by zero at {line}:11 (compartment /)"
+    assert len(parses) == 2
