@@ -48,10 +48,10 @@ class RewriteRule:
     plan, compiled rate and seq-positioned variables), never anything of
     a run: an :class:`Enumerator` keeps the rates it computes.
 
-    ``source`` is the text of the rule block the rule was parsed from, or
-    empty; what that text determines is derived once per process (see
-    :func:`parsed_rule`). A copy made by :func:`dataclasses.replace` has
-    none.
+    ``source`` is the text of the rule block the rule was parsed or made
+    from, or empty; what that text determines is derived once per process
+    (see :func:`parsed_rule`). A copy made by :func:`dataclasses.replace`
+    has none.
     """
     id: str
     lhs: Pattern
