@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from tscls import (Loop, ModelError, ParseError, Pattern, PLoop, PSeq,
                    PTermVar, RateEvalError, Seq, SeqVar, SimConfig, Term,
-                   canonicalize, congruent, evaluate, lits, parse_model,
-                   parse_pattern, parse_rate, parse_term, print_model,
-                   print_pattern, print_rate, print_term, pat, simulate,
-                   svar, tvar, validate_model)
+                   canonicalize, congruent, evaluate, lac_operon_source,
+                   lits, parse_model, parse_pattern, parse_rate, parse_term,
+                   print_model, print_pattern, print_rate, print_term, pat,
+                   simulate, svar, tvar, validate_model)
 from tscls import semantics, syntax
 from tscls.rates import BinOp, IfZero, Name, Num
 from tscls.terms import Table, component_counts
@@ -566,9 +566,7 @@ def indented(text: str, blanks: str = "    ") -> str:
 
 
 def test_a_known_block_is_neither_tokenized_nor_parsed():
-    with open(os.path.join(ROOT, "models", "lac_operon.tscls"),
-              encoding="utf-8") as fh:
-        text = fh.read()
+    text = lac_operon_source()
     tokens = []
     with fresh_blocks(), mock.patch.object(
             syntax, "tokenize", lambda *args, lex=syntax.tokenize:
@@ -583,9 +581,7 @@ def test_a_known_block_is_neither_tokenized_nor_parsed():
 
 def test_known_blocks_make_the_rules_parsed():
     gen = load_perfbench("gen")
-    with open(os.path.join(ROOT, "models", "lac_operon.tscls"),
-              encoding="utf-8") as fh:
-        lac = fh.read()
+    lac = lac_operon_source()
     texts = [lac, CELLS, MINIMAL_MODEL,
              print_model(parse_model(MINIMAL_MODEL)),
              "# leading\n\n" + MINIMAL_MODEL.replace(
