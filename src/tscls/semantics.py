@@ -123,21 +123,23 @@ _UNSET = object()
 _BLOCKS = Table()
 
 
-def parsed_rule(rule: RewriteRule, text: str,
-                recipe: Callable[[], Callable[[int], RewriteRule]]) -> None:
-    """Tie ``rule`` to the text of the rule block it was parsed from: it
-    gets the facts derived for that text and, once a rule of that text
-    was compiled, its plan. The second time the text is parsed,
-    ``recipe()`` is kept for it: a function of the line the block begins
-    at that makes its rule again (see :func:`known_rule`). A process that
-    parses a text once pays for no recipe."""
+def parsed_rule(rule: RewriteRule, text: str, line: int) -> None:
+    """Tie ``rule`` to the text of the rule block it was parsed from, which
+    begins at ``line``: it gets the facts derived for that text and, once
+    a rule of that text was compiled, its plan. The second time the text
+    is parsed, its recipe is kept: a function of the line the block
+    begins at that makes its rule again (see :func:`known_rule`). A
+    process that parses a text once makes no recipe."""
     object.__setattr__(rule, "source", text)
     kept = _BLOCKS.get(text)
     if kept is None:
         _BLOCKS[text] = [_UNSET, _derive_facts(rule), None]
         return
     if kept[2] is None:
-        kept[2] = recipe()
+        # imported here, so a process that parses no text twice never
+        # compiles the module
+        from .recipes import recipe
+        kept[2] = recipe(rule, line)
     if kept[0] is not _UNSET:
         rule.__dict__["plan"] = kept[0]  # as the cached property keeps it
 

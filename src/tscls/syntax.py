@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from . import rates
 from .errors import ModelError, ParseError
@@ -517,8 +516,7 @@ def parse_model(text: str) -> ModelFile:
             if block is None:
                 rule = _parse_rule(cur, line, col)
                 parsed_rule(rule, "\n".join(
-                    lines[line - 1:cur.toks[cur.i - 1][2]]),
-                    partial(_recipe, rule, line))
+                    lines[line - 1:cur.toks[cur.i - 1][2]]), line)
             else:  # a known block, which stands as its 'rule' token
                 rule = known_rule(*block, line)
             mf.rules.append(rule)
@@ -656,14 +654,6 @@ def _parse_run_field(cur: _Cursor, mf: ModelFile) -> None:
         value = int(value)
     mf.run_defaults[name] = value
     _skip_newlines(cur)
-
-
-def _recipe(rule: RewriteRule, first: int) -> Callable[[int], RewriteRule]:
-    """The recipe of ``rule``, parsed from a block that begins at line
-    ``first`` (see :func:`tscls.recipes.recipe`). Its module is imported
-    here, so a process that parses no text twice never compiles it."""
-    from .recipes import recipe
-    return recipe(rule, first)
 
 
 def print_model(mf: ModelFile) -> str:

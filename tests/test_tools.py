@@ -25,14 +25,14 @@ def test_bytecode_counter_counts_a_small_run():
 
 
 def test_cold_costs_time_a_few_processes(capsys):
-    # tools/cold.py, this checkout against itself: one pair of each case
+    # tools/cold.py, this checkout against itself: one pair of two cases
     # with and without a bytecode cache
-    summary = load_tool("cold").main(
-        ["--parent", ROOT, "--pairs", "1", "--cases", "check-lac,run-mass"])
+    tool = load_tool("cold")
+    summary = tool.report(tool.measure(ROOT, 1, ("check-lac", "run-mass")))
     assert set(summary) == {f"{case} {cache}"
                             for case in ("check-lac", "run-mass")
                             for cache in ("no-cache", "cache")}
     for row in summary.values():
         assert row["parent_ms"] > 0 and row["change_ms"] > 0
         assert row["pairs_won"] in ("0/1", "1/1")
-    assert capsys.readouterr().out.count("\n") == 5
+    assert capsys.readouterr().out.count("\n") == 4

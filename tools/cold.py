@@ -19,21 +19,19 @@ process fills first. Both sides read this checkout's model files, and
 each side's ``src/`` is copied into a temporary directory first, so
 no cache in a checkout is read or written.
 
-Run from the repository root::
+Run from the repository root, with the parent as a checkout directory
+or a git revision of this repository::
 
-    python3 tools/cold.py --parent REV_OR_DIR [--pairs 30]
-        [--cases import,check-lac,run-lac,check-mass,run-mass]
+    python3 tools/cold.py PARENT
 
-``--parent`` is a checkout directory or a git revision of this
-repository. It prints one line per case and cache: the median and
-interquartile range of each side in ms, the change against the parent,
-and the pairs the change was faster in; the last line is the same as one
-JSON object.
+It runs 30 pairs of every case, and prints one line per case and cache:
+the median and interquartile range of each side in ms, the change
+against the parent, and the pairs the change was faster in; the last
+line is the same as one JSON object.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import io
 import json
@@ -48,6 +46,7 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = ("import", "check-lac", "run-lac", "check-mass", "run-mass")
+PAIRS = 30
 CLI = "import sys; from tscls.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -165,20 +164,7 @@ def report(results: dict) -> dict:
     return summary
 
 
-def main(argv=None) -> dict:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True)
-    parser.add_argument("--pairs", type=int, default=30)
-    parser.add_argument("--cases", default=",".join(CASES))
-    args = parser.parse_args(argv)
-    cases = args.cases.split(",")
-    unknown = set(cases) - set(CASES)
-    if unknown:
-        parser.error(f"unknown cases: {', '.join(sorted(unknown))}")
-    summary = report(measure(args.parent, args.pairs, cases))
-    print(json.dumps(summary))
-    return summary
-
-
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    print(json.dumps(report(measure(sys.argv[1], PAIRS, CASES))))
