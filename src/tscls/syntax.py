@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Union
 
 from . import rates
 from .errors import ModelError, ParseError
@@ -25,9 +25,9 @@ from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
                        SeqVar, Var, VarKind)
 from .rates import BinOp, IfZero, Name, Num, RateExpr
 from .semantics import (LITERAL, POSITIONAL, CountDecl, RewriteRule,
-                        known_block, known_rule, parsed_rule)
-from .terms import (Component, Loop, Seq, Term, TypeName, canonicalize,
-                    component_counts, counted, min_rotation)
+                        parsed_rule)
+from .terms import (Component, Loop, Seq, Table, Term, TypeName,
+                    canonicalize, component_counts, counted, min_rotation)
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -59,50 +59,37 @@ MULT_LIMIT = 1 << 63
 Token = tuple[str, str, int, int]
 
 
-def tokenize(text: str, newlines: bool = False,
-             known: Iterable[tuple[int, int]] = ()) -> list[Token]:
+def tokenize(text: str, newlines: bool = False) -> list[Token]:
     """Lex the input. With ``newlines`` set, line breaks become tokens
     (model files are newline-structured); otherwise they are whitespace.
-    Numbers are decimal digits; an identifier starts with a letter. Each
-    ``(start, stop)`` span in ``known``, in order, is a known rule block
-    from its 'rule' to its closing '}' (see :func:`parse_model`): it is
-    not lexed, and stands as its one token 'rule'."""
+    Numbers are decimal digits; an identifier starts with a letter."""
     toks: list[Token] = []
     append = toks.append
     line, line_start, end = 1, 0, len(text)
     # in ASCII text the IDENT pattern matches letters first and nothing else
     letters = text.isascii()
-    pos = 0
-    for start, stop in [*known, (end, None)]:
-        for m in _TOKEN.finditer(text, pos, start):
-            kind = m.lastgroup
-            if kind == "IDENT" or kind == "SYM" or kind == "NUMBER":
-                at = m.start(kind)
-                if letters or kind != "IDENT" or text[at].isalpha():
-                    append((kind, m.group(kind), line, at - line_start + 1))
-                    continue
-            elif kind == "NEWLINE":
-                if newlines and toks and toks[-1][0] != "NEWLINE":
-                    append((kind, "\n", line,
-                            m.start(kind) - line_start + 1))
-                line, line_start = line + 1, m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "IDENT" or kind == "SYM" or kind == "NUMBER":
+            start = m.start(kind)
+            if letters or kind != "IDENT" or text[start].isalpha():
+                append((kind, m.group(kind), line, start - line_start + 1))
                 continue
-            elif kind == "COMMENT":
-                end = m.start(kind)
-                continue
-            elif kind is None:
-                continue
-            else:
-                at = m.start(kind)
-            # a BAD character, or an IDENT that starts with a digit such as '²'
-            raise ParseError(f"unexpected character {text[at]!r}",
-                             line, at - line_start + 1)
-        if stop is None:
-            break
-        append(("IDENT", "rule", line, start - line_start + 1))
-        line += text.count("\n", start, stop)
-        line_start = text.rindex("\n", start, stop) + 1
-        pos = stop
+        elif kind == "NEWLINE":
+            if newlines and toks and toks[-1][0] != "NEWLINE":
+                append((kind, "\n", line, m.start(kind) - line_start + 1))
+            line, line_start = line + 1, m.end()
+            continue
+        elif kind == "COMMENT":
+            end = m.start(kind)
+            continue
+        elif kind is None:
+            continue
+        else:
+            start = m.start(kind)
+        # a BAD character, or an IDENT that starts with a digit such as '²'
+        raise ParseError(f"unexpected character {text[start]!r}",
+                         line, start - line_start + 1)
     col = end - line_start + 1
     if newlines and toks and toks[-1][0] != "NEWLINE":
         append(("NEWLINE", "\n", line, col))
@@ -455,31 +442,37 @@ def print_rate(expr: RateExpr) -> str:
 _VAR_SIGILS = {"$": VarKind.TERM, "~": VarKind.SEQ, "?": VarKind.ELEM}
 
 
-# a rule block found by its lines alone, which the grammar allows: from a
-# line that begins with 'rule' to the first later one that holds only its
-# closing '}' and maybe a comment, with no line between that begins with
-# 'rule'. Group 1 runs from 'rule' to '}'
-_BLOCK = re.compile(r"^[ \t\r]*(rule\b[^\n]*(?:\n(?![ \t\r]*rule\b)[^\n]*)*?"
-                    r"\n[ \t\r]*\})[ \t\r]*(?:#[^\n]*)?$", re.M)
+# per model text parsed without error, the text of each of its rule
+# blocks and, once the text was parsed twice, its recipe (see
+# tscls.recipes), or None
+_FILES = Table()
 
 
 def parse_model(text: str) -> ModelFile:
     """Parse and validate a model file.
 
-    A rule block whose text the process has parsed twice before is
-    neither tokenized nor parsed: its rule is made by the recipe kept for
-    that text (see :func:`~tscls.semantics.parsed_rule`), with the rate
-    positions of its lines in this file. The text outside such blocks is
-    tokenized before anything is parsed, so the first error is the same.
+    A text the process parsed twice before without error is neither
+    tokenized, parsed nor validated: the recipe kept for it makes its
+    model (see :func:`tscls.recipes.recipe`), and each rule is tied to
+    its block's text as a parsed one is (see
+    :func:`~tscls.semantics.parsed_rule`). The second parse makes the
+    recipe, so a process that parses each text once makes none.
 
     Raises :class:`ParseError` on the first syntax error and
     :class:`ModelError` carrying every validation diagnostic otherwise.
     """
-    spans, known = _known_blocks(text)
-    cur = _Cursor(tokenize(text, True, spans))
+    kept = _FILES.get(text)
+    if kept is not None and kept[1] is not None:
+        mf = kept[1]()
+        for rule, block in zip(mf.rules, kept[0]):
+            parsed_rule(rule, block)
+        return mf
+    source = text  # below, text is that of each directive's first token
+    cur = _Cursor(tokenize(text, newlines=True))
     # the lines a rule block spans hold its text, and only what shares
     # its first or last line besides
     lines = text.split("\n")
+    blocks: list[str] = []
     mf = ModelFile()
     seen_init = False
     duplicates: list[str] = []
@@ -512,13 +505,9 @@ def parse_model(text: str) -> ModelFile:
             cur.expect_sym(":")
             mf.type_decls[elem] = cur.expect_ident("type name")[1]
         elif text == "rule":
-            block = known.get(line)
-            if block is None:
-                rule = _parse_rule(cur, line, col)
-                parsed_rule(rule, "\n".join(
-                    lines[line - 1:cur.toks[cur.i - 1][2]]), line)
-            else:  # a known block, which stands as its 'rule' token
-                rule = known_rule(*block, line)
+            rule = _parse_rule(cur, line, col)
+            blocks.append("\n".join(lines[line - 1:cur.toks[cur.i - 1][2]]))
+            parsed_rule(rule, blocks[-1])
             mf.rules.append(rule)
         elif text == "init":
             if seen_init:
@@ -540,6 +529,13 @@ def parse_model(text: str) -> ModelFile:
         diagnostics.insert(0, "model has no init directive")
     if diagnostics:
         raise ModelError(diagnostics)
+    if kept is None:
+        _FILES[source] = [blocks, None]
+    else:
+        # imported here, so a process that parses no text twice never
+        # compiles the module
+        from .recipes import recipe
+        kept[1] = recipe(mf)
     return mf
 
 
@@ -547,28 +543,6 @@ def _skip_newlines(cur: _Cursor) -> None:
     toks = cur.toks
     while toks[cur.i][0] == "NEWLINE":
         cur.i += 1
-
-
-def _known_blocks(text: str) -> tuple[list[tuple[int, int]], dict]:
-    """The rule blocks of ``text`` that a recipe makes: the span of each,
-    from its 'rule' to its closing '}', and by the line each begins at,
-    its text and its table entry (see :func:`~tscls.semantics.known_rule`).
-
-    A block is found by its lines alone. Where its 'rule' is not that of a
-    directive, the parser fails at that token, as it would had the block
-    been lexed: the token before it is a line end, and a line end is
-    followed by a directive, a rule field or a run field."""
-    spans: list[tuple[int, int]] = []
-    known = {}
-    line, pos = 1, 0
-    for m in _BLOCK.finditer(text):
-        kept = known_block(m[0])
-        if kept is not None:
-            line += text.count("\n", pos, m.start())
-            pos = m.start()
-            spans.append(m.span(1))
-            known[line] = m[0], kept
-    return spans, known
 
 
 # the fields a rule must have, in the order a missing one is reported

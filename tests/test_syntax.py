@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -493,13 +495,14 @@ def test_bad_text_gives_a_diagnostic(text):
 
 
 # ---------------------------------------------------------------------------
-# a rule block whose text the process parsed twice is made by its recipe
+# a model text the process parsed twice is made by its recipe
 
 
 @contextlib.contextmanager
 def fresh_blocks():
-    """Empty rule-block tables while the block runs."""
-    with mock.patch.object(semantics, "_BLOCKS", Table()):
+    """Empty the rule-block and model-text tables while the block runs."""
+    with mock.patch.object(semantics, "_BLOCKS", Table()), \
+            mock.patch.object(syntax, "_FILES", Table()):
         yield
 
 
@@ -522,25 +525,48 @@ def rate_nodes(expr) -> list[tuple]:
     return out
 
 
+def pattern_nodes(p: Pattern) -> list[tuple]:
+    """Every node of a pattern in preorder, with its counts or names; a
+    walk, where equality recurses through every level."""
+    out, stack = [], [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Pattern):
+            out.append(("Pattern", node.counts))
+            stack += reversed(node.items)
+        elif isinstance(node, PLoop):
+            out.append(("PLoop",))
+            stack += [node.content, node.membrane]
+        elif isinstance(node, PSeq):
+            out.append(("PSeq", [(type(a), a.name) for a in node.atoms]))
+        else:
+            out.append((type(node), node.name))
+    return out
+
+
 def parsed(text: str):
     """What ``parse_model`` makes of the text: each rule field by field,
-    its rate node by node, and the rest of the model; or the error it
-    raises, with its message and position."""
+    its rate node by node, the type of each constant and run default,
+    which equality does not compare, and the rest of the model; or the
+    error it raises, with its message and position."""
     try:
         mf = parse_model(text)
     except ParseError as exc:
         return "ParseError", exc.message, exc.line, exc.col
     except ModelError as exc:
         return "ModelError", exc.diagnostics
-    rules = [(r.id, repr(r.lhs), repr(r.rhs), repr(r.counts), r.source,
-              rate_nodes(r.rate)) for r in mf.rules]
-    return rules, {k: v for k, v in vars(mf).items() if k != "rules"}
+    rules = [(r.id, pattern_nodes(r.lhs), pattern_nodes(r.rhs),
+              repr(r.counts), r.source, rate_nodes(r.rate)) for r in mf.rules]
+    types = [type(v) for v in (*mf.constants.values(),
+                               *mf.run_defaults.values())]
+    return rules, types, {k: v for k, v in vars(mf).items() if k != "rules"}
 
 
 def warm_as_fresh(text: str, *primers: str):
     """Assert that the text parses, once it and ``primers`` were each
     parsed twice, as it does with fresh tables, and that a model it
-    parses to has every rule made by a recipe; returns the outcome."""
+    parses to is made by its recipe, which parses no rule; returns the
+    outcome."""
     with fresh_blocks():
         fresh = parsed(text)
     parses = []
@@ -566,17 +592,55 @@ def indented(text: str, blanks: str = "    ") -> str:
 
 
 def test_a_known_block_is_neither_tokenized_nor_parsed():
+    # nor is the rest of a known model text
     text = lac_operon_source()
-    tokens = []
+    calls = []
     with fresh_blocks(), mock.patch.object(
-            syntax, "tokenize", lambda *args, lex=syntax.tokenize:
-            tokens.append(lex(*args)) or tokens[-1]):
-        rules = [parse_model(text).rules for _ in range(3)]
-    first, _, third = tokens
-    assert [t[1] for t in first].count("lhs") == 15
-    assert [t[1] for t in third].count("lhs") == 0
-    assert [t[1] for t in third].count("rule") == 15
+            syntax, "tokenize", lambda *args, lex=syntax.tokenize, **kw:
+            calls.append("tokenize") or lex(*args, **kw)), mock.patch.object(
+            syntax, "_parse_rule", lambda *args, parse=syntax._parse_rule:
+            calls.append("rule") or parse(*args)):
+        rules = []
+        for _ in range(3):
+            calls.clear()
+            rules.append(parse_model(text).rules)
+    assert len(rules[0]) == 15 and calls == []
     assert rules[2] == rules[0]
+
+
+def test_a_known_model_is_the_callers_to_change():
+    # every parse returns a new model, a recipe's too
+    text = lac_operon_source()
+    with fresh_blocks():
+        first = parse_model(text)
+        parse_model(text)
+        third = parse_model(text)
+        third.constants["k"] = 1.0
+        third.type_decls["lacI"] = "t_x"
+        third.rules.pop()
+        third.observables.clear()
+        third.run_defaults["seed"] = 5
+        assert parse_model(text) == first
+
+
+def test_one_parse_makes_no_recipe():
+    # a single check never compiles the recipe module; a second parse of
+    # the text makes its recipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syntax.__file__)))
+    code = (
+        "import sys\n"
+        "from tscls import cli, syntax\n"
+        f"lac = {os.path.join(ROOT, 'models', 'lac_operon.tscls')!r}\n"
+        "assert cli.main(['check', lac]) == 0\n"
+        "assert 'tscls.recipes' not in sys.modules\n"
+        "text = open(lac, encoding='utf-8').read()\n"
+        "assert syntax._FILES[text][1] is None\n"
+        "syntax.parse_model(text)\n"
+        "assert syntax._FILES[text][1] is not None\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
 
 
 def test_known_blocks_make_the_rules_parsed():
@@ -601,8 +665,13 @@ def test_known_blocks_make_the_rules_parsed():
              *[gen.cells_model(g, 25) for g in range(2)],
              *[RATE_MODEL % rate for rate in LONG_RATES],
              *[RATE_MODEL % rate for rate in TestRates.ROUND_TRIP],
-             *[RATE_MODEL.replace("a | $X", text, 1)
-               for text in TestPatternPrinting.ROUND_TRIP]]
+             *[(RATE_MODEL % "1").replace("a | $X", text, 1)
+               for text in TestPatternPrinting.ROUND_TRIP],
+             # nested as deep as the grammar allows
+             MINIMAL_MODEL.replace("init: a | a | c", "init: " + "<m>[ " * 199
+                                   + "a | a | c" + " ]" * 199),
+             (RATE_MODEL % "1").replace("a | $X", "<m>[ " * 199 + "a | $X"
+                                        + " ]" * 199, 1)]
     for text in texts:
         warm_as_fresh(text)
 
@@ -663,4 +732,5 @@ def test_rate_positions_are_those_of_each_file():
                     simulate(model, SimConfig(seed=1, tmax=1.0))
                 assert str(exc.value) == \
                     f"rule r: division by zero at {line}:11 (compartment /)"
-    assert len(parses) == 2
+    # each file is parsed twice before it has a recipe
+    assert len(parses) == 4

@@ -22,6 +22,10 @@ def test_bytecode_counter_counts_a_small_run():
     for stratum in ("quiet", "induced"):
         count, each, setup = tool.per_trajectory(stratum, 1, 1)
         assert count == 1 and each > setup > 0, stratum
+    # a first parse, twice: with the tables emptied, the count repeats
+    for workload in ("lac", "mass", "cells"):
+        text = tool.model_text(workload)
+        assert tool.first_parse(text) == tool.first_parse(text) > 0, workload
 
 
 def test_cold_costs_time_a_few_processes(capsys):

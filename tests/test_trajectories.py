@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tscls.model
+import tscls.syntax
 from tscls import (LITERAL, POSITIONAL, CountDecl, ElemLit, ModelFile,
                    ObservableSpec, PLoop, PSeq, RateEvalError, RewriteRule,
                    SeqVar, SimConfig, TypeName, Var, VarKind, canonicalize,
@@ -228,7 +229,7 @@ def test_tables_past_their_bounds(monkeypatch):
              gen.cells_model(1, MAX_STEPS) + "\ntype S : t_W\n"]
     shared = {"_MADE": rates._MADE, "_EVALUATORS": rates._EVALUATORS,
               "_SEQS": terms._SEQS, "_BLOCKS": semantics._BLOCKS,
-              "_ENVS": tscls.model._ENVS}
+              "_ENVS": tscls.model._ENVS, "_FILES": tscls.syntax._FILES}
     want = {}
     for text in texts:
         for table in shared.values():
@@ -254,9 +255,13 @@ def test_tables_past_their_bounds(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        for _ in range(3):
+        for round in range(3):
             for text in texts:
-                model = parse_model(text)
+                # a text is parsed, then parsed again to make its recipe,
+                # then made by its recipe: the table drops it between
+                # rounds
+                for _ in range(round + 1):
+                    model = parse_model(text)
                 for rule in model.rules:
                     counts = dict.fromkeys(rule.count_names(), 2)
                     assert rates.evaluate(rule.rate, counts, model.constants) \

@@ -26,13 +26,20 @@ from one trajectory to the next is in place. The bytecodes run inside
 ``parse_model`` and ``Enumerator.__init__``, callees included, are
 reported too.
 
+A first parse (``first``) counts one ``parse_model`` of each of lac,
+``mass_model(0, 120)`` and ``cells_model(0, 25)``, with every table
+tscls keeps per process emptied first: what a single ``tscls check`` or
+``tscls run`` parses. This count repeats exactly from one process to
+the next.
+
 Run from the repository root::
 
-    python3 tools/bytecodes.py [lac] [mass] [cells] [quiet] [induced]
+    python3 tools/bytecodes.py [lac] [mass] [cells] [quiet] [induced] [first]
 
 It prints one line per workload: its name, events, and bytecodes per
-event; or, for a stratum, its trajectories, bytecodes per trajectory and
-those inside ``parse_model`` and ``Enumerator.__init__``.
+event; for a stratum, its trajectories, bytecodes per trajectory and
+those inside ``parse_model`` and ``Enumerator.__init__``; for ``first``,
+the bytecodes of each model's first parse.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from tscls import cli  # noqa: E402
 from tscls.engine import simulate  # noqa: E402
 from tscls.semantics import Enumerator  # noqa: E402
 from tscls.syntax import parse_model  # noqa: E402
+from tscls.terms import Table  # noqa: E402
 
 LAC = os.path.join(ROOT, "models", "lac_operon.tscls")
 
@@ -63,8 +71,8 @@ gen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen)
 
 
-def counted(model, cfg) -> tuple[int, int]:
-    """The events of ``simulate(model, cfg)`` and the bytecodes it ran."""
+def bytecodes(call, *args) -> tuple[object, int]:
+    """What ``call(*args)`` returns and the bytecodes it ran."""
     ran = 0
 
     def opcode(frame, event, arg):
@@ -73,17 +81,27 @@ def counted(model, cfg) -> tuple[int, int]:
             ran += 1
         return opcode
 
-    def call(frame, event, arg):
+    def start(frame, event, arg):
         frame.f_trace_opcodes = True
         return opcode
 
     before = sys.gettrace()
-    sys.settrace(call)
+    sys.settrace(start)
     try:
-        trace = simulate(model, cfg)
+        return call(*args), ran
     finally:
         sys.settrace(before)
-    return trace.steps, ran
+
+
+def first_parse(text: str) -> int:
+    """The bytecodes of one ``parse_model`` of ``text``, with every table
+    tscls keeps per process emptied first."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tscls."):
+            for value in vars(module).values():
+                if isinstance(value, Table):
+                    value.clear()
+    return bytecodes(parse_model, text)[1]
 
 
 def stratum(name: str, seed: int = 7):
@@ -150,21 +168,27 @@ def per_trajectory(name: str, count: int = 40, warm: int = 8
     return count, ran / count, within / count
 
 
+def model_text(workload: str, g: int = 0) -> str:
+    """The workload's model text: lac's, or its generated model ``g``."""
+    if workload == "lac":
+        with open(LAC, encoding="utf-8") as fh:
+            return fh.read()
+    make, steps = {"mass": (gen.mass_model, 120),
+                   "cells": (gen.cells_model, 25)}[workload]
+    return make(g, steps)
+
+
 def runs(workload: str, count: int = 12):
     """``(model, config)`` of each run of the workload, its first
     ``count`` models."""
     if workload == "lac":
-        with open(os.path.join(ROOT, "models", "lac_operon.tscls"),
-                  encoding="utf-8") as fh:
-            text = fh.read()
+        text = model_text(workload)
         for seed in range(count):
             model = parse_model(text)
             yield model, model.sim_config(seed=seed, max_steps=150)
         return
-    make, steps = {"mass": (gen.mass_model, 120),
-                   "cells": (gen.cells_model, 25)}[workload]
     for g in range(count):
-        model = parse_model(make(g, steps))
+        model = parse_model(model_text(workload, g))
         for seed in (0, 1):
             yield model, model.sim_config(seed=seed)
 
@@ -173,14 +197,20 @@ def per_event(workload: str, count: int = 12) -> tuple[int, float]:
     """The workload's events and bytecodes per event."""
     events = ran = 0
     for model, cfg in runs(workload, count):
-        steps, n = counted(model, cfg)
-        events += steps
+        trace, n = bytecodes(simulate, model, cfg)
+        events += trace.steps
         ran += n
     return events, ran / events
 
 
 def main(argv: list[str]) -> None:
-    for workload in argv or ["lac", "mass", "cells", "quiet", "induced"]:
+    for workload in argv or ["lac", "mass", "cells", "quiet", "induced",
+                             "first"]:
+        if workload == "first":
+            print("first parse: " + ", ".join(
+                f"{name} {first_parse(model_text(name)):,}"
+                for name in ("lac", "mass", "cells")) + " bytecodes")
+            continue
         if workload in ("quiet", "induced"):
             count, each, setup = per_trajectory(workload)
             print(f"lac {workload}: {count} trajectories, {each:,.0f}"
