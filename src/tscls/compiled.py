@@ -104,9 +104,9 @@ class Plan:
     the type histogram of ``need`` or ``inner_need``, which the
     environment keeps per plan. ``net`` maps each element to the change
     an outcome makes in its bare occurrences, over the compartment and
-    the cell it rewrites. A plan is never changed once made, so the
-    rules parsed from one text share it (see
-    :class:`~tscls.semantics.RewriteRule`).
+    the cell it rewrites. A plan is never changed once made, so every
+    model parsed from one text shares it with that text's rules (see
+    :func:`~tscls.syntax.parse_model`).
     """
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .semantics import (LITERAL, POSITIONAL, RewriteRule, rule_facts,
-                        rule_violations)
+from .patterns import pattern_elements
+from .semantics import LITERAL, POSITIONAL, RewriteRule, rule_violations
 from .terms import Table, Term, TypeEnv, term_elements
 
 
@@ -76,7 +76,8 @@ class ModelFile:
         out = set(term_elements(self.init))
         out.update(self.type_decls)
         for rule in self.rules:
-            out.update(rule_facts(rule).elements)
+            out.update(pattern_elements(rule.lhs))
+            out.update(pattern_elements(rule.rhs))
         return out
 
     def sim_config(self, **overrides) -> SimConfig:

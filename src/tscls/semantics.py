@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import rates
 from .compiled import Plan, compile_rule, dependents
 from .errors import RateEvalError
 from .matching import (_KEY, _LOOP, Instantiation, Path, Position, image,
                        match_whole, path_of, path_text, splice, substitute)
-from .patterns import (Pattern, Var, VarKind, pattern_elements,
-                       pattern_vars, seq_positioned_elem_vars)
+from .patterns import (Pattern, Var, VarKind, pattern_vars,
+                       seq_positioned_elem_vars)
 from .rates import RateExpr
 from .terms import (Table, Term, TypeEnv, TypeName, canonicalize,
                     component_counts, read_counts, seq_types, type_counts)
@@ -46,19 +46,14 @@ CountSpec = tuple[CountDecl, ...]
 class RewriteRule:
     """A rewrite rule. It keeps only what its own fields determine (its
     plan, compiled rate and seq-positioned variables), never anything of
-    a run: an :class:`Enumerator` keeps the rates it computes.
-
-    ``source`` is the text of the rule block the rule was parsed or made
-    from, or empty; what that text determines is derived once per process
-    (see :func:`parsed_rule`). A copy made by :func:`dataclasses.replace`
-    has none.
-    """
+    a run: an :class:`Enumerator` keeps the rates it computes. Every
+    parse of one model text hands out the same rules (see
+    :func:`tscls.syntax.parse_model`), and with them what they keep."""
     id: str
     lhs: Pattern
     rhs: Pattern
     rate: RateExpr
     counts: CountSpec = ()
-    source: str = field(default="", init=False, repr=False, compare=False)
 
     def count_names(self) -> tuple[str, ...]:
         return tuple(name for decl in self.counts for _, name in decl.entries)
@@ -69,12 +64,7 @@ class RewriteRule:
     def plan(self) -> Optional[Plan]:
         """The compiled plan (see :mod:`tscls.compiled`), or None when the
         rule takes the general path."""
-        kept = _BLOCKS.get(self.source)
-        if kept is None:
-            return compile_rule(self)
-        if kept[0] is _UNSET:
-            kept[0] = compile_rule(self)
-        return kept[0]
+        return compile_rule(self)
 
     @cached_property
     def evaluate(self) -> rates.Evaluator:
@@ -86,64 +76,14 @@ class RewriteRule:
         return seq_positioned_elem_vars(self.lhs)
 
 
-class RuleFacts(NamedTuple):
-    """What the static checks read of a rule's patterns and rate: the
-    variables of its lhs, those of its rhs in order of first occurrence,
-    the names its rate reads, sorted, the names its guards test, and the
-    elements its patterns name."""
-    lhs_vars: frozenset[Var]
-    rhs_vars: tuple[Var, ...]
-    names: tuple[str, ...]
-    guards: frozenset[str]
-    elements: frozenset[str]
-
-
-def _derive_facts(rule: RewriteRule) -> RuleFacts:
-    """Walk the rule's patterns and rate for its :class:`RuleFacts`."""
-    return RuleFacts(frozenset(pattern_vars(rule.lhs)),
-                     pattern_vars(rule.rhs),
-                     tuple(sorted(rates.expr_names(rule.rate))),
-                     frozenset(rates.guard_names(rule.rate)),
-                     frozenset(pattern_elements(rule.lhs)
-                               | pattern_elements(rule.rhs)))
-
-
-def rule_facts(rule: RewriteRule) -> RuleFacts:
-    """The rule's :class:`RuleFacts`, derived once per rule block text."""
-    kept = _BLOCKS.get(rule.source)
-    return _derive_facts(rule) if kept is None else kept[1]
-
-
-_UNSET = object()
-
-# per rule block text, what it determines wherever it stands: the plan of
-# the rules parsed from it, or _UNSET until one of them is asked for it,
-# and their facts. Holds no rule, pattern or term
-_BLOCKS = Table()
-
-
-def parsed_rule(rule: RewriteRule, text: str) -> None:
-    """Tie ``rule`` to the text of the rule block it was parsed from, or
-    made from by its file's recipe (see :func:`tscls.syntax.parse_model`):
-    it gets the facts derived for that text and, once a rule of that text
-    was compiled, its plan."""
-    object.__setattr__(rule, "source", text)
-    kept = _BLOCKS.get(text)
-    if kept is None:
-        _BLOCKS[text] = [_UNSET, _derive_facts(rule)]
-    elif kept[0] is not _UNSET:
-        rule.__dict__["plan"] = kept[0]  # as the cached property keeps it
-
-
 def rule_violations(rule: RewriteRule,
                     consts: Mapping[str, float] = ()) -> list[str]:
     """Static checks; returns one message per violation."""
-    facts = rule_facts(rule)
     out: list[str] = []
-    lhs_vars = facts.lhs_vars
+    lhs_vars = set(pattern_vars(rule.lhs))
     if not rule.lhs.items:
         out.append(f"rule {rule.id}: lhs is the empty term")
-    for var in facts.rhs_vars:
+    for var in pattern_vars(rule.rhs):
         if var not in lhs_vars:
             out.append(f"rule {rule.id}: rhs variable {var} does not occur in lhs")
     seen_names: set[str] = set()
@@ -158,10 +98,11 @@ def rule_violations(rule: RewriteRule,
             if name in consts:
                 out.append(f"rule {rule.id}: count variable '{name}'"
                            " shadows a declared constant")
-    for ident in facts.names:
+    for ident in sorted(rates.expr_names(rule.rate)):
         if ident not in seen_names and ident not in consts:
             out.append(f"rule {rule.id}: rate references undeclared name '{ident}'")
-    for ident in sorted(facts.guards.intersection(consts) - seen_names):
+    for ident in sorted(rates.guard_names(rule.rate).intersection(consts)
+                        - seen_names):
         out.append(f"rule {rule.id}: guard names constant '{ident}',"
                    " not a count variable")
     return out

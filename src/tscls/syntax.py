@@ -24,8 +24,7 @@ from .model import ModelFile, ObservableSpec, validate_model
 from .patterns import (ElemLit, ElemVar, Pattern, PLoop, PSeq, PTermVar,
                        SeqVar, Var, VarKind)
 from .rates import BinOp, IfZero, Name, Num, RateExpr
-from .semantics import (LITERAL, POSITIONAL, CountDecl, RewriteRule,
-                        parsed_rule)
+from .semantics import LITERAL, POSITIONAL, CountDecl, RewriteRule
 from .terms import (Component, Loop, Seq, Table, Term, TypeName,
                     canonicalize, component_counts, counted, min_rotation)
 
@@ -442,37 +441,29 @@ def print_rate(expr: RateExpr) -> str:
 _VAR_SIGILS = {"$": VarKind.TERM, "~": VarKind.SEQ, "?": VarKind.ELEM}
 
 
-# per model text parsed without error, the text of each of its rule
-# blocks and, once the text was parsed twice, its recipe (see
-# tscls.recipes), or None
+# per model text parsed without error, its model as first parsed, whose
+# rules every later parse of the text hands out
 _FILES = Table()
 
 
 def parse_model(text: str) -> ModelFile:
     """Parse and validate a model file.
 
-    A text the process parsed twice before without error is neither
-    tokenized, parsed nor validated: the recipe kept for it makes its
-    model (see :func:`tscls.recipes.recipe`), and each rule is tied to
-    its block's text as a parsed one is (see
-    :func:`~tscls.semantics.parsed_rule`). The second parse makes the
-    recipe, so a process that parses each text once makes none.
+    Every parse returns a new model, which its caller may change. A text
+    the process parsed before without error is neither tokenized, parsed
+    nor validated: its model has the rules of the text's first parse,
+    which are frozen, so each rule's plan and compiled rate are made once
+    while the text is kept, and an initial term of its own (see
+    :func:`_fresh_term`).
 
     Raises :class:`ParseError` on the first syntax error and
     :class:`ModelError` carrying every validation diagnostic otherwise.
     """
     kept = _FILES.get(text)
-    if kept is not None and kept[1] is not None:
-        mf = kept[1]()
-        for rule, block in zip(mf.rules, kept[0]):
-            parsed_rule(rule, block)
-        return mf
+    if kept is not None:
+        return _copied(kept, _fresh_term(kept.init))
     source = text  # below, text is that of each directive's first token
     cur = _Cursor(tokenize(text, newlines=True))
-    # the lines a rule block spans hold its text, and only what shares
-    # its first or last line besides
-    lines = text.split("\n")
-    blocks: list[str] = []
     mf = ModelFile()
     seen_init = False
     duplicates: list[str] = []
@@ -505,10 +496,7 @@ def parse_model(text: str) -> ModelFile:
             cur.expect_sym(":")
             mf.type_decls[elem] = cur.expect_ident("type name")[1]
         elif text == "rule":
-            rule = _parse_rule(cur, line, col)
-            blocks.append("\n".join(lines[line - 1:cur.toks[cur.i - 1][2]]))
-            parsed_rule(rule, blocks[-1])
-            mf.rules.append(rule)
+            mf.rules.append(_parse_rule(cur, line, col))
         elif text == "init":
             if seen_init:
                 duplicates.append("duplicate init directive")
@@ -529,14 +517,27 @@ def parse_model(text: str) -> ModelFile:
         diagnostics.insert(0, "model has no init directive")
     if diagnostics:
         raise ModelError(diagnostics)
-    if kept is None:
-        _FILES[source] = [blocks, None]
-    else:
-        # imported here, so a process that parses no text twice never
-        # compiles the module
-        from .recipes import recipe
-        kept[1] = recipe(mf)
+    # the caller's own init is kept: later parses copy it, so a single
+    # check or run copies none
+    _FILES[source] = _copied(mf, mf.init)
     return mf
+
+
+def _copied(mf: ModelFile, init: Term) -> ModelFile:
+    """``mf`` with its own dicts and lists, the same rules, and ``init``."""
+    return ModelFile(mf.name, dict(mf.constants), dict(mf.type_decls),
+                     list(mf.rules), init, list(mf.observables),
+                     dict(mf.run_defaults), mf.typing)
+
+
+def _fresh_term(t: Term) -> Term:
+    """A term equal to ``t`` whose terms and loops are new, so what a run
+    leaves on the compartments of one is not on the other's. Sequences,
+    which hold nothing of a run, are shared."""
+    return counted({
+        comp if isinstance(comp, Seq)
+        else Loop(comp.membrane, _fresh_term(comp.content)): n
+        for comp, n in component_counts(t).items()})
 
 
 def _skip_newlines(cur: _Cursor) -> None:

@@ -41,8 +41,8 @@ _TABLE_UNIT = 1024
 
 
 class Table(dict):
-    """A table a process keeps to save work, holding no state of a model:
-    it holds up to ``size`` times ``_TABLE_UNIT`` (1,024) entries, and
+    """A table a process keeps to save work, which may drop any entry: it
+    holds up to ``size`` times ``_TABLE_UNIT`` (1,024) entries, and
     storing one more clears it first. Only a store runs this class's
     code; a lookup is the dict's own."""
 

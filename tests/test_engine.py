@@ -8,6 +8,7 @@ import os
 import pickle
 import random
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,12 @@ from tscls import (HALT_EXHAUSTED, HALT_MAX_STEPS, HALT_TMAX, ModelError,
                    ModelFile, ObservableSpec, Pcg64, RateEvalError, SimConfig,
                    Term, canonicalize, compartments, observe, parse_model,
                    parse_term, simulate, step)
-from tscls import engine
+from tscls import engine, syntax
 from tscls.catalog import lac_operon_model, state_change_rule
 from tscls.compiled import Plan, compile_rule
 from tscls.engine import _count_all, _sample_grid
 from tscls.semantics import Enumerator
-from tscls.terms import Loop, Term, TypeEnv, component_counts
+from tscls.terms import Loop, Table, Term, TypeEnv, component_counts
 
 from conftest import ALPHABET, CELLS, general, load_perfbench, random_term
 
@@ -276,31 +277,35 @@ class TestSimulate:
         assert model.sim_config(tmax=5.0).tmax == 5.0
 
     def test_rules_are_freed_with_their_model(self):
-        # what the per-process tables keep of a rule block's text (its
-        # plan, what its static checks read, the enumerator's dependents)
-        # and the type environments may outlive the model; a rule, a
-        # pattern, a rate or a term may not. The element names occur in
-        # no other test, so no table holds anything of another test
-        model = parse_model("""
-            model freed
-            rule enter {
-              lhs: <~x>[ $X ] | fz | $Y
-              rhs: <~x>[ fz | $X ] | $Y
-              rate: 1
-            }
-            rule flip {
-              lhs: fz | $X
-              rhs: fy | $X
-              count $X { t_fz -> n }
-              rate: (n + 1) * 1
-            }
-            rule leave {
-              lhs: <?y.~x>[ fz | $X ] | $Y
-              rhs: <?y.~x>[ $X ] | fz | $Y
-              rate: 1
-            }
-            init: 4 * fz | <fm>[ fy ]
-        """)
+        # the model-text table keeps a text's rules, which every later
+        # parse of it hands out, until it drops the text; what the other
+        # per-process tables keep (a plan's type histograms and the
+        # enumerator's dependents, under the type environments) may
+        # outlive the model and that table, a rule, a pattern, a rate or a
+        # term may not. The element names occur in no other test, so no
+        # table holds anything of another test
+        files = Table()
+        with mock.patch.object(syntax, "_FILES", files):
+            model = parse_model("""
+                model freed
+                rule enter {
+                  lhs: <~x>[ $X ] | fz | $Y
+                  rhs: <~x>[ fz | $X ] | $Y
+                  rate: 1
+                }
+                rule flip {
+                  lhs: fz | $X
+                  rhs: fy | $X
+                  count $X { t_fz -> n }
+                  rate: (n + 1) * 1
+                }
+                rule leave {
+                  lhs: <?y.~x>[ fz | $X ] | $Y
+                  rhs: <?y.~x>[ $X ] | fz | $Y
+                  rate: 1
+                }
+                init: 4 * fz | <fm>[ fy ]
+            """)
         trace = simulate(model, SimConfig(seed=1, tmax=1e9))
         assert {e.rule_id for e in trace.events} == {"enter", "flip", "leave"}
         assert [r.plan is None for r in model.rules] == [False, False, True]
@@ -310,22 +315,29 @@ class TestSimulate:
         refs += [weakref.ref(r.rate) for r in model.rules]
         del model, trace
         gc.collect()
+        assert all(ref() is not None for ref in refs)  # the table's
+        del files
+        gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
 
     def test_runs_hold_no_cycle_through_their_rules(self):
         # what a run keeps on the terms it visited must not refer back to
         # its rules, or every rule, plan and rate table of a finished run
-        # would stay in memory until the cycle collector ran
+        # would stay in memory until the cycle collector ran: once the
+        # model and the model-text table that keeps its rules are gone,
+        # so are they
         gc.collect()
         gc.disable()
         try:
             for make in (lambda: parse_model(CELLS), lac_operon_model):
-                model = make()
+                files = Table()
+                with mock.patch.object(syntax, "_FILES", files):
+                    model = make()
                 trace = simulate(model, model.sim_config(seed=3,
                                                          max_steps=150))
                 assert trace.steps > 10
                 refs = [weakref.ref(r) for r in model.rules]
-                del model, trace
+                del model, trace, files
                 assert [ref for ref in refs if ref() is not None] == []
         finally:
             gc.enable()

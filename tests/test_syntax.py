@@ -4,8 +4,6 @@ import contextlib
 import hashlib
 import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -19,7 +17,7 @@ from tscls import (Loop, ModelError, ParseError, Pattern, PLoop, PSeq,
                    lits, parse_model, parse_pattern, parse_rate, parse_term,
                    print_model, print_pattern, print_rate, print_term, pat,
                    simulate, svar, tvar, validate_model)
-from tscls import semantics, syntax
+from tscls import syntax
 from tscls.rates import BinOp, IfZero, Name, Num
 from tscls.terms import Table, component_counts
 
@@ -495,14 +493,13 @@ def test_bad_text_gives_a_diagnostic(text):
 
 
 # ---------------------------------------------------------------------------
-# a model text the process parsed twice is made by its recipe
+# a model text the process parsed before hands out its first parse's rules
 
 
 @contextlib.contextmanager
 def fresh_blocks():
-    """Empty the rule-block and model-text tables while the block runs."""
-    with mock.patch.object(semantics, "_BLOCKS", Table()), \
-            mock.patch.object(syntax, "_FILES", Table()):
+    """Empty the model-text table while the block runs."""
+    with mock.patch.object(syntax, "_FILES", Table()):
         yield
 
 
@@ -556,7 +553,7 @@ def parsed(text: str):
     except ModelError as exc:
         return "ModelError", exc.diagnostics
     rules = [(r.id, pattern_nodes(r.lhs), pattern_nodes(r.rhs),
-              repr(r.counts), r.source, rate_nodes(r.rate)) for r in mf.rules]
+              repr(r.counts), rate_nodes(r.rate)) for r in mf.rules]
     types = [type(v) for v in (*mf.constants.values(),
                                *mf.run_defaults.values())]
     return rules, types, {k: v for k, v in vars(mf).items() if k != "rules"}
@@ -565,8 +562,8 @@ def parsed(text: str):
 def warm_as_fresh(text: str, *primers: str):
     """Assert that the text parses, once it and ``primers`` were each
     parsed twice, as it does with fresh tables, and that a model it
-    parses to is made by its recipe, which parses no rule; returns the
-    outcome."""
+    parses to comes from the model-text table, which parses no rule;
+    returns the outcome."""
     with fresh_blocks():
         fresh = parsed(text)
     parses = []
@@ -592,7 +589,8 @@ def indented(text: str, blanks: str = "    ") -> str:
 
 
 def test_a_known_block_is_neither_tokenized_nor_parsed():
-    # nor is the rest of a known model text
+    # nor is the rest of a known model text: from the second parse on,
+    # the model has the first parse's rules
     text = lac_operon_source()
     calls = []
     with fresh_blocks(), mock.patch.object(
@@ -600,47 +598,62 @@ def test_a_known_block_is_neither_tokenized_nor_parsed():
             calls.append("tokenize") or lex(*args, **kw)), mock.patch.object(
             syntax, "_parse_rule", lambda *args, parse=syntax._parse_rule:
             calls.append("rule") or parse(*args)):
-        rules = []
+        rules, made = [], []
         for _ in range(3):
             calls.clear()
             rules.append(parse_model(text).rules)
-    assert len(rules[0]) == 15 and calls == []
-    assert rules[2] == rules[0]
+            made.append(list(calls))
+    assert len(rules[0]) == 15 and made[0] and made[1:] == [[], []]
+    for later in rules[1:]:
+        assert all(r is s for r, s in zip(later, rules[0], strict=True))
 
 
 def test_a_known_model_is_the_callers_to_change():
-    # every parse returns a new model, a recipe's too
+    # every parse returns a new model, the first as well as a later one:
+    # changing it in place changes no later parse
     text = lac_operon_source()
     with fresh_blocks():
-        first = parse_model(text)
-        parse_model(text)
-        third = parse_model(text)
-        third.constants["k"] = 1.0
-        third.type_decls["lacI"] = "t_x"
-        third.rules.pop()
-        third.observables.clear()
-        third.run_defaults["seed"] = 5
-        assert parse_model(text) == first
+        fresh = parse_model(text)
+    for parses in (1, 3):
+        with fresh_blocks():
+            for _ in range(parses):
+                model = parse_model(text)
+            model.constants["k"] = 1.0
+            model.type_decls["lacI"] = "t_x"
+            model.rules.pop()
+            model.observables.clear()
+            model.run_defaults["seed"] = 5
+            assert parse_model(text) == fresh
 
 
-def test_one_parse_makes_no_recipe():
-    # a single check never compiles the recipe module; a second parse of
-    # the text makes its recipe
-    src = os.path.dirname(os.path.dirname(os.path.abspath(syntax.__file__)))
-    code = (
-        "import sys\n"
-        "from tscls import cli, syntax\n"
-        f"lac = {os.path.join(ROOT, 'models', 'lac_operon.tscls')!r}\n"
-        "assert cli.main(['check', lac]) == 0\n"
-        "assert 'tscls.recipes' not in sys.modules\n"
-        "text = open(lac, encoding='utf-8').read()\n"
-        "assert syntax._FILES[text][1] is None\n"
-        "syntax.parse_model(text)\n"
-        "assert syntax._FILES[text][1] is not None\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert done.returncode == 0, done.stderr
+def test_a_known_text_gives_an_init_of_its_own():
+    # a later parse's initial term equals the first's at every depth,
+    # multiplicities included, and shares none of its terms, which hold
+    # what a run leaves on them, nor their loops; only sequences
+    def nodes(t):
+        out = [t]
+        for comp in component_counts(t):
+            out.append(comp)
+            if isinstance(comp, Loop):
+                out += nodes(comp.content)
+        return out
+
+    deep = MINIMAL_MODEL.replace(
+        "init: a | a | c", "init: 2 * a | c | " + "<m.n>[ 3 * b | a.c | " * 40
+        + "2 * <m>[eps]" + " ]" * 40)
+    for text in (CELLS, deep):
+        with fresh_blocks():
+            first = parse_model(text).init
+            later = parse_model(text).init
+        assert later == first
+        pairs = list(zip(nodes(first), nodes(later), strict=True))
+        assert len(pairs) > 20
+        for mine, theirs in pairs:
+            if isinstance(mine, Seq):
+                assert theirs is mine
+            else:
+                assert theirs is not mine
+                assert isinstance(theirs, Loop) or theirs._canonical
 
 
 def test_known_blocks_make_the_rules_parsed():
@@ -717,7 +730,7 @@ def test_known_blocks_in_bad_text(text):
 
 def test_rate_positions_are_those_of_each_file():
     # one rule block at other lines in two files: each file's rate error
-    # gives the block's line there, whichever file made its recipe
+    # gives the block's line there, whichever file was parsed first
     text = RATE_MODEL % "2 / (n - 2)"
     lines = {5: text, 9: "model m\n\nconst k = 1.0\n\n" + text}
     parses = []
@@ -732,5 +745,5 @@ def test_rate_positions_are_those_of_each_file():
                     simulate(model, SimConfig(seed=1, tmax=1.0))
                 assert str(exc.value) == \
                     f"rule r: division by zero at {line}:11 (compartment /)"
-    # each file is parsed twice before it has a recipe
-    assert len(parses) == 4
+    # each file is parsed once, then comes from the model-text table
+    assert len(parses) == 2

@@ -156,17 +156,18 @@ def test_one_model_run_under_other_inputs():
 
 
 def test_a_second_parse_derives_nothing_again(monkeypatch):
-    # a rule block's plan and what its static checks read are derived
-    # once per text, a plan's type histograms once per environment and
-    # the enumerator's dependents once per plans and environment: a
-    # second parse of the lac model, and the same run of it, derive none
+    # a second parse of a text hands out the first parse's rules, with
+    # their plans and compiled rates; a plan's type histograms are derived
+    # once per environment and the enumerator's dependents once per plans
+    # and environment: a second parse of the lac model, and the same run
+    # of it, derive none
     text = lac_operon_source()
     first = parse_model(text)
     simulate(first, first.sim_config(seed=1, max_steps=MAX_STEPS))
     derived = Counter()
     for module, name in ((semantics, "compile_rule"),
                          (semantics, "dependents"),
-                         (semantics, "_derive_facts"),
+                         (rates, "compile_expr"),
                          (compiled, "Typed")):
         monkeypatch.setattr(module, name, lambda *args, fn=getattr(
             module, name), name=name: derived.update([name]) or fn(*args))
@@ -190,14 +191,17 @@ def test_two_parses_give_the_same_traces_in_either_order():
 
 
 def test_shared_plans_under_other_declarations(monkeypatch):
-    # two models share their rules' text, so their plans, but not their
-    # type declarations and constants: stepped in turn, each enumerator
-    # gives the transitions of the general path under its own model, and
-    # a plan's type histograms are made once per environment
-    other = CELLS.replace("const k = 10.0", "const k = 3.0") \
-        + "type A : t_B\ntype S : t_W\n"
-    models = [parse_model(CELLS), parse_model(other)]
-    assert all(r.plan is s.plan for r, s in zip(*[m.rules for m in models]))
+    # two models share their rules, so their plans, but not their type
+    # declarations and constants: stepped in turn, each enumerator gives
+    # the transitions of the general path under its own model, and a
+    # plan's type histograms are made once per environment
+    mine = parse_model(CELLS)
+    other = dataclasses.replace(
+        parse_model(CELLS), constants={**mine.constants, "k": 3.0},
+        type_decls={**mine.type_decls, "A": "t_B", "S": "t_W"})
+    models = [mine, other]
+    assert all(r is s and r.plan is not None
+               for r, s in zip(mine.rules, other.rules, strict=True))
     built = []
     monkeypatch.setattr(compiled, "Typed",
                         lambda *args: built.append(args) or Typed(*args))
@@ -228,8 +232,8 @@ def test_tables_past_their_bounds(monkeypatch):
              gen.cells_model(0, MAX_STEPS),
              gen.cells_model(1, MAX_STEPS) + "\ntype S : t_W\n"]
     shared = {"_MADE": rates._MADE, "_EVALUATORS": rates._EVALUATORS,
-              "_SEQS": terms._SEQS, "_BLOCKS": semantics._BLOCKS,
-              "_ENVS": tscls.model._ENVS, "_FILES": tscls.syntax._FILES}
+              "_SEQS": terms._SEQS, "_ENVS": tscls.model._ENVS,
+              "_FILES": tscls.syntax._FILES}
     want = {}
     for text in texts:
         for table in shared.values():
@@ -257,9 +261,8 @@ def test_tables_past_their_bounds(monkeypatch):
     try:
         for round in range(3):
             for text in texts:
-                # a text is parsed, then parsed again to make its recipe,
-                # then made by its recipe: the table drops it between
-                # rounds
+                # a text is parsed, then comes from the model-text table,
+                # which drops it between rounds
                 for _ in range(round + 1):
                     model = parse_model(text)
                 for rule in model.rules:
