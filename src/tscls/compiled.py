@@ -18,12 +18,10 @@ Two rule shapes compile, each ``g``/``h`` a ground flat sequence:
   the rotation, so one rate serves every rotation, and the rotations
   collapse to the distinct least rotations of ``m[~x := rotation]``.
 
-The results (matches, counts, errors and targets) are those of the
+The results (matches, counts, rates and targets) are those of the
 general path: ``match_whole``, ``count_types``, ``substitute`` and
-``splice``. Errors are raised for the same instantiation: the general
-path counts in ``Instantiation.sort_key`` order, which for these shapes
-is the order of the loops' membranes, ties broken by the binding of the
-term variable whose name sorts first.
+``splice``. A plan rates in an order of its own, so the general path
+raises a plan's rate errors (see :class:`~tscls.semantics.Enumerator`).
 
 A loop rule's outcomes in a compartment are ordered by their targets
 without building one: each has a target key (see :func:`_target_key`)
@@ -39,11 +37,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import compress, repeat
-from operator import attrgetter, gt, itemgetter
+from operator import gt, itemgetter
 from typing import (TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional,
                     Sequence)
 
-from .errors import RateEvalError
 from .matching import (DRAWN, INSIDE, Change, Path, placed, replace_copy,
                        splice)
 from .patterns import (ElemLit, Pattern, PLoop, PSeq, PTermVar, SeqVar, Var,
@@ -96,8 +93,7 @@ class Plan:
     ``need`` and ``give`` are the ground parts outside the loop. A loop
     rule also has ``inner_need`` and ``inner_give`` inside it, and
     ``membrane``, the rhs membrane with None for each ``~x``; without a
-    loop, ``membrane`` is None. ``frame_first`` says whether the frame
-    variable's name sorts before the inner one's.
+    loop, ``membrane`` is None.
 
     Every term binding's counts are read from its compartment's type
     histogram (:func:`~tscls.terms.type_counts`, cached on the term) less
@@ -110,21 +106,18 @@ class Plan:
     """
 
     __slots__ = ("need", "give", "decls", "inner_need", "inner_give",
-                 "membrane", "frame_first", "net", "_same_inner",
-                 "_inner_moves")
+                 "membrane", "net", "_same_inner", "_inner_moves")
 
     def __init__(self, need: Counter, give: Counter, decls: tuple[Decl, ...],
                  inner_need: Optional[Counter] = None,
                  inner_give: Optional[Counter] = None,
-                 membrane: Optional[tuple[Optional[str], ...]] = None,
-                 frame_first: bool = False):
+                 membrane: Optional[tuple[Optional[str], ...]] = None):
         self.need = need
         self.give = give
         self.decls = decls
         self.inner_need = inner_need
         self.inner_give = inner_give
         self.membrane = membrane
-        self.frame_first = frame_first
         net: dict[str, int] = {}
         for part, sign in ((need, -1), (give, 1), (inner_need, -1),
                            (inner_give, 1)):
@@ -167,9 +160,8 @@ class Plan:
         ``loop`` is given too, ``content`` holds the compartment an event
         rewrote in the cell that replaced ``loop``, and the plan reads
         that cell as it read ``loop`` (see :func:`dependents`): the cell
-        takes ``loop``'s :class:`_Cell` and rates. If a rate raises, the
-        rates are evaluated again in the order of the general path,
-        which raises its first error."""
+        takes ``loop``'s :class:`_Cell` and rates. A rate error is the
+        first one the plan meets, in its own order of rating."""
         have = component_counts(content)
         if not _contains(have, self.need):
             return None
@@ -180,16 +172,8 @@ class Plan:
                 counts.update(read_counts(entries, types, less))
             found = rate(counts)
             return ((None,), (found,), None) if found > 0 else None
-        try:
-            order = self._order(prev and prev[2], content, have, env, literal,
-                                rate, change, loop)
-        except RateEvalError:
-            totals = self._totals(content, env)
-            for cell in self._in_general_order(have):
-                entry = self._cell(cell, env, literal)
-                if entry:
-                    rate(_counts(entry, totals))
-            raise
+        order = self._order(prev and prev[2], content, have, env, literal,
+                            rate, change, loop)
         if order is None:
             return None
         keys, rates = order.entries
@@ -321,15 +305,6 @@ class Plan:
         if rates is None:
             rates = _rate_all(cands, totals, rate)
         return Order(cells, cands, keys, rates, totals)
-
-    def _in_general_order(self, have: Mapping) -> list[Loop]:
-        """The cells of a compartment in the order the general path counts
-        them."""
-        cells = [comp for comp in have if isinstance(comp, Loop)]
-        if self.frame_first:
-            cells.reverse()
-        cells.sort(key=attrgetter("membrane"))
-        return cells
 
     def _cell(self, cell: Loop, env: TypeEnv, literal: bool,
               before: Optional[_Cell] = None):
@@ -772,7 +747,7 @@ def compile_rule(rule: RewriteRule) -> Optional[Plan]:
         where[Var(VarKind.TERM, inner[1])] = INNER
         where[Var(VarKind.SEQ, seq)] = MEMBRANE
         loop = dict(inner_need=inner[0], inner_give=rhs_inner[0],
-                    membrane=tuple(membrane), frame_first=frame < inner[1])
+                    membrane=tuple(membrane))
     names = rule.count_names()
     if len(set(names)) != len(names):
         return None  # a count name bound twice: the last block sets it

@@ -324,7 +324,8 @@ class Enumerator:
     visited as a first state is. Either way, a path is worked out only
     for the transitions asked for. Rules without a plan are matched
     afresh in every state: that path is the reference, and with one of
-    them every state is visited.
+    them every state is visited. It raises a compiled rule's rate errors
+    too (see :meth:`_enumerated`).
 
     Each rule's rates are kept per tuple of counts, under the constants
     as they were when the enumerator was made: it keeps its own copy.
@@ -382,8 +383,9 @@ class Enumerator:
         groups of one rule after another are in that order. Compartments
         are enumerated in pre-order and, in each one without a record,
         rules in order, so the first rate error is the one the general
-        path raises; multi-outcome groups of rules without a plan build
-        their targets afterwards, in the order of the result."""
+        path raises (see :meth:`_enumerated`); multi-outcome groups of
+        rules without a plan build their targets afterwards, in the order
+        of the result."""
         state = canonicalize(state)
         (old, segs), self._kept = self._kept, (None, None)
         hint = state._outcomes
@@ -458,7 +460,9 @@ class Enumerator:
         predecessor has a record, else afresh, and kept on the content in
         place of the hint. The group of each rule without a plan is
         appended to its groups in ``segs``, and every rule is enumerated
-        in rule order."""
+        in rule order. A compiled rule whose rate raises is matched by
+        the general path, which raises its first error; the plan's error
+        is raised only if it raises none."""
         kept = content._outcomes
         if kept is not None and kept[0] is self._token:
             for index, rule in self._general:
@@ -488,6 +492,8 @@ class Enumerator:
                                      self._rates[index], change,
                                      swap[0] if index in carry else None)
             except RateEvalError as exc:
+                self._match(state, pos, content, index, self.rules[index],
+                            segs)
                 raise _located(exc, path_of(state, pos)) from None
             if entry is not None:
                 record[index] = entry

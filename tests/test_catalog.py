@@ -1,7 +1,5 @@
 """Rule constructors, catalyst/inhibitor transformers, lac operon model."""
 
-import random
-
 import pytest
 
 from tscls import (OsmosisParams, PTermVar, TypeEnv, add_both, add_catalyst,

@@ -1,6 +1,7 @@
 """The compiled path for ``ground | $X`` and single-loop rules versus the
 general path."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -25,6 +26,26 @@ from tscls.terms import component_counts, type_counts
 from conftest import (CELLS, MASS, assert_multisets_canonical, general,
                       osmosis_pair, random_compiled_rule, random_env,
                       random_loop_rule, random_loop_state, random_term)
+
+# tick turns a into d; r's rate raises once no a is left, 1 / 0 for the
+# cell <e>[ b ] and not finite for <c.e>[ b ]
+PATCHED_ERROR = """\
+rule tick {
+  lhs: a | $X
+  rhs: d | $X
+  rate: 1
+}
+
+rule r {
+  lhs: <~x>[ b | $X ] | $Y
+  rhs: <~x>[ $X ] | b | $Y
+  count ~x { seq(t_c) -> n }
+  count $Y { t_a -> k }
+  rate: if k == 0 then 1 / n * 1e308 * 1e308 else 0
+}
+
+init: <m>[ 3 * a | <e>[ b ] | <c.e>[ b ] ]
+"""
 
 X = Var(VarKind.TERM, "X")
 Y = Var(VarKind.TERM, "Y")
@@ -372,6 +393,30 @@ class TestLoopAgainstGeneralPath:
                       (Var(VarKind.TERM, inner), [(TypeName("t_b"), "n")]))
         got = self.check(T("<a>[ b | b ] | <a>[ b | b | b ]"), [r])
         assert got[0] is RateEvalError and rate in got[1]
+
+    def test_first_error_of_a_patched_step(self, monkeypatch):
+        # r's rate raises only once tick has turned every a into d, so at
+        # a step patched from the one before; c.e sorts before e by
+        # membrane but after it as a component, and each cell raises its
+        # own error: the run raises the general path's first
+        model = parse_model(PATCHED_ERROR)
+        assert all(r.plan is not None for r in model.rules)
+        reference = dataclasses.replace(
+            model, rules=[general(r) for r in model.rules])
+        states = []
+        outcomes = Enumerator.outcomes
+        monkeypatch.setattr(Enumerator, "outcomes", lambda self, state:
+                            states.append(state) or outcomes(self, state))
+        got = []
+        for run in (model, reference):
+            with pytest.raises(RateEvalError) as exc:
+                simulate(run, run.sim_config(seed=1, tmax=1e9))
+            got.append(str(exc.value))
+        assert got[0] == got[1]
+        assert "not finite" in got[0] and "(compartment /0)" in got[0]
+        # per run: the initial state, then one state per tick, the last
+        # of which raises
+        assert len(states) == 8
 
     @pytest.mark.parametrize("rate, rates", [
         ("n", [1.0, 2.0]), ("n - 1", [1.0]), ("n - 2", []), ("0", []),
